@@ -202,7 +202,7 @@ def cmd_frame(args, tol: float) -> int:
     doc["validation"] = {
         "tol": tol,
         "passed": report.passed,
-        "max_violation_per_check": report.checks,
+        "max_violation_per_check": report.all_checks,
     }
     _write_output(_dump(doc), args.out)
     worst_name, worst = report.worst()

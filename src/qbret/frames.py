@@ -9,12 +9,15 @@ SIC-POVM tetrahedron; anything else enters through `load_frame`.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComplexResidue, NotNQPR, ParseError, ValidationFailed
+from .errors import ComplexResidue, NotNQPR, ParseError, RepMismatch, ValidationFailed
 from .matcore import DEFAULT_TOL, EYE2, PAULI_X, PAULI_Y, PAULI_Z, dagger, max_abs
 
 KIND_NQ = "nq"
@@ -28,7 +31,9 @@ class Frame:
     """d^2 Hermitian frame operators, stacked as an (n, d, d) array.
 
     Tuple labels are kept for display; all matrix indexing uses their
-    flattened order 0..d^2-1.
+    flattened order 0..d^2-1.  `parts` holds the (frame, dual) pairs that
+    `tensor_frames` composed this frame from, so that `structure_coeffs`
+    can keep one factor per part; it is empty for every other frame.
     """
 
     name: str
@@ -37,6 +42,10 @@ class Frame:
     ops: np.ndarray
     kind: str = KIND_CUSTOM
     c: float | None = None  # dual scaling G = c F for the NQPR kind
+    parts: tuple = ()
+    # structure coefficients per dual frame, filled by structure_coeffs
+    _coeffs: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     def __post_init__(self):
         self.ops = np.asarray(self.ops, dtype=complex)
@@ -58,18 +67,30 @@ class DualFrame:
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Max violation per frame invariant; `passed` is the overall verdict."""
+    """Max violation per frame invariant; `passed` is the overall verdict.
+
+    `checks` holds the invariants of every frame/dual pair, `kind_checks`
+    the dual relation the frame's kind claims (G = cF for nq,
+    G = d(d+1)F - 1 for sp; none for custom).  The kind selects the
+    adjoint rule, so a false claim would give a wrong recovery matrix.
+    """
 
     checks: dict
     tol: float
+    kind_checks: dict = field(default_factory=dict)
+
+    @property
+    def all_checks(self) -> dict:
+        return {**self.checks, **self.kind_checks}
 
     @property
     def passed(self) -> bool:
-        return all(v <= self.tol for v in self.checks.values())
+        return all(v <= self.tol for v in self.all_checks.values())
 
     def worst(self) -> tuple[str, float]:
-        name = max(self.checks, key=self.checks.get)
-        return name, self.checks[name]
+        checks = self.all_checks
+        name = max(checks, key=checks.get)
+        return name, checks[name]
 
 
 def build_dw_qubit() -> tuple[Frame, DualFrame]:
@@ -98,9 +119,23 @@ def build_sic_qubit() -> tuple[Frame, DualFrame]:
     return frame, dual
 
 
+def _kron_stack(stacks: list[np.ndarray]) -> np.ndarray:
+    """Kronecker products of every combination of operators from the
+    (n_k, d_k, d_k) stacks, indexed lexicographically, last stack fastest."""
+    out = stacks[0]
+    for ops in stacks[1:]:
+        n, d = out.shape[0] * ops.shape[0], out.shape[1] * ops.shape[1]
+        out = np.einsum("iab,jcd->ijacbd", out, ops).reshape(n, d, d)
+    return out
+
+
 def tensor_frames(parts: list[tuple[Frame, DualFrame]]) -> tuple[Frame, DualFrame]:
     """Tensor-compose NQPR frame pairs; composite labels run lexicographically
-    with the last factor fastest.  Only the NQPR kind composes this way."""
+    with the last factor fastest.  Only the NQPR kind composes this way.
+
+    The composite records its single-factor pairs in `parts` (a composite
+    part contributes its own parts).
+    """
     if not parts:
         raise ValueError("need at least one frame pair")
     for f, _ in parts:
@@ -109,19 +144,14 @@ def tensor_frames(parts: list[tuple[Frame, DualFrame]]) -> tuple[Frame, DualFram
                           "only NQPR frames tensor-compose")
     if len(parts) == 1:
         return parts[0]
-    ops_f, ops_g, labels = [None], [None], [()]
-    for f, g in parts:
-        ops_f = [np.kron(a, b) if a is not None else b
-                 for a in ops_f for b in f.ops]
-        ops_g = [np.kron(a, b) if a is not None else b
-                 for a in ops_g for b in g.ops]
-        labels = [prev + (lab,) for prev in labels for lab in f.labels]
+    labels = tuple(itertools.product(*(f.labels for f, _ in parts)))
     d = int(np.prod([f.d for f, _ in parts]))
     c = float(np.prod([f.c for f, _ in parts]))
     name = "*".join(f.name for f, _ in parts)
-    frame = Frame(name=name, d=d, labels=tuple(labels),
-                  ops=np.array(ops_f), kind=KIND_NQ, c=c)
-    return frame, DualFrame(name=name, ops=np.array(ops_g))
+    frame = Frame(name=name, d=d, labels=labels,
+                  ops=_kron_stack([f.ops for f, _ in parts]), kind=KIND_NQ, c=c,
+                  parts=tuple(q for f, g in parts for q in (f.parts or ((f, g),))))
+    return frame, DualFrame(name=name, ops=_kron_stack([g.ops for _, g in parts]))
 
 
 def build_dw_qubits(n_qubits: int) -> tuple[Frame, DualFrame]:
@@ -168,7 +198,14 @@ def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
         rhs = np.trace(a @ b)
         worst = max(worst, abs(lhs - rhs))
     checks["sum_trace"] = float(worst)
-    return FrameReport(checks=checks, tol=tol)
+    kind_checks = {}
+    if frame.kind == KIND_NQ:
+        # the traces 1/d of F and 1 of G leave c = d as the only consistent scale
+        c = frame.c if frame.c is not None else float(d)
+        kind_checks["nq_dual_scaling"] = max_abs(g - c * f)
+    elif frame.kind == KIND_SP:
+        kind_checks["sp_dual_affine"] = max_abs(g - (d * (d + 1) * f - np.eye(d)))
+    return FrameReport(checks=checks, tol=tol, kind_checks=kind_checks)
 
 
 # --- file format -----------------------------------------------------------
@@ -243,9 +280,10 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
     if not report.passed:
         # name the first violated invariant in a stable order
         order = ("hermiticity", "normalization", "frame_trace", "dual_trace",
-                 "orthogonality", "sum_trace")
-        check = next(name for name in order if report.checks[name] > tol)
-        raise ValidationFailed(check, report.checks[check], tol)
+                 "orthogonality", "sum_trace", "nq_dual_scaling", "sp_dual_affine")
+        checks = report.all_checks
+        check = next(name for name in order if checks.get(name, 0.0) > tol)
+        raise ValidationFailed(check, checks[check], tol)
     return frame, dual
 
 
@@ -253,52 +291,104 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
 
 @dataclass(frozen=True)
 class StructureCoefficients:
-    """Rank-4 tensor xi[p,q,r,s] = Re Tr[F_p G_q G_r G_s] of a frame pair.
+    """Structure coefficients xi[p,q,r,s] = Tr[F_p G_q G_r G_s] of a frame
+    pair, held as complex (n_k, n_k, n_k, n_k) factor tensors whose
+    Kronecker product is xi.
 
-    Individual traces are complex in general, but their imaginary parts obey
-    conj(xi[p,q,r,s]) = xi[p,s,r,q] and therefore cancel from every
-    symmetric contraction sum_{xy} v_x v_y xi[i,x,j,y]; the real part is
-    exactly sufficient and is what gets stored.
+    A frame built by `tensor_frames` has one factor per part, because the
+    trace of a Kronecker product is the product of the traces; every other
+    frame is its own single factor.  The traces obey
+    conj(xi[p,q,r,s]) = xi[p,s,r,q], so imaginary parts cancel from every
+    symmetric contraction sum_{xy} v_x v_y xi[i,x,j,y] with real v.  They do
+    not cancel factor by factor (Re(ab) != Re a Re b), which is why the
+    factors stay complex and `contract` takes the real part once, at the end.
     """
 
-    xi: np.ndarray
+    factors: tuple
     frame_name: str
 
     @property
     def n(self) -> int:
-        return self.xi.shape[0]
+        return math.prod(f.shape[0] for f in self.factors)
+
+    @property
+    def xi(self) -> np.ndarray:
+        """Dense real tensor Re xi, built on every access (n^4 float64, so
+        134 MB at n = 64): for inspection at small n, not for computing."""
+        out = self.factors[0]
+        for f in self.factors[1:]:
+            n = out.shape[0] * f.shape[0]
+            out = np.einsum("pqrs,ijkl->piqjrksl", out, f).reshape(n, n, n, n)
+        return np.ascontiguousarray(out.real)
+
+    def contract(self, v: np.ndarray) -> np.ndarray:
+        """X[i, j] = sum_{xy} v_x v_y xi[i, x, j, y] for a real vector v.
+
+        v (x) v is viewed as a tensor with one (x_k, y_k) index pair per
+        factor, and each factor in turn replaces its pair by (i_k, j_k).
+        """
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n,):
+            raise RepMismatch(
+                f"vector length {v.shape} does not match coefficients ({self.n})")
+        dims = tuple(f.shape[0] for f in self.factors)
+        k = len(dims)
+        t = np.multiply.outer(v, v).reshape(dims + dims)
+        for axis, factor in enumerate(self.factors):
+            t = np.tensordot(t, factor, axes=((axis, k + axis), (1, 3)))
+            t = np.moveaxis(t, (-2, -1), (axis, k + axis))
+        return t.real.reshape(self.n, self.n)
 
 
-def structure_coeffs(frame: Frame, dual: DualFrame,
-                     tol: float = DEFAULT_TOL) -> StructureCoefficients:
-    """Compute (and cache on the frame) the structure-coefficient tensor.
+def _is_kron(ops: np.ndarray, stacks: list[np.ndarray], tol: float) -> bool:
+    kron = _kron_stack(stacks)
+    return ops.shape == kron.shape and max_abs(ops - kron) <= tol
 
-    Raises ComplexResidue if the symmetrized imaginary part, the component
-    that would survive contraction with real vectors, exceeds tol.
-    """
-    cached = getattr(frame, "_xi_cache", None)
-    if cached is not None:
-        return cached
-    xi = np.einsum("pab,qbc,rcd,sda->pqrs", frame.ops, dual.ops, dual.ops,
-                   dual.ops, optimize=True)
+
+def _factor_tensor(f_ops: np.ndarray, g_ops: np.ndarray, tol: float) -> np.ndarray:
+    xi = np.einsum("pab,qbc,rcd,sda->pqrs", f_ops, g_ops, g_ops, g_ops,
+                   optimize=True)
+    # the q<->s swap acts factor by factor, so a composite inherits the
+    # identity from its factors
     sym_imag = max_abs((xi.imag + np.transpose(xi.imag, (0, 3, 2, 1))) / 2)
     if sym_imag > tol:
         raise ComplexResidue(
             f"symmetrized imaginary residue {sym_imag:.3e} > tol")
-    coeffs = StructureCoefficients(xi=np.ascontiguousarray(xi.real),
-                                   frame_name=frame.name)
-    frame._xi_cache = coeffs
+    return xi
+
+
+def structure_coeffs(frame: Frame, dual: DualFrame,
+                     tol: float = DEFAULT_TOL) -> StructureCoefficients:
+    """Compute (and cache per frame/dual pair) the structure coefficients.
+
+    A frame from `tensor_frames` whose operators and dual are still the
+    Kronecker products of its recorded parts gets one factor per part, so
+    memory and work grow with the number of parts, not with n^4; any other
+    pair is a single factor.  Raises ComplexResidue if a factor's
+    symmetrized imaginary part, the component that would survive
+    contraction with real vectors, exceeds tol.
+    """
+    cached = frame._coeffs.get(dual)
+    if cached is not None:
+        return cached
+    parts = frame.parts
+    if not (parts and _is_kron(frame.ops, [f.ops for f, _ in parts], tol)
+            and _is_kron(dual.ops, [g.ops for _, g in parts], tol)):
+        parts = ((frame, dual),)
+    coeffs = StructureCoefficients(
+        factors=tuple(_factor_tensor(f.ops, g.ops, tol) for f, g in parts),
+        frame_name=frame.name)
+    frame._coeffs[dual] = coeffs
     return coeffs
 
 
 def classical_structure_coeffs(n: int) -> StructureCoefficients:
     """Kronecker-delta tensor delta_pq delta_rs delta_pr of the classical
     (diagonal projector) representation on n outcomes."""
-    xi = np.zeros((n, n, n, n))
+    xi = np.zeros((n, n, n, n), dtype=complex)
     idx = np.arange(n)
-    for p in idx:
-        xi[p, p, p, p] = 1.0
-    return StructureCoefficients(xi=xi, frame_name=f"classical:{n}")
+    xi[idx, idx, idx, idx] = 1.0
+    return StructureCoefficients(factors=(xi,), frame_name=f"classical:{n}")
 
 
 def classical_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:

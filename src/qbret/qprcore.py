@@ -103,23 +103,16 @@ def born(v: np.ndarray, vbar: np.ndarray) -> float:
     return float(v @ vbar)
 
 
-def _xi_of(coeffs) -> np.ndarray:
-    return coeffs.xi if isinstance(coeffs, StructureCoefficients) else np.asarray(coeffs)
-
-
-def x_matrix(v: np.ndarray, coeffs) -> np.ndarray:
+def x_matrix(v: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
     """Prior-dependent matrix X[i, j] = sum_{xy} v_x v_y xi[i, x, j, y].
 
     With the structure coefficients of a frame this equals
     Tr[F_i alpha G_j alpha] for alpha reconstructed from v; with the
-    classical delta tensor it collapses to diag(v^2).
+    classical delta tensor it collapses to diag(v^2).  Evaluated by
+    `coeffs.contract`, one factor at a time, so a product frame never
+    builds its n^4 tensor.
     """
-    xi = _xi_of(coeffs)
-    v = np.asarray(v, dtype=float)
-    if xi.shape[0] != v.shape[0]:
-        raise RepMismatch(
-            f"vector length {v.shape[0]} does not match coefficients ({xi.shape[0]})")
-    return np.einsum("x,y,ixjy->ij", v, v, xi, optimize=True)
+    return coeffs.contract(v)
 
 
 def k_matrix(s: np.ndarray, d: int | None = None) -> np.ndarray:
@@ -204,7 +197,7 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs, kind: str = KIND_NQ,
     """Recovery matrix M_prior^{1/2} S_adj M_post^{-1/2} from
     quasiprobability data alone.
 
-    `coeffs` is the structure-coefficient tensor of the representation (the
+    `coeffs` holds the structure coefficients of the representation (the
     classical delta tensor reduces this to the classical Bayes inverse for
     nonnegative priors).  The adjoint is derived from `kind` unless
     `s_adjoint` is supplied (required for custom frames).
@@ -216,14 +209,13 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs, kind: str = KIND_NQ,
     """
     s = np.asarray(s, dtype=float)
     v_prior = np.asarray(v_prior, dtype=float)
-    xi = _xi_of(coeffs)
     n = v_prior.shape[0]
-    if s.shape != (n, n) or xi.shape[0] != n:
+    if s.shape != (n, n) or coeffs.n != n:
         raise RepMismatch("channel matrix, prior and coefficients disagree in size")
     if s_adjoint is None:
         s_adjoint = adjoint_qpr(s, kind)
-    m_prior = x_matrix(v_prior, xi)
-    m_post = x_matrix(s @ v_prior, xi)
+    m_prior = x_matrix(v_prior, coeffs)
+    m_post = x_matrix(s @ v_prior, coeffs)
     if not _posterior_deficient(m_post):
         return PetzQprResult(matrix=_root_sandwich(m_prior, s_adjoint, m_post, tol))
     if eps <= 0.0:
@@ -238,7 +230,8 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs, kind: str = KIND_NQ,
 
     def regularized(e: float) -> np.ndarray:
         v = (1 - e) * v_prior + e * u
-        return _root_sandwich(x_matrix(v, xi), s_adjoint, x_matrix(s @ v, xi), tol)
+        return _root_sandwich(x_matrix(v, coeffs), s_adjoint,
+                              x_matrix(s @ v, coeffs), tol)
 
     primary = regularized(eps_used)
     probe = regularized(eps_used / 10)

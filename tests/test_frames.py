@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qbret import errors
 from qbret.frames import (
@@ -18,9 +21,17 @@ from qbret.frames import (
     tensor_frames,
     validate_frame,
 )
-from qbret.matcore import EYE2, PAULI_X, PAULI_Y, PAULI_Z
+from qbret.matcore import EYE2, PAULI_X, PAULI_Y, PAULI_Z, max_abs
 
 SIGMA = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+
+
+def direct_xi(f_ops, g_ops):
+    """Re Tr[F_p G_q G_r G_s] straight from the operators, one p at a time
+    so that no intermediate is bigger than the n^4 result."""
+    return np.array([np.einsum("ab,qbc,rcd,sda->qrs", fp, g_ops, g_ops, g_ops,
+                               optimize=True).real
+                     for fp in f_ops])
 
 
 def test_dw_first_operator():
@@ -133,6 +144,15 @@ class TestValidateFrame:
                                       "frame_trace", "dual_trace",
                                       "orthogonality", "sum_trace"}
 
+    @pytest.mark.parametrize("builder, kind_check", [
+        (build_dw_qubit, "nq_dual_scaling"),
+        (lambda: build_dw_qubits(2), "nq_dual_scaling"),
+        (build_sic_qubit, "sp_dual_affine")])
+    def test_kind_claim_checked(self, builder, kind_check):
+        report = validate_frame(*builder())
+        assert list(report.kind_checks) == [kind_check]
+        assert report.kind_checks[kind_check] < 1e-14
+
 
 class TestLoadFrame:
     def test_round_trip(self):
@@ -172,6 +192,18 @@ class TestLoadFrame:
             load_frame(doc)
         assert exc.value.check == "orthogonality"
 
+    @pytest.mark.parametrize("builder, claim, check", [
+        # a SIC pair claiming nq would get the bare-transpose adjoint and a
+        # wrong recovery matrix for every non-unital channel
+        (build_sic_qubit, "nq", "nq_dual_scaling"),
+        (build_dw_qubit, "sp", "sp_dual_affine")])
+    def test_false_kind_claim_fails(self, builder, claim, check):
+        doc = frame_to_dict(*builder())
+        doc["kind"], doc["c"] = claim, None
+        with pytest.raises(errors.ValidationFailed) as exc:
+            load_frame(doc)
+        assert exc.value.check == check
+
 
 class TestStructureCoeffs:
     def test_classical_is_delta_tensor(self):
@@ -208,9 +240,75 @@ class TestStructureCoeffs:
         f, g = build_dw_qubit()
         assert structure_coeffs(f, g) is structure_coeffs(f, g)
 
+    def test_cached_per_dual(self):
+        f, dw_g = build_dw_qubit()
+        _, sic_g = build_sic_qubit()
+        dw_xi = structure_coeffs(f, dw_g)
+        sic_xi = structure_coeffs(f, sic_g)
+        assert sic_xi is not dw_xi
+        np.testing.assert_allclose(sic_xi.xi, direct_xi(f.ops, sic_g.ops),
+                                   atol=1e-14)
+        assert structure_coeffs(f, dw_g) is dw_xi
+
+    @pytest.mark.parametrize("builder", [build_dw_qubit, build_sic_qubit,
+                                         lambda: build_dw_qubits(2)])
+    def test_dense_xi_matches_direct_traces(self, builder):
+        f, g = builder()
+        np.testing.assert_allclose(structure_coeffs(f, g).xi,
+                                   direct_xi(f.ops, g.ops), atol=1e-14)
+
+    @pytest.mark.parametrize("builder", [
+        lambda: build_dw_qubits(3),
+        lambda: tensor_frames([build_dw_qubits(2), build_dw_qubit()])])
+    def test_product_frame_keeps_one_factor_per_qubit(self, builder):
+        f, g = builder()
+        np.testing.assert_array_equal(f.ops, build_dw_qubits(3)[0].ops)
+        factors = structure_coeffs(f, g).factors
+        assert [t.shape for t in factors] == [(4, 4, 4, 4)] * 3
+        assert max(np.abs(t.imag).max() for t in factors) == pytest.approx(0.5)
+
+    def test_foreign_dual_is_one_factor(self):
+        # the dual of another product frame is not the product of this
+        # frame's recorded parts, so the pair is taken as a whole
+        f, _ = build_dw_qubits(2)
+        _, sic_g = build_sic_qubit()
+        sic2_g = DualFrame(name="sic*sic",
+                           ops=np.einsum("iab,jcd->ijacbd", sic_g.ops,
+                                         sic_g.ops).reshape(16, 4, 4))
+        coeffs = structure_coeffs(f, sic2_g)
+        assert len(coeffs.factors) == 1
+        np.testing.assert_allclose(coeffs.xi, direct_xi(f.ops, sic2_g.ops),
+                                   atol=1e-14)
+
     def test_complex_residue_on_invalid_operators(self):
         f, g = build_dw_qubit()
         broken = Frame(name="broken", d=2, labels=f.labels,
                        ops=f.ops + 0.1j * np.eye(2), kind="custom")
         with pytest.raises(errors.ComplexResidue):
             structure_coeffs(broken, g)
+
+    def test_complex_residue_on_invalid_tensor_factor(self):
+        f, g = build_dw_qubit()
+        broken = Frame(name="broken", d=2, labels=f.labels,
+                       ops=f.ops + 0.1j * np.eye(2), kind="nq", c=2.0)
+        composite = tensor_frames([build_dw_qubit(), (broken, g)])
+        assert len(composite[0].parts) == 2
+        with pytest.raises(errors.ComplexResidue):
+            structure_coeffs(*composite)
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["dw-qubits:2", "dw-qubits:3"])
+def product_coeffs(request):
+    f, g = build_dw_qubits(request.param)
+    return structure_coeffs(f, g), direct_xi(f.ops, g.ops)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_contract_matches_dense_contraction(product_coeffs, data):
+    coeffs, xi = product_coeffs
+    v = data.draw(arrays(np.float64, coeffs.n,
+                         elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    dense = np.einsum("x,y,ixjy->ij", v, v, xi, optimize=True)
+    # 1e-12 relative; the absolute floor only covers products that underflow
+    assert max_abs(coeffs.contract(v) - dense) <= 1e-12 * np.abs(dense).max() + 1e-300

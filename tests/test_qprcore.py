@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from qbret import errors
 from qbret.frames import (
+    StructureCoefficients,
     build_dw_qubit,
+    build_dw_qubits,
     build_sic_qubit,
     classical_structure_coeffs,
     structure_coeffs,
@@ -23,7 +25,7 @@ from qbret.hilbert import (
     random_density,
     random_unitary,
 )
-from qbret.matcore import max_abs
+from qbret.matcore import ORACLE_TOL, max_abs
 from qbret.qprcore import (
     QPR_EPS_FLOOR,
     adjoint_qpr,
@@ -402,6 +404,27 @@ class TestPetzQpr:
                                 kind="nq").matrix
         np.testing.assert_allclose(via_pipeline, classical_bayes(t, p),
                                    atol=1e-13)
+
+
+@pytest.mark.parametrize("n_qubits", [3, 4])
+def test_product_frame_recovery_stays_factored(n_qubits, monkeypatch):
+    # dense xi would be 134 MB at three qubits and 34 GB at four
+    f, g = build_dw_qubits(n_qubits)
+    coeffs = structure_coeffs(f, g)
+    monkeypatch.setattr(StructureCoefficients, "xi", property(
+        lambda self: pytest.fail("petz_qpr built the dense xi tensor")))
+    rng = np.random.default_rng(n_qubits)
+    d = 2 ** n_qubits
+    channel = channel_from_dilation(random_unitary(rng, 2 * d),
+                                    random_density(rng, 2))
+    prior = random_density(rng, d, min_eig=0.01)
+    result = petz_qpr(channel_to_qpr(channel, f, g), state_to_qpr(prior, f),
+                      coeffs, kind=f.kind)
+    oracle = channel_to_qpr(petz_hilbert(channel, prior), f, g)
+    assert result.eps_used == 0.0
+    assert max_abs(result.matrix - oracle) < ORACLE_TOL
+    assert set(vars(coeffs)) == {"factors", "frame_name"}
+    assert sum(t.nbytes for t in coeffs.factors) < 2 ** 20
 
 
 class TestClassicalBayes:
