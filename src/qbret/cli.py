@@ -25,7 +25,7 @@ from . import graphs as gr
 from . import hilbert as hb
 from . import qprcore as qp
 from . import verify as vf
-from .errors import ParseError, QbretError
+from .errors import OracleMismatch, ParseError, QbretError
 from .matcore import DEFAULT_TOL, ORACLE_TOL, max_abs
 
 _NAMED_KETS = {
@@ -193,6 +193,41 @@ def _rep_kind(args, frame: fr.Frame) -> str:
     return rep
 
 
+def _recover(s: np.ndarray, prior: np.ndarray, frame: fr.Frame,
+             dual: fr.DualFrame, kind: str, channel: hb.KrausChannel | None,
+             eps: float, tol: float) -> qp.PetzQprResult:
+    """petz_qpr in representation `kind`; custom representations morph the
+    Hilbert adjoint, which needs the channel."""
+    s_adj = None
+    if kind == fr.KIND_CUSTOM:
+        if channel is None:
+            raise QbretError("custom representations need a Hilbert channel "
+                             "to derive the adjoint")
+        s_adj = qp.adjoint_qpr(s, kind, channel=channel, frame=frame, dual=dual)
+    return qp.petz_qpr(s, qp.state_to_qpr(prior, frame),
+                       fr.structure_coeffs(frame, dual, tol), kind=kind,
+                       eps=eps, s_adjoint=s_adj, tol=tol)
+
+
+def _oracle_gate(result: qp.PetzQprResult, channel: hb.KrausChannel,
+                 prior: np.ndarray, frame: fr.Frame, dual: fr.DualFrame,
+                 eps: float, tol: float) -> dict:
+    """Hold a recovery matrix to the Hilbert-space oracle.
+
+    Returns the deviation and the gate as output metadata, or raises
+    OracleMismatch (exit 1) when the deviation is over the gate.
+    """
+    oracle = hb.petz_hilbert(channel, prior, eps=result.eps_used or eps, tol=tol)
+    deviation = max_abs(result.matrix - qp.channel_to_qpr(oracle, frame, dual))
+    # regularized posteriors carry an eigenvalue of order eps^2, which
+    # caps how closely the two routes can agree numerically
+    oracle_tol = ORACLE_TOL if result.eps_used == 0.0 else 1e-5
+    if deviation > oracle_tol:
+        raise OracleMismatch(f"deviation from the Hilbert-side oracle "
+                             f"{deviation:.3e} exceeds {oracle_tol:.1e}")
+    return {"oracle_deviation": deviation, "oracle_tol": oracle_tol}
+
+
 # --- commands ------------------------------------------------------------------
 
 def cmd_frame(args, tol: float) -> int:
@@ -234,10 +269,7 @@ def cmd_repr(args, tol: float) -> int:
 
 def cmd_petz(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
-    xi = fr.structure_coeffs(frame, dual, tol)
     prior = resolve_prior(args)
-    v_prior = qp.state_to_qpr(prior, frame)
-    kind = _rep_kind(args, frame)
 
     channel = None
     if getattr(args, "matrix", None):
@@ -251,15 +283,8 @@ def cmd_petz(args, tol: float) -> int:
         channel, _ = resolve_channel(args, tol)
         s = qp.channel_to_qpr(channel, frame, dual)
 
-    s_adj = None
-    if kind == fr.KIND_CUSTOM:
-        if channel is None:
-            raise QbretError("custom representations need a Hilbert channel "
-                             "to derive the adjoint")
-        s_adj = qp.adjoint_qpr(s, kind, channel=channel, frame=frame, dual=dual)
-
-    result = qp.petz_qpr(s, v_prior, xi, kind=kind, eps=args.eps,
-                         s_adjoint=s_adj, tol=tol)
+    kind = _rep_kind(args, frame)
+    result = _recover(s, prior, frame, dual, kind, channel, args.eps, tol)
     meta = {
         "eps_used": result.eps_used,
         "prior_kind": kind,
@@ -269,26 +294,15 @@ def cmd_petz(args, tol: float) -> int:
         meta["extrapolation_dev"] = result.extrapolation_dev
         meta["support_route_dev"] = result.support_dev
     if channel is not None:
-        oracle = hb.petz_hilbert(channel, prior,
-                                 eps=result.eps_used or args.eps, tol=tol)
-        s_oracle = qp.channel_to_qpr(oracle, frame, dual)
-        deviation = max_abs(result.matrix - s_oracle)
-        # regularized posteriors carry an eigenvalue of order eps^2, which
-        # caps how closely the two routes can agree numerically
-        oracle_tol = ORACLE_TOL if result.eps_used == 0.0 else 1e-5
-        meta["oracle_deviation"] = deviation
-        meta["oracle_tol"] = oracle_tol
-        if deviation > oracle_tol:
-            print(f"error: deviation from the Hilbert-side oracle "
-                  f"{deviation:.3e} exceeds {oracle_tol:.1e}", file=sys.stderr)
-            return 1
+        meta.update(_oracle_gate(result, channel, prior, frame, dual,
+                                 args.eps, tol))
     doc = qpr_object_dict(result.matrix, frame.name, "retrodiction-matrix", meta)
     _write_output(_dump(doc), args.out)
     return 0
 
 
 def cmd_verify(args, tol: float) -> int:
-    results = vf.run_suites([args.suite], seed=args.seed, workers=args.workers)
+    results = vf.run_suites([args.suite], seed=args.seed)
     passed = all(r.passed for r in results)
     if args.format == "json":
         payload = {
@@ -332,17 +346,14 @@ def _born_scan(matrix: np.ndarray, frame: fr.Frame, dual: fr.DualFrame) -> list:
 
 def cmd_compare(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
-    xi = fr.structure_coeffs(frame, dual, tol)
     channel, desc = resolve_channel(args, tol)
     prior = resolve_prior(args)
-    v_prior = qp.state_to_qpr(prior, frame)
-    kind = _rep_kind(args, frame)
     s = qp.channel_to_qpr(channel, frame, dual)
-    s_adj = (qp.adjoint_qpr(s, kind, channel=channel, frame=frame, dual=dual)
-             if kind == fr.KIND_CUSTOM else None)
-    recovery = qp.petz_qpr(s, v_prior, xi, kind=kind, eps=args.eps,
-                           s_adjoint=s_adj, tol=tol).matrix
-    classical = qp.classical_bayes(s, v_prior, eps=args.eps)
+    result = _recover(s, prior, frame, dual, _rep_kind(args, frame), channel,
+                      args.eps, tol)
+    gate = _oracle_gate(result, channel, prior, frame, dual, args.eps, tol)
+    recovery = result.matrix
+    classical = qp.classical_bayes(s, qp.state_to_qpr(prior, frame), eps=args.eps)
     scan = _born_scan(classical, frame, dual)
     flagged = [row for row in scan if not row["valid"]]
     payload = {
@@ -353,6 +364,7 @@ def cmd_compare(args, tol: float) -> int:
         "max_difference": max_abs(recovery - classical),
         "born_scan_classical": scan,
         "flagged": flagged,
+        **gate,
     }
     _write_output(_dump(payload), args.out)
     if flagged:
@@ -388,11 +400,11 @@ def cmd_graph(args, tol: float) -> int:
                                      labels, cutoff)
         else:
             prior = resolve_prior(args)
-            v_prior = qp.state_to_qpr(prior, frame)
-            xi = fr.structure_coeffs(frame, dual, tol)
-            shat = qp.petz_qpr(s, v_prior, xi, kind=_rep_kind(args, frame),
-                               eps=args.eps, tol=tol).matrix
-            graph = gr.retro_graph(shat, v_prior, labels, cutoff)
+            result = _recover(s, prior, frame, dual, _rep_kind(args, frame),
+                              channel, args.eps, tol)
+            _oracle_gate(result, channel, prior, frame, dual, args.eps, tol)
+            graph = gr.retro_graph(result.matrix, qp.state_to_qpr(prior, frame),
+                                   labels, cutoff)
     opts = gr.GraphOptions(bounds=args.bounds, label_style=args.label_style)
     text = gr.emit_svg(graph, opts) if args.format == "svg" \
         else gr.emit_dot(graph, opts)
@@ -454,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=list(vf.SUITES) + ["all"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
 

@@ -86,3 +86,7 @@ class RepMismatch(QbretError):
 
 class UnsupportedKind(QbretError):
     pass
+
+
+class OracleMismatch(QbretError):
+    """A recovery matrix deviates from the Hilbert-space oracle beyond its gate."""

@@ -30,6 +30,7 @@ from .matcore import (
     max_abs,
     partial_trace_b,
     psd_sqrt,
+    rank_threshold,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -242,7 +243,7 @@ def petz_hilbert(channel: KrausChannel, prior: np.ndarray,
 
     def deficient(p):
         w = hermitian_eig(p, tol).values
-        return w[0] < RANK_RTOL * max(w[-1], 1e-300)
+        return w[0] < rank_threshold(w[-1])
 
     post = channel.apply(prior)
     eps_used = 0.0

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import fractional_matrix_power, schur
+from scipy.linalg.lapack import ztrsen, ztrtrs
 
 from .errors import (
     ComplexResidue,
@@ -50,6 +51,13 @@ def max_abs(a: np.ndarray) -> float:
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
+
+
+def rank_threshold(scale: float, rank_rtol: float = RANK_RTOL) -> float:
+    """Absolute cutoff below which a value counts as zero next to `scale`
+    (the largest eigenvalue or entry); never zero, so a zero `scale`
+    still leaves every value at or below the cutoff."""
+    return rank_rtol * max(float(scale), 1e-300)
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
@@ -131,7 +139,7 @@ def psd_sqrt(h: np.ndarray, tol: float = DEFAULT_TOL, *,
         raise NotPSD(f"smallest eigenvalue {w[0]:.3e} < -tol")
     w = np.clip(w, 0.0, None)
     if inverse:
-        thr = rank_rtol * max(float(w[-1]), 1e-300)
+        thr = rank_threshold(w[-1], rank_rtol)
         if w[0] < thr and singular != "support":
             raise Singular(f"eigenvalue {w[0]:.3e} below rank threshold {thr:.3e}")
         with np.errstate(divide="ignore"):
@@ -148,43 +156,90 @@ def _power_scalar(w: np.ndarray, r: float) -> np.ndarray:
         return np.power(w, r)
 
 
-def _schur_power_with_kernel(a: np.ndarray, r: float, thr: float) -> np.ndarray:
-    """x^r of a matrix with a (numerically) semisimple zero eigenspace.
+def _solve_upper(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^{-1} b for an invertible upper-triangular a (LAPACK trtrs)."""
+    x, info = ztrtrs(a, b)
+    if info != 0:
+        raise Singular(f"triangular factor has a zero pivot at {info}")
+    return x
 
-    Sorted complex Schur form puts the invertible part in the leading block
-    T11; the trailing block T22 has spectrum below thr and, for the
-    quasiprobability matrices this is used on, vanishing norm.  With
+
+def _sqrt_triu(t: np.ndarray) -> np.ndarray:
+    """Principal square root of an upper-triangular matrix with no zero on
+    its diagonal (Bjorck-Hammarling recurrence).
+
+    R_jj = sqrt(T_jj), and since sum_{i<=k<=j} R_ik R_kj = T_ij, column j
+    above the diagonal solves (R[:j, :j] + R_jj I) x = T[:j, j].  The
+    shifted diagonal R_ii + R_jj is a sum of principal roots, so it stays
+    away from zero even for repeated eigenvalues.
+    """
+    n = t.shape[0]
+    r = np.diag(np.sqrt(np.diag(t)))
+    eye = np.eye(n)
+    for j in range(1, n):
+        r[:j, j] = _solve_upper(r[:j, :j] + r[j, j] * eye[:j, :j], t[:j, j])
+    return r
+
+
+def _triu_power(t: np.ndarray, r: float) -> np.ndarray:
+    """t^r of an invertible upper-triangular matrix: the triangular root
+    for r = 1/2, a triangular solve against it for r = -1/2, and
+    Schur-Pade (which takes a triangle as already factored) otherwise."""
+    if abs(r) == 0.5:
+        root = _sqrt_triu(t)
+        return root if r > 0 else _solve_upper(root, np.eye(t.shape[0]))
+    return fractional_matrix_power(t, r)
+
+
+def _schur_power(t: np.ndarray, z: np.ndarray, r: float,
+                 keep: np.ndarray) -> np.ndarray:
+    """x^r of the matrix Z T Z^H, zero on the eigenvalues not in `keep`.
+
+    When some are dropped the Schur form is reordered (no second
+    factorization) so the kept ones form the leading block T11 and the
+    trailing block T22 holds the (numerically) semisimple kernel.  With
     f(T22) = 0 the commutation relation F T = T F fixes the coupling block
     as F12 = T11^{-1} f(T11) T12.  For r < 0 this realizes the root on the
     support (zero off it).
     """
-    t, z, k = schur(a.astype(complex), output="complex",
-                    sort=lambda x: abs(x) > thr)
-    n = a.shape[0]
+    n = t.shape[0]
+    k = int(keep.sum())
+    if k < n:
+        t, z, _w, _m, _s, _sep, info = ztrsen(keep.astype(np.int32), t, z,
+                                              job="N")
+        if info != 0:
+            raise NoConvergence(f"Schur reordering failed (info={info})")
     f = np.zeros((n, n), dtype=complex)
     if k > 0:
         t11 = t[:k, :k]
-        f[:k, :k] = fractional_matrix_power(t11, r)
+        f[:k, :k] = _triu_power(t11, r)
         if k < n:
-            f[:k, k:] = np.linalg.solve(t11, f[:k, :k] @ t[:k, k:])
+            f[:k, k:] = _solve_upper(t11, f[:k, :k] @ t[:k, k:])
     return z @ f @ dagger(z)
 
 
 def principal_power(m: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
-                    rank_rtol: float = RANK_RTOL,
-                    singular: str = "error") -> np.ndarray:
+                    rank_rtol: float = RANK_RTOL, singular: str = "error",
+                    return_deficient: bool = False):
     """Principal r-th power of a real matrix with nonnegative real spectrum.
 
-    The spectrum is validated on the complex Schur form (no diagonalizability
-    assumed); eigenvalues in [-tol, 0) are clamped to zero.  Symmetric inputs
-    take an eigh path, everything else a Schur-based path whose imaginary
-    residue is checked before being discarded.
+    Each input is factored once.  Symmetric inputs take `hermitian_eig`;
+    everything else one complex Schur form (no diagonalizability assumed),
+    whose triangle yields the spectrum check, the square root by the
+    triangular recurrence and the inverse root by a triangular solve
+    against it.  Eigenvalues in [-tol, 0) are clamped to zero, and the
+    imaginary residue of the Schur route is checked before being
+    discarded.
 
     ``singular`` controls negative powers of rank-deficient input: "error"
     raises SingularForNegativePower, "support" inverts on the support only.
+    With ``return_deficient`` the result is ``(power, deficient)``, where
+    `deficient` says whether an eigenvalue fell below the rank threshold.
     """
     m = _require_square(np.asarray(m, dtype=float))
-    w = schur_spectrum(m, tol).values
+    sym = max_abs(m - m.T) <= tol * max(max_abs(m), 1.0)
+    spec = hermitian_eig((m + m.T) / 2, tol) if sym else schur_spectrum(m, tol)
+    w = spec.values
     if max_abs(w.imag) > tol:
         raise SpectrumNotNonnegative(
             f"max |Im eig| = {max_abs(w.imag):.3e} > tol")
@@ -193,34 +248,27 @@ def principal_power(m: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
         raise SpectrumNotNonnegative(
             f"min Re eig = {wr.min():.3e} < -tol")
     wr = np.clip(wr, 0.0, None)
-    thr = rank_rtol * max(float(wr.max()), 1e-300)
-    deficient = bool(wr.min() < thr)
+    thr = rank_threshold(wr.max(), rank_rtol)
+    keep = wr >= thr
+    deficient = not bool(keep.all())
     if r < 0 and deficient and singular == "error":
         raise SingularForNegativePower(
             f"min eigenvalue {wr.min():.3e} below rank threshold {thr:.3e}")
 
     if float(r).is_integer() and not (deficient and r < 0):
-        return np.linalg.matrix_power(m, int(r))
-
-    sym = max_abs(m - m.T) <= tol * max(max_abs(m), 1.0)
-    if sym:
-        w2, v = np.linalg.eigh((m + m.T) / 2)
-        w2 = np.clip(w2, 0.0, None)
-        if deficient:
-            vals = np.where(w2 < thr, 0.0, _power_scalar(np.maximum(w2, thr), r))
-        else:
-            vals = _power_scalar(w2, r)
-        return (v * vals) @ v.T
-
-    if deficient:
-        p = _schur_power_with_kernel(m, r, thr)
+        p = np.linalg.matrix_power(m, int(r))
+    elif sym:
+        vals = np.where(keep, _power_scalar(wr, r), 0.0)
+        v = spec.vectors
+        p = (v * vals) @ v.T
     else:
-        p = fractional_matrix_power(m, r)
-    imag = max_abs(np.imag(p))
-    if imag > max(tol, IMAG_NOISE_FLOOR):
-        raise ComplexResidue(
-            f"imaginary residue {imag:.3e} exceeds tolerance")
-    return np.real(p)
+        p = _schur_power(spec.triangular, spec.vectors, r, keep)
+        imag = max_abs(np.imag(p))
+        if imag > max(tol, IMAG_NOISE_FLOOR):
+            raise ComplexResidue(
+                f"imaginary residue {imag:.3e} exceeds tolerance")
+        p = np.real(p)
+    return (p, deficient) if return_deficient else p
 
 
 def partial_trace_b(w: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -33,7 +33,14 @@ from .frames import (
     structure_coeffs,
 )
 from .hilbert import AdjointChannel, KrausChannel
-from .matcore import DEFAULT_TOL, RANK_RTOL, dagger, max_abs, principal_power
+from .matcore import (
+    DEFAULT_TOL,
+    RANK_RTOL,
+    dagger,
+    max_abs,
+    principal_power,
+    rank_threshold,
+)
 
 # The root pipeline squares the posterior's conditioning (eigenvalues of the
 # posterior matrix are products of pairs of posterior weights), so
@@ -150,23 +157,6 @@ def adjoint_qpr(s: np.ndarray, kind: str, d: int | None = None, *,
     return channel_to_qpr(AdjointChannel(channel), frame, dual)
 
 
-def _posterior_deficient(m_post: np.ndarray) -> bool:
-    w = np.linalg.eigvals(m_post).real
-    return bool(w.min() < RANK_RTOL * max(w.max(), 1e-300))
-
-
-def _root_sandwich(m_prior: np.ndarray, s_adj: np.ndarray,
-                   m_post: np.ndarray, tol: float) -> np.ndarray:
-    # prior^{1/2} adj post^{-1/2}, with the inverse root applied as a linear
-    # solve against post^{1/2} to avoid forming large explicit inverses; a
-    # posterior matrix that stays rank-deficient takes the support route
-    left = principal_power(m_prior, 0.5, tol) @ s_adj
-    if _posterior_deficient(m_post):
-        return left @ principal_power(m_post, -0.5, tol, singular="support")
-    right_root = principal_power(m_post, 0.5, tol)
-    return np.linalg.solve(right_root.T, left.T).T
-
-
 @dataclass(frozen=True)
 class PetzQprResult:
     """Retrodiction matrix plus how a rank-deficient posterior was handled.
@@ -214,27 +204,28 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs, kind: str = KIND_NQ,
         raise RepMismatch("channel matrix, prior and coefficients disagree in size")
     if s_adjoint is None:
         s_adjoint = adjoint_qpr(s, kind)
-    m_prior = x_matrix(v_prior, coeffs)
-    m_post = x_matrix(s @ v_prior, coeffs)
-    if not _posterior_deficient(m_post):
-        return PetzQprResult(matrix=_root_sandwich(m_prior, s_adjoint, m_post, tol))
+
+    def recovery(v: np.ndarray) -> tuple[np.ndarray, bool]:
+        # prior^{1/2} adj post^{-1/2}; the inverse root is taken on the
+        # support of a rank-deficient posterior matrix, and the same
+        # factorization says whether it was
+        inv_root, deficient = principal_power(
+            x_matrix(s @ v, coeffs), -0.5, tol, singular="support",
+            return_deficient=True)
+        root = principal_power(x_matrix(v, coeffs), 0.5, tol)
+        return root @ s_adjoint @ inv_root, deficient
+
+    support, deficient = recovery(v_prior)
+    if not deficient:
+        return PetzQprResult(matrix=support)
     if eps <= 0.0:
         raise SingularPosterior(
             "posterior matrix is rank-deficient and regularization is disabled")
 
-    support = (principal_power(m_prior, 0.5, tol) @ s_adjoint
-               @ principal_power(m_post, -0.5, tol, singular="support"))
-
     eps_used = max(eps, QPR_EPS_FLOOR)
     u = uniform_vector(n)
-
-    def regularized(e: float) -> np.ndarray:
-        v = (1 - e) * v_prior + e * u
-        return _root_sandwich(x_matrix(v, coeffs), s_adjoint,
-                              x_matrix(s @ v, coeffs), tol)
-
-    primary = regularized(eps_used)
-    probe = regularized(eps_used / 10)
+    primary, _ = recovery((1 - eps_used) * v_prior + eps_used * u)
+    probe, _ = recovery((1 - eps_used / 10) * v_prior + eps_used / 10 * u)
     return PetzQprResult(
         matrix=primary,
         eps_used=eps_used,
@@ -261,14 +252,13 @@ def classical_bayes(s: np.ndarray, v_prior: np.ndarray, eps: float = 1e-8,
     if s.shape != (n, n):
         raise RepMismatch(f"matrix shape {s.shape} does not match prior length {n}")
     post = s @ v
-    thr = rank_rtol * max(np.abs(post).max(), 1e-300)
-    if np.abs(post).min() <= thr:
+    if np.abs(post).min() <= rank_threshold(np.abs(post).max(), rank_rtol):
         if eps <= 0.0:
             raise SingularPosterior(
                 "posterior has (near-)zero entries and regularization is disabled")
         v = (1 - eps) * v + eps * uniform_vector(n)
         post = s @ v
-        if np.abs(post).min() <= rank_rtol * max(np.abs(post).max(), 1e-300):
+        if np.abs(post).min() <= rank_threshold(np.abs(post).max(), rank_rtol):
             raise SingularPosterior(
                 "posterior entries remain at zero after regularization")
     return (np.diag(v) @ s.T) / post[None, :]
@@ -301,7 +291,7 @@ def m_power_check(v: np.ndarray, r: float, frame: Frame, dual: DualFrame,
     if w.min() < -tol:
         raise NotPSD(f"reconstructed state has eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
-    if r < 0 and w.min() < RANK_RTOL * max(w.max(), 1e-300):
+    if r < 0 and w.min() < rank_threshold(w.max()):
         raise SingularState(
             f"state has eigenvalue {w.min():.3e}; negative powers need full rank")
     alpha_r = (vec * np.power(w, r)) @ dagger(vec)

@@ -7,7 +7,6 @@ user-tunable: they are the acceptance thresholds of the build.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +15,6 @@ from . import frames as fr
 from . import hilbert as hb
 from . import qprcore as qp
 from .matcore import max_abs, principal_power
-
-SUITES = ("frames", "mmatrix", "powers", "commute", "classical",
-          "counterexamples")
 
 _SQ2 = np.sqrt(2.0)
 _SQ3 = np.sqrt(3.0)
@@ -158,30 +154,21 @@ def _random_channel(rng) -> hb.KrausChannel:
     return hb.channel_from_dilation(u, beta)
 
 
-def suite_commute(seed: int = 0, cases: int = 200,
-                  workers: int = 1) -> list[CheckResult]:
+def suite_commute(seed: int = 0, cases: int = 200) -> list[CheckResult]:
     out = []
     for name, f, g in _canonical_pairs():
         xi = fr.structure_coeffs(f, g)
         rng = np.random.default_rng(seed)
-        inputs = [(_random_channel(rng),
-                   hb.random_density(rng, 2, min_eig=0.05))
-                  for _ in range(cases)]
-
-        def one(case):
-            channel, prior = case
+        worst = 0.0
+        for _ in range(cases):
+            channel = _random_channel(rng)
+            prior = hb.random_density(rng, 2, min_eig=0.05)
             s = qp.channel_to_qpr(channel, f, g)
             v = qp.state_to_qpr(prior, f)
             lhs = qp.petz_qpr(s, v, xi, kind=f.kind).matrix
             rhs = qp.channel_to_qpr(hb.petz_hilbert(channel, prior), f, g)
-            return max_abs(lhs - rhs)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                devs = list(pool.map(one, inputs))
-        else:
-            devs = [one(c) for c in inputs]
-        out.append(CheckResult(f"petz-commutes-{name}", max(devs), 1e-7))
+            worst = max(worst, max_abs(lhs - rhs))
+        out.append(CheckResult(f"petz-commutes-{name}", worst, 1e-7))
 
         # unitary channels retrodict to the transpose, prior-independently
         rng2 = np.random.default_rng(seed + 1)
@@ -375,23 +362,21 @@ def suite_counterexamples(seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def run_suites(names, seed: int = 0, workers: int = 1) -> list[CheckResult]:
+_SUITE_FUNCS = {
+    "frames": suite_frames,
+    "mmatrix": suite_mmatrix,
+    "powers": suite_powers,
+    "commute": suite_commute,
+    "classical": suite_classical,
+    "counterexamples": suite_counterexamples,
+}
+SUITES = tuple(_SUITE_FUNCS)
+
+
+def run_suites(names, seed: int = 0) -> list[CheckResult]:
     picked = list(SUITES) if "all" in names else list(names)
-    results = []
-    for name in picked:
-        if name == "frames":
-            results += suite_frames(seed)
-        elif name == "mmatrix":
-            results += suite_mmatrix(seed)
-        elif name == "powers":
-            results += suite_powers(seed)
-        elif name == "commute":
-            results += suite_commute(seed, workers=workers)
-        elif name == "classical":
-            results += suite_classical(seed)
-        elif name == "counterexamples":
-            results += suite_counterexamples(seed)
-        else:
-            raise ValueError(f"unknown suite {name!r}; "
-                             f"expected one of {SUITES + ('all',)}")
-    return results
+    unknown = [name for name in picked if name not in _SUITE_FUNCS]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; "
+                         f"expected one of {SUITES + ('all',)}")
+    return [r for name in picked for r in _SUITE_FUNCS[name](seed)]

@@ -247,10 +247,6 @@ class TestVerifyCommand:
     def test_powers_suite_seeded(self, capsys):
         assert main(["verify", "--suite", "powers", "--seed", "7"]) == 0
 
-    def test_commute_suite_with_workers(self, capsys):
-        assert main(["verify", "--suite", "commute", "--seed", "7",
-                     "--workers", "2"]) == 0
-
     def test_all_suites(self, capsys):
         assert main(["verify", "--suite", "all", "--seed", "3"]) == 0
         out = capsys.readouterr().out
@@ -273,6 +269,15 @@ class TestCompareCommand:
         classical = np.array(doc["classical"])
         expected_first_row = [1, (3 - np.sqrt(2)) / 7, 1, (np.sqrt(2) + 3) / 7]
         np.testing.assert_allclose(classical[0], expected_first_row, atol=1e-10)
+
+    def test_reports_oracle_deviation(self, tmp_path):
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--builtin", "half_swap", "--ancilla", "1",
+                     "--kind", "sic-qubit", "--angles", "0.4,1.1,0.3",
+                     "--out", str(out)]) == 0
+        doc = read_json(out)
+        assert doc["oracle_tol"] == 1e-8
+        assert doc["oracle_deviation"] < 1e-8
 
     def test_rotation_flags_born_violation(self, tmp_path):
         u = 0.5j * np.array([[SQ3, -1], [1, SQ3]])
@@ -384,6 +389,31 @@ class TestGraphCommand:
         out = tmp_path / "g.dot"
         assert main(["graph", "--matrix", str(s_out), "--bubbles", str(v_out),
                      "--direction", "retro", "--out", str(out)]) == 0
+
+
+    def test_retro_custom_rep_morphs_the_adjoint(self, tmp_path):
+        out = tmp_path / "g.dot"
+        assert main(["graph", "--builtin", "half_swap", "--ancilla", "1",
+                     "--kind", "dw-qubit", "--rep", "custom",
+                     "--angles", "0.4,1.1,0.3", "--direction", "retro",
+                     "--out", str(out)]) == 0
+        assert out.read_text().startswith("digraph")
+
+
+class TestOracleGate:
+    # the README's near-pure prior: the recovery matrix misses the oracle
+    # by about 5e-8, over the 1e-8 gate, so every command that emits it
+    # must fail rather than print it
+    NEAR_PURE = ["--builtin", "half_swap", "--ancilla", "1", "--kind",
+                 "dw-qubit", "--angles", "1.5707963,1.5707963,0"]
+
+    @pytest.mark.parametrize("command", [
+        ["petz"], ["compare"], ["graph", "--direction", "retro"]])
+    def test_near_pure_prior_exits_1(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(command + self.NEAR_PURE + ["--out", str(out)]) == 1
+        assert "deviation from the Hilbert-side oracle" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbret import errors
 from qbret.matcore import (
@@ -7,11 +10,13 @@ from qbret.matcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    RANK_RTOL,
     hermitian_eig,
     max_abs,
     partial_trace_b,
     principal_power,
     psd_sqrt,
+    rank_threshold,
 )
 
 TOL = 1e-10
@@ -208,6 +213,65 @@ class TestPrincipalPower:
         m = np.diag([4.0, 0.0])
         out = principal_power(m, -0.5, singular="support")
         np.testing.assert_allclose(out, np.diag([0.5, 0.0]), atol=1e-12)
+
+
+def sic_prior_and_posterior(seed):
+    # full-rank prior (spectrum floored at 0.05) through a Haar dilation
+    # with a random ancilla, both as tetrahedron-frame matrices
+    from qbret.frames import build_sic_qubit, structure_coeffs
+    from qbret.hilbert import channel_from_dilation, random_density, random_unitary
+    from qbret.qprcore import channel_to_qpr, state_to_qpr, x_matrix
+    rng = np.random.default_rng(seed)
+    f, g = build_sic_qubit()
+    xi = structure_coeffs(f, g)
+    rho = random_density(rng, 2, min_eig=0.05)
+    channel = channel_from_dilation(random_unitary(rng, 4), random_density(rng, 2))
+    v = state_to_qpr(rho, f)
+    s = channel_to_qpr(channel, f, g)
+    return x_matrix(v, xi), x_matrix(s @ v, xi)
+
+
+class TestNonsymmetricRoots:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_half_powers_match_schur_pade(self, seed):
+        for m in sic_prior_and_posterior(seed):
+            assert max_abs(m - m.T) > 1e-8
+            ref = scipy.linalg.sqrtm(m)
+            for r in (0.5, -0.5):
+                expected = scipy.linalg.fractional_matrix_power(m, r)
+                power, deficient = principal_power(m, r, TOL, singular="support",
+                                                   return_deficient=True)
+                assert not deficient
+                assert not np.iscomplexobj(power)
+                scale = max_abs(expected)
+                assert max_abs(power - expected) <= 1e-12 * scale
+                # independent reference: Schur square root, and its inverse
+                back = ref if r > 0 else np.linalg.inv(ref)
+                assert max_abs(power - back) <= 1e-12 * scale
+
+    def test_deficient_flag_on_the_kernel_route(self):
+        from qbret.frames import build_sic_qubit, structure_coeffs
+        from qbret.qprcore import state_to_qpr, x_matrix
+        f, g = build_sic_qubit()
+        rho = np.array([[1, 1], [1, 1]], dtype=complex) / 2
+        m = x_matrix(state_to_qpr(rho, f), structure_coeffs(f, g))
+        inv, deficient = principal_power(m, -0.5, TOL, singular="support",
+                                         return_deficient=True)
+        assert deficient
+        # rank one with eigenvalue 1: the support inverse root is the
+        # spectral projector, so it squares to itself and fixes m
+        assert max_abs(inv @ inv - inv) < 1e-12
+        assert max_abs(inv @ m - m) < 1e-12
+
+
+class TestRankThreshold:
+    def test_relative_to_scale(self):
+        assert rank_threshold(4.0) == 4.0 * RANK_RTOL
+        assert rank_threshold(2.0, 1e-3) == 2e-3
+
+    def test_zero_scale_keeps_a_positive_cutoff(self):
+        assert 0.0 < rank_threshold(0.0) < 1e-300
 
 
 class TestPartialTrace:

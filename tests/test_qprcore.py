@@ -427,6 +427,50 @@ def test_product_frame_recovery_stays_factored(n_qubits, monkeypatch):
     assert sum(t.nbytes for t in coeffs.factors) < 2 ** 20
 
 
+class TestFactorizationCount:
+    """Each matrix root factors its matrix once: a full-rank SIC recovery
+    runs two complex Schur forms, a dw recovery two eigh calls and none."""
+
+    @staticmethod
+    def _count_petz(pair, monkeypatch):
+        import qbret.matcore as mc
+        import qbret.qprcore as qc
+        f, g = pair
+        xi = structure_coeffs(f, g)
+        rng = np.random.default_rng(8)
+        channel = channel_from_dilation(random_unitary(rng, 4),
+                                        random_density(rng, 2))
+        s = channel_to_qpr(channel, f, g)
+        v = state_to_qpr(random_density(rng, 2, min_eig=0.05), f)
+
+        tally = {}
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+            tally[name] = 0
+
+            def wrapper(*args, **kwargs):
+                tally[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(mc, "schur")
+        count(mc, "fractional_matrix_power")
+        count(qc.np.linalg, "eigvals")
+        count(mc.np.linalg, "eigh")
+        result = petz_qpr(s, v, xi, kind=f.kind)
+        assert result.eps_used == 0.0
+        return tally
+
+    def test_full_rank_sic_runs_two_schur_forms(self, sic, monkeypatch):
+        assert self._count_petz(sic, monkeypatch) == {
+            "schur": 2, "fractional_matrix_power": 0, "eigvals": 0, "eigh": 0}
+
+    def test_dw_runs_no_schur_form(self, dw, monkeypatch):
+        assert self._count_petz(dw, monkeypatch) == {
+            "schur": 0, "fractional_matrix_power": 0, "eigvals": 0, "eigh": 2}
+
+
 class TestClassicalBayes:
     def test_binary_symmetric_self_inverse(self):
         s = np.array([[0.75, 0.25], [0.25, 0.75]])
