@@ -106,7 +106,7 @@ def load_channel_doc(doc: dict, tol: float) -> tuple[hb.KrausChannel, str]:
             raise ParseError(f"dilation channel missing field {exc}") from exc
         beta = (load_state_doc(beta_doc) if isinstance(beta_doc, dict)
                 else fr.decode_complex_matrix(beta_doc))
-        return hb.DilationSpec(u, beta).to_channel(tol), "dilation"
+        return hb.channel_from_dilation(u, beta, tol), "dilation"
     if kind == "builtin":
         name = doc.get("name")
         ancilla = doc.get("ancilla")

@@ -18,7 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComplexResidue, NotNQPR, ParseError, RepMismatch, ValidationFailed
-from .matcore import DEFAULT_TOL, EYE2, PAULI_X, PAULI_Y, PAULI_Z, dagger, max_abs
+from .matcore import (
+    DEFAULT_TOL,
+    EYE2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    dagger,
+    hermitian_eig,
+    max_abs,
+    rank_threshold,
+)
 
 KIND_NQ = "nq"
 KIND_SP = "sp"
@@ -194,7 +204,7 @@ def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
               for _ in range(n_random)]
     worst = 0.0
     for a, b in pairs:
-        lhs = np.einsum("jab,jcd,ba,dc->", f, g, a, b)
+        lhs = np.einsum("jab,ba->j", f, a) @ np.einsum("jcd,dc->j", g, b)
         rhs = np.trace(a @ b)
         worst = max(worst, abs(lhs - rhs))
     checks["sum_trace"] = float(worst)
@@ -302,10 +312,19 @@ class StructureCoefficients:
     symmetric contraction sum_{xy} v_x v_y xi[i,x,j,y] with real v.  They do
     not cancel factor by factor (Re(ab) != Re a Re b), which is why the
     factors stay complex and `contract` takes the real part once, at the end.
+
+    `gram_roots` holds (Q^{1/2}, Q^{-1/2}) for the frame Gram
+    Q[i,j] = Tr[F_i F_j], or None where Q is a multiple of the identity
+    (every nq frame and product of them, the classical delta tensor).  With
+    the dual G = Q^{-1} F of a minimal frame, a matrix from `contract` is
+    X = P Q^{-1} with P[i,k] = Tr[F_i a F_k a] symmetric, so
+    Q^{-1/2} X Q^{1/2} is symmetric and its powers take `eigh`
+    (`qprcore.m_power`).
     """
 
     factors: tuple
     frame_name: str
+    gram_roots: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -357,6 +376,28 @@ def _factor_tensor(f_ops: np.ndarray, g_ops: np.ndarray, tol: float) -> np.ndarr
     return xi
 
 
+def _gram_roots(stacks: list[np.ndarray], tol: float) -> tuple | None:
+    """(Q^{1/2}, Q^{-1/2}) of the Gram Q[i,j] = Tr[F_i F_j] of the frame
+    whose operators are the Kronecker products of `stacks`; None where every
+    factor's Gram is a multiple of the identity (the similarity would be a
+    scaling) or Q is singular (no similarity exists)."""
+    grams = []
+    for ops in stacks:
+        q = np.einsum("iab,jba->ij", ops, ops, optimize=True).real
+        grams.append((q + q.T) / 2)
+    if all(max_abs(q - q[0, 0] * np.eye(len(q))) <= tol * max_abs(q)
+           for q in grams):
+        return None
+    q = grams[0]
+    for g in grams[1:]:
+        q = np.kron(q, g)
+    spec = hermitian_eig(q, tol)
+    w, v = spec.values, spec.vectors
+    if w[0] <= rank_threshold(w[-1]):
+        return None
+    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+
+
 def structure_coeffs(frame: Frame, dual: DualFrame,
                      tol: float = DEFAULT_TOL) -> StructureCoefficients:
     """Compute (and cache per frame/dual pair) the structure coefficients.
@@ -364,9 +405,10 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
     A frame from `tensor_frames` whose operators and dual are still the
     Kronecker products of its recorded parts gets one factor per part, so
     memory and work grow with the number of parts, not with n^4; any other
-    pair is a single factor.  Raises ComplexResidue if a factor's
-    symmetrized imaginary part, the component that would survive
-    contraction with real vectors, exceeds tol.
+    pair is a single factor.  The roots of the frame Gram are computed here
+    too, once per pair (see `StructureCoefficients`).  Raises
+    ComplexResidue if a factor's symmetrized imaginary part, the component
+    that would survive contraction with real vectors, exceeds tol.
     """
     cached = frame._coeffs.get(dual)
     if cached is not None:
@@ -377,7 +419,8 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
         parts = ((frame, dual),)
     coeffs = StructureCoefficients(
         factors=tuple(_factor_tensor(f.ops, g.ops, tol) for f, g in parts),
-        frame_name=frame.name)
+        frame_name=frame.name,
+        gram_roots=_gram_roots([f.ops for f, _ in parts], tol))
     frame._coeffs[dual] = coeffs
     return coeffs
 

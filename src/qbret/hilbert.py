@@ -159,17 +159,6 @@ class AdjointChannel:
         return self.base.adjoint(x)
 
 
-@dataclass(frozen=True)
-class DilationSpec:
-    """Global unitary on system (x) ancilla plus the ancilla state."""
-
-    u: np.ndarray
-    beta: np.ndarray
-
-    def to_channel(self, tol: float = DEFAULT_TOL) -> "KrausChannel":
-        return channel_from_dilation(self.u, self.beta, tol)
-
-
 def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
                           tol: float = DEFAULT_TOL) -> KrausChannel:
     """Kraus form of rho -> Tr_B[U (rho (x) beta) U^dag].

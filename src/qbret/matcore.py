@@ -3,6 +3,10 @@
 Everything here operates on plain numpy arrays (complex for Hilbert-space
 operators, real for quasiprobability objects) sized for Hilbert dimension
 d <= 8, i.e. at most 64x64 on the quasiprobability side.
+
+scipy is imported only inside the Schur route of `principal_power` (and
+`schur_spectrum`), so neither importing this module nor the power of a
+symmetric matrix loads it.
 """
 
 from __future__ import annotations
@@ -10,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import fractional_matrix_power, schur
-from scipy.linalg.lapack import ztrsen, ztrtrs
 
 from .errors import (
     ComplexResidue,
@@ -89,6 +91,7 @@ class Spectrum:
 
 def schur_spectrum(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     """Complex Schur factorization as a Spectrum (no symmetry assumed)."""
+    from scipy.linalg import schur
     m = _require_square(m)
     t, z = schur(np.asarray(m, dtype=complex), output="complex")
     spec = Spectrum(values=np.diag(t).copy(), vectors=z,
@@ -158,6 +161,7 @@ def _power_scalar(w: np.ndarray, r: float) -> np.ndarray:
 
 def _solve_upper(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^{-1} b for an invertible upper-triangular a (LAPACK trtrs)."""
+    from scipy.linalg.lapack import ztrtrs
     x, info = ztrtrs(a, b)
     if info != 0:
         raise Singular(f"triangular factor has a zero pivot at {info}")
@@ -185,6 +189,7 @@ def _triu_power(t: np.ndarray, r: float) -> np.ndarray:
     """t^r of an invertible upper-triangular matrix: the triangular root
     for r = 1/2, a triangular solve against it for r = -1/2, and
     Schur-Pade (which takes a triangle as already factored) otherwise."""
+    from scipy.linalg import fractional_matrix_power
     if abs(r) == 0.5:
         root = _sqrt_triu(t)
         return root if r > 0 else _solve_upper(root, np.eye(t.shape[0]))
@@ -202,6 +207,7 @@ def _schur_power(t: np.ndarray, z: np.ndarray, r: float,
     as F12 = T11^{-1} f(T11) T12.  For r < 0 this realizes the root on the
     support (zero off it).
     """
+    from scipy.linalg.lapack import ztrsen
     n = t.shape[0]
     k = int(keep.sum())
     if k < n:

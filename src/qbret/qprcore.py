@@ -122,6 +122,28 @@ def x_matrix(v: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
     return coeffs.contract(v)
 
 
+def m_power(m: np.ndarray, r: float, coeffs: StructureCoefficients,
+            tol: float = DEFAULT_TOL, *,
+            singular: str = "error") -> tuple[np.ndarray, bool]:
+    """(m^r, deficient) for a matrix m built by `x_matrix` with `coeffs`.
+
+    The power is taken as Q^{1/2} (Q^{-1/2} m Q^{1/2})^r Q^{-1/2} with the
+    Gram roots `coeffs` carries, an exact similarity for any m.  For a
+    minimal frame with its Gram-inverse dual the middle matrix is
+    symmetric, so `principal_power` takes `eigh`; where Q is a multiple of
+    the identity no similarity is applied.  `singular` and `deficient` are
+    those of `principal_power`.
+    """
+    roots = coeffs.gram_roots
+    if roots is None:
+        return principal_power(m, r, tol, singular=singular,
+                               return_deficient=True)
+    half, inv_half = roots
+    p, deficient = principal_power(inv_half @ m @ half, r, tol,
+                                   singular=singular, return_deficient=True)
+    return half @ p @ inv_half, deficient
+
+
 def k_matrix(s: np.ndarray, d: int | None = None) -> np.ndarray:
     """Rank-one correction K[i, j] = (sum_a S[j, a] - 1) / d, identical rows.
 
@@ -209,10 +231,9 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs, kind: str = KIND_NQ,
         # prior^{1/2} adj post^{-1/2}; the inverse root is taken on the
         # support of a rank-deficient posterior matrix, and the same
         # factorization says whether it was
-        inv_root, deficient = principal_power(
-            x_matrix(s @ v, coeffs), -0.5, tol, singular="support",
-            return_deficient=True)
-        root = principal_power(x_matrix(v, coeffs), 0.5, tol)
+        inv_root, deficient = m_power(x_matrix(s @ v, coeffs), -0.5, coeffs,
+                                      tol, singular="support")
+        root, _ = m_power(x_matrix(v, coeffs), 0.5, coeffs, tol)
         return root @ s_adjoint @ inv_root, deficient
 
     support, deficient = recovery(v_prior)
@@ -297,5 +318,5 @@ def m_power_check(v: np.ndarray, r: float, frame: Frame, dual: DualFrame,
     alpha_r = (vec * np.power(w, r)) @ dagger(vec)
     lhs = np.einsum("iab,bc,jcd,da->ij", frame.ops, alpha_r, dual.ops,
                     alpha_r, optimize=True).real
-    rhs = principal_power(x_matrix(v, coeffs), r, tol)
+    rhs, _ = m_power(x_matrix(v, coeffs), r, coeffs, tol)
     return MPowerReport(r=r, lhs=lhs, rhs=rhs, max_dev=max_abs(lhs - rhs))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qbret
 from qbret.cli import main
 from qbret.frames import build_dw_qubit, frame_to_dict
 
@@ -414,6 +418,27 @@ class TestOracleGate:
         assert main(command + self.NEAR_PURE + ["--out", str(out)]) == 1
         assert "deviation from the Hilbert-side oracle" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestImportCost:
+    def test_sic_petz_loads_no_scipy(self, tmp_path):
+        # scipy backs only the Schur route of non-symmetric powers, which no
+        # recovery root takes; a fresh interpreter, since this one has it
+        out = tmp_path / "petz.json"
+        argv = ["petz", "--builtin", "hadamard", "--kind", "sic-qubit",
+                "--angles", "0.4,1.1,0.3", "--out", str(out)]
+        code = ("import json, sys\n"
+                "from qbret.cli import main\n"
+                f"rc = main({argv!r})\n"
+                "print(json.dumps([rc, sorted(m for m in sys.modules\n"
+                "                             if m.split('.')[0] == 'scipy')]))")
+        src = os.path.dirname(os.path.dirname(qbret.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == [0, []]
+        assert read_json(out)["meta"]["oracle_deviation"] < 1e-8
 
 
 class TestExitCodes:

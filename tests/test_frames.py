@@ -10,6 +10,7 @@ from qbret import errors
 from qbret.frames import (
     Frame,
     DualFrame,
+    _random_hermitian,
     build_dw_qubit,
     build_dw_qubits,
     build_sic_qubit,
@@ -154,6 +155,41 @@ class TestValidateFrame:
         assert report.kind_checks[kind_check] < 1e-14
 
 
+class TestSumTrace:
+    """The sum-trace probe, factored as (Tr[F_j a]) . (Tr[G_j b]), against
+    the four-operand contraction sum_j Tr[F_j a] Tr[G_j b] taken whole."""
+
+    @staticmethod
+    def _four_operand(f, g, seed=0, n_random=20):
+        # the probe pairs validate_frame draws, in the same order
+        rng = np.random.default_rng(seed)
+        pairs = [(np.eye(f.d), np.eye(f.d))]
+        pairs += [(_random_hermitian(rng, f.d), _random_hermitian(rng, f.d))
+                  for _ in range(n_random)]
+        return max(abs(np.einsum("jab,jcd,ba,dc->", f.ops, g.ops, a, b)
+                       - np.trace(a @ b)) for a, b in pairs)
+
+    @pytest.mark.parametrize("name", ["dw", "sic", "custom"])
+    def test_matches_four_operand_contraction(self, name, custom_tetra):
+        f, g = {"dw": build_dw_qubit, "sic": build_sic_qubit,
+                "custom": lambda: custom_tetra(np.random.default_rng(3))}[name]()
+        report = validate_frame(f, g)
+        assert report.passed
+        assert abs(report.checks["sum_trace"] - self._four_operand(f, g)) < 1e-13
+
+    @pytest.mark.parametrize("builder", [build_dw_qubit, build_sic_qubit])
+    def test_flags_one_perturbed_dual_operator(self, builder):
+        f, g = builder()
+        ops = g.ops.copy()
+        ops[2] += 1e-3 * _random_hermitian(np.random.default_rng(4), f.d)
+        bad = DualFrame(name="perturbed", ops=ops)
+        report = validate_frame(f, bad)
+        expected = self._four_operand(f, bad)
+        assert expected > 1e-4
+        assert abs(report.checks["sum_trace"] - expected) < 1e-13
+        assert not report.passed
+
+
 class TestLoadFrame:
     def test_round_trip(self):
         f, g = build_dw_qubit()
@@ -279,6 +315,21 @@ class TestStructureCoeffs:
         assert len(coeffs.factors) == 1
         np.testing.assert_allclose(coeffs.xi, direct_xi(f.ops, sic2_g.ops),
                                    atol=1e-14)
+
+    def test_gram_roots(self):
+        f, g = build_sic_qubit()
+        half, inv_half = structure_coeffs(f, g).gram_roots
+        gram = np.einsum("jab,kba->jk", f.ops, f.ops).real
+        assert max_abs(half @ half - gram) < 1e-15
+        assert max_abs(half @ inv_half - np.eye(4)) < 1e-14
+        # a multiple of the identity needs no similarity
+        assert structure_coeffs(*build_dw_qubit()).gram_roots is None
+        assert classical_structure_coeffs(4).gram_roots is None
+        # a repeated operator makes the Gram singular: no similarity exists
+        dw_f, dw_g = build_dw_qubit()
+        repeated = Frame(name="repeated", d=2, labels=dw_f.labels,
+                         ops=dw_f.ops[[0, 0, 2, 3]], kind="custom")
+        assert structure_coeffs(repeated, dw_g).gram_roots is None
 
     def test_complex_residue_on_invalid_operators(self):
         f, g = build_dw_qubit()

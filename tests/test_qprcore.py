@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from qbret.hilbert import (
     random_density,
     random_unitary,
 )
-from qbret.matcore import ORACLE_TOL, max_abs
+from qbret.matcore import ORACLE_TOL, max_abs, principal_power, rank_threshold
 from qbret.qprcore import (
     QPR_EPS_FLOOR,
     adjoint_qpr,
@@ -33,6 +35,7 @@ from qbret.qprcore import (
     channel_to_qpr,
     classical_bayes,
     k_matrix,
+    m_power,
     m_power_check,
     petz_qpr,
     povm_to_qpr,
@@ -423,16 +426,22 @@ def test_product_frame_recovery_stays_factored(n_qubits, monkeypatch):
     oracle = channel_to_qpr(petz_hilbert(channel, prior), f, g)
     assert result.eps_used == 0.0
     assert max_abs(result.matrix - oracle) < ORACLE_TOL
-    assert set(vars(coeffs)) == {"factors", "frame_name"}
-    assert sum(t.nbytes for t in coeffs.factors) < 2 ** 20
+    assert set(vars(coeffs)) == {"factors", "frame_name", "gram_roots"}
+    assert coeffs.gram_roots is None  # the dw Gram is a multiple of 1
+    stored = [*coeffs.factors, *(coeffs.gram_roots or ())]
+    assert sum(t.nbytes for t in stored) < 2 ** 20
 
 
 class TestFactorizationCount:
-    """Each matrix root factors its matrix once: a full-rank SIC recovery
-    runs two complex Schur forms, a dw recovery two eigh calls and none."""
+    """Each matrix root factors its matrix once, by eigh: the SIC roots go
+    through the frame Gram, so a full-rank SIC recovery runs two eigh calls
+    and no Schur form, as a dw recovery does.  matcore imports scipy only
+    inside the Schur route, so the counters patch scipy itself."""
 
     @staticmethod
     def _count_petz(pair, monkeypatch):
+        import scipy.linalg
+
         import qbret.matcore as mc
         import qbret.qprcore as qc
         f, g = pair
@@ -454,21 +463,74 @@ class TestFactorizationCount:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        count(mc, "schur")
-        count(mc, "fractional_matrix_power")
+        count(scipy.linalg, "schur")
+        count(scipy.linalg, "fractional_matrix_power")
         count(qc.np.linalg, "eigvals")
         count(mc.np.linalg, "eigh")
         result = petz_qpr(s, v, xi, kind=f.kind)
         assert result.eps_used == 0.0
         return tally
 
-    def test_full_rank_sic_runs_two_schur_forms(self, sic, monkeypatch):
+    def test_full_rank_sic_runs_no_schur_form(self, sic, monkeypatch):
         assert self._count_petz(sic, monkeypatch) == {
-            "schur": 2, "fractional_matrix_power": 0, "eigvals": 0, "eigh": 0}
+            "schur": 0, "fractional_matrix_power": 0, "eigvals": 0, "eigh": 2}
 
     def test_dw_runs_no_schur_form(self, dw, monkeypatch):
         assert self._count_petz(dw, monkeypatch) == {
             "schur": 0, "fractional_matrix_power": 0, "eigvals": 0, "eigh": 2}
+
+
+class TestGramRoute:
+    """A prior or posterior matrix X = P Q^{-1} is similar, through the
+    frame Gram Q, to the symmetric Q^{-1/2} P Q^{-1/2}: its roots by eigh
+    must be the Schur route's roots of X itself."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), custom=st.booleans(),
+           pure=st.booleans())
+    def test_half_powers_match_schur_route(self, custom_tetra, seed, custom,
+                                           pure):
+        rng = np.random.default_rng(seed)
+        f, g = custom_tetra(rng) if custom else build_sic_qubit()
+        coeffs = structure_coeffs(f, g)
+        assert coeffs.gram_roots is not None
+        prior = (projector(random_unitary(rng, 2)[:, 0]) if pure
+                 else random_density(rng, 2, min_eig=0.05))
+        channel = channel_from_dilation(random_unitary(rng, 4),
+                                        random_density(rng, 2))
+        s = channel_to_qpr(channel, f, g)
+        v = state_to_qpr(prior, f)
+        for m in (x_matrix(v, coeffs), x_matrix(s @ v, coeffs)):
+            assert max_abs(m - m.T) > 1e-8  # so principal_power takes Schur
+            # either route loses about eps * cond relative accuracy on the
+            # support (at cond 5e4 both are ~2e-12 off an mpmath root), so
+            # past cond 1e3 the bound grows with it
+            w = np.abs(np.linalg.eigvals(m))
+            w = w[w >= rank_threshold(w.max())]
+            grow = max(1.0, w.max() / w.min() / 1e3)
+            for r in (0.5, -0.5):
+                expected, deficient = principal_power(
+                    m, r, singular="support", return_deficient=True)
+                power, gram_deficient = m_power(m, r, coeffs,
+                                                singular="support")
+                assert gram_deficient == deficient
+                assert max_abs(power - expected) <= 1e-12 * grow * max_abs(expected)
+        assert m_power(x_matrix(v, coeffs), 0.5, coeffs)[1] == pure
+
+        s_adj = (adjoint_qpr(s, "custom", channel=channel, frame=f, dual=g)
+                 if custom else None)
+        try:
+            result = petz_qpr(s, v, coeffs, kind=f.kind, s_adjoint=s_adj)
+        except errors.QbretError:
+            return
+        assert result.eps_used == 0.0
+        oracle = petz_hilbert(channel, prior)
+        if pure:
+            # a projector is its own root; psd_sqrt keeps the roots (~3e-9)
+            # of its roundoff eigenvalues, which the posterior's inverse
+            # root can amplify past the gate
+            oracle = dataclasses.replace(oracle, sqrt_prior=prior)
+        assert max_abs(result.matrix - channel_to_qpr(oracle, f, g)) < ORACLE_TOL
 
 
 class TestClassicalBayes:
