@@ -49,6 +49,10 @@ class ParseError(QbretError):
     pass
 
 
+class TooLarge(QbretError):
+    """An object would exceed the size the package is willing to allocate."""
+
+
 class ValidationFailed(QbretError):
     """Carries the name of the first violated frame invariant."""
 

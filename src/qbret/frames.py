@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComplexResidue, NotNQPR, ParseError, RepMismatch, ValidationFailed
+from .errors import (
+    ComplexResidue,
+    NotNQPR,
+    ParseError,
+    RepMismatch,
+    TooLarge,
+    ValidationFailed,
+)
 from .matcore import (
     DEFAULT_TOL,
     EYE2,
@@ -34,6 +41,10 @@ KIND_NQ = "nq"
 KIND_SP = "sp"
 KIND_CUSTOM = "custom"
 KNOWN_KINDS = (KIND_NQ, KIND_SP, KIND_CUSTOM)
+
+# Largest structure-coefficient factor `structure_coeffs` allocates: the n^4
+# complex tensor of n operators is 268 MB at n = 64, about 69 GB at n = 256.
+XI_FACTOR_MAX_BYTES = 1 << 30
 
 
 @dataclass(eq=False)
@@ -406,7 +417,8 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
     Kronecker products of its recorded parts gets one factor per part, so
     memory and work grow with the number of parts, not with n^4; any other
     pair is a single factor.  The roots of the frame Gram are computed here
-    too, once per pair (see `StructureCoefficients`).  Raises
+    too, once per pair (see `StructureCoefficients`).  Raises TooLarge,
+    before allocating, if a factor would exceed XI_FACTOR_MAX_BYTES, and
     ComplexResidue if a factor's symmetrized imaginary part, the component
     that would survive contraction with real vectors, exceeds tol.
     """
@@ -417,6 +429,10 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
     if not (parts and _is_kron(frame.ops, [f.ops for f, _ in parts], tol)
             and _is_kron(dual.ops, [g.ops for _, g in parts], tol)):
         parts = ((frame, dual),)
+    for f, _ in parts:
+        if 16 * f.n ** 4 > XI_FACTOR_MAX_BYTES:  # complex128
+            raise TooLarge(f"a structure-coefficient factor of {f.n} operators "
+                           f"exceeds {XI_FACTOR_MAX_BYTES} bytes")
     coeffs = StructureCoefficients(
         factors=tuple(_factor_tensor(f.ops, g.ops, tol) for f, g in parts),
         frame_name=frame.name,

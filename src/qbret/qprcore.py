@@ -130,9 +130,10 @@ def m_power(m: np.ndarray, r: float, coeffs: StructureCoefficients,
     The power is taken as Q^{1/2} (Q^{-1/2} m Q^{1/2})^r Q^{-1/2} with the
     Gram roots `coeffs` carries, an exact similarity for any m.  For a
     minimal frame with its Gram-inverse dual the middle matrix is
-    symmetric, so `principal_power` takes `eigh`; where Q is a multiple of
-    the identity no similarity is applied.  `singular` and `deficient` are
-    those of `principal_power`.
+    symmetric, as `principal_power` requires (its roundoff asymmetry grows
+    with cond(Q), so an ill-conditioned Gram raises NotHermitian); where Q
+    is a multiple of the identity no similarity is applied.  `singular` and
+    `deficient` are those of `principal_power`.
     """
     roots = coeffs.gram_roots
     if roots is None:

@@ -7,12 +7,15 @@ from qbret.matcore import PAULI_X, PAULI_Y, PAULI_Z
 TETRAHEDRON = np.array([(1, -1, 1), (1, 1, -1), (-1, 1, 1), (-1, -1, -1)]) / np.sqrt(3)
 
 
-def custom_tetra_pair(rng: np.random.Generator) -> tuple[Frame, DualFrame]:
+def custom_tetra_pair(rng: np.random.Generator,
+                      shrink: float | None = None) -> tuple[Frame, DualFrame]:
     """A minimal qubit frame of neither built-in family: a randomly
-    rotated, shrunk tetrahedron of Bloch vectors, with the Gram-inverse
-    dual."""
+    rotated tetrahedron of Bloch vectors, shrunk by `shrink` (drawn from
+    [0.6, 0.95] if not given), with the Gram-inverse dual."""
     rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    bloch = rng.uniform(0.6, 0.95) * TETRAHEDRON @ rot.T
+    if shrink is None:
+        shrink = rng.uniform(0.6, 0.95)
+    bloch = shrink * TETRAHEDRON @ rot.T
     paulis = np.array([PAULI_X, PAULI_Y, PAULI_Z])
     ops = np.array([(np.eye(2) + np.einsum("k,kab->ab", b, paulis)) / 4
                     for b in bloch])

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -421,9 +423,23 @@ class TestOracleGate:
 
 
 class TestImportCost:
+    def test_no_module_imports_scipy(self):
+        # scipy is a test-only dependency: the package runs on numpy alone
+        modules = sorted(pathlib.Path(qbret.__file__).parent.glob("*.py"))
+        assert len(modules) >= 9
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n.split(".")[0] == "scipy" for n in names), path.name
+
     def test_sic_petz_loads_no_scipy(self, tmp_path):
-        # scipy backs only the Schur route of non-symmetric powers, which no
-        # recovery root takes; a fresh interpreter, since this one has it
+        # no qbret module imports scipy; a fresh interpreter, since this
+        # one has it
         out = tmp_path / "petz.json"
         argv = ["petz", "--builtin", "hadamard", "--kind", "sic-qubit",
                 "--angles", "0.4,1.1,0.3", "--out", str(out)]

@@ -347,6 +347,18 @@ class TestStructureCoeffs:
         with pytest.raises(errors.ComplexResidue):
             structure_coeffs(*composite)
 
+    def test_refuses_a_factor_over_the_size_limit(self, monkeypatch):
+        # a dense 16-operator factor takes 1 MiB, a one-qubit factor 4 KB;
+        # the limit is lowered so that no test allocates a large tensor
+        import qbret.frames
+        monkeypatch.setattr(qbret.frames, "XI_FACTOR_MAX_BYTES", 2 ** 19)
+        loaded = load_frame(json.dumps(frame_to_dict(*build_dw_qubits(2))))
+        assert not loaded[0].parts
+        with pytest.raises(errors.TooLarge):
+            structure_coeffs(*loaded)
+        f, g = tensor_frames([build_dw_qubit(), build_dw_qubit()])
+        assert len(structure_coeffs(f, g).factors) == 2
+
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["dw-qubits:2", "dw-qubits:3"])
 def product_coeffs(request):

@@ -73,19 +73,6 @@ class TestHermitianEig:
             hermitian_eig(np.zeros((2, 3)), TOL)
 
 
-class TestSchurSpectrum:
-    def test_reconstructs_general_matrix(self):
-        from qbret.matcore import schur_spectrum
-        rng = np.random.default_rng(13)
-        m = rng.normal(size=(4, 4))
-        spec = schur_spectrum(m, TOL)
-        assert spec.method == "general-schur"
-        assert max_abs(spec.reconstruct() - m) <= 10 * TOL * max_abs(m)
-        np.testing.assert_allclose(np.sort(spec.values.real),
-                                   np.sort(np.linalg.eigvals(m).real),
-                                   atol=1e-10)
-
-
 class TestPsdSqrt:
     def test_diagonal(self):
         np.testing.assert_allclose(
@@ -169,7 +156,7 @@ class TestPrincipalPower:
         # 100 random density operators mapped through the quasiprobability
         # prior matrix; the half power must square back entrywise
         from qbret.frames import build_dw_qubit, build_sic_qubit, structure_coeffs
-        from qbret.qprcore import state_to_qpr, x_matrix
+        from qbret.qprcore import m_power, state_to_qpr, x_matrix
         rng = np.random.default_rng(42)
         for f, g in (build_dw_qubit(), build_sic_qubit()):
             xi = structure_coeffs(f, g)
@@ -178,21 +165,23 @@ class TestPrincipalPower:
                 rho = a @ a.conj().T
                 rho /= np.trace(rho).real
                 m = x_matrix(state_to_qpr(rho, f), xi)
-                root = principal_power(m, 0.5, TOL)
-                assert max_abs(principal_power(root, 2.0) - m) < 1e-9
+                root, _ = m_power(m, 0.5, xi, TOL)
+                assert max_abs(root @ root - m) < 1e-9
 
     def test_root_of_nonsymmetric_rank_deficient_matrix(self):
         # matrix of a pure state in the tetrahedron frame: rank one and not
-        # symmetric, so the root goes through the Schur kernel branch
+        # symmetric, so the root goes through the frame-Gram similarity
+        # and the kernel route
         from qbret.frames import build_sic_qubit, structure_coeffs
-        from qbret.qprcore import state_to_qpr, x_matrix
+        from qbret.qprcore import m_power, state_to_qpr, x_matrix
         f, g = build_sic_qubit()
+        xi = structure_coeffs(f, g)
         rho = np.array([[1, 1], [1, 1]], dtype=complex) / 2
-        m = x_matrix(state_to_qpr(rho, f), structure_coeffs(f, g))
+        m = x_matrix(state_to_qpr(rho, f), xi)
         assert max_abs(m - m.T) > 1e-3
         w = np.sort(np.linalg.eigvals(m).real)
         np.testing.assert_allclose(w, [0, 0, 0, 1], atol=1e-12)
-        root = principal_power(m, 0.5, TOL)
+        root, _ = m_power(m, 0.5, xi, TOL)
         assert max_abs(root.imag if np.iscomplexobj(root) else 0.0) == 0.0
         assert max_abs(root @ root - m) < 1e-12
 
@@ -200,9 +189,10 @@ class TestPrincipalPower:
         with pytest.raises(errors.SpectrumNotNonnegative):
             principal_power(np.diag([1.0, -0.5]), 0.5)
 
-    def test_rejects_complex_spectrum(self):
+    def test_rejects_nonsymmetric_input_as_not_hermitian(self):
+        # a rotation has a complex spectrum, but the symmetry test comes first
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        with pytest.raises(errors.SpectrumNotNonnegative):
+        with pytest.raises(errors.NotHermitian):
             principal_power(rot, 0.5)
 
     def test_singular_negative_power(self):
@@ -217,7 +207,8 @@ class TestPrincipalPower:
 
 def sic_prior_and_posterior(seed):
     # full-rank prior (spectrum floored at 0.05) through a Haar dilation
-    # with a random ancilla, both as tetrahedron-frame matrices
+    # with a random ancilla, both as tetrahedron-frame matrices, with the
+    # structure coefficients that built them
     from qbret.frames import build_sic_qubit, structure_coeffs
     from qbret.hilbert import channel_from_dilation, random_density, random_unitary
     from qbret.qprcore import channel_to_qpr, state_to_qpr, x_matrix
@@ -228,20 +219,24 @@ def sic_prior_and_posterior(seed):
     channel = channel_from_dilation(random_unitary(rng, 4), random_density(rng, 2))
     v = state_to_qpr(rho, f)
     s = channel_to_qpr(channel, f, g)
-    return x_matrix(v, xi), x_matrix(s @ v, xi)
+    return (x_matrix(v, xi), x_matrix(s @ v, xi)), xi
 
 
 class TestNonsymmetricRoots:
+    """Roots of non-symmetric SIC matrices, taken by `m_power` through the
+    frame Gram, against scipy's roots of the raw matrix."""
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_half_powers_match_schur_pade(self, seed):
-        for m in sic_prior_and_posterior(seed):
+        from qbret.qprcore import m_power
+        matrices, xi = sic_prior_and_posterior(seed)
+        for m in matrices:
             assert max_abs(m - m.T) > 1e-8
             ref = scipy.linalg.sqrtm(m)
             for r in (0.5, -0.5):
                 expected = scipy.linalg.fractional_matrix_power(m, r)
-                power, deficient = principal_power(m, r, TOL, singular="support",
-                                                   return_deficient=True)
+                power, deficient = m_power(m, r, xi, TOL, singular="support")
                 assert not deficient
                 assert not np.iscomplexobj(power)
                 scale = max_abs(expected)
@@ -252,12 +247,12 @@ class TestNonsymmetricRoots:
 
     def test_deficient_flag_on_the_kernel_route(self):
         from qbret.frames import build_sic_qubit, structure_coeffs
-        from qbret.qprcore import state_to_qpr, x_matrix
+        from qbret.qprcore import m_power, state_to_qpr, x_matrix
         f, g = build_sic_qubit()
+        xi = structure_coeffs(f, g)
         rho = np.array([[1, 1], [1, 1]], dtype=complex) / 2
-        m = x_matrix(state_to_qpr(rho, f), structure_coeffs(f, g))
-        inv, deficient = principal_power(m, -0.5, TOL, singular="support",
-                                         return_deficient=True)
+        m = x_matrix(state_to_qpr(rho, f), xi)
+        inv, deficient = m_power(m, -0.5, xi, TOL, singular="support")
         assert deficient
         # rank one with eigenvalue 1: the support inverse root is the
         # spectral projector, so it squares to itself and fixes m

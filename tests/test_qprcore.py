@@ -27,7 +27,7 @@ from qbret.hilbert import (
     random_density,
     random_unitary,
 )
-from qbret.matcore import ORACLE_TOL, max_abs, principal_power, rank_threshold
+from qbret.matcore import ORACLE_TOL, max_abs, rank_threshold
 from qbret.qprcore import (
     QPR_EPS_FLOOR,
     adjoint_qpr,
@@ -434,9 +434,9 @@ def test_product_frame_recovery_stays_factored(n_qubits, monkeypatch):
 
 class TestFactorizationCount:
     """Each matrix root factors its matrix once, by eigh: the SIC roots go
-    through the frame Gram, so a full-rank SIC recovery runs two eigh calls
-    and no Schur form, as a dw recovery does.  matcore imports scipy only
-    inside the Schur route, so the counters patch scipy itself."""
+    through the frame Gram, so a full-rank SIC recovery runs two eigh calls,
+    as a dw recovery does.  The scipy counters stay at zero because no
+    qbret module imports scipy (`TestImportCost` in test_cli.py)."""
 
     @staticmethod
     def _count_petz(pair, monkeypatch):
@@ -480,16 +480,27 @@ class TestFactorizationCount:
             "schur": 0, "fractional_matrix_power": 0, "eigvals": 0, "eigh": 2}
 
 
+def hilbert_power_matrix(alpha, r, f, g):
+    """Tr[F_i a G_j a] with a = alpha^r, the power taken on the support of
+    alpha (eigenvalues below 1e-12 of the largest get power zero)."""
+    w, vec = np.linalg.eigh(alpha)
+    keep = w >= 1e-12 * w.max()
+    a = (vec[:, keep] * w[keep] ** r) @ vec[:, keep].conj().T
+    return np.einsum("iab,bc,jcd,da->ij", f.ops, a, g.ops, a).real
+
+
 class TestGramRoute:
     """A prior or posterior matrix X = P Q^{-1} is similar, through the
     frame Gram Q, to the symmetric Q^{-1/2} P Q^{-1/2}: its roots by eigh
-    must be the Schur route's roots of X itself."""
+    must be the roots of X itself, which scipy's Schur-Pade gives at full
+    rank and the Hilbert-side power of the state gives for a pure prior."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), custom=st.booleans(),
            pure=st.booleans())
-    def test_half_powers_match_schur_route(self, custom_tetra, seed, custom,
-                                           pure):
+    def test_half_powers_match_independent_references(
+            self, custom_tetra, seed, custom, pure):
+        import scipy.linalg
         rng = np.random.default_rng(seed)
         f, g = custom_tetra(rng) if custom else build_sic_qubit()
         coeffs = structure_coeffs(f, g)
@@ -500,8 +511,10 @@ class TestGramRoute:
                                         random_density(rng, 2))
         s = channel_to_qpr(channel, f, g)
         v = state_to_qpr(prior, f)
-        for m in (x_matrix(v, coeffs), x_matrix(s @ v, coeffs)):
-            assert max_abs(m - m.T) > 1e-8  # so principal_power takes Schur
+        for m, alpha, rank_one in ((x_matrix(v, coeffs), prior, pure),
+                                   (x_matrix(s @ v, coeffs),
+                                    channel.apply(prior), False)):
+            assert max_abs(m - m.T) > 1e-8  # symmetric only after the similarity
             # either route loses about eps * cond relative accuracy on the
             # support (at cond 5e4 both are ~2e-12 off an mpmath root), so
             # past cond 1e3 the bound grows with it
@@ -509,11 +522,10 @@ class TestGramRoute:
             w = w[w >= rank_threshold(w.max())]
             grow = max(1.0, w.max() / w.min() / 1e3)
             for r in (0.5, -0.5):
-                expected, deficient = principal_power(
-                    m, r, singular="support", return_deficient=True)
-                power, gram_deficient = m_power(m, r, coeffs,
-                                                singular="support")
-                assert gram_deficient == deficient
+                expected = (hilbert_power_matrix(alpha, r, f, g) if rank_one
+                            else scipy.linalg.fractional_matrix_power(m, r))
+                power, deficient = m_power(m, r, coeffs, singular="support")
+                assert deficient == rank_one
                 assert max_abs(power - expected) <= 1e-12 * grow * max_abs(expected)
         assert m_power(x_matrix(v, coeffs), 0.5, coeffs)[1] == pure
 
@@ -531,6 +543,24 @@ class TestGramRoute:
             # root can amplify past the gate
             oracle = dataclasses.replace(oracle, sqrt_prior=prior)
         assert max_abs(result.matrix - channel_to_qpr(oracle, f, g)) < ORACLE_TOL
+
+
+    def test_ill_conditioned_gram_raises(self, custom_tetra):
+        # shrunk to 0.015 the tetrahedron's Gram has condition number
+        # 1.3e4, and the roundoff asymmetry of the similarity through it
+        # exceeds tol: the recovery raises instead of returning a matrix
+        rng = np.random.default_rng(4)
+        f, g = custom_tetra(rng, 0.015)
+        gram = np.einsum("jab,kba->jk", f.ops, f.ops).real
+        assert np.linalg.cond(gram) > 1e4
+        prior = random_density(rng, 2, min_eig=0.05)
+        channel = channel_from_dilation(random_unitary(rng, 4),
+                                        random_density(rng, 2))
+        s = channel_to_qpr(channel, f, g)
+        s_adj = adjoint_qpr(s, "custom", channel=channel, frame=f, dual=g)
+        with pytest.raises(errors.QbretError):
+            petz_qpr(s, state_to_qpr(prior, f), structure_coeffs(f, g),
+                     kind=f.kind, s_adjoint=s_adj)
 
 
 class TestClassicalBayes:
@@ -660,8 +690,7 @@ class TestMPowerCheck:
         xi = structure_coeffs(f, g)
         rng = np.random.default_rng(12)
         rho = random_density(rng, 2, min_eig=0.1)
-        from qbret.matcore import principal_power
         m = x_matrix(state_to_qpr(rho, f), xi)
-        lhs = principal_power(m, a) @ principal_power(m, b)
-        rhs = principal_power(m, a + b)
+        lhs = m_power(m, a, xi)[0] @ m_power(m, b, xi)[0]
+        rhs, _ = m_power(m, a + b, xi)
         assert max_abs(lhs - rhs) < 1e-9
