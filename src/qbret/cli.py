@@ -219,13 +219,10 @@ def _oracle_gate(result: qp.PetzQprResult, channel: hb.KrausChannel,
     """
     oracle = hb.petz_hilbert(channel, prior, eps=result.eps_used or eps, tol=tol)
     deviation = max_abs(result.matrix - qp.channel_to_qpr(oracle, frame, dual))
-    # regularized posteriors carry an eigenvalue of order eps^2, which
-    # caps how closely the two routes can agree numerically
-    oracle_tol = ORACLE_TOL if result.eps_used == 0.0 else 1e-5
-    if deviation > oracle_tol:
+    if deviation > ORACLE_TOL:
         raise OracleMismatch(f"deviation from the Hilbert-side oracle "
-                             f"{deviation:.3e} exceeds {oracle_tol:.1e}")
-    return {"oracle_deviation": deviation, "oracle_tol": oracle_tol}
+                             f"{deviation:.3e} exceeds {ORACLE_TOL:.1e}")
+    return {"oracle_deviation": deviation, "oracle_tol": ORACLE_TOL}
 
 
 # --- commands ------------------------------------------------------------------

@@ -49,6 +49,10 @@ class ParseError(QbretError):
     pass
 
 
+class IllConditioned(QbretError):
+    """A frame Gram too ill-conditioned for recoveries to meet the oracle."""
+
+
 class TooLarge(QbretError):
     """An object would exceed the size the package is willing to allocate."""
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     ComplexResidue,
+    IllConditioned,
     NotNQPR,
     ParseError,
     RepMismatch,
@@ -42,9 +43,13 @@ KIND_SP = "sp"
 KIND_CUSTOM = "custom"
 KNOWN_KINDS = (KIND_NQ, KIND_SP, KIND_CUSTOM)
 
-# Largest structure-coefficient factor `structure_coeffs` allocates: the n^4
-# complex tensor of n operators is 268 MB at n = 64, about 69 GB at n = 256.
+# Largest structure-coefficient factor `structure_coeffs` allocates: the n^3
+# complex tensor of n operators is 4.2 MB at n = 64, 268 MB at n = 256.
 XI_FACTOR_MAX_BYTES = 1 << 30
+# Largest frame-Gram condition number `structure_coeffs` accepts.  Over 300
+# seeded full-rank recoveries each on shrunk tetrahedra, none missed the
+# 1e-8 oracle gate at cond(Q) = 9.9e3 (worst 9.4e-9), and 14 did at 1.9e4.
+GRAM_COND_MAX = 1e4
 
 
 @dataclass(eq=False)
@@ -312,29 +317,28 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
 
 @dataclass(frozen=True)
 class StructureCoefficients:
-    """Structure coefficients xi[p,q,r,s] = Tr[F_p G_q G_r G_s] of a frame
-    pair, held as complex (n_k, n_k, n_k, n_k) factor tensors whose
-    Kronecker product is xi.
+    """Structure coefficients eta[x,i,j] = Tr[F_i G_x G_j] of a frame pair,
+    held as complex (n_k, n_k, n_k) factor tensors whose Kronecker product
+    is eta, and the vector e[i] = Tr F_i of the identity.
 
     A frame built by `tensor_frames` has one factor per part, because the
     trace of a Kronecker product is the product of the traces; every other
-    frame is its own single factor.  The traces obey
-    conj(xi[p,q,r,s]) = xi[p,s,r,q], so imaginary parts cancel from every
-    symmetric contraction sum_{xy} v_x v_y xi[i,x,j,y] with real v.  They do
-    not cancel factor by factor (Re(ab) != Re a Re b), which is why the
-    factors stay complex and `contract` takes the real part once, at the end.
+    frame is its own single factor.  For alpha = sum_x v_x G_x,
+    L = `left(v)` is the matrix of rho -> alpha rho and conj(L) that of
+    rho -> rho alpha.
 
     `gram_roots` holds (Q^{1/2}, Q^{-1/2}) for the frame Gram
     Q[i,j] = Tr[F_i F_j], or None where Q is a multiple of the identity
-    (every nq frame and product of them, the classical delta tensor).  With
-    the dual G = Q^{-1} F of a minimal frame, a matrix from `contract` is
-    X = P Q^{-1} with P[i,k] = Tr[F_i a F_k a] symmetric, so
-    Q^{-1/2} X Q^{1/2} is symmetric and its powers take `eigh`
-    (`qprcore.m_power`).
+    (every nq frame and product of them, the classical delta tensor) or
+    singular.  With the dual G = Q^{-1} F of a minimal frame,
+    Re L = P Q^{-1} with P[i,k] = Re Tr[F_i alpha F_k] symmetric, so
+    Q^{-1/2} (Re L) Q^{1/2} is symmetric and its powers take `eigh`
+    (`qprcore.state_power`).
     """
 
     factors: tuple
     frame_name: str
+    e: np.ndarray
     gram_roots: tuple | None = None
 
     @property
@@ -343,31 +347,30 @@ class StructureCoefficients:
 
     @property
     def xi(self) -> np.ndarray:
-        """Dense real tensor Re xi, built on every access (n^4 float64, so
-        134 MB at n = 64): for inspection at small n, not for computing."""
-        out = self.factors[0]
-        for f in self.factors[1:]:
-            n = out.shape[0] * f.shape[0]
-            out = np.einsum("pqrs,ijkl->piqjrksl", out, f).reshape(n, n, n, n)
-        return np.ascontiguousarray(out.real)
+        """Dense real tensor Re xi[i,x,j,y] = Re Tr[F_i G_x G_j G_y], built
+        on every access as sum_k eta[x,i,k] conj(eta[y,k,j]) (n^4 float64,
+        so 134 MB at n = 64): for inspection at small n, not for computing.
+        The identity is the sum-trace property, so it needs a dual pair."""
+        eta = _kron_stack(list(self.factors))
+        return np.einsum("xik,ykj->ixjy", eta, eta.conj(), optimize=True).real
 
-    def contract(self, v: np.ndarray) -> np.ndarray:
-        """X[i, j] = sum_{xy} v_x v_y xi[i, x, j, y] for a real vector v.
+    def left(self, v: np.ndarray) -> np.ndarray:
+        """L[i, j] = sum_x v_x eta[x, i, j] for a real vector v.
 
-        v (x) v is viewed as a tensor with one (x_k, y_k) index pair per
-        factor, and each factor in turn replaces its pair by (i_k, j_k).
+        v is viewed as a tensor with one index x_k per factor, and each
+        factor in turn replaces its leading index by the trailing pair
+        (i_k, j_k), as one matrix product.
         """
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise RepMismatch(
-                f"vector length {v.shape} does not match coefficients ({self.n})")
         dims = tuple(f.shape[0] for f in self.factors)
-        k = len(dims)
-        t = np.multiply.outer(v, v).reshape(dims + dims)
-        for axis, factor in enumerate(self.factors):
-            t = np.tensordot(t, factor, axes=((axis, k + axis), (1, 3)))
-            t = np.moveaxis(t, (-2, -1), (axis, k + axis))
-        return t.real.reshape(self.n, self.n)
+        n, k = math.prod(dims), len(dims)
+        t = np.asarray(v, dtype=float)
+        if t.shape != (n,):
+            raise RepMismatch(
+                f"vector length {t.shape} does not match coefficients ({n})")
+        for f in self.factors:
+            t = t.reshape(f.shape[0], -1).T @ f.reshape(f.shape[0], -1)
+        return t.reshape(tuple(d for d in dims for _ in (0, 1))).transpose(
+            tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2))).reshape(n, n)
 
 
 def _is_kron(ops: np.ndarray, stacks: list[np.ndarray], tol: float) -> bool:
@@ -376,22 +379,27 @@ def _is_kron(ops: np.ndarray, stacks: list[np.ndarray], tol: float) -> bool:
 
 
 def _factor_tensor(f_ops: np.ndarray, g_ops: np.ndarray, tol: float) -> np.ndarray:
-    xi = np.einsum("pab,qbc,rcd,sda->pqrs", f_ops, g_ops, g_ops, g_ops,
-                   optimize=True)
-    # the q<->s swap acts factor by factor, so a composite inherits the
-    # identity from its factors
-    sym_imag = max_abs((xi.imag + np.transpose(xi.imag, (0, 3, 2, 1))) / 2)
-    if sym_imag > tol:
-        raise ComplexResidue(
-            f"symmetrized imaginary residue {sym_imag:.3e} > tol")
-    return xi
+    """eta[x,i,j] = Tr[F_i G_x G_j], one x at a time so that no
+    intermediate is bigger than the n^3 result."""
+    n, d = f_ops.shape[0], f_ops.shape[1]
+    f_flat = f_ops.reshape(n, d * d)
+    eta = np.empty((n, n, n), dtype=complex)
+    for x in range(n):  # Tr[F_i M_j] = sum F_i[a,b] M_j[b,a], M_j = G_x G_j
+        eta[x] = f_flat @ (g_ops[x] @ g_ops).transpose(0, 2, 1).reshape(n, d * d).T
+    # conj Tr[F_i G_x G_j] = Tr[G_j G_x F_i] for Hermitian operators; the
+    # identity acts factor by factor, so a composite inherits it
+    residue = max(max_abs(eta[x].conj() - eta[:, :, x].T) for x in range(n))
+    if residue > tol:
+        raise ComplexResidue(f"Hermiticity residue {residue:.3e} of eta > tol")
+    return eta
 
 
 def _gram_roots(stacks: list[np.ndarray], tol: float) -> tuple | None:
     """(Q^{1/2}, Q^{-1/2}) of the Gram Q[i,j] = Tr[F_i F_j] of the frame
     whose operators are the Kronecker products of `stacks`; None where every
     factor's Gram is a multiple of the identity (the similarity would be a
-    scaling) or Q is singular (no similarity exists)."""
+    scaling) or Q is singular (no similarity exists).  Raises IllConditioned
+    past GRAM_COND_MAX."""
     grams = []
     for ops in stacks:
         q = np.einsum("iab,jba->ij", ops, ops, optimize=True).real
@@ -406,6 +414,9 @@ def _gram_roots(stacks: list[np.ndarray], tol: float) -> tuple | None:
     w, v = spec.values, spec.vectors
     if w[0] <= rank_threshold(w[-1]):
         return None
+    if w[-1] > GRAM_COND_MAX * w[0]:
+        raise IllConditioned(f"frame Gram condition number {w[-1] / w[0]:.3e} "
+                             f"exceeds GRAM_COND_MAX = {GRAM_COND_MAX:.0e}")
     return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
 
 
@@ -415,12 +426,12 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
 
     A frame from `tensor_frames` whose operators and dual are still the
     Kronecker products of its recorded parts gets one factor per part, so
-    memory and work grow with the number of parts, not with n^4; any other
+    memory and work grow with the number of parts, not with n^3; any other
     pair is a single factor.  The roots of the frame Gram are computed here
-    too, once per pair (see `StructureCoefficients`).  Raises TooLarge,
-    before allocating, if a factor would exceed XI_FACTOR_MAX_BYTES, and
-    ComplexResidue if a factor's symmetrized imaginary part, the component
-    that would survive contraction with real vectors, exceeds tol.
+    too, once per pair (see `StructureCoefficients`).  Raises IllConditioned
+    if cond(Q) exceeds GRAM_COND_MAX, TooLarge, before allocating, if a
+    factor would exceed XI_FACTOR_MAX_BYTES, and ComplexResidue if a factor
+    breaks conj(eta[x,i,j]) = eta[j,i,x] by more than tol.
     """
     cached = frame._coeffs.get(dual)
     if cached is not None:
@@ -430,24 +441,26 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
             and _is_kron(dual.ops, [g.ops for _, g in parts], tol)):
         parts = ((frame, dual),)
     for f, _ in parts:
-        if 16 * f.n ** 4 > XI_FACTOR_MAX_BYTES:  # complex128
+        if 16 * f.n ** 3 > XI_FACTOR_MAX_BYTES:  # complex128
             raise TooLarge(f"a structure-coefficient factor of {f.n} operators "
                            f"exceeds {XI_FACTOR_MAX_BYTES} bytes")
-    coeffs = StructureCoefficients(
+    coeffs = StructureCoefficients(  # an ill-conditioned Gram raises first
+        gram_roots=_gram_roots([f.ops for f, _ in parts], tol),
         factors=tuple(_factor_tensor(f.ops, g.ops, tol) for f, g in parts),
-        frame_name=frame.name,
-        gram_roots=_gram_roots([f.ops for f, _ in parts], tol))
+        frame_name=frame.name, e=np.einsum("jaa->j", frame.ops).real)
     frame._coeffs[dual] = coeffs
     return coeffs
 
 
 def classical_structure_coeffs(n: int) -> StructureCoefficients:
-    """Kronecker-delta tensor delta_pq delta_rs delta_pr of the classical
-    (diagonal projector) representation on n outcomes."""
-    xi = np.zeros((n, n, n, n), dtype=complex)
+    """Delta tensor eta[x,i,j] = [x = i = j] of the classical (diagonal
+    projector) representation on n outcomes, whose identity vector is all
+    ones."""
+    eta = np.zeros((n, n, n), dtype=complex)
     idx = np.arange(n)
-    xi[idx, idx, idx, idx] = 1.0
-    return StructureCoefficients(factors=(xi,), frame_name=f"classical:{n}")
+    eta[idx, idx, idx] = 1.0
+    return StructureCoefficients(factors=(eta,), frame_name=f"classical:{n}",
+                                 e=np.ones(n))
 
 
 def classical_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:

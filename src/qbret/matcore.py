@@ -4,9 +4,9 @@ Everything here operates on plain numpy arrays (complex for Hilbert-space
 operators, real for quasiprobability objects) sized for Hilbert dimension
 d <= 8, i.e. at most 64x64 on the quasiprobability side.
 
-Every fractional matrix power is taken by one Hermitian eigendecomposition.
-Prior and posterior matrices of frames whose Gram is not a multiple of the
-identity are not symmetric; `qprcore.m_power` makes them so by a similarity
+Every matrix power is taken by one Hermitian eigendecomposition.  The
+state-side matrices of frames whose Gram is not a multiple of the identity
+are not symmetric; `qprcore.state_power` makes them so by a similarity
 through the frame Gram before they reach `principal_power`.
 """
 
@@ -101,43 +101,37 @@ def psd_sqrt(h: np.ndarray, tol: float = DEFAULT_TOL, *,
              singular: str = "error") -> np.ndarray:
     """Principal square root (or inverse square root) of a PSD matrix.
 
-    Eigenvalues in [-tol, 0) are clamped to zero before the root, which
-    keeps exactly-singular inputs (pure states) reproducible.  The inverse
-    variant raises Singular when an eigenvalue falls below the relative
-    rank threshold, unless singular="support" asks for the Moore-Penrose
-    root on the support instead.
+    Eigenvalues in [-tol, 0) are clamped to zero, and those below the
+    relative rank threshold get root zero, as in `principal_power`, so a
+    pure state's root is its projector.  The inverse variant raises
+    Singular when an eigenvalue falls below the threshold, unless
+    singular="support" asks for the Moore-Penrose root on the support.
     """
     spec = hermitian_eig(h, tol)
     w = spec.values
     if w[0] < -tol:
         raise NotPSD(f"smallest eigenvalue {w[0]:.3e} < -tol")
     w = np.clip(w, 0.0, None)
-    if inverse:
-        thr = rank_threshold(w[-1], rank_rtol)
-        if w[0] < thr and singular != "support":
-            raise Singular(f"eigenvalue {w[0]:.3e} below rank threshold {thr:.3e}")
-        vals = np.where(w < thr, 0.0, 1.0 / np.sqrt(np.maximum(w, thr)))
-    else:
-        vals = np.sqrt(w)
+    thr = rank_threshold(w[-1], rank_rtol)
+    if inverse and w[0] < thr and singular != "support":
+        raise Singular(f"eigenvalue {w[0]:.3e} below rank threshold {thr:.3e}")
+    vals = np.where(w < thr, 0.0, np.maximum(w, thr) ** (-0.5 if inverse else 0.5))
     v = spec.vectors
     b = (v * vals) @ dagger(v)
     return (b + dagger(b)) / 2
 
 
 def principal_power(m: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
-                    rank_rtol: float = RANK_RTOL, singular: str = "error",
-                    return_deficient: bool = False):
-    """Principal r-th power of a real symmetric matrix with nonnegative
-    spectrum, from one `hermitian_eig`.
+                    singular: str = "error") -> tuple[np.ndarray, bool]:
+    """(m^r, deficient): the principal r-th power of a real symmetric
+    matrix with nonnegative spectrum, from one `hermitian_eig`.
 
     Raises NotHermitian unless ||m - m^T||_max <= tol * max(||m||_max, 1).
     Eigenvalues in [-tol, 0) are clamped to zero, and those below the rank
-    threshold get power zero (the power on the support).
-
-    ``singular`` controls negative powers of rank-deficient input: "error"
-    raises SingularForNegativePower, "support" inverts on the support only.
-    With ``return_deficient`` the result is ``(power, deficient)``, where
-    `deficient` says whether an eigenvalue fell below the rank threshold.
+    threshold get power zero (the power on the support); `deficient` says
+    whether any did.  ``singular`` controls negative powers of
+    rank-deficient input: "error" raises SingularForNegativePower,
+    "support" inverts on the support only.
     """
     m = _require_square(np.asarray(m, dtype=float))
     dev = max_abs(m - m.T)
@@ -148,21 +142,15 @@ def principal_power(m: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
     if w.min() < -tol:
         raise SpectrumNotNonnegative(f"min eig = {w.min():.3e} < -tol")
     w = np.clip(w, 0.0, None)
-    thr = rank_threshold(w.max(), rank_rtol)
+    thr = rank_threshold(w.max())
     keep = w >= thr
     deficient = not bool(keep.all())
     if r < 0 and deficient and singular == "error":
         raise SingularForNegativePower(
             f"min eigenvalue {w.min():.3e} below rank threshold {thr:.3e}")
-
-    if float(r).is_integer() and not (deficient and r < 0):
-        p = np.linalg.matrix_power(m, int(r))
-    else:
-        with np.errstate(divide="ignore"):
-            vals = np.where(keep, np.power(w, r), 0.0)
-        v = spec.vectors
-        p = (v * vals) @ v.T
-    return (p, deficient) if return_deficient else p
+    vals = np.where(keep, np.maximum(w, thr) ** r, 0.0)
+    v = spec.vectors
+    return (v * vals) @ v.T, deficient
 
 
 def partial_trace_b(w: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -139,7 +139,7 @@ def suite_powers(seed: int = 0, cases: int = 50) -> list[CheckResult]:
             out.append(CheckResult(f"power-identity-{name}-r={r:g}", worst, 1e-8))
         # informational only: trace of a matrix power is not 1 off rank one
         v = qp.state_to_qpr(states[0], f)
-        tr_half = float(np.trace(qp.m_power(qp.x_matrix(v, xi), 0.5, xi)[0]))
+        tr_half = float(np.trace(qp.x_matrix(qp.state_power(v, 0.5, xi)[0], xi)))
         out.append(CheckResult(
             f"trace-of-root-{name}", 0.0, 1.0,
             note=f"informational: Tr[M^(1/2)] = {tr_half:.6f} for a mixed state"))

@@ -35,6 +35,11 @@ def direct_xi(f_ops, g_ops):
                      for fp in f_ops])
 
 
+def direct_eta(f_ops, g_ops):
+    """Tr[F_i G_x G_j] straight from the operators, indexed [x, i, j]."""
+    return np.einsum("iab,xbc,jca->xij", f_ops, g_ops, g_ops, optimize=True)
+
+
 def test_dw_first_operator():
     f, _ = build_dw_qubit()
     expected = (EYE2 + PAULI_X + PAULI_Z + PAULI_Y) / 4
@@ -277,12 +282,14 @@ class TestStructureCoeffs:
         assert structure_coeffs(f, g) is structure_coeffs(f, g)
 
     def test_cached_per_dual(self):
+        # (dw frame, sic dual) is not a dual pair, so its xi is not derived
+        # from eta: the stored eta is compared with the traces instead
         f, dw_g = build_dw_qubit()
         _, sic_g = build_sic_qubit()
         dw_xi = structure_coeffs(f, dw_g)
         sic_xi = structure_coeffs(f, sic_g)
         assert sic_xi is not dw_xi
-        np.testing.assert_allclose(sic_xi.xi, direct_xi(f.ops, sic_g.ops),
+        np.testing.assert_allclose(sic_xi.factors[0], direct_eta(f.ops, sic_g.ops),
                                    atol=1e-14)
         assert structure_coeffs(f, dw_g) is dw_xi
 
@@ -299,9 +306,10 @@ class TestStructureCoeffs:
     def test_product_frame_keeps_one_factor_per_qubit(self, builder):
         f, g = builder()
         np.testing.assert_array_equal(f.ops, build_dw_qubits(3)[0].ops)
-        factors = structure_coeffs(f, g).factors
-        assert [t.shape for t in factors] == [(4, 4, 4, 4)] * 3
-        assert max(np.abs(t.imag).max() for t in factors) == pytest.approx(0.5)
+        coeffs = structure_coeffs(f, g)
+        assert [t.shape for t in coeffs.factors] == [(4, 4, 4)] * 3
+        assert max(np.abs(t.imag).max() for t in coeffs.factors) == pytest.approx(0.5)
+        np.testing.assert_allclose(coeffs.e, np.full(64, 1 / 8), atol=1e-15)
 
     def test_foreign_dual_is_one_factor(self):
         # the dual of another product frame is not the product of this
@@ -313,8 +321,8 @@ class TestStructureCoeffs:
                                          sic_g.ops).reshape(16, 4, 4))
         coeffs = structure_coeffs(f, sic2_g)
         assert len(coeffs.factors) == 1
-        np.testing.assert_allclose(coeffs.xi, direct_xi(f.ops, sic2_g.ops),
-                                   atol=1e-14)
+        np.testing.assert_allclose(coeffs.factors[0],
+                                   direct_eta(f.ops, sic2_g.ops), atol=1e-14)
 
     def test_gram_roots(self):
         f, g = build_sic_qubit()
@@ -348,10 +356,10 @@ class TestStructureCoeffs:
             structure_coeffs(*composite)
 
     def test_refuses_a_factor_over_the_size_limit(self, monkeypatch):
-        # a dense 16-operator factor takes 1 MiB, a one-qubit factor 4 KB;
+        # a dense 16-operator factor takes 64 KiB, a one-qubit factor 1 KiB;
         # the limit is lowered so that no test allocates a large tensor
         import qbret.frames
-        monkeypatch.setattr(qbret.frames, "XI_FACTOR_MAX_BYTES", 2 ** 19)
+        monkeypatch.setattr(qbret.frames, "XI_FACTOR_MAX_BYTES", 2 ** 15)
         loaded = load_frame(json.dumps(frame_to_dict(*build_dw_qubits(2))))
         assert not loaded[0].parts
         with pytest.raises(errors.TooLarge):
@@ -363,15 +371,21 @@ class TestStructureCoeffs:
 @pytest.fixture(scope="module", params=[2, 3], ids=["dw-qubits:2", "dw-qubits:3"])
 def product_coeffs(request):
     f, g = build_dw_qubits(request.param)
-    return structure_coeffs(f, g), direct_xi(f.ops, g.ops)
+    return (structure_coeffs(f, g), direct_eta(f.ops, g.ops),
+            direct_xi(f.ops, g.ops))
 
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_contract_matches_dense_contraction(product_coeffs, data):
-    coeffs, xi = product_coeffs
+    # L(v), built factor by factor, against sum_x v_x eta[x], and the prior
+    # matrix L conj(L) against sum_{xy} v_x v_y xi[i,x,j,y]
+    from qbret.qprcore import x_matrix
+    coeffs, eta, xi = product_coeffs
     v = data.draw(arrays(np.float64, coeffs.n,
                          elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
-    dense = np.einsum("x,y,ixjy->ij", v, v, xi, optimize=True)
     # 1e-12 relative; the absolute floor only covers products that underflow
-    assert max_abs(coeffs.contract(v) - dense) <= 1e-12 * np.abs(dense).max() + 1e-300
+    dense = np.einsum("x,xij->ij", v, eta)
+    assert max_abs(coeffs.left(v) - dense) <= 1e-12 * np.abs(dense).max() + 1e-300
+    dense = np.einsum("x,y,ixjy->ij", v, v, xi, optimize=True)
+    assert max_abs(x_matrix(v, coeffs) - dense) <= 1e-12 * np.abs(dense).max() + 1e-300

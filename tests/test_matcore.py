@@ -117,12 +117,12 @@ class TestPsdSqrt:
 
 class TestPrincipalPower:
     def test_identity_inverse_root(self):
-        np.testing.assert_allclose(principal_power(np.eye(3), -0.5),
+        np.testing.assert_allclose(principal_power(np.eye(3), -0.5)[0],
                                    np.eye(3), atol=1e-12)
 
     def test_scaled_identity_root(self):
         # the matrix of the maximally mixed qubit state is I/4
-        np.testing.assert_allclose(principal_power(np.eye(4) / 4, 0.5),
+        np.testing.assert_allclose(principal_power(np.eye(4) / 4, 0.5)[0],
                                    np.eye(4) / 2, atol=1e-12)
 
     def test_root_of_pure_state_matrix(self):
@@ -133,30 +133,33 @@ class TestPrincipalPower:
                        + (-1) ** (r + s) * PAULI_Y) / 4 for r, s in labels])
         rho = np.diag([1.0, 0.0]).astype(complex)
         m = np.einsum("iab,bc,jcd,da->ij", f, rho, 2 * f, rho).real
-        root = principal_power(m, 0.5, TOL)
+        root, deficient = principal_power(m, 0.5, TOL)
+        assert deficient
         assert max_abs(root @ root - m) < 1e-10
 
     def test_power_one_and_zero(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 3))
         m = a @ a.T
-        np.testing.assert_allclose(principal_power(m, 1.0), m, atol=1e-12)
-        np.testing.assert_allclose(principal_power(m, 0.0), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(principal_power(m, 1.0)[0], m, atol=1e-12)
+        np.testing.assert_allclose(principal_power(m, 0.0)[0], np.eye(3),
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.25, -0.75), (1.5, -0.5)])
     def test_exponent_addition(self, a, b):
         rng = np.random.default_rng(11)
         g = rng.normal(size=(4, 4))
         m = g @ g.T + 0.5 * np.eye(4)
-        lhs = principal_power(m, a, TOL) @ principal_power(m, b, TOL)
-        rhs = principal_power(m, a + b, TOL)
+        lhs = principal_power(m, a, TOL)[0] @ principal_power(m, b, TOL)[0]
+        rhs, _ = principal_power(m, a + b, TOL)
         assert max_abs(lhs - rhs) < 10 * 1e-10 * max_abs(rhs) + 1e-10
 
     def test_root_squared_recovers_state_matrices(self):
         # 100 random density operators mapped through the quasiprobability
-        # prior matrix; the half power must square back entrywise
+        # prior matrix; the matrix of the root state must square back
+        # entrywise
         from qbret.frames import build_dw_qubit, build_sic_qubit, structure_coeffs
-        from qbret.qprcore import m_power, state_to_qpr, x_matrix
+        from qbret.qprcore import state_power, state_to_qpr, x_matrix
         rng = np.random.default_rng(42)
         for f, g in (build_dw_qubit(), build_sic_qubit()):
             xi = structure_coeffs(f, g)
@@ -164,25 +167,28 @@ class TestPrincipalPower:
                 a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                 rho = a @ a.conj().T
                 rho /= np.trace(rho).real
-                m = x_matrix(state_to_qpr(rho, f), xi)
-                root, _ = m_power(m, 0.5, xi, TOL)
-                assert max_abs(root @ root - m) < 1e-9
+                v = state_to_qpr(rho, f)
+                root = x_matrix(state_power(v, 0.5, xi, TOL)[0], xi)
+                assert max_abs(root @ root - x_matrix(v, xi)) < 1e-9
 
     def test_root_of_nonsymmetric_rank_deficient_matrix(self):
         # matrix of a pure state in the tetrahedron frame: rank one and not
         # symmetric, so the root goes through the frame-Gram similarity
         # and the kernel route
         from qbret.frames import build_sic_qubit, structure_coeffs
-        from qbret.qprcore import m_power, state_to_qpr, x_matrix
+        from qbret.qprcore import state_power, state_to_qpr, x_matrix
         f, g = build_sic_qubit()
         xi = structure_coeffs(f, g)
         rho = np.array([[1, 1], [1, 1]], dtype=complex) / 2
-        m = x_matrix(state_to_qpr(rho, f), xi)
+        v = state_to_qpr(rho, f)
+        m = x_matrix(v, xi)
         assert max_abs(m - m.T) > 1e-3
         w = np.sort(np.linalg.eigvals(m).real)
         np.testing.assert_allclose(w, [0, 0, 0, 1], atol=1e-12)
-        root, _ = m_power(m, 0.5, xi, TOL)
-        assert max_abs(root.imag if np.iscomplexobj(root) else 0.0) == 0.0
+        root_v, deficient = state_power(v, 0.5, xi, TOL)
+        assert deficient
+        root = x_matrix(root_v, xi)
+        assert not np.iscomplexobj(root)
         assert max_abs(root @ root - m) < 1e-12
 
     def test_rejects_negative_spectrum(self):
@@ -201,17 +207,18 @@ class TestPrincipalPower:
 
     def test_support_mode_inverts_on_support(self):
         m = np.diag([4.0, 0.0])
-        out = principal_power(m, -0.5, singular="support")
+        out, deficient = principal_power(m, -0.5, singular="support")
+        assert deficient
         np.testing.assert_allclose(out, np.diag([0.5, 0.0]), atol=1e-12)
 
 
 def sic_prior_and_posterior(seed):
     # full-rank prior (spectrum floored at 0.05) through a Haar dilation
-    # with a random ancilla, both as tetrahedron-frame matrices, with the
-    # structure coefficients that built them
+    # with a random ancilla, both as tetrahedron-frame vectors, with the
+    # structure coefficients that build their matrices
     from qbret.frames import build_sic_qubit, structure_coeffs
     from qbret.hilbert import channel_from_dilation, random_density, random_unitary
-    from qbret.qprcore import channel_to_qpr, state_to_qpr, x_matrix
+    from qbret.qprcore import channel_to_qpr, state_to_qpr
     rng = np.random.default_rng(seed)
     f, g = build_sic_qubit()
     xi = structure_coeffs(f, g)
@@ -219,24 +226,27 @@ def sic_prior_and_posterior(seed):
     channel = channel_from_dilation(random_unitary(rng, 4), random_density(rng, 2))
     v = state_to_qpr(rho, f)
     s = channel_to_qpr(channel, f, g)
-    return (x_matrix(v, xi), x_matrix(s @ v, xi)), xi
+    return (v, s @ v), xi
 
 
 class TestNonsymmetricRoots:
-    """Roots of non-symmetric SIC matrices, taken by `m_power` through the
-    frame Gram, against scipy's roots of the raw matrix."""
+    """Matrices of state roots (`state_power`, through the frame Gram) are
+    the roots of the non-symmetric SIC matrices: checked against scipy's
+    roots of the raw matrix."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_half_powers_match_schur_pade(self, seed):
-        from qbret.qprcore import m_power
-        matrices, xi = sic_prior_and_posterior(seed)
-        for m in matrices:
+        from qbret.qprcore import state_power, x_matrix
+        vectors, xi = sic_prior_and_posterior(seed)
+        for v in vectors:
+            m = x_matrix(v, xi)
             assert max_abs(m - m.T) > 1e-8
             ref = scipy.linalg.sqrtm(m)
             for r in (0.5, -0.5):
                 expected = scipy.linalg.fractional_matrix_power(m, r)
-                power, deficient = m_power(m, r, xi, TOL, singular="support")
+                power_v, deficient = state_power(v, r, xi, TOL, singular="support")
+                power = x_matrix(power_v, xi)
                 assert not deficient
                 assert not np.iscomplexobj(power)
                 scale = max_abs(expected)
@@ -247,12 +257,14 @@ class TestNonsymmetricRoots:
 
     def test_deficient_flag_on_the_kernel_route(self):
         from qbret.frames import build_sic_qubit, structure_coeffs
-        from qbret.qprcore import m_power, state_to_qpr, x_matrix
+        from qbret.qprcore import state_power, state_to_qpr, x_matrix
         f, g = build_sic_qubit()
         xi = structure_coeffs(f, g)
         rho = np.array([[1, 1], [1, 1]], dtype=complex) / 2
-        m = x_matrix(state_to_qpr(rho, f), xi)
-        inv, deficient = m_power(m, -0.5, xi, TOL, singular="support")
+        v = state_to_qpr(rho, f)
+        m = x_matrix(v, xi)
+        inv_v, deficient = state_power(v, -0.5, xi, TOL, singular="support")
+        inv = x_matrix(inv_v, xi)
         assert deficient
         # rank one with eigenvalue 1: the support inverse root is the
         # spectral projector, so it squares to itself and fixes m
