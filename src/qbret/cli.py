@@ -182,31 +182,13 @@ def resolve_prior(args) -> np.ndarray:
     raise ParseError("need --prior PATH or --angles w,t,p")
 
 
-def _rep_kind(args, frame: fr.Frame) -> str:
-    rep = getattr(args, "rep", None)
-    if not rep:
-        return frame.kind
-    if frame.kind in (fr.KIND_NQ, fr.KIND_SP) and rep != frame.kind:
-        print(f"warning: --rep {rep} overrides the frame's own kind "
-              f"{frame.kind!r}; the adjoint formula may not match the frame",
-              file=sys.stderr)
-    return rep
-
-
 def _recover(s: np.ndarray, prior: np.ndarray, frame: fr.Frame,
-             dual: fr.DualFrame, kind: str, channel: hb.KrausChannel | None,
-             eps: float, tol: float) -> qp.PetzQprResult:
-    """petz_qpr in representation `kind`; custom representations morph the
-    Hilbert adjoint, which needs the channel."""
-    s_adj = None
-    if kind == fr.KIND_CUSTOM:
-        if channel is None:
-            raise QbretError("custom representations need a Hilbert channel "
-                             "to derive the adjoint")
-        s_adj = qp.adjoint_qpr(s, kind, channel=channel, frame=frame, dual=dual)
+             dual: fr.DualFrame, eps: float, tol: float) -> qp.PetzQprResult:
+    """petz_qpr in the frame's own representation, whose validated kind
+    selects the adjoint rule."""
     return qp.petz_qpr(s, qp.state_to_qpr(prior, frame),
-                       fr.structure_coeffs(frame, dual, tol), kind=kind,
-                       eps=eps, s_adjoint=s_adj, tol=tol)
+                       fr.structure_coeffs(frame, dual, tol), kind=frame.kind,
+                       eps=eps, tol=tol)
 
 
 def _oracle_gate(result: qp.PetzQprResult, channel: hb.KrausChannel,
@@ -280,15 +262,16 @@ def cmd_petz(args, tol: float) -> int:
         channel, _ = resolve_channel(args, tol)
         s = qp.channel_to_qpr(channel, frame, dual)
 
-    kind = _rep_kind(args, frame)
-    result = _recover(s, prior, frame, dual, kind, channel, args.eps, tol)
+    result = _recover(s, prior, frame, dual, args.eps, tol)
     meta = {
         "eps_used": result.eps_used,
-        "prior_kind": kind,
+        "prior_kind": frame.kind,
         "converged": result.converged,
+        "support_projected": result.support_projected,
     }
     if result.extrapolation_dev is not None:
         meta["extrapolation_dev"] = result.extrapolation_dev
+    if result.support_dev is not None:
         meta["support_route_dev"] = result.support_dev
     if channel is not None:
         meta.update(_oracle_gate(result, channel, prior, frame, dual,
@@ -346,8 +329,7 @@ def cmd_compare(args, tol: float) -> int:
     channel, desc = resolve_channel(args, tol)
     prior = resolve_prior(args)
     s = qp.channel_to_qpr(channel, frame, dual)
-    result = _recover(s, prior, frame, dual, _rep_kind(args, frame), channel,
-                      args.eps, tol)
+    result = _recover(s, prior, frame, dual, args.eps, tol)
     gate = _oracle_gate(result, channel, prior, frame, dual, args.eps, tol)
     recovery = result.matrix
     classical = qp.classical_bayes(s, qp.state_to_qpr(prior, frame), eps=args.eps)
@@ -397,8 +379,7 @@ def cmd_graph(args, tol: float) -> int:
                                      labels, cutoff)
         else:
             prior = resolve_prior(args)
-            result = _recover(s, prior, frame, dual, _rep_kind(args, frame),
-                              channel, args.eps, tol)
+            result = _recover(s, prior, frame, dual, args.eps, tol)
             _oracle_gate(result, channel, prior, frame, dual, args.eps, tol)
             graph = gr.retro_graph(result.matrix, qp.state_to_qpr(prior, frame),
                                    labels, cutoff)
@@ -454,8 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prior_args(p)
     p.add_argument("--matrix", help="precomputed channel matrix file "
                                     "(disables the oracle check)")
-    p.add_argument("--rep", choices=[fr.KIND_NQ, fr.KIND_SP, fr.KIND_CUSTOM],
-                   help="representation kind (default: the frame's)")
     p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--out")
 
@@ -470,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_frame_args(p)
     _add_channel_args(p)
     _add_prior_args(p)
-    p.add_argument("--rep", choices=[fr.KIND_NQ, fr.KIND_SP, fr.KIND_CUSTOM])
     p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--out")
 
@@ -482,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bubbles", help="vector file for node bubbles")
     p.add_argument("--direction", choices=["forward", "retro"],
                    default="forward")
-    p.add_argument("--rep", choices=[fr.KIND_NQ, fr.KIND_SP, fr.KIND_CUSTOM])
     p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--cutoff", type=float, default=None)
     p.add_argument("--bounds", type=float, default=None)

@@ -92,9 +92,5 @@ class RepMismatch(QbretError):
     pass
 
 
-class UnsupportedKind(QbretError):
-    pass
-
-
 class OracleMismatch(QbretError):
     """A recovery matrix deviates from the Hilbert-space oracle beyond its gate."""

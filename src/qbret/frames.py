@@ -35,7 +35,6 @@ from .matcore import (
     dagger,
     hermitian_eig,
     max_abs,
-    rank_threshold,
 )
 
 KIND_NQ = "nq"
@@ -329,11 +328,11 @@ class StructureCoefficients:
 
     `gram_roots` holds (Q^{1/2}, Q^{-1/2}) for the frame Gram
     Q[i,j] = Tr[F_i F_j], or None where Q is a multiple of the identity
-    (every nq frame and product of them, the classical delta tensor) or
-    singular.  With the dual G = Q^{-1} F of a minimal frame,
-    Re L = P Q^{-1} with P[i,k] = Re Tr[F_i alpha F_k] symmetric, so
-    Q^{-1/2} (Re L) Q^{1/2} is symmetric and its powers take `eigh`
-    (`qprcore.state_power`).
+    (every nq frame and product of them, the classical delta tensor).
+    With the dual G = Q^{-1} F of a minimal frame, Re L = P Q^{-1} with
+    P[i,k] = Re Tr[F_i alpha F_k] symmetric, so Q^{-1/2} (Re L) Q^{1/2} is
+    symmetric and its powers take `eigh` (`qprcore.state_power`).  The
+    same roots give the adjoint Q S^T Q^{-1} (`qprcore.adjoint_qpr`).
     """
 
     factors: tuple
@@ -396,10 +395,10 @@ def _factor_tensor(f_ops: np.ndarray, g_ops: np.ndarray, tol: float) -> np.ndarr
 
 def _gram_roots(stacks: list[np.ndarray], tol: float) -> tuple | None:
     """(Q^{1/2}, Q^{-1/2}) of the Gram Q[i,j] = Tr[F_i F_j] of the frame
-    whose operators are the Kronecker products of `stacks`; None where every
-    factor's Gram is a multiple of the identity (the similarity would be a
-    scaling) or Q is singular (no similarity exists).  Raises IllConditioned
-    past GRAM_COND_MAX."""
+    whose operators are the Kronecker products of `stacks`; None only where
+    every factor's Gram is a multiple of the identity (the similarity would
+    be a scaling, and the adjoint is the transpose).  Raises IllConditioned
+    past GRAM_COND_MAX, a singular Q included."""
     grams = []
     for ops in stacks:
         q = np.einsum("iab,jba->ij", ops, ops, optimize=True).real
@@ -412,11 +411,10 @@ def _gram_roots(stacks: list[np.ndarray], tol: float) -> tuple | None:
         q = np.kron(q, g)
     spec = hermitian_eig(q, tol)
     w, v = spec.values, spec.vectors
-    if w[0] <= rank_threshold(w[-1]):
-        return None
     if w[-1] > GRAM_COND_MAX * w[0]:
-        raise IllConditioned(f"frame Gram condition number {w[-1] / w[0]:.3e} "
-                             f"exceeds GRAM_COND_MAX = {GRAM_COND_MAX:.0e}")
+        raise IllConditioned(f"frame Gram eigenvalues span [{w[0]:.3e}, "
+                             f"{w[-1]:.3e}]: condition number over "
+                             f"GRAM_COND_MAX = {GRAM_COND_MAX:.0e}")
     return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
 
 

@@ -145,20 +145,6 @@ class KrausChannel:
         return sum(dagger(k) @ x @ k for k in self.kraus)
 
 
-@dataclass(frozen=True)
-class AdjointChannel:
-    """The adjoint map of a channel, packaged so it can be morphed like one."""
-
-    base: KrausChannel
-
-    @property
-    def d(self) -> int:
-        return self.base.d
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.base.adjoint(x)
-
-
 def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
                           tol: float = DEFAULT_TOL) -> KrausChannel:
     """Kraus form of rho -> Tr_B[U (rho (x) beta) U^dag].

@@ -97,8 +97,7 @@ def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
 
 
 def psd_sqrt(h: np.ndarray, tol: float = DEFAULT_TOL, *,
-             inverse: bool = False, rank_rtol: float = RANK_RTOL,
-             singular: str = "error") -> np.ndarray:
+             inverse: bool = False, singular: str = "error") -> np.ndarray:
     """Principal square root (or inverse square root) of a PSD matrix.
 
     Eigenvalues in [-tol, 0) are clamped to zero, and those below the
@@ -112,7 +111,7 @@ def psd_sqrt(h: np.ndarray, tol: float = DEFAULT_TOL, *,
     if w[0] < -tol:
         raise NotPSD(f"smallest eigenvalue {w[0]:.3e} < -tol")
     w = np.clip(w, 0.0, None)
-    thr = rank_threshold(w[-1], rank_rtol)
+    thr = rank_threshold(w[-1])
     if inverse and w[0] < thr and singular != "support":
         raise Singular(f"eigenvalue {w[0]:.3e} below rank threshold {thr:.3e}")
     vals = np.where(w < thr, 0.0, np.maximum(w, thr) ** (-0.5 if inverse else 0.5))

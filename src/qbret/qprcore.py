@@ -1,10 +1,10 @@
 """Quasiprobability-side objects and the retrodiction algorithms.
 
 Morphisms between the Hilbert picture and a representation, the
-prior/posterior matrices built from structure coefficients, adjoints with
-the rank-one correction for SIC-type frames, the recovery map assembled
-purely from quasiprobability data, and the classical Bayes inverse it is
-contrasted with.
+prior/posterior matrices built from structure coefficients, the adjoint
+rule Q S^T Q^{-1} with its NQPR and SIC closed forms, the recovery map
+assembled purely from quasiprobability data (no Hilbert-space channel),
+and the classical Bayes inverse it is contrasted with.
 
 Conventions: a channel matrix S has unit column sums with the column
 indexing the input (S[a_out, a_in]), so distributions compose as S @ v.
@@ -22,7 +22,6 @@ from .errors import (
     RepMismatch,
     SingularPosterior,
     SingularState,
-    UnsupportedKind,
 )
 from .frames import (
     KIND_NQ,
@@ -32,10 +31,8 @@ from .frames import (
     StructureCoefficients,
     structure_coeffs,
 )
-from .hilbert import AdjointChannel, KrausChannel
 from .matcore import (
     DEFAULT_TOL,
-    RANK_RTOL,
     dagger,
     max_abs,
     principal_power,
@@ -86,7 +83,7 @@ def channel_to_qpr(channel, frame: Frame, dual: DualFrame) -> np.ndarray:
     """Quasi-stochastic matrix S[a_out, a_in] = Tr[F_out E[G_in]].
 
     `channel` is anything exposing apply(matrix) -> matrix (a Kraus channel,
-    an adjoint wrapper, a recovery map) or a bare callable.
+    a recovery map) or a bare callable such as a Kraus channel's adjoint.
     """
     apply = channel.apply if hasattr(channel, "apply") else channel
     d = getattr(channel, "d", None)
@@ -154,26 +151,25 @@ def k_matrix(s: np.ndarray, d: int | None = None) -> np.ndarray:
     return np.tile(row, (n, 1))
 
 
-def adjoint_qpr(s: np.ndarray, kind: str, d: int | None = None, *,
-                channel: KrausChannel | None = None,
-                frame: Frame | None = None,
-                dual: DualFrame | None = None) -> np.ndarray:
-    """Representation of the adjoint map.
+def adjoint_qpr(s: np.ndarray, kind: str,
+                gram_roots: tuple | None) -> np.ndarray:
+    """Representation S_adj[i, j] = Tr[F_i E^dag[G_j]] of the adjoint map,
+    from the channel matrix alone.
 
-    NQPR frames transpose; SIC frames transpose plus the K correction.  For
-    custom frames no closed form is assumed: the Hilbert adjoint is morphed
-    directly, which needs the channel and the frame pair.
+    With d^2 frame operators the dual is G = Q^{-1} F for the frame Gram
+    Q[i,j] = Tr[F_i F_j], so S_adj = Q S^T Q^{-1} for every frame.  NQPR
+    frames (Q a multiple of 1) transpose and SIC frames add the K
+    correction to the transpose; any other frame takes the Gram rule
+    through `gram_roots` = (Q^{1/2}, Q^{-1/2}) of its
+    `StructureCoefficients`, where None means Q is a multiple of 1.
     """
     s = np.asarray(s, dtype=float)
-    if kind == KIND_NQ:
-        return s.T.copy()
     if kind == KIND_SP:
-        return s.T + k_matrix(s, d)
-    if channel is None or frame is None or dual is None:
-        raise UnsupportedKind(
-            "custom representations need the Hilbert channel and frame pair "
-            "to morph the adjoint")
-    return channel_to_qpr(AdjointChannel(channel), frame, dual)
+        return s.T + k_matrix(s)
+    if kind == KIND_NQ or gram_roots is None:
+        return s.T.copy()
+    half, inv_half = gram_roots
+    return half @ (half @ s.T @ inv_half) @ inv_half
 
 
 @dataclass(frozen=True)
@@ -187,6 +183,9 @@ class PetzQprResult:
     alternative pseudo-inverse-root evaluation on the posterior support
     with its deviation from the regularized route.  The two routes are not
     guaranteed to agree; disagreement is reported, not resolved.
+    `support_projected` marks, as on `PetzMap`, a posterior that keeps a
+    kernel after regularization; the recovery then moves with eps to first
+    order, so no eps/10 probe is taken.
     """
 
     matrix: np.ndarray
@@ -194,6 +193,7 @@ class PetzQprResult:
     extrapolation_dev: float | None = None
     support_matrix: np.ndarray | None = None
     support_dev: float | None = None
+    support_projected: bool = False
 
     @property
     def converged(self) -> bool:
@@ -201,15 +201,14 @@ class PetzQprResult:
 
 
 def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs, kind: str = KIND_NQ,
-             eps: float = 1e-8, *, s_adjoint: np.ndarray | None = None,
-             tol: float = DEFAULT_TOL) -> PetzQprResult:
+             eps: float = 1e-8, *, tol: float = DEFAULT_TOL) -> PetzQprResult:
     """Recovery matrix M_prior^{1/2} S_adj M_post^{-1/2} from
     quasiprobability data alone.
 
     `coeffs` holds the structure coefficients of the representation (the
     classical delta tensor reduces this to the classical Bayes inverse for
-    nonnegative priors).  The adjoint is derived from `kind` unless
-    `s_adjoint` is supplied (required for custom frames).
+    nonnegative priors).  The adjoint S_adj is `adjoint_qpr` of `kind`
+    with the Gram roots `coeffs` carries.
 
     A rank-deficient posterior matrix with eps = 0 raises
     SingularPosterior; otherwise the prior is mixed with the uniform vector
@@ -221,8 +220,7 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs, kind: str = KIND_NQ,
     n = v_prior.shape[0]
     if s.shape != (n, n) or coeffs.n != n:
         raise RepMismatch("channel matrix, prior and coefficients disagree in size")
-    if s_adjoint is None:
-        s_adjoint = adjoint_qpr(s, kind)
+    adjoint = adjoint_qpr(s, kind, coeffs.gram_roots)
 
     def recovery(v: np.ndarray) -> tuple[np.ndarray, bool]:
         # X(prior^{1/2}) adj X(post^{-1/2}); the inverse root is taken on
@@ -231,7 +229,7 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs, kind: str = KIND_NQ,
         inv_root, deficient = state_power(s @ v, -0.5, coeffs, tol,
                                           singular="support")
         root, _ = state_power(v, 0.5, coeffs, tol)
-        return (x_matrix(root, coeffs) @ s_adjoint
+        return (x_matrix(root, coeffs) @ adjoint
                 @ x_matrix(inv_root, coeffs)), deficient
 
     support, deficient = recovery(v_prior)
@@ -243,19 +241,23 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs, kind: str = KIND_NQ,
 
     eps_used = max(eps, QPR_EPS_FLOOR)
     u = uniform_vector(n)
-    primary, _ = recovery((1 - eps_used) * v_prior + eps_used * u)
-    probe, _ = recovery((1 - eps_used / 10) * v_prior + eps_used / 10 * u)
+    primary, projected = recovery((1 - eps_used) * v_prior + eps_used * u)
+    extrapolation_dev = None
+    if not projected:
+        probe, _ = recovery((1 - eps_used / 10) * v_prior + eps_used / 10 * u)
+        extrapolation_dev = max_abs(primary - probe)
     return PetzQprResult(
         matrix=primary,
         eps_used=eps_used,
-        extrapolation_dev=max_abs(primary - probe),
+        extrapolation_dev=extrapolation_dev,
         support_matrix=support,
         support_dev=max_abs(support - primary),
+        support_projected=projected,
     )
 
 
-def classical_bayes(s: np.ndarray, v_prior: np.ndarray, eps: float = 1e-8,
-                    rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def classical_bayes(s: np.ndarray, v_prior: np.ndarray,
+                    eps: float = 1e-8) -> np.ndarray:
     """Classical Bayes inversion D_prior S^T D_post^{-1}.
 
     Accepts quasi-stochastic matrices and sign-indefinite "posteriors"
@@ -271,13 +273,13 @@ def classical_bayes(s: np.ndarray, v_prior: np.ndarray, eps: float = 1e-8,
     if s.shape != (n, n):
         raise RepMismatch(f"matrix shape {s.shape} does not match prior length {n}")
     post = s @ v
-    if np.abs(post).min() <= rank_threshold(np.abs(post).max(), rank_rtol):
+    if np.abs(post).min() <= rank_threshold(np.abs(post).max()):
         if eps <= 0.0:
             raise SingularPosterior(
                 "posterior has (near-)zero entries and regularization is disabled")
         v = (1 - eps) * v + eps * uniform_vector(n)
         post = s @ v
-        if np.abs(post).min() <= rank_threshold(np.abs(post).max(), rank_rtol):
+        if np.abs(post).min() <= rank_threshold(np.abs(post).max()):
             raise SingularPosterior(
                 "posterior entries remain at zero after regularization")
     return (np.diag(v) @ s.T) / post[None, :]

@@ -11,7 +11,12 @@ import pytest
 import qbret
 from qbret.cli import main
 from qbret import hilbert as hb
-from qbret.frames import build_dw_qubit, encode_complex_matrix, frame_to_dict
+from qbret.frames import (
+    build_dw_qubit,
+    build_sic_qubit,
+    encode_complex_matrix,
+    frame_to_dict,
+)
 
 SQ3 = np.sqrt(3.0)
 
@@ -23,6 +28,16 @@ def read_json(path):
 
 def matrix_of(doc):
     return np.array(doc["entries"]).reshape(doc["shape"])
+
+
+def custom_sic_file(tmp_path):
+    """The SIC tetrahedron saved as a custom frame: its adjoint then comes
+    from the frame Gram, not from the closed form of its kind."""
+    doc = frame_to_dict(*build_sic_qubit())
+    doc["kind"] = "custom"
+    path = tmp_path / "custom_sic.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestFrameCommand:
@@ -183,6 +198,19 @@ class TestPetzCommand:
         assert meta["eps_used"] > 0
         assert "extrapolation_dev" in meta
 
+    def test_replacement_channel_projects_on_the_support(self, tmp_path):
+        # a full swap replaces every state by the pure ancilla, so the
+        # posterior keeps its kernel after regularization; the recovery is
+        # right, and it is reported as support-projected, not unconverged
+        out = tmp_path / "petz.json"
+        assert main(["petz", "--builtin", "full_swap", "--ancilla", "1",
+                     "--kind", "dw-qubit", "--angles", "0.4,1.1,0.3",
+                     "--out", str(out)]) == 0
+        meta = read_json(out)["meta"]
+        assert meta["support_projected"] is True
+        assert meta["converged"] is True and "extrapolation_dev" not in meta
+        assert meta["oracle_deviation"] <= meta["oracle_tol"]
+
     def test_output_byte_deterministic(self, tmp_path):
         args = ["petz", "--builtin", "half_swap", "--ancilla", "1",
                 "--kind", "sic-qubit", "--angles", "0.4,1.1,0.3"]
@@ -191,12 +219,26 @@ class TestPetzCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_rep_override_warns(self, tmp_path, capsys):
-        out = tmp_path / "petz.json"
-        assert main(["petz", "--builtin", "hadamard", "--kind", "dw-qubit",
-                     "--rep", "sp", "--angles", "0.4,1.1,0.3",
-                     "--out", str(out)]) == 0
-        assert "overrides the frame's own kind" in capsys.readouterr().err
+    def test_custom_frame_matrix_file_needs_no_channel(self, tmp_path):
+        # repr, then petz on the bare matrix: the custom frame's adjoint
+        # comes from quasiprobability data alone
+        frame = str(custom_sic_file(tmp_path))
+        channel = ["--builtin", "half_swap", "--ancilla", "1"]
+        prior = ["--angles", "0.4,1.1,0.3"]
+        s_out = tmp_path / "s.json"
+        assert main(["repr", *channel, "--frame", frame,
+                     "--out", str(s_out)]) == 0
+        outs = {name: tmp_path / f"{name}.json"
+                for name in ("matrix", "builtin", "closed_form")}
+        assert main(["petz", "--matrix", str(s_out), "--frame", frame, *prior,
+                     "--out", str(outs["matrix"])]) == 0
+        assert main(["petz", *channel, "--frame", frame, *prior,
+                     "--out", str(outs["builtin"])]) == 0
+        assert main(["petz", *channel, "--kind", "sic-qubit", *prior,
+                     "--out", str(outs["closed_form"])]) == 0
+        shat = {name: matrix_of(read_json(path)) for name, path in outs.items()}
+        assert np.abs(shat["matrix"] - shat["builtin"]).max() <= 1e-12
+        assert np.abs(shat["matrix"] - shat["closed_form"]).max() <= 1e-12
 
     def test_custom_rep_uses_morphed_adjoint(self, tmp_path):
         f, g = build_dw_qubit()
@@ -212,9 +254,9 @@ class TestPetzCommand:
 
     def test_noncanonical_frame_file_with_nonunital_channel(self, tmp_path):
         # a blend of the two canonical frames, saved as a custom frame file;
-        # the recovery of a non-unital channel then needs the morphed
+        # the recovery of a non-unital channel then takes the Gram-rule
         # adjoint and must still agree with the oracle
-        from qbret.frames import Frame, DualFrame, build_sic_qubit
+        from qbret.frames import Frame, DualFrame
         dw_f, _ = build_dw_qubit()
         sp_f, _ = build_sic_qubit()
         ops = 0.6 * dw_f.ops + 0.4 * sp_f.ops
@@ -399,9 +441,11 @@ class TestGraphCommand:
 
 
     def test_retro_custom_rep_morphs_the_adjoint(self, tmp_path):
+        # a custom frame file: the adjoint comes from the frame Gram, and the
+        # recovery is held to the oracle gate before it is drawn
         out = tmp_path / "g.dot"
         assert main(["graph", "--builtin", "half_swap", "--ancilla", "1",
-                     "--kind", "dw-qubit", "--rep", "custom",
+                     "--frame", str(custom_sic_file(tmp_path)),
                      "--angles", "0.4,1.1,0.3", "--direction", "retro",
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("digraph")
@@ -446,20 +490,36 @@ class TestOracleGate:
         assert meta["oracle_deviation"] <= meta["oracle_tol"] == 1e-8
 
 
+def imported_modules(path):
+    """Absolute names of the modules (and the names in them) that a qbret
+    source file imports, relative imports resolved against the package."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["qbret" if node.level else None,
+                                          node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
 class TestImportCost:
     def test_no_module_imports_scipy(self):
         # scipy is a test-only dependency: the package runs on numpy alone
         modules = sorted(pathlib.Path(qbret.__file__).parent.glob("*.py"))
         assert len(modules) >= 9
         for path in modules:
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""]
-                else:
-                    continue
-                assert not any(n.split(".")[0] == "scipy" for n in names), path.name
+            names = list(imported_modules(path))
+            assert not any(n.split(".")[0] == "scipy" for n in names), path.name
+
+    def test_qprcore_imports_nothing_from_hilbert(self):
+        # the recovery and its adjoint are computed from quasiprobability
+        # data alone; the Hilbert side is only the oracle
+        path = pathlib.Path(qbret.__file__).parent / "qprcore.py"
+        names = list(imported_modules(path))
+        assert "qbret.errors" in names and "qbret.frames" in names
+        assert not any(n == "qbret.hilbert" or n.startswith("qbret.hilbert.")
+                       for n in names)
 
     def test_sic_petz_loads_no_scipy(self, tmp_path):
         # no qbret module imports scipy; a fresh interpreter, since this

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -333,11 +334,15 @@ class TestStructureCoeffs:
         # a multiple of the identity needs no similarity
         assert structure_coeffs(*build_dw_qubit()).gram_roots is None
         assert classical_structure_coeffs(4).gram_roots is None
-        # a repeated operator makes the Gram singular: no similarity exists
+        # a repeated operator makes the Gram singular: no similarity
+        # exists, and the message divides by no zero eigenvalue
         dw_f, dw_g = build_dw_qubit()
         repeated = Frame(name="repeated", d=2, labels=dw_f.labels,
                          ops=dw_f.ops[[0, 0, 2, 3]], kind="custom")
-        assert structure_coeffs(repeated, dw_g).gram_roots is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.IllConditioned, match="GRAM_COND_MAX"):
+                structure_coeffs(repeated, dw_g)
 
     def test_complex_residue_on_invalid_operators(self):
         f, g = build_dw_qubit()

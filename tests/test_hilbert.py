@@ -9,7 +9,6 @@ from qbret.hilbert import (
     KET1,
     KET_MINUS,
     KET_PLUS,
-    AdjointChannel,
     KrausChannel,
     builtin_channel,
     builtin_gates,
@@ -253,13 +252,6 @@ class TestBuiltins:
         assert set(builtin_gates()) == {"identity", "pauli_x", "pauli_y",
                                         "pauli_z", "hadamard", "half_swap",
                                         "full_swap", "u_eg"}
-
-    def test_adjoint_channel_wrapper(self):
-        ch = builtin_channel("half_swap")
-        adj = AdjointChannel(ch)
-        sigma = projector(KET0)
-        np.testing.assert_allclose(adj.apply(sigma), ch.adjoint(sigma),
-                                   atol=1e-15)
 
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):
