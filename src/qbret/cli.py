@@ -185,10 +185,9 @@ def resolve_prior(args) -> np.ndarray:
 def _recover(s: np.ndarray, prior: np.ndarray, frame: fr.Frame,
              dual: fr.DualFrame, eps: float, tol: float) -> qp.PetzQprResult:
     """petz_qpr in the frame's own representation, whose validated kind
-    selects the adjoint rule."""
+    the structure coefficients carry and which selects the adjoint rule."""
     return qp.petz_qpr(s, qp.state_to_qpr(prior, frame),
-                       fr.structure_coeffs(frame, dual, tol), kind=frame.kind,
-                       eps=eps, tol=tol)
+                       fr.structure_coeffs(frame, dual, tol), eps=eps, tol=tol)
 
 
 def _oracle_gate(result: qp.PetzQprResult, channel: hb.KrausChannel,

@@ -27,14 +27,6 @@ class Singular(QbretError):
     pass
 
 
-class SpectrumNotNonnegative(QbretError):
-    pass
-
-
-class SingularForNegativePower(QbretError):
-    pass
-
-
 class ComplexResidue(QbretError):
     pass
 
@@ -79,10 +71,6 @@ class BadAncilla(QbretError):
 
 
 class SingularPosterior(QbretError):
-    pass
-
-
-class SingularState(QbretError):
     pass
 
 

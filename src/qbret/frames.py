@@ -66,7 +66,6 @@ class Frame:
     labels: tuple
     ops: np.ndarray
     kind: str = KIND_CUSTOM
-    c: float | None = None  # dual scaling G = c F for the NQPR kind
     parts: tuple = ()
     # structure coefficients per dual frame, filled by structure_coeffs
     _coeffs: weakref.WeakKeyDictionary = field(
@@ -95,7 +94,7 @@ class FrameReport:
     """Max violation per frame invariant; `passed` is the overall verdict.
 
     `checks` holds the invariants of every frame/dual pair, `kind_checks`
-    the dual relation the frame's kind claims (G = cF for nq,
+    the dual relation the frame's kind claims (G = dF for nq,
     G = d(d+1)F - 1 for sp; none for custom).  The kind selects the
     adjoint rule, so a false claim would give a wrong recovery matrix.
     """
@@ -126,8 +125,7 @@ def build_dw_qubit() -> tuple[Frame, DualFrame]:
         (EYE2 + (-1) ** r * PAULI_X + (-1) ** s * PAULI_Z
          + (-1) ** (r + s) * PAULI_Y) / 4
         for (r, s) in labels])
-    frame = Frame(name="dw-qubit", d=2, labels=labels, ops=ops,
-                  kind=KIND_NQ, c=2.0)
+    frame = Frame(name="dw-qubit", d=2, labels=labels, ops=ops, kind=KIND_NQ)
     dual = DualFrame(name="dw-qubit", ops=2 * ops)
     return frame, dual
 
@@ -171,10 +169,9 @@ def tensor_frames(parts: list[tuple[Frame, DualFrame]]) -> tuple[Frame, DualFram
         return parts[0]
     labels = tuple(itertools.product(*(f.labels for f, _ in parts)))
     d = int(np.prod([f.d for f, _ in parts]))
-    c = float(np.prod([f.c for f, _ in parts]))
     name = "*".join(f.name for f, _ in parts)
     frame = Frame(name=name, d=d, labels=labels,
-                  ops=_kron_stack([f.ops for f, _ in parts]), kind=KIND_NQ, c=c,
+                  ops=_kron_stack([f.ops for f, _ in parts]), kind=KIND_NQ,
                   parts=tuple(q for f, g in parts for q in (f.parts or ((f, g),))))
     return frame, DualFrame(name=name, ops=_kron_stack([g.ops for _, g in parts]))
 
@@ -225,9 +222,8 @@ def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
     checks["sum_trace"] = float(worst)
     kind_checks = {}
     if frame.kind == KIND_NQ:
-        # the traces 1/d of F and 1 of G leave c = d as the only consistent scale
-        c = frame.c if frame.c is not None else float(d)
-        kind_checks["nq_dual_scaling"] = max_abs(g - c * f)
+        # the traces 1/d of F and 1 of G leave d as the only consistent scale
+        kind_checks["nq_dual_scaling"] = max_abs(g - d * f)
     elif frame.kind == KIND_SP:
         kind_checks["sp_dual_affine"] = max_abs(g - (d * (d + 1) * f - np.eye(d)))
     return FrameReport(checks=checks, tol=tol, kind_checks=kind_checks)
@@ -235,9 +231,10 @@ def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
 
 # --- file format -----------------------------------------------------------
 #
-# Frame file (JSON): {"d": int, "kind": "nq"|"sp"|"custom", "c": float|null,
-#   "labels": [...], "F": [matrix, ...], "G": [matrix, ...]} where a matrix
-# is a row-major list of rows and every complex number is a [re, im] pair.
+# Frame file (JSON): {"d": int, "kind": "nq"|"sp"|"custom", "labels": [...],
+#   "F": [matrix, ...], "G": [matrix, ...]} where a matrix is a row-major
+# list of rows and every complex number is a [re, im] pair.  A "c" field
+# (the nq dual scale, always d) is ignored.
 
 def encode_complex_matrix(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
@@ -255,7 +252,6 @@ def frame_to_dict(frame: Frame, dual: DualFrame) -> dict:
     return {
         "d": frame.d,
         "kind": frame.kind,
-        "c": frame.c,
         "name": frame.name,
         "labels": [list(l) if isinstance(l, tuple) else l for l in frame.labels],
         "F": [encode_complex_matrix(op) for op in frame.ops],
@@ -294,12 +290,8 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
     labels = document.get("labels")
     labels = (tuple(tuple(l) if isinstance(l, list) else l for l in labels)
               if labels is not None else tuple(range(d * d)))
-    c = document.get("c")
-    if c is None and kind == KIND_NQ:
-        c = float(d)
     frame = Frame(name=document.get("name", "custom"), d=d, labels=labels,
-                  ops=np.array(f_ops), kind=kind,
-                  c=float(c) if c is not None else None)
+                  ops=np.array(f_ops), kind=kind)
     dual = DualFrame(name=frame.name, ops=np.array(g_ops))
     report = validate_frame(frame, dual, tol)
     if not report.passed:
@@ -318,7 +310,8 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
 class StructureCoefficients:
     """Structure coefficients eta[x,i,j] = Tr[F_i G_x G_j] of a frame pair,
     held as complex (n_k, n_k, n_k) factor tensors whose Kronecker product
-    is eta, and the vector e[i] = Tr F_i of the identity.
+    is eta, the vector e[i] = Tr F_i of the identity, and the kind of the
+    frame, which selects the adjoint rule (`qprcore.adjoint_qpr`).
 
     A frame built by `tensor_frames` has one factor per part, because the
     trace of a Kronecker product is the product of the traces; every other
@@ -338,6 +331,7 @@ class StructureCoefficients:
     factors: tuple
     frame_name: str
     e: np.ndarray
+    kind: str
     gram_roots: tuple | None = None
 
     @property
@@ -445,7 +439,8 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
     coeffs = StructureCoefficients(  # an ill-conditioned Gram raises first
         gram_roots=_gram_roots([f.ops for f, _ in parts], tol),
         factors=tuple(_factor_tensor(f.ops, g.ops, tol) for f, g in parts),
-        frame_name=frame.name, e=np.einsum("jaa->j", frame.ops).real)
+        frame_name=frame.name, e=np.einsum("jaa->j", frame.ops).real,
+        kind=frame.kind)
     frame._coeffs[dual] = coeffs
     return coeffs
 
@@ -458,7 +453,7 @@ def classical_structure_coeffs(n: int) -> StructureCoefficients:
     idx = np.arange(n)
     eta[idx, idx, idx] = 1.0
     return StructureCoefficients(factors=(eta,), frame_name=f"classical:{n}",
-                                 e=np.ones(n))
+                                 e=np.ones(n), kind=KIND_NQ)
 
 
 def classical_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from .matcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    RANK_RTOL,
+    Spectrum,
     dagger,
     hermitian_eig,
     max_abs,
@@ -44,15 +44,16 @@ def projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def assert_density(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density operator."""
+def assert_density(rho: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+    """Check Hermiticity, unit trace and positivity of a density operator
+    and return the spectrum the check computed."""
     rho = np.asarray(rho, dtype=complex)
     spec = hermitian_eig(rho, tol)
     if abs(np.trace(rho) - 1.0) > tol:
         raise NotPSD(f"trace {np.trace(rho).real:.12f} != 1")
     if spec.values[0] < -tol:
         raise NotPSD(f"negative eigenvalue {spec.values[0]:.3e}")
-    return rho
+    return spec
 
 
 def assert_povm(effects, tol: float = DEFAULT_TOL):
@@ -149,8 +150,9 @@ def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
                           tol: float = DEFAULT_TOL) -> KrausChannel:
     """Kraus form of rho -> Tr_B[U (rho (x) beta) U^dag].
 
-    Ancilla eigenvalues below the rank cutoff are dropped, so pure ancillas
-    yield a minimal Kraus set.  Composite ordering is ancilla-fastest.
+    Ancilla eigenvalues below `rank_threshold` of the largest are dropped,
+    so pure ancillas yield a minimal Kraus set.  Composite ordering is
+    ancilla-fastest.
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
@@ -162,16 +164,15 @@ def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
         raise BadAncilla(f"ancilla dimension {d_b} does not divide {n}")
     d_a = n // d_b
     try:
-        assert_density(beta, tol)
+        spec = assert_density(beta, tol)
     except Exception as exc:
         raise BadAncilla(f"ancilla is not a density operator: {exc}") from exc
-    vals, vecs = np.linalg.eigh(beta)
+    thr = rank_threshold(spec.values[-1])
     u4 = u.reshape(d_a, d_b, d_a, d_b)
     kraus = []
-    for lam, j in zip(vals, range(d_b)):
-        if lam <= RANK_RTOL:
+    for lam, b in zip(spec.values, spec.vectors.T):
+        if lam < thr:
             continue
-        b = vecs[:, j]
         for i in range(d_b):
             # (1 (x) <i|) U (1 (x) |b_j>), weighted by sqrt(lambda_j)
             kraus.append(np.sqrt(lam) * np.einsum("asb,b->as", u4[:, i, :, :], b))
@@ -211,34 +212,32 @@ def petz_hilbert(channel: KrausChannel, prior: np.ndarray,
 
     A rank-deficient posterior is escaped by mixing the prior with the
     maximally mixed state at weight `eps` (reported on the result); with
-    eps = 0 it raises SingularPosterior instead.
+    eps = 0 it raises SingularPosterior instead.  Each matrix is factored
+    once: the prior by `assert_density`, whose eigenvectors the mixed prior
+    shares, and each posterior by the `psd_sqrt` that also says whether it
+    is deficient.
     """
-    prior = assert_density(prior, tol)
+    spec = assert_density(prior, tol)
     d = channel.d
-
-    def deficient(p):
-        w = hermitian_eig(p, tol).values
-        return w[0] < rank_threshold(w[-1])
-
-    post = channel.apply(prior)
+    inv_root, deficient = psd_sqrt(channel.apply(prior), tol, inverse=True,
+                                   singular="support")
     eps_used = 0.0
-    if deficient(post):
+    if deficient:
         if eps <= 0.0:
             raise SingularPosterior(
                 "posterior is rank-deficient and regularization is disabled")
-        prior = (1 - eps) * prior + eps * np.eye(d) / d
-        post = channel.apply(prior)
+        mixed = (1 - eps) * np.asarray(prior, dtype=complex) + eps * np.eye(d) / d
+        spec = Spectrum((1 - eps) * spec.values + eps / d, spec.vectors)
+        # channels that erase whole directions keep a posterior kernel for
+        # any prior; the inverse root is then taken on the support
+        inv_root, deficient = psd_sqrt(channel.apply(mixed), tol, inverse=True,
+                                       singular="support")
         eps_used = eps
-    # channels that erase whole directions keep a posterior kernel for any
-    # prior; fall back to the inverse root on the support there
-    support_projected = deficient(post)
     return PetzMap(base=channel,
-                   sqrt_prior=psd_sqrt(prior, tol),
-                   inv_sqrt_post=psd_sqrt(post, tol, inverse=True,
-                                          singular="support"
-                                          if support_projected else "error"),
+                   sqrt_prior=spec.power(0.5, tol)[0],
+                   inv_sqrt_post=inv_root,
                    eps_used=eps_used,
-                   support_projected=support_projected)
+                   support_projected=deficient)
 
 
 # --- built-in gate catalog ---------------------------------------------------

@@ -4,10 +4,14 @@ Everything here operates on plain numpy arrays (complex for Hilbert-space
 operators, real for quasiprobability objects) sized for Hilbert dimension
 d <= 8, i.e. at most 64x64 on the quasiprobability side.
 
-Every matrix power is taken by one Hermitian eigendecomposition.  The
-state-side matrices of frames whose Gram is not a multiple of the identity
-are not symmetric; `qprcore.state_power` makes them so by a similarity
-through the frame Gram before they reach `principal_power`.
+Every matrix power is taken by one Hermitian eigendecomposition and
+`Spectrum.power`, which holds the one rank policy: clamp roundoff
+negatives, give power zero below the relative rank threshold, refuse
+negative powers of rank-deficient spectra unless asked for the inverse
+on the support.  The state-side matrices of frames whose Gram is not a
+multiple of the identity are not symmetric; `qprcore.state_power`
+makes them so by a similarity through the frame Gram before they reach
+`principal_power`.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from .errors import (
     NotHermitian,
     NotPSD,
     Singular,
-    SingularForNegativePower,
-    SpectrumNotNonnegative,
 )
 
 # Default tolerances: hermiticity/PSD checks at 1e-10, cross-checks against
@@ -73,6 +75,29 @@ class Spectrum:
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ dagger(self.vectors)
 
+    def power(self, r: float, tol: float = DEFAULT_TOL, *,
+              singular: str = "error") -> tuple[np.ndarray, bool]:
+        """(matrix^r, deficient) for a nonnegative spectrum.
+
+        Eigenvalues in [-tol, 0) are clamped to zero, and those below
+        `rank_threshold` of the largest get power zero (the power on the
+        support); `deficient` says whether any did.  Raises NotPSD below
+        -tol, and Singular for a negative power of a deficient spectrum
+        unless singular="support" asks for the inverse on the support.
+        """
+        w = self.values
+        if w[0] < -tol:
+            raise NotPSD(f"smallest eigenvalue {w[0]:.3e} < -tol")
+        w = np.clip(w, 0.0, None)
+        thr = rank_threshold(w[-1])
+        keep = w >= thr
+        deficient = not bool(keep.all())
+        if r < 0 and deficient and singular != "support":
+            raise Singular(f"eigenvalue {w[0]:.3e} below rank threshold {thr:.3e}")
+        vals = np.where(keep, np.maximum(w, thr) ** r, 0.0)
+        v = self.vectors
+        return (v * vals) @ dagger(v), deficient
+
 
 def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
@@ -97,59 +122,29 @@ def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
 
 
 def psd_sqrt(h: np.ndarray, tol: float = DEFAULT_TOL, *,
-             inverse: bool = False, singular: str = "error") -> np.ndarray:
-    """Principal square root (or inverse square root) of a PSD matrix.
-
-    Eigenvalues in [-tol, 0) are clamped to zero, and those below the
-    relative rank threshold get root zero, as in `principal_power`, so a
-    pure state's root is its projector.  The inverse variant raises
-    Singular when an eigenvalue falls below the threshold, unless
-    singular="support" asks for the Moore-Penrose root on the support.
-    """
-    spec = hermitian_eig(h, tol)
-    w = spec.values
-    if w[0] < -tol:
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} < -tol")
-    w = np.clip(w, 0.0, None)
-    thr = rank_threshold(w[-1])
-    if inverse and w[0] < thr and singular != "support":
-        raise Singular(f"eigenvalue {w[0]:.3e} below rank threshold {thr:.3e}")
-    vals = np.where(w < thr, 0.0, np.maximum(w, thr) ** (-0.5 if inverse else 0.5))
-    v = spec.vectors
-    b = (v * vals) @ dagger(v)
-    return (b + dagger(b)) / 2
+             inverse: bool = False,
+             singular: str = "error") -> tuple[np.ndarray, bool]:
+    """(h^{1/2} or h^{-1/2}, deficient) of a PSD matrix by one
+    `hermitian_eig`, under the rank policy of `Spectrum.power`: a pure
+    state's root is its projector, and the inverse root of a deficient
+    matrix raises Singular unless singular="support"."""
+    return hermitian_eig(h, tol).power(-0.5 if inverse else 0.5, tol,
+                                       singular=singular)
 
 
 def principal_power(m: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
                     singular: str = "error") -> tuple[np.ndarray, bool]:
     """(m^r, deficient): the principal r-th power of a real symmetric
-    matrix with nonnegative spectrum, from one `hermitian_eig`.
+    matrix with nonnegative spectrum, by one `hermitian_eig` and
+    `Spectrum.power`, whose rank policy and errors it shares.
 
     Raises NotHermitian unless ||m - m^T||_max <= tol * max(||m||_max, 1).
-    Eigenvalues in [-tol, 0) are clamped to zero, and those below the rank
-    threshold get power zero (the power on the support); `deficient` says
-    whether any did.  ``singular`` controls negative powers of
-    rank-deficient input: "error" raises SingularForNegativePower,
-    "support" inverts on the support only.
     """
     m = _require_square(np.asarray(m, dtype=float))
     dev = max_abs(m - m.T)
     if dev > tol * max(max_abs(m), 1.0):
         raise NotHermitian(f"||M - M^T||_max = {dev:.3e} exceeds tol")
-    spec = hermitian_eig((m + m.T) / 2, tol)
-    w = spec.values
-    if w.min() < -tol:
-        raise SpectrumNotNonnegative(f"min eig = {w.min():.3e} < -tol")
-    w = np.clip(w, 0.0, None)
-    thr = rank_threshold(w.max())
-    keep = w >= thr
-    deficient = not bool(keep.all())
-    if r < 0 and deficient and singular == "error":
-        raise SingularForNegativePower(
-            f"min eigenvalue {w.min():.3e} below rank threshold {thr:.3e}")
-    vals = np.where(keep, np.maximum(w, thr) ** r, 0.0)
-    v = spec.vectors
-    return (v * vals) @ v.T, deficient
+    return hermitian_eig((m + m.T) / 2, tol).power(r, tol, singular=singular)
 
 
 def partial_trace_b(w: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotPSD,
-    RepMismatch,
-    SingularPosterior,
-    SingularState,
-)
+from .errors import DimensionMismatch, RepMismatch, SingularPosterior
 from .frames import (
     KIND_NQ,
     KIND_SP,
@@ -33,7 +27,7 @@ from .frames import (
 )
 from .matcore import (
     DEFAULT_TOL,
-    dagger,
+    hermitian_eig,
     max_abs,
     principal_power,
     rank_threshold,
@@ -200,15 +194,17 @@ class PetzQprResult:
         return self.extrapolation_dev is None or self.extrapolation_dev <= 1e-6
 
 
-def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs, kind: str = KIND_NQ,
-             eps: float = 1e-8, *, tol: float = DEFAULT_TOL) -> PetzQprResult:
+def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
+             kind: str | None = None, eps: float = 1e-8, *,
+             tol: float = DEFAULT_TOL) -> PetzQprResult:
     """Recovery matrix M_prior^{1/2} S_adj M_post^{-1/2} from
     quasiprobability data alone.
 
     `coeffs` holds the structure coefficients of the representation (the
     classical delta tensor reduces this to the classical Bayes inverse for
-    nonnegative priors).  The adjoint S_adj is `adjoint_qpr` of `kind`
-    with the Gram roots `coeffs` carries.
+    nonnegative priors).  The adjoint S_adj is `adjoint_qpr` of the kind
+    and the Gram roots `coeffs` carries; a `kind` that contradicts
+    `coeffs.kind` raises RepMismatch.
 
     A rank-deficient posterior matrix with eps = 0 raises
     SingularPosterior; otherwise the prior is mixed with the uniform vector
@@ -220,7 +216,10 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs, kind: str = KIND_NQ,
     n = v_prior.shape[0]
     if s.shape != (n, n) or coeffs.n != n:
         raise RepMismatch("channel matrix, prior and coefficients disagree in size")
-    adjoint = adjoint_qpr(s, kind, coeffs.gram_roots)
+    if kind not in (None, coeffs.kind):
+        raise RepMismatch(f"kind {kind!r} contradicts the coefficients of "
+                          f"{coeffs.frame_name!r}, whose kind is {coeffs.kind!r}")
+    adjoint = adjoint_qpr(s, coeffs.kind, coeffs.gram_roots)
 
     def recovery(v: np.ndarray) -> tuple[np.ndarray, bool]:
         # X(prior^{1/2}) adj X(post^{-1/2}); the inverse root is taken on
@@ -302,20 +301,12 @@ def m_power_check(v: np.ndarray, r: float, frame: Frame, dual: DualFrame,
 
     The left side builds alpha^r in Hilbert space from the reconstructed
     state and takes traces directly; the right side raises the
-    quasiprobability-side matrix to the r-th power.
+    quasiprobability-side matrix to the r-th power.  Both sides follow the
+    rank policy of `Spectrum.power`, so they agree on deficient states too.
     """
     if coeffs is None:
         coeffs = structure_coeffs(frame, dual, tol)
-    alpha = reconstruct_state(v, dual)
-    alpha = (alpha + dagger(alpha)) / 2
-    w, vec = np.linalg.eigh(alpha)
-    if w.min() < -tol:
-        raise NotPSD(f"reconstructed state has eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    if r < 0 and w.min() < rank_threshold(w.max()):
-        raise SingularState(
-            f"state has eigenvalue {w.min():.3e}; negative powers need full rank")
-    alpha_r = (vec * np.power(w, r)) @ dagger(vec)
+    alpha_r, _ = hermitian_eig(reconstruct_state(v, dual), tol).power(r, tol)
     lhs = np.einsum("iab,bc,jcd,da->ij", frame.ops, alpha_r, dual.ops,
                     alpha_r, optimize=True).real
     rhs = x_matrix(state_power(v, r, coeffs, tol)[0], coeffs)

@@ -59,7 +59,7 @@ def suite_frames(seed: int = 0) -> list[CheckResult]:
         out.append(CheckResult(f"frame-invariants-{name}",
                                max(rep.checks.values()), 1e-10))
     out.append(CheckResult("nqpr-dual-scaling-dw",
-                           max_abs(dw_g.ops - dw_f.c * dw_f.ops), 1e-12))
+                           max_abs(dw_g.ops - dw_f.d * dw_f.ops), 1e-12))
     out.append(CheckResult(
         "sic-dual-affine",
         max_abs(sp_g.ops + np.eye(2)[None, :, :] - 6 * sp_f.ops), 1e-12))
@@ -165,7 +165,7 @@ def suite_commute(seed: int = 0, cases: int = 200) -> list[CheckResult]:
             prior = hb.random_density(rng, 2, min_eig=0.05)
             s = qp.channel_to_qpr(channel, f, g)
             v = qp.state_to_qpr(prior, f)
-            lhs = qp.petz_qpr(s, v, xi, kind=f.kind).matrix
+            lhs = qp.petz_qpr(s, v, xi).matrix
             rhs = qp.channel_to_qpr(hb.petz_hilbert(channel, prior), f, g)
             worst = max(worst, max_abs(lhs - rhs))
         out.append(CheckResult(f"petz-commutes-{name}", worst, 1e-7))
@@ -178,7 +178,7 @@ def suite_commute(seed: int = 0, cases: int = 200) -> list[CheckResult]:
             s = qp.channel_to_qpr(hb.builtin_channel(gate), f, g)
             for prior in priors:
                 v = qp.state_to_qpr(prior, f)
-                worst = max(worst, max_abs(qp.petz_qpr(s, v, xi, kind=f.kind).matrix
+                worst = max(worst, max_abs(qp.petz_qpr(s, v, xi).matrix
                                            - s.T))
         out.append(CheckResult(f"unitary-retrodiction-{name}", worst, 1e-8))
 
@@ -187,7 +187,7 @@ def suite_commute(seed: int = 0, cases: int = 200) -> list[CheckResult]:
         gamma = hb.qubit_state(np.pi / 16, np.pi / 5, np.pi / 8)
         s = qp.channel_to_qpr(hb.builtin_channel("full_swap", ancilla=beta), f, g)
         v = qp.state_to_qpr(gamma, f)
-        shat = qp.petz_qpr(s, v, xi, kind=f.kind).matrix
+        shat = qp.petz_qpr(s, v, xi).matrix
         out.append(CheckResult(f"erasure-retrodiction-{name}",
                                max_abs(shat - v[:, None]), 1e-8))
 
@@ -199,7 +199,7 @@ def suite_commute(seed: int = 0, cases: int = 200) -> list[CheckResult]:
             prior = hb.random_density(rng3, 2, min_eig=0.05)
             s = qp.channel_to_qpr(channel, f, g)
             v = qp.state_to_qpr(prior, f)
-            shat = qp.petz_qpr(s, v, xi, kind=f.kind).matrix
+            shat = qp.petz_qpr(s, v, xi).matrix
             worst_fix = max(worst_fix, max_abs(shat @ (s @ v) - v))
             worst_cols = max(worst_cols, max_abs(shat.sum(axis=0) - 1.0))
         out.append(CheckResult(f"prior-fixed-point-{name}", worst_fix, 1e-8))
@@ -266,8 +266,7 @@ def suite_classical(seed: int = 0) -> list[CheckResult]:
         t /= t.sum(axis=0)
         p = rng.random(n) + 0.1
         p /= p.sum()
-        via_pipeline = qp.petz_qpr(t, p, fr.classical_structure_coeffs(n),
-                                   kind=fr.KIND_NQ).matrix
+        via_pipeline = qp.petz_qpr(t, p, fr.classical_structure_coeffs(n)).matrix
         worst = max(worst, max_abs(via_pipeline - qp.classical_bayes(t, p)))
     out.append(CheckResult("pipeline-agreement", worst, 1e-12))
 
@@ -325,7 +324,7 @@ def suite_counterexamples(seed: int = 0) -> list[CheckResult]:
         xi = fr.structure_coeffs(f, g)
         s = qp.channel_to_qpr(half_swap, f, g)
         v = qp.state_to_qpr(plus, f)
-        shat = qp.petz_qpr(s, v, xi, kind=f.kind).matrix
+        shat = qp.petz_qpr(s, v, xi).matrix
         out.append(CheckResult(f"half-swap-recovery-{name}",
                                max_abs(shat - expected[name]), 1e-8))
         scl = qp.classical_bayes(s, v)

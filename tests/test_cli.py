@@ -244,7 +244,6 @@ class TestPetzCommand:
         f, g = build_dw_qubit()
         doc = frame_to_dict(f, g)
         doc["kind"] = "custom"
-        doc["c"] = None
         path = tmp_path / "custom.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "petz.json"

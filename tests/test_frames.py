@@ -94,8 +94,8 @@ def test_builtin_frames_validate(builder):
 
 def test_nqpr_dual_is_scaled_frame():
     f, g = build_dw_qubit()
-    assert f.c == 2.0
-    np.testing.assert_allclose(g.ops, 2 * f.ops, atol=1e-15)
+    assert not hasattr(f, "c")  # the nq dual scale is always d
+    np.testing.assert_allclose(g.ops, f.d * f.ops, atol=1e-15)
 
 
 def test_sic_dual_affine_relation():
@@ -106,7 +106,7 @@ def test_sic_dual_affine_relation():
 class TestTensorFrames:
     def test_two_qubit_traces(self):
         f, _ = build_dw_qubits(2)
-        assert f.n == 16 and f.d == 4 and f.c == 4.0
+        assert f.n == 16 and f.d == 4 and f.kind == "nq"
         for op in f.ops:
             assert abs(np.trace(op) - 0.25) < 1e-14
 
@@ -134,7 +134,7 @@ class TestValidateFrame:
     def test_scaled_frame_fails(self):
         f, g = build_dw_qubit()
         bad_f = Frame(name="scaled", d=2, labels=f.labels, ops=1.01 * f.ops,
-                      kind="nq", c=2.0)
+                      kind="nq")
         bad_g = DualFrame(name="scaled", ops=1.01 * g.ops)
         report = validate_frame(bad_f, bad_g, tol=1e-10)
         assert not report.passed
@@ -203,8 +203,18 @@ class TestLoadFrame:
         f2, g2 = load_frame(doc)
         np.testing.assert_allclose(f2.ops, f.ops, atol=1e-15)
         np.testing.assert_allclose(g2.ops, g.ops, atol=1e-15)
-        assert f2.kind == "nq" and f2.c == 2.0
+        assert f2.kind == "nq" and "c" not in frame_to_dict(f2, g2)
         assert f2.labels == f.labels
+
+    @pytest.mark.parametrize("c", [2.0, None, 7.5])
+    def test_c_field_is_ignored(self, c):
+        # files written with the former nq scale field still load; the
+        # scale is d whatever the field says
+        f, g = build_dw_qubit()
+        doc = {**frame_to_dict(f, g), "c": c}
+        f2, g2 = load_frame(json.dumps(doc))
+        assert f2.kind == "nq" and not hasattr(f2, "c")
+        np.testing.assert_allclose(g2.ops, 2 * f2.ops, atol=1e-15)
 
     def test_bad_json(self):
         with pytest.raises(errors.ParseError):
@@ -241,7 +251,7 @@ class TestLoadFrame:
         (build_dw_qubit, "sp", "sp_dual_affine")])
     def test_false_kind_claim_fails(self, builder, claim, check):
         doc = frame_to_dict(*builder())
-        doc["kind"], doc["c"] = claim, None
+        doc["kind"] = claim
         with pytest.raises(errors.ValidationFailed) as exc:
             load_frame(doc)
         assert exc.value.check == check
@@ -354,7 +364,7 @@ class TestStructureCoeffs:
     def test_complex_residue_on_invalid_tensor_factor(self):
         f, g = build_dw_qubit()
         broken = Frame(name="broken", d=2, labels=f.labels,
-                       ops=f.ops + 0.1j * np.eye(2), kind="nq", c=2.0)
+                       ops=f.ops + 0.1j * np.eye(2), kind="nq")
         composite = tensor_frames([build_dw_qubit(), (broken, g)])
         assert len(composite[0].parts) == 2
         with pytest.raises(errors.ComplexResidue):

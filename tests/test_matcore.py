@@ -76,16 +76,16 @@ class TestHermitianEig:
 class TestPsdSqrt:
     def test_diagonal(self):
         np.testing.assert_allclose(
-            psd_sqrt(np.diag([4.0, 9.0]).astype(complex)),
+            psd_sqrt(np.diag([4.0, 9.0]).astype(complex))[0],
             np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_identity(self):
-        np.testing.assert_allclose(psd_sqrt(np.eye(3, dtype=complex)),
+        np.testing.assert_allclose(psd_sqrt(np.eye(3, dtype=complex))[0],
                                    np.eye(3), atol=1e-12)
 
     def test_diagonal_state(self):
         rho = np.diag([0.75, 0.25]).astype(complex)
-        np.testing.assert_allclose(psd_sqrt(rho),
+        np.testing.assert_allclose(psd_sqrt(rho)[0],
                                    np.diag([np.sqrt(3) / 2, 0.5]), atol=1e-12)
 
     def test_square_recovers_input(self):
@@ -93,12 +93,14 @@ class TestPsdSqrt:
         for _ in range(20):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             h = a @ a.conj().T
-            b = psd_sqrt(h, TOL)
+            b, deficient = psd_sqrt(h, TOL)
+            assert not deficient
             assert max_abs(b @ b - h) <= 10 * TOL * max(max_abs(h), 1.0)
 
     def test_clamps_numerical_negatives(self):
         h = np.diag([1.0, -1e-12]).astype(complex)
-        b = psd_sqrt(h, TOL)
+        b, deficient = psd_sqrt(h, TOL)
+        assert deficient
         np.testing.assert_allclose(b, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_not_psd(self):
@@ -111,7 +113,7 @@ class TestPsdSqrt:
 
     def test_inverse_variant(self):
         h = np.diag([4.0, 9.0]).astype(complex)
-        np.testing.assert_allclose(psd_sqrt(h, inverse=True),
+        np.testing.assert_allclose(psd_sqrt(h, inverse=True)[0],
                                    np.diag([0.5, 1 / 3]), atol=1e-12)
 
 
@@ -192,7 +194,7 @@ class TestPrincipalPower:
         assert max_abs(root @ root - m) < 1e-12
 
     def test_rejects_negative_spectrum(self):
-        with pytest.raises(errors.SpectrumNotNonnegative):
+        with pytest.raises(errors.NotPSD):
             principal_power(np.diag([1.0, -0.5]), 0.5)
 
     def test_rejects_nonsymmetric_input_as_not_hermitian(self):
@@ -202,7 +204,7 @@ class TestPrincipalPower:
             principal_power(rot, 0.5)
 
     def test_singular_negative_power(self):
-        with pytest.raises(errors.SingularForNegativePower):
+        with pytest.raises(errors.Singular):
             principal_power(np.diag([1.0, 0.0]), -0.5)
 
     def test_support_mode_inverts_on_support(self):
@@ -210,6 +212,45 @@ class TestPrincipalPower:
         out, deficient = principal_power(m, -0.5, singular="support")
         assert deficient
         np.testing.assert_allclose(out, np.diag([0.5, 0.0]), atol=1e-12)
+
+
+class TestSpectrumPower:
+    """`Spectrum.power` holds the one rank policy behind `psd_sqrt`,
+    `principal_power` and the Hilbert-side oracle."""
+
+    def test_psd_sqrt_and_principal_power_agree_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for rank in (1, 2, 4):
+            a = rng.normal(size=(4, rank))
+            m = a @ a.T
+            for r, inverse in ((0.5, False), (-0.5, True)):
+                want = principal_power(m, r, singular="support")
+                got = psd_sqrt(m, inverse=inverse, singular="support")
+                assert np.array_equal(got[0], want[0])
+                assert got[1] == want[1] == (rank < 4)
+
+    def test_one_error_per_violation(self):
+        for fn in (lambda m, r: principal_power(m, r),
+                   lambda m, r: psd_sqrt(m, inverse=r < 0),
+                   lambda m, r: hermitian_eig(m).power(r)):
+            with pytest.raises(errors.NotPSD):
+                fn(np.diag([1.0, -0.5]), 0.5)
+            with pytest.raises(errors.Singular):
+                fn(np.diag([1.0, 0.0]), -0.5)
+
+    def test_cut_eigenvalues_raise_no_floating_point_error(self):
+        # 0 ** -0.5 would divide by zero; the cut values never reach it
+        spec = hermitian_eig(np.diag([0.0, 1e-13, 4.0]))
+        with np.errstate(all="raise"):
+            out, deficient = spec.power(-0.5, singular="support")
+        assert deficient
+        np.testing.assert_array_equal(out, np.diag([0.0, 0.0, 0.5]))
+
+    def test_threshold_is_relative_to_the_largest_eigenvalue(self):
+        out, deficient = hermitian_eig(np.diag([2e-12, 1.0])).power(0.5)
+        assert not deficient and out[0, 0] == np.sqrt(2e-12)
+        out, deficient = hermitian_eig(np.diag([2e-12, 4.0])).power(0.5)
+        assert deficient and out[0, 0] == 0.0
 
 
 def sic_prior_and_posterior(seed):

@@ -424,6 +424,28 @@ class TestPetzQpr:
                 assert max_abs(adjoint_qpr(s, "custom", xi.gram_roots)
                                - s.T) > 1e-3
 
+    @pytest.mark.parametrize("frame", ["sic", "custom"])
+    def test_omitted_kind_meets_the_oracle(self, frame, custom_tetra):
+        # the coefficients carry the frame's kind, so a call without it
+        # takes the right adjoint rule
+        f, g = _frame_pair(frame, np.random.default_rng(17), custom_tetra)
+        coeffs = structure_coeffs(f, g)
+        assert coeffs.kind == f.kind
+        ch = builtin_channel("half_swap")
+        prior = qubit_state(0.4, 1.1, 0.3)
+        result = petz_qpr(channel_to_qpr(ch, f, g), state_to_qpr(prior, f),
+                          coeffs)
+        oracle = channel_to_qpr(petz_hilbert(ch, prior), f, g)
+        assert max_abs(result.matrix - oracle) < ORACLE_TOL
+
+    def test_kind_contradicting_the_coefficients_raises(self, dw):
+        f, g = dw
+        s = channel_to_qpr(builtin_channel("half_swap"), f, g)
+        v = state_to_qpr(qubit_state(0.4, 1.1, 0.3), f)
+        with pytest.raises(errors.RepMismatch):
+            petz_qpr(s, v, structure_coeffs(f, g), kind="sp")
+        assert classical_structure_coeffs(4).kind == "nq"
+
     def test_classical_delta_coefficients_reduce_to_bayes(self):
         rng = np.random.default_rng(5)
         t = rng.random((3, 3)) + 0.1
@@ -453,7 +475,8 @@ def test_product_frame_recovery_stays_factored(n_qubits, monkeypatch):
     oracle = channel_to_qpr(petz_hilbert(channel, prior), f, g)
     assert result.eps_used == 0.0
     assert max_abs(result.matrix - oracle) < ORACLE_TOL
-    assert set(vars(coeffs)) == {"factors", "frame_name", "e", "gram_roots"}
+    assert set(vars(coeffs)) == {"factors", "frame_name", "e", "kind",
+                                 "gram_roots"}
     assert coeffs.gram_roots is None  # the dw Gram is a multiple of 1
     stored = [*coeffs.factors, coeffs.e, *(coeffs.gram_roots or ())]
     assert sum(t.nbytes for t in stored) < 2 ** 20
@@ -795,7 +818,7 @@ class TestMPowerCheck:
     def test_singular_state_negative_power(self, dw):
         f, g = dw
         v = state_to_qpr(projector(KET0), f)
-        with pytest.raises(errors.SingularState):
+        with pytest.raises(errors.Singular):
             m_power_check(v, -0.5, f, g)
 
     def test_pure_state_half_power(self, dw, sic):
@@ -803,6 +826,13 @@ class TestMPowerCheck:
         for f, g in (dw, sic):
             v = state_to_qpr(projector(KET_PLUS), f)
             assert m_power_check(v, 0.5, f, g).max_dev < 1e-10
+
+    def test_near_pure_state_half_power(self, dw, sic):
+        # an eigenvalue of 1e-14 is below the rank threshold: both sides
+        # give it root zero, rather than one side keeping its root 1e-7
+        rho = qubit_state(np.arcsin(1e-7), 0.7, 0.3)
+        for f, g in (dw, sic):
+            assert m_power_check(state_to_qpr(rho, f), 0.5, f, g).max_dev < 1e-12
 
     def test_invalid_vector_rejected(self, dw):
         f, g = dw
