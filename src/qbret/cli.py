@@ -7,15 +7,13 @@ Hilbert-side cross-check), verify (seeded identity sweeps), compare
 (DOT/SVG transition graphs).
 
 Exit codes: 0 success, 1 validation or verification failure, 2 usage or
-parse errors.  The QBRET_TOL environment variable overrides the default
-numerical tolerance.
+parse errors.  `--tol` sets the numerical tolerance (default 1e-10).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -414,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbret",
         description="Quantum Bayesian retrodiction in quasiprobability "
                     "representations")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="numerical tolerance (default 1e-10, or QBRET_TOL)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="numerical tolerance (default 1e-10)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("frame", help="build or validate a frame")
@@ -483,11 +481,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("QBRET_TOL", DEFAULT_TOL))
     try:
-        return _COMMANDS[args.command](args, tol)
+        return _COMMANDS[args.command](args, args.tol)
     except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -193,11 +193,11 @@ def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
-                   n_random: int = 20, seed: int = 0) -> FrameReport:
+                   seed: int = 0) -> FrameReport:
     """Check every frame/dual invariant and report the max violation each.
 
     The sum-trace reconstruction property is probed on the pair (1, 1) and
-    on `n_random` seeded random Hermitian pairs.
+    on 20 seeded random Hermitian pairs.
     """
     f, g = frame.ops, dual.ops
     d, n = frame.d, frame.n
@@ -213,7 +213,7 @@ def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
     rng = np.random.default_rng(seed)
     pairs = [(np.eye(d, dtype=complex), np.eye(d, dtype=complex))]
     pairs += [(_random_hermitian(rng, d), _random_hermitian(rng, d))
-              for _ in range(n_random)]
+              for _ in range(20)]
     worst = 0.0
     for a, b in pairs:
         lhs = np.einsum("jab,ba->j", f, a) @ np.einsum("jcd,dc->j", g, b)

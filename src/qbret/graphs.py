@@ -49,12 +49,10 @@ class TransitionGraph:
 
 @dataclass(frozen=True)
 class GraphOptions:
-    """Emission options: an extra weight cutoff, a symmetric colormap
-    half-range (auto-scaled to the largest |weight| when None), and the
-    node label style ("name" keeps the provided labels, "index" numbers
-    them)."""
+    """Emission options: a symmetric colormap half-range (auto-scaled to
+    the largest |weight| when None) and the node label style ("name" keeps
+    the provided labels, "index" numbers them)."""
 
-    cutoff: float | None = None
     bounds: float | None = None
     label_style: str = "name"
 
@@ -67,70 +65,47 @@ def _as_labels(labels, n: int, prefix: str) -> tuple:
     return tuple(str(l) for l in labels)
 
 
-def _edges_from_matrix(s: np.ndarray, cutoff: float) -> tuple:
-    edges = []
+def _graph(s: np.ndarray, bubbles: np.ndarray, labels, cutoff: float,
+           direction: str) -> TransitionGraph:
+    # s[right, left] is the weight of the edge between input `left` and
+    # output `right`; the bubbles sit on the side the arrows point to
+    s = np.asarray(s, dtype=float)
     n = s.shape[0]
-    for left in range(n):
-        for right in range(n):
-            w = float(s[right, left])
-            if abs(w) > cutoff:
-                edges.append((left, right, w))
-    return tuple(edges)
+    if s.shape != (n, n):
+        raise RepMismatch(f"expected a square matrix, got {s.shape}")
+    bubbles = np.asarray(bubbles, dtype=float)
+    if bubbles.shape != (n,):
+        raise RepMismatch(
+            f"bubble vector of length {bubbles.shape} for matrix of size {n}")
+    edges = tuple((left, right, float(s[right, left]))
+                  for left in range(n) for right in range(n)
+                  if abs(s[right, left]) > cutoff)
+    bubbles = tuple(float(x) for x in bubbles)
+    return TransitionGraph(
+        in_labels=_as_labels(labels, n, "a"),
+        out_labels=_as_labels(labels, n, "a'"),
+        edges=edges,
+        direction=direction,
+        in_bubbles=bubbles if direction == RETRODICTIVE else None,
+        out_bubbles=bubbles if direction == FORWARD else None,
+    )
 
 
 def forward_graph(s: np.ndarray, v_unif_image: np.ndarray, labels=None,
                   cutoff: float = DEFAULT_CUTOFF) -> TransitionGraph:
     """Graph of a forward channel matrix with output bubbles carrying the
     image of the maximally mixed state (callers pass S @ uniform)."""
-    s = np.asarray(s, dtype=float)
-    n = s.shape[0]
-    if s.shape != (n, n):
-        raise RepMismatch(f"expected a square matrix, got {s.shape}")
-    v_unif_image = np.asarray(v_unif_image, dtype=float)
-    if v_unif_image.shape != (n,):
-        raise RepMismatch(
-            f"bubble vector of length {v_unif_image.shape} for matrix of size {n}")
-    names = _as_labels(labels, n, "a")
-    out_names = _as_labels(labels, n, "a'") if labels is not None \
-        else tuple(f"a'{j}" for j in range(n))
-    return TransitionGraph(
-        in_labels=names,
-        out_labels=out_names,
-        edges=_edges_from_matrix(s, cutoff),
-        direction=FORWARD,
-        out_bubbles=tuple(float(x) for x in v_unif_image),
-    )
+    return _graph(s, v_unif_image, labels, cutoff, FORWARD)
 
 
 def retro_graph(s_hat: np.ndarray, v_prior: np.ndarray, labels=None,
                 cutoff: float = DEFAULT_CUTOFF) -> TransitionGraph:
     """Graph of a retrodiction matrix: arrows run from the output side back
-    to the input side and the input bubbles carry the reference prior."""
-    s_hat = np.asarray(s_hat, dtype=float)
-    n = s_hat.shape[0]
-    if s_hat.shape != (n, n):
-        raise RepMismatch(f"expected a square matrix, got {s_hat.shape}")
-    v_prior = np.asarray(v_prior, dtype=float)
-    if v_prior.shape != (n,):
-        raise RepMismatch(
-            f"bubble vector of length {v_prior.shape} for matrix of size {n}")
-    names = _as_labels(labels, n, "a")
-    out_names = _as_labels(labels, n, "a'") if labels is not None \
-        else tuple(f"a'{j}" for j in range(n))
-    # s_hat[a, a']: retrodicted input a (left) given observed output a' (right)
-    edges = []
-    for right in range(n):
-        for left in range(n):
-            w = float(s_hat[left, right])
-            if abs(w) > cutoff:
-                edges.append((left, right, w))
-    return TransitionGraph(
-        in_labels=names,
-        out_labels=out_names,
-        edges=tuple(edges),
-        direction=RETRODICTIVE,
-        in_bubbles=tuple(float(x) for x in v_prior),
-    )
+    to the input side and the input bubbles carry the reference prior.
+    s_hat[a, a'] is the retrodicted input a (left) given the observed
+    output a' (right)."""
+    return _graph(np.asarray(s_hat, dtype=float).T, v_prior, labels, cutoff,
+                  RETRODICTIVE)
 
 
 def _lerp(a, b, t: float) -> tuple:
@@ -145,12 +120,6 @@ def diverging_color(value: float, half_range: float) -> str:
         t = max(-1.0, min(1.0, value / half_range))
     rgb = _lerp(_ZERO, _WARM, t) if t >= 0 else _lerp(_ZERO, _COOL, -t)
     return "#{:02x}{:02x}{:02x}".format(*(int(round(c)) for c in rgb))
-
-
-def _visible_edges(g: TransitionGraph, opts: GraphOptions) -> list:
-    cut = opts.cutoff
-    edges = [e for e in g.edges if cut is None or abs(e[2]) > cut]
-    return sorted(edges, key=lambda e: (e[0], e[1]))
 
 
 def _half_range(values, override: float | None) -> float:
@@ -177,7 +146,7 @@ def _label(g: TransitionGraph, side: str, idx: int, opts: GraphOptions) -> str:
 def emit_dot(g: TransitionGraph, opts: GraphOptions = GraphOptions()) -> str:
     """Deterministic DOT text: two same-rank columns, dashed negative edges,
     diverging edge colors, bubble-tinted nodes."""
-    edges = _visible_edges(g, opts)
+    edges = sorted(g.edges, key=lambda e: (e[0], e[1]))
     w_max = _half_range([e[2] for e in edges], opts.bounds)
     bubbles = {"in": g.in_bubbles, "out": g.out_bubbles}
     b_vals = [v for side in bubbles.values() if side is not None for v in side]
@@ -220,7 +189,7 @@ _LEGEND_STEPS = 32
 def emit_svg(g: TransitionGraph, opts: GraphOptions = GraphOptions()) -> str:
     """Self-contained SVG with the same semantics as the DOT output plus a
     diverging color legend spanning [-w_max, +w_max]."""
-    edges = _visible_edges(g, opts)
+    edges = sorted(g.edges, key=lambda e: (e[0], e[1]))
     w_max = _half_range([e[2] for e in edges], opts.bounds)
     bubbles = {"in": g.in_bubbles, "out": g.out_bubbles}
     b_vals = [v for side in bubbles.values() if side is not None for v in side]

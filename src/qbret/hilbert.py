@@ -28,7 +28,6 @@ from .matcore import (
     dagger,
     hermitian_eig,
     max_abs,
-    partial_trace_b,
     psd_sqrt,
     rank_threshold,
 )

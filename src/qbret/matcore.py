@@ -1,17 +1,18 @@
 """Dense matrix arithmetic for small Hilbert/quasiprobability dimensions.
 
 Everything here operates on plain numpy arrays (complex for Hilbert-space
-operators, real for quasiprobability objects) sized for Hilbert dimension
-d <= 8, i.e. at most 64x64 on the quasiprobability side.
+operators, real for quasiprobability objects).  Matrices are dense and
+small: the quasiprobability side of a frame is n x n with n = d^2, and
+n = 256 (dw-qubits:4) is the largest size run so far.
 
 Every matrix power is taken by one Hermitian eigendecomposition and
 `Spectrum.power`, which holds the one rank policy: clamp roundoff
 negatives, give power zero below the relative rank threshold, refuse
 negative powers of rank-deficient spectra unless asked for the inverse
 on the support.  The state-side matrices of frames whose Gram is not a
-multiple of the identity are not symmetric; `qprcore.state_power`
+multiple of the identity are not symmetric; `qprcore.state_matrix`
 makes them so by a similarity through the frame Gram before they reach
-`principal_power`.
+`symmetric_eig`.
 """
 
 from __future__ import annotations
@@ -132,11 +133,8 @@ def psd_sqrt(h: np.ndarray, tol: float = DEFAULT_TOL, *,
                                        singular=singular)
 
 
-def principal_power(m: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
-                    singular: str = "error") -> tuple[np.ndarray, bool]:
-    """(m^r, deficient): the principal r-th power of a real symmetric
-    matrix with nonnegative spectrum, by one `hermitian_eig` and
-    `Spectrum.power`, whose rank policy and errors it shares.
+def symmetric_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+    """`hermitian_eig` of a real symmetric matrix, symmetrized first.
 
     Raises NotHermitian unless ||m - m^T||_max <= tol * max(||m||_max, 1).
     """
@@ -144,7 +142,14 @@ def principal_power(m: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
     dev = max_abs(m - m.T)
     if dev > tol * max(max_abs(m), 1.0):
         raise NotHermitian(f"||M - M^T||_max = {dev:.3e} exceeds tol")
-    return hermitian_eig((m + m.T) / 2, tol).power(r, tol, singular=singular)
+    return hermitian_eig((m + m.T) / 2, tol)
+
+
+def principal_power(m: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
+                    singular: str = "error") -> tuple[np.ndarray, bool]:
+    """(m^r, deficient) of a real symmetric matrix with nonnegative
+    spectrum: `Spectrum.power` of `symmetric_eig`, whose errors it shares."""
+    return symmetric_eig(m, tol).power(r, tol, singular=singular)
 
 
 def partial_trace_b(w: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -27,10 +27,12 @@ from .frames import (
 )
 from .matcore import (
     DEFAULT_TOL,
+    Spectrum,
     hermitian_eig,
     max_abs,
     principal_power,
     rank_threshold,
+    symmetric_eig,
 )
 
 # Smaller regularization weights are floored to this, and the weight used
@@ -111,37 +113,47 @@ def x_matrix(v: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
     return left.real @ left.real + left.imag @ left.imag
 
 
+def state_matrix(v: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
+    """J = Re `coeffs.left(v)`, the matrix of rho -> (alpha rho + rho alpha)/2
+    for alpha reconstructed from v, as the symmetric Q^{-1/2} J Q^{1/2} if
+    `coeffs` carries Gram roots.  J maps each eigenprojector of alpha to its
+    eigenvalue times itself; its spectrum {(l_a + l_b)/2} keeps alpha's
+    conditioning, which X(v) squares."""
+    j = coeffs.left(v).real
+    if coeffs.gram_roots is None:
+        return j
+    half, inv_half = coeffs.gram_roots
+    return inv_half @ j @ half
+
+
+def state_vector(p: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
+    """Vector of alpha^r = J^r e (e = `coeffs.e`) from a power p of
+    `state_matrix`: p e, or Q^{1/2} p Q^{-1/2} e through the Gram roots."""
+    if coeffs.gram_roots is None:
+        return p @ coeffs.e
+    half, inv_half = coeffs.gram_roots
+    return half @ (p @ (inv_half @ coeffs.e))
+
+
 def state_power(v: np.ndarray, r: float, coeffs: StructureCoefficients,
                 tol: float = DEFAULT_TOL, *,
                 singular: str = "error") -> tuple[np.ndarray, bool]:
-    """(vector of alpha^r, deficient) for the state alpha reconstructed from v.
-
-    J = Re `coeffs.left(v)`, the matrix of rho -> (alpha rho + rho alpha)/2,
-    maps each eigenprojector of alpha to its eigenvalue times itself, so
-    J^r e = alpha^r for e = `coeffs.e`.  Its spectrum {(l_a + l_b)/2} keeps
-    alpha's conditioning, which X(v) squares.  The power goes through the
-    Gram similarity `coeffs` carries, if any (see StructureCoefficients);
-    `singular` and `deficient` are those of `principal_power`.
-    """
-    j, roots = coeffs.left(v).real, coeffs.gram_roots
-    if roots is None:
-        p, deficient = principal_power(j, r, tol, singular=singular)
-        return p @ coeffs.e, deficient
-    half, inv_half = roots
-    p, deficient = principal_power(inv_half @ j @ half, r, tol, singular=singular)
-    return half @ (p @ (inv_half @ coeffs.e)), deficient
+    """(vector of alpha^r, deficient): the `principal_power` of
+    `state_matrix`, mapped back by `state_vector`."""
+    p, deficient = principal_power(state_matrix(v, coeffs), r, tol,
+                                   singular=singular)
+    return state_vector(p, coeffs), deficient
 
 
-def k_matrix(s: np.ndarray, d: int | None = None) -> np.ndarray:
-    """Rank-one correction K[i, j] = (sum_a S[j, a] - 1) / d, identical rows.
+def k_matrix(s: np.ndarray) -> np.ndarray:
+    """Rank-one correction K[i, j] = (sum_a S[j, a] - 1) / sqrt(n), identical
+    rows.
 
     Vanishes exactly when S is quasi-bistochastic (unital channel).
     """
     s = np.asarray(s, dtype=float)
     n = s.shape[0]
-    if d is None:
-        d = int(round(np.sqrt(n)))
-    row = (s.sum(axis=1) - 1.0) / d
+    row = (s.sum(axis=1) - 1.0) / int(round(np.sqrt(n)))
     return np.tile(row, (n, 1))
 
 
@@ -220,18 +232,23 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
         raise RepMismatch(f"kind {kind!r} contradicts the coefficients of "
                           f"{coeffs.frame_name!r}, whose kind is {coeffs.kind!r}")
     adjoint = adjoint_qpr(s, coeffs.kind, coeffs.gram_roots)
+    # mixing with the uniform vector at weight w maps J to (1-w) J + (w/d) 1,
+    # d = Tr 1 = sum(e), so every mixed prior shares the prior's eigenvectors
+    prior = symmetric_eig(state_matrix(v_prior, coeffs), tol)
+    d, u = coeffs.e.sum(), uniform_vector(n)
 
-    def recovery(v: np.ndarray) -> tuple[np.ndarray, bool]:
-        # X(prior^{1/2}) adj X(post^{-1/2}); the inverse root is taken on
-        # the support of a rank-deficient posterior, and the same
-        # factorization says whether it was
-        inv_root, deficient = state_power(s @ v, -0.5, coeffs, tol,
-                                          singular="support")
-        root, _ = state_power(v, 0.5, coeffs, tol)
+    def recovery(w: float) -> tuple[np.ndarray, bool]:
+        # X(prior^{1/2}) adj X(post^{-1/2}) for the prior mixed at weight w;
+        # the inverse root is taken on the support of a rank-deficient
+        # posterior, and the same factorization says whether it was
+        inv_root, deficient = state_power(s @ ((1 - w) * v_prior + w * u), -0.5,
+                                          coeffs, tol, singular="support")
+        mixed = Spectrum((1 - w) * prior.values + w / d, prior.vectors)
+        root = state_vector(mixed.power(0.5, tol)[0], coeffs)
         return (x_matrix(root, coeffs) @ adjoint
                 @ x_matrix(inv_root, coeffs)), deficient
 
-    support, deficient = recovery(v_prior)
+    support, deficient = recovery(0.0)
     if not deficient:
         return PetzQprResult(matrix=support)
     if eps <= 0.0:
@@ -239,12 +256,10 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
             "posterior matrix is rank-deficient and regularization is disabled")
 
     eps_used = max(eps, QPR_EPS_FLOOR)
-    u = uniform_vector(n)
-    primary, projected = recovery((1 - eps_used) * v_prior + eps_used * u)
+    primary, projected = recovery(eps_used)
     extrapolation_dev = None
     if not projected:
-        probe, _ = recovery((1 - eps_used / 10) * v_prior + eps_used / 10 * u)
-        extrapolation_dev = max_abs(primary - probe)
+        extrapolation_dev = max_abs(primary - recovery(eps_used / 10)[0])
     return PetzQprResult(
         matrix=primary,
         eps_used=eps_used,

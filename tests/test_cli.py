@@ -82,7 +82,7 @@ class TestFrameCommand:
     def test_unknown_kind_exits_2(self):
         assert main(["frame", "--kind", "heptagon"]) == 2
 
-    def test_tolerance_env_override(self, tmp_path, monkeypatch):
+    def test_tolerance_option(self, tmp_path):
         f, g = build_dw_qubit()
         doc = frame_to_dict(f, g)
         doc["F"] = [[[[(1 + 1e-6) * z[0], (1 + 1e-6) * z[1]] for z in row]
@@ -90,8 +90,7 @@ class TestFrameCommand:
         path = tmp_path / "near.json"
         path.write_text(json.dumps(doc))
         assert main(["frame", "--frame", str(path)]) == 1
-        monkeypatch.setenv("QBRET_TOL", "1e-3")
-        assert main(["frame", "--frame", str(path),
+        assert main(["--tol", "1e-3", "frame", "--frame", str(path),
                      "--out", str(tmp_path / "ok.json")]) == 0
 
 

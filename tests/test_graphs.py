@@ -123,8 +123,8 @@ class TestEmitDot:
         assert solid == len(graph.edges) - negatives
 
     def test_overwhelming_cutoff_empties_graph(self):
-        g = forward_graph(np.eye(4), uniform_vector(4))
-        text = emit_dot(g, GraphOptions(cutoff=1.1))
+        g = forward_graph(np.eye(4), uniform_vector(4), cutoff=1.1)
+        text = emit_dot(g)
         assert "->" not in text
 
     def test_deterministic(self, retro_half_swap):

@@ -17,6 +17,7 @@ from qbret.matcore import (
     principal_power,
     psd_sqrt,
     rank_threshold,
+    symmetric_eig,
 )
 
 TOL = 1e-10
@@ -197,11 +198,14 @@ class TestPrincipalPower:
         with pytest.raises(errors.NotPSD):
             principal_power(np.diag([1.0, -0.5]), 0.5)
 
-    def test_rejects_nonsymmetric_input_as_not_hermitian(self):
+    @pytest.mark.parametrize("factor", [
+        lambda m: principal_power(m, 0.5), symmetric_eig],
+        ids=["principal_power", "symmetric_eig"])
+    def test_rejects_nonsymmetric_input_as_not_hermitian(self, factor):
         # a rotation has a complex spectrum, but the symmetry test comes first
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         with pytest.raises(errors.NotHermitian):
-            principal_power(rot, 0.5)
+            factor(rot)
 
     def test_singular_negative_power(self):
         with pytest.raises(errors.Singular):

@@ -26,7 +26,13 @@ from qbret.hilbert import (
     random_density,
     random_unitary,
 )
-from qbret.matcore import ORACLE_TOL, max_abs, rank_threshold
+from qbret.matcore import (
+    ORACLE_TOL,
+    Spectrum,
+    max_abs,
+    rank_threshold,
+    symmetric_eig,
+)
 from qbret.qprcore import (
     QPR_EPS_FLOOR,
     adjoint_qpr,
@@ -38,8 +44,10 @@ from qbret.qprcore import (
     petz_qpr,
     povm_to_qpr,
     reconstruct_state,
+    state_matrix,
     state_power,
     state_to_qpr,
+    state_vector,
     uniform_vector,
     x_matrix,
 )
@@ -278,7 +286,7 @@ class TestAdjoint:
     def test_half_swap_correction_rows(self, sic):
         f, g = sic
         s = channel_to_qpr(builtin_channel("half_swap"), f, g)
-        k = k_matrix(s, 2)
+        k = k_matrix(s)
         expected_row = np.array([-1, 1, -1, 1]) / (4 * SQ3)
         for row in k:
             np.testing.assert_allclose(row, expected_row, atol=1e-12)
@@ -292,7 +300,7 @@ class TestAdjoint:
     def test_k_rows_identical_and_tied_to_row_sums(self, dw):
         f, g = dw
         s = channel_to_qpr(builtin_channel("full_swap"), f, g)
-        k = k_matrix(s, 2)
+        k = k_matrix(s)
         assert max_abs(k - k[0][None, :]) == 0.0
         np.testing.assert_allclose(k[0], (s.sum(axis=1) - 1) / 2, atol=1e-15)
 
@@ -583,7 +591,8 @@ class TestRankDeficient:
 class TestFactorizationCount:
     """Each matrix root factors its matrix once, by eigh: the SIC roots go
     through the frame Gram, so a full-rank SIC recovery runs two eigh calls,
-    as a dw recovery does.  The scipy counters stay at zero because no
+    as a dw recovery does, and a regularized one factors the prior once for
+    every weight it tries.  The scipy counters stay at zero because no
     qbret module imports scipy (`TestImportCost` in test_cli.py)."""
 
     @staticmethod
@@ -626,6 +635,60 @@ class TestFactorizationCount:
     def test_dw_runs_no_schur_form(self, dw, monkeypatch):
         assert self._count_petz(dw, monkeypatch) == {
             "schur": 0, "fractional_matrix_power": 0, "eigvals": 0, "eigh": 2}
+
+    @pytest.mark.parametrize("frame", ["dw", "sic", "custom"])
+    @pytest.mark.parametrize("case, eigh", [
+        ("regularized", 4), ("support-projected", 3)])
+    def test_prior_is_factored_once(self, frame, case, eigh, custom_tetra,
+                                    monkeypatch):
+        # one eigh for the prior and one per posterior root: the support
+        # route, the eps primary and (unless support-projected) the eps/10
+        # probe all take the prior's root from the same spectrum; the
+        # full-rank count (2) is pinned by the two tests above
+        rng = np.random.default_rng(9)
+        f, g = _frame_pair(frame, rng, custom_tetra)
+        if case == "regularized":
+            prior = projector(random_unitary(rng, 2)[:, 0])
+            channel = KrausChannel.from_unitary(random_unitary(rng, 2))
+        else:
+            prior = random_density(rng, 2)
+            channel = builtin_channel(
+                "full_swap", ancilla=projector(random_unitary(rng, 2)[:, 0]))
+        s, v = channel_to_qpr(channel, f, g), state_to_qpr(prior, f)
+        coeffs = structure_coeffs(f, g)
+        real, calls = np.linalg.eigh, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        result = petz_qpr(s, v, coeffs)
+        monkeypatch.undo()
+        assert result.eps_used == QPR_EPS_FLOOR
+        assert result.support_projected == (case == "support-projected")
+        assert len(calls) == eigh
+
+    @pytest.mark.parametrize("frame", ["dw", "sic", "custom", "dw3",
+                                       "classical"])
+    def test_shifted_spectrum_is_the_mixed_prior_root(self, frame,
+                                                      custom_tetra):
+        # J((1-w) v + w u) = (1-w) J(v) + (w/d) 1 with d = sum(e), through
+        # the Gram similarity too, so shifting the pure prior's spectrum
+        # gives the root of the mixed prior
+        rng = np.random.default_rng(10)
+        if frame == "classical":
+            coeffs, v = classical_structure_coeffs(4), np.eye(4)[1]
+        else:
+            f, g = _frame_pair(frame, rng, custom_tetra)
+            coeffs = structure_coeffs(f, g)
+            v = state_to_qpr(projector(random_unitary(rng, f.d)[:, 0]), f)
+        prior = symmetric_eig(state_matrix(v, coeffs))
+        for w in (1e-5, 1e-6):
+            shifted = Spectrum((1 - w) * prior.values + w / coeffs.e.sum(),
+                               prior.vectors)
+            root = state_vector(shifted.power(0.5)[0], coeffs)
+            mixed = (1 - w) * v + w * uniform_vector(coeffs.n)
+            assert max_abs(root - state_power(mixed, 0.5, coeffs)[0]) < 1e-12
 
 
 def hilbert_power_matrix(alpha, r, f, g):
