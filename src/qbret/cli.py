@@ -143,10 +143,9 @@ def load_qpr_object(doc: dict) -> tuple[np.ndarray, str]:
 # --- frame selection ----------------------------------------------------------
 
 def resolve_frame(args, tol: float) -> tuple[fr.Frame, fr.DualFrame]:
-    if getattr(args, "frame", None):
-        pair = fr.load_frame(_read_json(args.frame), tol)
-        return pair
-    kind = getattr(args, "kind", None)
+    if args.frame:
+        return fr.load_frame(_read_json(args.frame), tol)
+    kind = args.kind
     if not kind:
         raise ParseError("need --frame PATH or --kind NAME")
     if kind == "dw-qubit":
@@ -160,22 +159,18 @@ def resolve_frame(args, tol: float) -> tuple[fr.Frame, fr.DualFrame]:
 
 
 def resolve_channel(args, tol: float) -> tuple[hb.KrausChannel, str]:
-    if getattr(args, "channel", None):
+    if args.channel:
         return load_channel_doc(_read_json(args.channel), tol)
-    if getattr(args, "builtin", None):
-        ancilla = parse_state_spec(args.ancilla) if args.ancilla else None
-        try:
-            return (hb.builtin_channel(args.builtin, ancilla, tol),
-                    f"builtin:{args.builtin}")
-        except KeyError as exc:
-            raise ParseError(str(exc)) from exc
+    if args.builtin:
+        return load_channel_doc({"kind": "builtin", "name": args.builtin,
+                                 "ancilla": args.ancilla or None}, tol)
     raise ParseError("need --channel PATH or --builtin NAME")
 
 
 def resolve_prior(args) -> np.ndarray:
-    if getattr(args, "prior", None):
+    if args.prior:
         return load_state_doc(_read_json(args.prior))
-    if getattr(args, "angles", None):
+    if args.angles:
         return hb.qubit_state(*_parse_angles(args.angles))
     raise ParseError("need --prior PATH or --angles w,t,p")
 
@@ -188,20 +183,23 @@ def _recover(s: np.ndarray, prior: np.ndarray, frame: fr.Frame,
                        fr.structure_coeffs(frame, dual, tol), eps=eps, tol=tol)
 
 
-def _oracle_gate(result: qp.PetzQprResult, channel: hb.KrausChannel,
-                 prior: np.ndarray, frame: fr.Frame, dual: fr.DualFrame,
-                 eps: float, tol: float) -> dict:
-    """Hold a recovery matrix to the Hilbert-space oracle.
-
-    Returns the deviation and the gate as output metadata, or raises
-    OracleMismatch (exit 1) when the deviation is over the gate.
-    """
-    oracle = hb.petz_hilbert(channel, prior, eps=result.eps_used or eps, tol=tol)
+def _gated_recovery(args, tol: float, frame: fr.Frame, dual: fr.DualFrame):
+    """The recovery for the command line's channel and prior, held to the
+    Hilbert-space oracle.  Returns (channel matrix, prior, result, channel
+    description, gate); the gate is the deviation and its bound as output
+    metadata.  Raises OracleMismatch (exit 1) over the bound."""
+    channel, desc = resolve_channel(args, tol)
+    prior = resolve_prior(args)
+    s = qp.channel_to_qpr(channel, frame, dual)
+    result = _recover(s, prior, frame, dual, args.eps, tol)
+    oracle = hb.petz_hilbert(channel, prior, eps=result.eps_used or args.eps,
+                             tol=tol)
     deviation = max_abs(result.matrix - qp.channel_to_qpr(oracle, frame, dual))
     if deviation > ORACLE_TOL:
         raise OracleMismatch(f"deviation from the Hilbert-side oracle "
                              f"{deviation:.3e} exceeds {ORACLE_TOL:.1e}")
-    return {"oracle_deviation": deviation, "oracle_tol": ORACLE_TOL}
+    gate = {"oracle_deviation": deviation, "oracle_tol": ORACLE_TOL}
+    return s, prior, result, desc, gate
 
 
 # --- commands ------------------------------------------------------------------
@@ -213,7 +211,7 @@ def cmd_frame(args, tol: float) -> int:
     doc["validation"] = {
         "tol": tol,
         "passed": report.passed,
-        "max_violation_per_check": report.all_checks,
+        "max_violation_per_check": report.checks,
     }
     _write_output(_dump(doc), args.out)
     worst_name, worst = report.worst()
@@ -227,15 +225,14 @@ def cmd_repr(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
     meta = {"convention": "columns index inputs; entry [a_out, a_in]",
             "frame_kind": frame.kind}
-    if getattr(args, "channel", None) or getattr(args, "builtin", None):
+    if args.channel or args.builtin:
         channel, desc = resolve_channel(args, tol)
         s = qp.channel_to_qpr(channel, frame, dual)
         meta["source"] = desc
         meta["column_sums"] = [float(x) for x in s.sum(axis=0)]
         doc = qpr_object_dict(s, frame.name, "channel-matrix", meta)
     else:
-        rho = resolve_prior(args)
-        v = qp.state_to_qpr(rho, frame)
+        v = qp.state_to_qpr(resolve_prior(args), frame)
         meta["source"] = "state"
         meta["sum"] = float(v.sum())
         doc = qpr_object_dict(v, frame.name, "state-vector", meta)
@@ -245,34 +242,28 @@ def cmd_repr(args, tol: float) -> int:
 
 def cmd_petz(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
-    prior = resolve_prior(args)
-
-    channel = None
-    if getattr(args, "matrix", None):
+    if args.matrix:
+        prior = resolve_prior(args)
         s, rep = load_qpr_object(_read_json(args.matrix))
         if rep not in ("unknown", frame.name):
             raise QbretError(f"matrix file is in representation {rep!r}, "
                              f"frame is {frame.name!r}")
         print("warning: channel given as a bare matrix; "
               "the Hilbert-side cross-check is disabled", file=sys.stderr)
+        result, gate = _recover(s, prior, frame, dual, args.eps, tol), {}
     else:
-        channel, _ = resolve_channel(args, tol)
-        s = qp.channel_to_qpr(channel, frame, dual)
-
-    result = _recover(s, prior, frame, dual, args.eps, tol)
+        _, _, result, _, gate = _gated_recovery(args, tol, frame, dual)
     meta = {
         "eps_used": result.eps_used,
         "prior_kind": frame.kind,
         "converged": result.converged,
         "support_projected": result.support_projected,
+        **gate,
     }
     if result.extrapolation_dev is not None:
         meta["extrapolation_dev"] = result.extrapolation_dev
     if result.support_dev is not None:
         meta["support_route_dev"] = result.support_dev
-    if channel is not None:
-        meta.update(_oracle_gate(result, channel, prior, frame, dual,
-                                 args.eps, tol))
     doc = qpr_object_dict(result.matrix, frame.name, "retrodiction-matrix", meta)
     _write_output(_dump(doc), args.out)
     return 0
@@ -323,11 +314,7 @@ def _born_scan(matrix: np.ndarray, frame: fr.Frame, dual: fr.DualFrame) -> list:
 
 def cmd_compare(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
-    channel, desc = resolve_channel(args, tol)
-    prior = resolve_prior(args)
-    s = qp.channel_to_qpr(channel, frame, dual)
-    result = _recover(s, prior, frame, dual, args.eps, tol)
-    gate = _oracle_gate(result, channel, prior, frame, dual, args.eps, tol)
+    s, prior, result, desc, gate = _gated_recovery(args, tol, frame, dual)
     recovery = result.matrix
     classical = qp.classical_bayes(s, qp.state_to_qpr(prior, frame), eps=args.eps)
     scan = _born_scan(classical, frame, dual)
@@ -350,36 +337,27 @@ def cmd_compare(args, tol: float) -> int:
 
 
 def cmd_graph(args, tol: float) -> int:
-    cutoff = args.cutoff if args.cutoff is not None else gr.DEFAULT_CUTOFF
-    labels = None
-    if getattr(args, "matrix", None):
+    bubbles = None
+    if args.matrix:
         s, _rep = load_qpr_object(_read_json(args.matrix))
-        if args.direction == "forward":
-            if getattr(args, "bubbles", None):
-                bubbles, _ = load_qpr_object(_read_json(args.bubbles))
-            else:
-                bubbles = s @ qp.uniform_vector(s.shape[0])
-            graph = gr.forward_graph(s, bubbles, labels, cutoff)
-        else:
-            if not getattr(args, "bubbles", None):
-                raise ParseError("retro graphs from a matrix file need "
-                                 "--bubbles (the prior vector file)")
+        labels = None
+        if args.bubbles:
             bubbles, _ = load_qpr_object(_read_json(args.bubbles))
-            graph = gr.retro_graph(s, bubbles, labels, cutoff)
+        elif args.direction == "retro":
+            raise ParseError("retro graphs from a matrix file need "
+                             "--bubbles (the prior vector file)")
     else:
         frame, dual = resolve_frame(args, tol)
         labels = tuple(str(l) for l in frame.labels)
-        channel, _ = resolve_channel(args, tol)
-        s = qp.channel_to_qpr(channel, frame, dual)
-        if args.direction == "forward":
-            graph = gr.forward_graph(s, s @ qp.uniform_vector(frame.n),
-                                     labels, cutoff)
+        if args.direction == "retro":
+            _, prior, result, _, _ = _gated_recovery(args, tol, frame, dual)
+            s, bubbles = result.matrix, qp.state_to_qpr(prior, frame)
         else:
-            prior = resolve_prior(args)
-            result = _recover(s, prior, frame, dual, args.eps, tol)
-            _oracle_gate(result, channel, prior, frame, dual, args.eps, tol)
-            graph = gr.retro_graph(result.matrix, qp.state_to_qpr(prior, frame),
-                                   labels, cutoff)
+            s = qp.channel_to_qpr(resolve_channel(args, tol)[0], frame, dual)
+    if bubbles is None:
+        bubbles = s @ qp.uniform_vector(s.shape[0])
+    build = gr.retro_graph if args.direction == "retro" else gr.forward_graph
+    graph = build(s, bubbles, labels, args.cutoff)
     opts = gr.GraphOptions(bounds=args.bounds, label_style=args.label_style)
     text = gr.emit_svg(graph, opts) if args.format == "svg" \
         else gr.emit_dot(graph, opts)
@@ -388,24 +366,6 @@ def cmd_graph(args, tol: float) -> int:
 
 
 # --- parser --------------------------------------------------------------------
-
-def _add_frame_args(p):
-    p.add_argument("--frame", help="frame file (JSON)")
-    p.add_argument("--kind", help="builtin frame: dw-qubit, dw-qubits:N, sic-qubit")
-
-
-def _add_channel_args(p):
-    p.add_argument("--channel", help="channel file (JSON)")
-    p.add_argument("--builtin", help="builtin channel name "
-                                     f"({', '.join(hb.BUILTIN_NAMES)})")
-    p.add_argument("--ancilla", help="ancilla for dilation builtins: "
-                                     "0|1|plus|minus or omega,theta,phi")
-
-
-def _add_prior_args(p):
-    p.add_argument("--prior", help="state file (JSON)")
-    p.add_argument("--angles", help="qubit state angles omega,theta,phi")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -416,54 +376,51 @@ def build_parser() -> argparse.ArgumentParser:
                         help="numerical tolerance (default 1e-10)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("frame", help="build or validate a frame")
-    _add_frame_args(p)
-    p.add_argument("--out")
+    # option groups, each one extending the last
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    frame = argparse.ArgumentParser(add_help=False, parents=[out])
+    frame.add_argument("--frame", help="frame file (JSON)")
+    frame.add_argument("--kind", help="builtin frame: dw-qubit, dw-qubits:N, "
+                                      "sic-qubit")
+    inputs = argparse.ArgumentParser(add_help=False, parents=[frame])
+    inputs.add_argument("--channel", help="channel file (JSON)")
+    inputs.add_argument("--builtin", help="builtin channel name "
+                                          f"({', '.join(hb.BUILTIN_NAMES)})")
+    inputs.add_argument("--ancilla", help="ancilla for dilation builtins: "
+                                          "0|1|plus|minus or omega,theta,phi")
+    inputs.add_argument("--prior", help="state file (JSON)")
+    inputs.add_argument("--angles", help="qubit state angles omega,theta,phi")
+    recovery = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    recovery.add_argument("--eps", type=float, default=1e-8)
 
-    p = sub.add_parser("repr", help="morph a channel or state into a frame")
-    _add_frame_args(p)
-    _add_channel_args(p)
-    _add_prior_args(p)
-    p.add_argument("--out")
+    sub.add_parser("frame", parents=[frame], help="build or validate a frame")
+    sub.add_parser("repr", parents=[inputs],
+                   help="morph a channel or state into a frame")
 
-    p = sub.add_parser("petz", help="recovery matrix with oracle cross-check")
-    _add_frame_args(p)
-    _add_channel_args(p)
-    _add_prior_args(p)
+    p = sub.add_parser("petz", parents=[recovery],
+                       help="recovery matrix with oracle cross-check")
     p.add_argument("--matrix", help="precomputed channel matrix file "
                                     "(disables the oracle check)")
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--out")
 
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", default="all",
-                   choices=list(vf.SUITES) + ["all"])
+    p = sub.add_parser("verify", parents=[out], help="run verification suites")
+    p.add_argument("--suite", default="all", choices=[*vf.SUITES, "all"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
 
-    p = sub.add_parser("compare", help="recovery vs classical Bayes inversion")
-    _add_frame_args(p)
-    _add_channel_args(p)
-    _add_prior_args(p)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--out")
+    sub.add_parser("compare", parents=[recovery],
+                   help="recovery vs classical Bayes inversion")
 
-    p = sub.add_parser("graph", help="emit a transition graph")
-    _add_frame_args(p)
-    _add_channel_args(p)
-    _add_prior_args(p)
+    p = sub.add_parser("graph", parents=[recovery], help="emit a transition graph")
     p.add_argument("--matrix", help="precomputed matrix file to draw")
     p.add_argument("--bubbles", help="vector file for node bubbles")
     p.add_argument("--direction", choices=["forward", "retro"],
                    default="forward")
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--cutoff", type=float, default=None)
+    p.add_argument("--cutoff", type=float, default=gr.DEFAULT_CUTOFF)
     p.add_argument("--bounds", type=float, default=None)
     p.add_argument("--label-style", dest="label_style",
                    choices=["name", "index"], default="name")
     p.add_argument("--format", choices=["dot", "svg"], default="dot")
-    p.add_argument("--out")
 
     return parser
 

@@ -191,7 +191,10 @@ class PetzQprResult:
     guaranteed to agree; disagreement is reported, not resolved.
     `support_projected` marks, as on `PetzMap`, a posterior that keeps a
     kernel after regularization; the recovery then moves with eps to first
-    order, so no eps/10 probe is taken.
+    order, so no eps/10 probe is taken.  `converged` measures independence
+    from eps, not agreement with the Hilbert-side oracle: a posterior whose
+    kernel regularization lifts can move with eps at first order on both
+    sides, so a right matrix may read as unconverged.
     """
 
     matrix: np.ndarray

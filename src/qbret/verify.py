@@ -14,7 +14,7 @@ import numpy as np
 from . import frames as fr
 from . import hilbert as hb
 from . import qprcore as qp
-from .matcore import max_abs
+from .matcore import ORACLE_TOL, max_abs
 
 _SQ2 = np.sqrt(2.0)
 _SQ3 = np.sqrt(3.0)
@@ -168,7 +168,7 @@ def suite_commute(seed: int = 0, cases: int = 200) -> list[CheckResult]:
             lhs = qp.petz_qpr(s, v, xi).matrix
             rhs = qp.channel_to_qpr(hb.petz_hilbert(channel, prior), f, g)
             worst = max(worst, max_abs(lhs - rhs))
-        out.append(CheckResult(f"petz-commutes-{name}", worst, 1e-7))
+        out.append(CheckResult(f"petz-commutes-{name}", worst, ORACLE_TOL))
 
         # unitary channels retrodict to the transpose, prior-independently
         rng2 = np.random.default_rng(seed + 1)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import qbret
-from qbret.cli import main
+from qbret.cli import build_parser, main
+from qbret import graphs as gr
 from qbret import hilbert as hb
 from qbret.frames import (
     build_dw_qubit,
@@ -486,6 +488,69 @@ class TestOracleGate:
         meta = read_json(out)["meta"]
         assert meta["eps_used"] == 1e-5 and meta["converged"]
         assert meta["oracle_deviation"] <= meta["oracle_tol"] == 1e-8
+
+    GATED = [["petz"], ["compare"], ["graph", "--direction", "retro"]]
+    GATED_IDS = ["petz", "compare", "graph-retro"]
+    SIC_HALF_SWAP = ["--builtin", "half_swap", "--ancilla", "1", "--kind",
+                     "sic-qubit", "--angles", "0.4,1.1,0.3"]
+
+    @pytest.mark.parametrize("command", GATED, ids=GATED_IDS)
+    def test_oracle_runs_once(self, command, monkeypatch, tmp_path):
+        calls = []
+        oracle = hb.petz_hilbert
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(hb, "petz_hilbert", counting)
+        out = tmp_path / "out"
+        assert main(command + self.SIC_HALF_SWAP + ["--out", str(out)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", GATED, ids=GATED_IDS)
+    def test_mismatch_exits_one(self, command, monkeypatch, capsys, tmp_path):
+        # an oracle built for the maximally mixed prior disagrees with the
+        # recovery for the given prior; nothing is written
+        oracle = hb.petz_hilbert
+        monkeypatch.setattr(hb, "petz_hilbert", lambda channel, prior, **kw:
+                            oracle(channel, np.eye(2) / 2, **kw))
+        out = tmp_path / "out"
+        assert main(command + self.SIC_HALF_SWAP + ["--out", str(out)]) == 1
+        assert "oracle" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestParser:
+    # the option groups are shared parent parsers, so one edit reaches
+    # several subcommands; every subcommand's options, in one place
+    OPTIONS = {
+        "frame": "--out --frame --kind",
+        "repr": "--out --frame --kind --channel --builtin --ancilla --prior "
+                "--angles",
+        "petz": "--out --frame --kind --channel --builtin --ancilla --prior "
+                "--angles --eps --matrix",
+        "verify": "--out --suite --seed --format",
+        "compare": "--out --frame --kind --channel --builtin --ancilla "
+                   "--prior --angles --eps",
+        "graph": "--out --frame --kind --channel --builtin --ancilla --prior "
+                 "--angles --eps --matrix --bubbles --direction --cutoff "
+                 "--bounds --label-style --format",
+    }
+
+    def test_option_strings(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert {name: sorted(s for a in p._actions for s in a.option_strings)
+                for name, p in sub.choices.items()} == {
+            name: sorted(["-h", "--help", *opts.split()])
+            for name, opts in self.OPTIONS.items()}
+
+    def test_recovery_defaults(self):
+        for command in ("petz", "compare", "graph"):
+            assert build_parser().parse_args([command]).eps == 1e-8
+        args = build_parser().parse_args(["graph"])
+        assert args.cutoff == gr.DEFAULT_CUTOFF and args.bounds is None
 
 
 def imported_modules(path):

@@ -147,9 +147,11 @@ class TestValidateFrame:
     def test_report_lists_every_check(self):
         f, g = build_dw_qubit()
         report = validate_frame(f, g)
-        assert set(report.checks) == {"hermiticity", "normalization",
-                                      "frame_trace", "dual_trace",
-                                      "orthogonality", "sum_trace"}
+        # the first violated entry is the one load_frame names
+        assert list(report.checks) == ["hermiticity", "normalization",
+                                       "frame_trace", "dual_trace",
+                                       "orthogonality", "sum_trace",
+                                       "nq_dual_scaling"]
 
     @pytest.mark.parametrize("builder, kind_check", [
         (build_dw_qubit, "nq_dual_scaling"),
@@ -157,8 +159,8 @@ class TestValidateFrame:
         (build_sic_qubit, "sp_dual_affine")])
     def test_kind_claim_checked(self, builder, kind_check):
         report = validate_frame(*builder())
-        assert list(report.kind_checks) == [kind_check]
-        assert report.kind_checks[kind_check] < 1e-14
+        assert list(report.checks)[6:] == [kind_check]
+        assert report.checks[kind_check] < 1e-14
 
 
 class TestSumTrace:
@@ -243,6 +245,14 @@ class TestLoadFrame:
         with pytest.raises(errors.ValidationFailed) as exc:
             load_frame(doc)
         assert exc.value.check == "orthogonality"
+
+    def test_nan_entry_is_named(self):
+        # a NaN passes no check, so the first check it reaches is named
+        doc = frame_to_dict(*build_dw_qubit())
+        doc["F"][0][0][0] = [float("nan"), 0.0]
+        with pytest.raises(errors.ValidationFailed) as exc:
+            load_frame(doc)
+        assert exc.value.check == "hermiticity"
 
     @pytest.mark.parametrize("builder, claim, check", [
         # a SIC pair claiming nq would get the bare-transpose adjoint and a
