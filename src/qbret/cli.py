@@ -13,6 +13,7 @@ parse errors.  `--tol` sets the numerical tolerance (default 1e-10).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -34,14 +35,21 @@ _NAMED_KETS = {
 }
 
 
+def _finite_angles(values, source) -> tuple[float, float, float]:
+    try:
+        angles = tuple(float(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad angle in {source!r}: {exc}") from exc
+    if not np.isfinite(angles).all():
+        raise ParseError(f"angles must be finite, got {source!r}")
+    return angles  # type: ignore[return-value]
+
+
 def _parse_angles(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ParseError(f"expected three comma-separated angles, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError as exc:
-        raise ParseError(f"bad angle in {text!r}: {exc}") from exc
+    return _finite_angles(parts, text)
 
 
 def parse_state_spec(spec: str) -> np.ndarray:
@@ -82,8 +90,8 @@ def load_state_doc(doc: dict) -> np.ndarray:
         if kind == "matrix":
             return fr.decode_complex_matrix(doc["matrix"])
         if kind == "qubit_params":
-            return hb.qubit_state(float(doc["omega"]), float(doc["theta"]),
-                                  float(doc["phi"]))
+            return hb.qubit_state(*_finite_angles(
+                (doc["omega"], doc["theta"], doc["phi"]), doc))
     except KeyError as exc:
         raise ParseError(f"state document missing field {exc}") from exc
     raise ParseError(f"state kind must be 'matrix' or 'qubit_params', got {kind!r}")
@@ -291,24 +299,41 @@ def cmd_verify(args, tol: float) -> int:
     return 0 if passed else 1
 
 
-_SCAN_STATES = (("ket0", hb.KET0), ("ket1", hb.KET1), ("plus", hb.KET_PLUS),
-                ("minus", hb.KET_MINUS),
-                ("ket_i", np.array([1, 1j]) / np.sqrt(2)),
-                ("ket_minus_i", np.array([1, -1j]) / np.sqrt(2)))
+_QUBIT_SCAN = (("ket0", hb.KET0), ("ket1", hb.KET1), ("plus", hb.KET_PLUS),
+               ("minus", hb.KET_MINUS),
+               ("ket_i", np.array([1, 1j]) / np.sqrt(2)),
+               ("ket_minus_i", np.array([1, -1j]) / np.sqrt(2)))
+
+
+def _scan_kets(d: int) -> tuple:
+    """Named kets of the outcome scan: the six Pauli eigenstates on a
+    qubit; otherwise the basis kets and (|j> + |k>)/sqrt2 and
+    (|j> + i|k>)/sqrt2 for j < k."""
+    if d == 2:
+        return _QUBIT_SCAN
+    basis = np.eye(d, dtype=complex)
+    kets = [(f"ket{j}", basis[j]) for j in range(d)]
+    for j, k in itertools.combinations(range(d), 2):
+        kets.append((f"plus_{j}_{k}", (basis[j] + basis[k]) / np.sqrt(2)))
+        kets.append((f"plus_i_{j}_{k}", (basis[j] + 1j * basis[k]) / np.sqrt(2)))
+    return tuple(kets)
 
 
 def _born_scan(matrix: np.ndarray, frame: fr.Frame, dual: fr.DualFrame) -> list:
+    """Born value of every scan effect (each scan projector, then the
+    identity) on `matrix` applied to every scan state."""
+    names, kets = zip(*_scan_kets(frame.d))
+    projectors = np.einsum("ma,mb->mab", kets, np.conj(kets))
+    states = qp.state_to_qpr(projectors, frame)
+    effects = qp.povm_to_qpr(
+        np.concatenate([projectors, np.eye(frame.d)[None]]), dual)
+    values = effects.T @ (matrix @ states)  # [effect, state]
     rows = []
-    effects = [(name, hb.projector(k)) for name, k in _SCAN_STATES]
-    effects.append(("identity", np.eye(frame.d, dtype=complex)))
-    for sname, ket in _SCAN_STATES:
-        v = qp.state_to_qpr(hb.projector(ket), frame)
-        image = matrix @ v
-        for ename, effect in effects:
-            value = qp.born(image, qp.povm_to_qpr(effect, dual))
-            valid = -1e-9 <= value <= 1.0 + 1e-9
-            rows.append({"state": sname, "effect": ename,
-                         "value": value, "valid": bool(valid)})
+    for a, sname in enumerate(names):
+        for b, ename in enumerate(names + ("identity",)):
+            value = float(values[b, a])
+            rows.append({"state": sname, "effect": ename, "value": value,
+                         "valid": -1e-9 <= value <= 1.0 + 1e-9})
     return rows
 
 

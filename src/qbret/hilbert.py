@@ -28,6 +28,7 @@ from .matcore import (
     dagger,
     hermitian_eig,
     max_abs,
+    operator_stack,
     psd_sqrt,
     rank_threshold,
 )
@@ -131,17 +132,15 @@ class KrausChannel:
         return cls(kraus=(u,), d=u.shape[0])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.d, self.d):
-            raise DimensionMismatch(f"operator shape {x.shape} != ({self.d}, {self.d})")
+        """sum_l k x k^dag, elementwise on a (..., d, d) stack."""
+        x = operator_stack(x, self.d)
         return sum(k @ x @ dagger(k) for k in self.kraus)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """Heisenberg-picture adjoint sum_l k^dag x k; unital by construction
-        and tied to `apply` by Tr[E[rho] s] = Tr[E^dag[s] rho]."""
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.d, self.d):
-            raise DimensionMismatch(f"operator shape {x.shape} != ({self.d}, {self.d})")
+        """Heisenberg-picture adjoint sum_l k^dag x k, elementwise on a
+        (..., d, d) stack; unital by construction and tied to `apply` by
+        Tr[E[rho] s] = Tr[E^dag[s] rho]."""
+        x = operator_stack(x, self.d)
         return sum(dagger(k) @ x @ k for k in self.kraus)
 
 
@@ -200,8 +199,9 @@ class PetzMap:
         return self.base.d
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        inner = self.base.adjoint(self.inv_sqrt_post @ np.asarray(x, dtype=complex)
-                                  @ self.inv_sqrt_post)
+        """The recovery map, elementwise on a (..., d, d) stack."""
+        x = operator_stack(x, self.d)
+        inner = self.base.adjoint(self.inv_sqrt_post @ x @ self.inv_sqrt_post)
         return self.sqrt_prior @ inner @ self.sqrt_prior
 
 

@@ -66,6 +66,17 @@ def _require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def operator_stack(x: np.ndarray, d: int, what: str = "operator") -> np.ndarray:
+    """`x` as a complex d x d operator or (..., d, d) stack of them, which
+    every map and morphism accepts; any other shape raises
+    DimensionMismatch naming `what`."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape[-2:] != (d, d):
+        raise DimensionMismatch(
+            f"{what} shape {x.shape} does not match dimension {d}")
+    return x
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""

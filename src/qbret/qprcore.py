@@ -30,6 +30,7 @@ from .matcore import (
     Spectrum,
     hermitian_eig,
     max_abs,
+    operator_stack,
     principal_power,
     rank_threshold,
     symmetric_eig,
@@ -47,23 +48,25 @@ def uniform_vector(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
+def _traces(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re Tr[ops_j x] for every j, indexed [j, ...] over a (..., d, d)
+    stack x: one product of the flattened operators with the flattened
+    transposes of x."""
+    n, d = ops.shape[0], ops.shape[-1]
+    flat = np.swapaxes(x, -1, -2).reshape(-1, d * d)
+    return (ops.reshape(n, d * d) @ flat.T).real.reshape(n, *x.shape[:-2])
+
+
 def state_to_qpr(rho: np.ndarray, frame: Frame) -> np.ndarray:
-    """v_a = Tr[rho F_a]."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (frame.d, frame.d):
-        raise DimensionMismatch(
-            f"state shape {rho.shape} does not match frame dimension {frame.d}")
-    return np.einsum("jab,ba->j", frame.ops, rho).real
+    """v_a = Tr[rho F_a]; a stack (m, d, d) of states gives the (n, m)
+    matrix whose columns are their vectors."""
+    return _traces(frame.ops, operator_stack(rho, frame.d, "state"))
 
 
 def povm_to_qpr(effect: np.ndarray, dual: DualFrame) -> np.ndarray:
-    """Effect vector vbar_a = Tr[E G_a]."""
-    effect = np.asarray(effect, dtype=complex)
-    d = dual.ops.shape[1]
-    if effect.shape != (d, d):
-        raise DimensionMismatch(
-            f"effect shape {effect.shape} does not match frame dimension {d}")
-    return np.einsum("jab,ba->j", dual.ops, effect).real
+    """Effect vector vbar_a = Tr[E G_a]; a stack (m, d, d) of effects gives
+    the (n, m) matrix whose columns are their vectors."""
+    return _traces(dual.ops, operator_stack(effect, dual.ops.shape[1], "effect"))
 
 
 def reconstruct_state(v: np.ndarray, dual: DualFrame) -> np.ndarray:
@@ -78,20 +81,22 @@ def reconstruct_state(v: np.ndarray, dual: DualFrame) -> np.ndarray:
 def channel_to_qpr(channel, frame: Frame, dual: DualFrame) -> np.ndarray:
     """Quasi-stochastic matrix S[a_out, a_in] = Tr[F_out E[G_in]].
 
-    `channel` is anything exposing apply(matrix) -> matrix (a Kraus channel,
-    a recovery map) or a bare callable such as a Kraus channel's adjoint.
+    `channel` is anything exposing `apply` (a Kraus channel, a recovery
+    map) or a bare callable such as a Kraus channel's adjoint.  Either is
+    called once, on the whole (n, d, d) stack of dual operators, and must
+    return the (n, d, d) stack of their images; any other shape raises
+    DimensionMismatch.  Every trace is then one matrix product.
     """
     apply = channel.apply if hasattr(channel, "apply") else channel
     d = getattr(channel, "d", None)
     if d is not None and d != frame.d:
         raise DimensionMismatch(
             f"channel dimension {d} does not match frame dimension {frame.d}")
-    n = frame.n
-    s = np.empty((n, n))
-    for a in range(n):
-        image = apply(dual.ops[a])
-        s[:, a] = np.einsum("jab,ba->j", frame.ops, image).real
-    return s
+    images = np.asarray(apply(dual.ops))
+    if images.shape != dual.ops.shape:
+        raise DimensionMismatch(
+            f"channel maps the {dual.ops.shape} dual stack to shape {images.shape}")
+    return _traces(frame.ops, images)
 
 
 def born(v: np.ndarray, vbar: np.ndarray) -> float:

@@ -328,6 +328,44 @@ class TestCompareCommand:
         assert doc["oracle_tol"] == 1e-8
         assert doc["oracle_deviation"] < 1e-8
 
+    def test_two_qubit_frame(self, tmp_path):
+        # a dilation and a matrix prior on d = 4: the scan runs over the
+        # basis kets and (|j> + |k>)/sqrt2, (|j> + i|k>)/sqrt2 for j < k
+        rng = np.random.default_rng(2)
+        channel, state = tmp_path / "channel.json", tmp_path / "prior.json"
+        channel.write_text(json.dumps({
+            "kind": "dilation",
+            "U": encode_complex_matrix(hb.random_unitary(rng, 8)),
+            "beta": encode_complex_matrix(np.diag([0.7, 0.3]))}))
+        state.write_text(json.dumps({
+            "kind": "matrix",
+            "matrix": encode_complex_matrix(hb.random_density(rng, 4))}))
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--kind", "dw-qubits:2", "--channel",
+                     str(channel), "--prior", str(state),
+                     "--out", str(out)]) == 0
+        doc = read_json(out)
+        assert doc["oracle_deviation"] <= doc["oracle_tol"]
+        states = ["ket0", "ket1", "ket2", "ket3"] + [
+            f"{name}_{j}_{k}" for j in range(4) for k in range(j + 1, 4)
+            for name in ("plus", "plus_i")]
+        scan = doc["born_scan_classical"]
+        assert len(scan) == 16 * 17
+        assert [row["state"] for row in scan[::17]] == states
+        assert [row["effect"] for row in scan[:17]] == states + ["identity"]
+        # the identity effect sums a column of the unit-column-sum matrix
+        for row in scan[16::17]:
+            assert abs(row["value"] - 1.0) < 1e-12
+
+    def test_qubit_scan_set(self, tmp_path):
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--builtin", "hadamard", "--kind", "sic-qubit",
+                     "--angles", "0.4,1.1,0.3", "--out", str(out)]) == 0
+        scan = read_json(out)["born_scan_classical"]
+        names = ["ket0", "ket1", "plus", "minus", "ket_i", "ket_minus_i"]
+        assert [row["state"] for row in scan[::7]] == names
+        assert [row["effect"] for row in scan[:7]] == names + ["identity"]
+
     def test_rotation_flags_born_violation(self, tmp_path):
         u = 0.5j * np.array([[SQ3, -1], [1, SQ3]])
         ch = tmp_path / "rot.json"
@@ -619,6 +657,25 @@ class TestExitCodes:
 
     def test_bad_angles(self):
         assert main(["repr", "--angles", "1,2", "--kind", "dw-qubit"]) == 2
+
+    @pytest.mark.parametrize("angles", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+    def test_non_finite_angles_repr(self, angles, capsys):
+        assert main(["repr", "--kind", "dw-qubit", "--angles", angles]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("angles", ["inf,0,0", "0,nan,0"])
+    def test_non_finite_angles_petz(self, angles, capsys):
+        assert main(["petz", "--builtin", "half_swap", "--ancilla", "1",
+                     "--kind", "dw-qubit", "--angles", angles]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega", [float("nan"), "inf", "pi"])
+    def test_bad_qubit_params(self, omega, tmp_path, capsys):
+        state = tmp_path / "prior.json"
+        state.write_text(json.dumps({"kind": "qubit_params", "omega": omega,
+                                     "theta": 0.0, "phi": 0.0}))
+        assert main(["repr", "--kind", "dw-qubit", "--prior", str(state)]) == 2
+        assert "angle" in capsys.readouterr().err
 
     def test_dilation_missing_field(self, tmp_path):
         ch = tmp_path / "ch.json"

@@ -160,6 +160,34 @@ class TestApplyAdjoint:
             ch.apply(np.eye(3, dtype=complex))
 
 
+class TestStacks:
+    """Every map acts elementwise on a (m, d, d) stack."""
+
+    @pytest.fixture(scope="class")
+    def maps(self):
+        rng = np.random.default_rng(8)
+        ch = channel_from_dilation(random_unitary(rng, 8),
+                                   random_density(rng, 2))
+        recovery = petz_hilbert(ch, random_density(rng, 4))
+        stack = np.array([random_density(rng, 4) for _ in range(6)])
+        return {"apply": ch.apply, "adjoint": ch.adjoint,
+                "petz": recovery.apply}, stack
+
+    @pytest.mark.parametrize("name", ["apply", "adjoint", "petz"])
+    def test_matches_each_element(self, maps, name):
+        fns, stack = maps
+        out = fns[name](stack)
+        assert out.shape == stack.shape
+        for x, y in zip(stack, out):
+            assert max_abs(fns[name](x) - y) < 1e-15
+
+    @pytest.mark.parametrize("name", ["apply", "adjoint", "petz"])
+    def test_wrong_dimension_raises(self, maps, name):
+        fns, _ = maps
+        with pytest.raises(errors.DimensionMismatch):
+            fns[name](np.zeros((3, 5, 5), dtype=complex))
+
+
 class TestPetzHilbert:
     def test_unitary_inverts(self):
         rng = np.random.default_rng(8)

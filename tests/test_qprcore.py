@@ -181,6 +181,66 @@ class TestChannelToQpr:
             assert abs(lhs - rhs) < 1e-12
 
 
+def per_column(apply, f, g):
+    """S[j, a] = Tr[F_j E[G_a]], one column and one trace at a time."""
+    return np.array([[np.trace(f.ops[j] @ apply(g.ops[a])).real
+                      for a in range(f.n)] for j in range(f.n)])
+
+
+class TestBatchedMorphism:
+    """The one-application morphism against its per-column definition."""
+
+    FRAMES = {"dw-qubit": build_dw_qubit, "sic-qubit": build_sic_qubit,
+              "dw-qubits:2": lambda: build_dw_qubits(2),
+              "dw-qubits:3": lambda: build_dw_qubits(3)}
+
+    def _pair(self, name, custom_tetra):
+        if name == "custom-tetra":
+            return custom_tetra(np.random.default_rng(11))
+        return self.FRAMES[name]()
+
+    @pytest.mark.parametrize("name", [*FRAMES, "custom-tetra"])
+    def test_matches_per_column_definition(self, name, custom_tetra):
+        f, g = self._pair(name, custom_tetra)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            ch = channel_from_dilation(random_unitary(rng, 2 * f.d),
+                                       random_density(rng, 2))
+            recovery = petz_hilbert(ch, random_density(rng, f.d))
+            for channel, apply in ((ch, ch.apply), (recovery, recovery.apply),
+                                   (ch.adjoint, ch.adjoint)):
+                assert max_abs(channel_to_qpr(channel, f, g)
+                               - per_column(apply, f, g)) < 1e-14
+
+    @pytest.mark.parametrize("name", [*FRAMES, "custom-tetra"])
+    def test_stacked_states_and_effects(self, name, custom_tetra):
+        f, g = self._pair(name, custom_tetra)
+        rng = np.random.default_rng(13)
+        stack = np.array([random_density(rng, f.d) for _ in range(5)])
+        states, effects = state_to_qpr(stack, f), povm_to_qpr(stack, g)
+        assert states.shape == effects.shape == (f.n, 5)
+        for a, rho in enumerate(stack):
+            assert max_abs(states[:, a] - state_to_qpr(rho, f)) < 1e-15
+            assert max_abs(effects[:, a] - povm_to_qpr(rho, g)) < 1e-15
+
+    def test_channel_dimension_must_match(self):
+        f, g = build_dw_qubits(2)
+        with pytest.raises(errors.DimensionMismatch):
+            channel_to_qpr(builtin_channel("hadamard"), f, g)
+
+    def test_callable_must_return_the_stack(self, dw):
+        f, g = dw
+        with pytest.raises(errors.DimensionMismatch):
+            channel_to_qpr(lambda x: x[0], f, g)
+
+    def test_stack_of_wrong_dimension(self, dw):
+        f, g = dw
+        with pytest.raises(errors.DimensionMismatch):
+            state_to_qpr(np.zeros((3, 3, 3)), f)
+        with pytest.raises(errors.DimensionMismatch):
+            povm_to_qpr(np.zeros((4, 3, 3)), g)
+
+
 class TestBorn:
     def test_certain_outcome(self, dw):
         f, g = dw
