@@ -79,7 +79,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    # compact: with `indent` set, json falls back from its C encoder
+    return json.dumps(obj, sort_keys=True)
 
 
 # --- state / channel / QPR files ---------------------------------------------
@@ -343,7 +344,8 @@ def cmd_compare(args, tol: float) -> int:
     recovery = result.matrix
     classical = qp.classical_bayes(s, qp.state_to_qpr(prior, frame), eps=args.eps)
     scan = _born_scan(classical, frame, dual)
-    flagged = [row for row in scan if not row["valid"]]
+    # indices into the scan, whose rows carry the values
+    flagged = [i for i, row in enumerate(scan) if not row["valid"]]
     payload = {
         "channel": desc,
         "rep": frame.name,

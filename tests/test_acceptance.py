@@ -1,288 +1,18 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: every check of `qbret verify --suite all`, one test
+each, at two seeds.
 
-Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-lines; every tolerance is fixed here.
+The checks and their tolerances live in `qbret.verify` and nowhere else;
+`qbret verify --suite all` prints the same checks with their deviations.
 """
 
-import numpy as np
 import pytest
 
-from qbret.frames import build_dw_qubit, build_sic_qubit, structure_coeffs
-from qbret.graphs import emit_dot, emit_svg, forward_graph, retro_graph
-from qbret.hilbert import (
-    KET0,
-    KET_PLUS,
-    KrausChannel,
-    builtin_channel,
-    channel_from_dilation,
-    petz_hilbert,
-    projector,
-    qubit_state,
-    random_density,
-    random_unitary,
-)
-from qbret.matcore import max_abs
-from qbret.qprcore import (
-    born,
-    channel_to_qpr,
-    classical_bayes,
-    k_matrix,
-    m_power_check,
-    petz_qpr,
-    povm_to_qpr,
-    state_to_qpr,
-    uniform_vector,
-    x_matrix,
-)
+from qbret.verify import run_suites
 
-SQ2, SQ3 = np.sqrt(2.0), np.sqrt(3.0)
-SEED = 20240
-
-DW = build_dw_qubit()
-SIC = build_sic_qubit()
-FRAMES = (("dw", *DW), ("sic", *SIC))
-XI = {"dw": structure_coeffs(*DW), "sic": structure_coeffs(*SIC)}
+CHECKS = [pytest.param(result, id=f"{result.name}-{seed}")
+          for seed in (0, 20240) for result in run_suites(["all"], seed)]
 
 
-def emit(num: int, label: str, dev: float, tol: float) -> None:
-    verdict = "PASS" if dev <= tol else "FAIL"
-    print(f"criterion {num:02d} [{label}]: {verdict} "
-          f"(max deviation {dev:.3e}, tolerance {tol:.1e})")
-    assert dev <= tol, f"criterion {num} ({label}): {dev:.3e} > {tol:.1e}"
-
-
-def random_channel(rng):
-    return channel_from_dilation(random_unitary(rng, 4),
-                                 random_density(rng, 2))
-
-
-def half_swap_recovery(name, frame, dual):
-    s = channel_to_qpr(builtin_channel("half_swap"), frame, dual)
-    v = state_to_qpr(projector(KET_PLUS), frame)
-    return s, v, petz_qpr(s, v, XI[name], kind=frame.kind).matrix
-
-
-def test_01_half_swap_recovery_closed_forms():
-    expected = {
-        "dw": 0.5 * np.array([[1, 1, 1, 1], [1, 1, 1, 1],
-                              [0, 0, 0, 0], [0, 0, 0, 0]]),
-        "sic": np.array([[SQ3 + 3] * 4, [SQ3 + 3] * 4,
-                         [3 - SQ3] * 4, [3 - SQ3] * 4]) / 12,
-    }
-    dev = 0.0
-    for name, frame, dual in FRAMES:
-        _, _, shat = half_swap_recovery(name, frame, dual)
-        dev = max(dev, max_abs(shat - expected[name]))
-    emit(1, "half-swap recovery closed forms", dev, 1e-8)
-
-
-def test_02_half_swap_classical_inversion():
-    exact_dw = np.array([
-        [1, (3 - SQ2) / 7, 1, (SQ2 + 3) / 7],
-        [0, (SQ2 + 4) / 7, 0, (4 - SQ2) / 7],
-        [0, 0, 0, 0],
-        [0, 0, 0, 0]])
-    rounded_sic = np.array([
-        [0.925, 0.183, -0.264, 0.353],
-        [0.0744, 0.744, 0.275, 0.168],
-        [-0.0191, 0.0491, 0.915, 0.0947],
-        [0.0199, 0.0233, 0.0737, 0.384]])
-    s, v, _ = half_swap_recovery("dw", *DW)
-    dev_exact = max_abs(classical_bayes(s, v) - exact_dw)
-    s, v, _ = half_swap_recovery("sic", *SIC)
-    dev_rounded = max_abs(classical_bayes(s, v) - rounded_sic)
-    emit(2, "half-swap classical inversion (exact)", dev_exact, 1e-8)
-    emit(2, "half-swap classical inversion (3 s.f.)", dev_rounded, 5e-4)
-
-
-def test_03_born_violation_values():
-    u = KrausChannel.from_unitary(0.5j * np.array([[SQ3, -1], [1, SQ3]]))
-    plus = projector(KET_PLUS)
-    ket0 = projector(KET0)
-
-    f, g = DW
-    s = channel_to_qpr(u, f, g)
-    scl = classical_bayes(s, state_to_qpr(plus, f))
-    val = born(scl @ state_to_qpr(plus, f), povm_to_qpr(ket0, g))
-    dev = abs(val - (1 + SQ3) / 2)
-
-    f, g = SIC
-    s = channel_to_qpr(u, f, g)
-    scl = classical_bayes(s, state_to_qpr(plus, f))
-    val = born(scl @ state_to_qpr(ket0, f), povm_to_qpr(plus, g))
-    dev = max(dev, abs(val - (2 - 5 * SQ3) / 13))
-    emit(3, "out-of-range outcome values", dev, 1e-9)
-
-
-def test_04_unitary_channel_matrices():
-    hadamard = 0.5 * np.array([[1, 1, 1, -1], [1, -1, 1, 1],
-                               [1, 1, -1, 1], [-1, 1, 1, 1]])
-    eg_dw = np.array([
-        [9, SQ3 - 6, 4 - 3 * SQ3, 2 * SQ3 + 9],
-        [-SQ3 - 6, 9, 9 - 2 * SQ3, 3 * SQ3 + 4],
-        [3 * SQ3 + 4, 2 * SQ3 + 9, -3, 6 - 5 * SQ3],
-        [9 - 2 * SQ3, 4 - 3 * SQ3, 5 * SQ3 + 6, -3]]) / 16
-    eg_sic = np.array([
-        [-3, 5 * SQ3 + 6, 4 - 3 * SQ3, 9 - 2 * SQ3],
-        [6 - 5 * SQ3, -3, 2 * SQ3 + 9, 3 * SQ3 + 4],
-        [3 * SQ3 + 4, 9 - 2 * SQ3, 9, -SQ3 - 6],
-        [2 * SQ3 + 9, 4 - 3 * SQ3, SQ3 - 6, 9]]) / 16
-    dev = 0.0
-    for name, frame, dual in FRAMES:
-        s = channel_to_qpr(builtin_channel("hadamard"), frame, dual)
-        dev = max(dev, max_abs(s - hadamard))
-    dev = max(dev, max_abs(channel_to_qpr(builtin_channel("u_eg"), *DW) - eg_dw))
-    dev = max(dev, max_abs(channel_to_qpr(builtin_channel("u_eg"), *SIC) - eg_sic))
-    emit(4, "unitary channel matrices", dev, 1e-9)
-
-
-def test_05_recovery_commutes_with_morphism():
-    dev = 0.0
-    for name, frame, dual in FRAMES:
-        rng = np.random.default_rng(SEED)
-        for _ in range(200):
-            channel = random_channel(rng)
-            prior = random_density(rng, 2, min_eig=0.05)
-            s = channel_to_qpr(channel, frame, dual)
-            v = state_to_qpr(prior, frame)
-            lhs = petz_qpr(s, v, XI[name], kind=frame.kind).matrix
-            rhs = channel_to_qpr(petz_hilbert(channel, prior), frame, dual)
-            dev = max(dev, max_abs(lhs - rhs))
-    emit(5, "commutes with Hilbert recovery", dev, 1e-7)
-
-
-def test_06_state_matrix_properties():
-    dev_imag = dev_eig = dev_trace = 0.0
-    for name, frame, dual in FRAMES:
-        rng = np.random.default_rng(SEED + 1)
-        for _ in range(200):
-            rho = random_density(rng, 2)
-            direct = np.einsum("iab,bc,jcd,da->ij", frame.ops, rho,
-                               dual.ops, rho, optimize=True)
-            dev_imag = max(dev_imag, max_abs(direct.imag))
-            m = x_matrix(state_to_qpr(rho, frame), XI[name])
-            dev_eig = max(dev_eig, -float(np.linalg.eigvals(m).real.min()))
-            dev_trace = max(dev_trace, abs(np.trace(m) - 1.0))
-    emit(6, "state matrix entries real", dev_imag, 1e-10)
-    emit(6, "state matrix spectrum nonnegative", max(dev_eig, 0.0), 1e-9)
-    emit(6, "state matrix unit trace", dev_trace, 1e-10)
-
-
-def test_07_power_identity():
-    dev = 0.0
-    for name, frame, dual in FRAMES:
-        rng = np.random.default_rng(SEED + 2)
-        states = [random_density(rng, 2, min_eig=0.05) for _ in range(50)]
-        for r in (2.0, 0.5, -0.5, -1.0):
-            for rho in states:
-                v = state_to_qpr(rho, frame)
-                dev = max(dev, m_power_check(v, r, frame, dual,
-                                             XI[name]).max_dev)
-    emit(7, "state power equals matrix power", dev, 1e-8)
-
-
-def test_08_unitary_retrodiction_is_transpose():
-    dev = 0.0
-    for name, frame, dual in FRAMES:
-        rng = np.random.default_rng(SEED + 3)
-        priors = [random_density(rng, 2, min_eig=0.05) for _ in range(5)]
-        for gate in ("pauli_x", "pauli_y", "pauli_z", "hadamard", "u_eg"):
-            s = channel_to_qpr(builtin_channel(gate), frame, dual)
-            for prior in priors:
-                v = state_to_qpr(prior, frame)
-                shat = petz_qpr(s, v, XI[name], kind=frame.kind).matrix
-                dev = max(dev, max_abs(shat - s.T))
-    emit(8, "unitary retrodiction transposes", dev, 1e-8)
-
-
-def test_09_erasure_retrodicts_to_prior():
-    beta = qubit_state(7 * np.pi / 16, 3 * np.pi / 5, np.pi / 6)
-    gamma = qubit_state(np.pi / 16, np.pi / 5, np.pi / 8)
-    channel = builtin_channel("full_swap", ancilla=beta)
-    dev = 0.0
-    for name, frame, dual in FRAMES:
-        s = channel_to_qpr(channel, frame, dual)
-        v = state_to_qpr(gamma, frame)
-        shat = petz_qpr(s, v, XI[name], kind=frame.kind).matrix
-        dev = max(dev, max_abs(shat - v[:, None]))
-    emit(9, "erasure retrodicts to prior", dev, 1e-8)
-
-
-def test_10_classical_reduction():
-    rng = np.random.default_rng(SEED + 4)
-    dev = 0.0
-    for n in (2, 4):
-        for _ in range(10):
-            t = rng.random((n, n)) + 0.05
-            t /= t.sum(axis=0)
-            p = rng.random(n) + 0.1
-            p /= p.sum()
-            kraus = []
-            for a_out in range(n):
-                for a_in in range(n):
-                    k = np.zeros((n, n), dtype=complex)
-                    k[a_out, a_in] = np.sqrt(t[a_out, a_in])
-                    kraus.append(k)
-            channel = KrausChannel.from_kraus(kraus)
-            recovery = petz_hilbert(channel, np.diag(p).astype(complex))
-            bayes = classical_bayes(t, p)
-            for a_out in range(n):
-                basis = np.zeros((n, n), dtype=complex)
-                basis[a_out, a_out] = 1.0
-                back = np.diag(recovery.apply(basis)).real
-                dev = max(dev, max_abs(back - bayes[:, a_out]))
-    emit(10, "diagonal channels reduce to Bayes", dev, 1e-8)
-
-
-def test_11_column_sums_and_fixed_point():
-    dev_cols = dev_fix = 0.0
-
-    def account(shat, s, v):
-        nonlocal dev_cols, dev_fix
-        dev_cols = max(dev_cols, max_abs(shat.sum(axis=0) - 1.0))
-        dev_fix = max(dev_fix, max_abs(shat @ (s @ v) - v))
-
-    for name, frame, dual in FRAMES:
-        s, v, shat = half_swap_recovery(name, frame, dual)
-        account(shat, s, v)
-        rng = np.random.default_rng(SEED + 5)
-        for _ in range(20):
-            channel = random_channel(rng)
-            prior = random_density(rng, 2, min_eig=0.05)
-            s = channel_to_qpr(channel, frame, dual)
-            v = state_to_qpr(prior, frame)
-            account(petz_qpr(s, v, XI[name], kind=frame.kind).matrix, s, v)
-    emit(11, "retrodiction columns sum to one", dev_cols, 1e-9)
-    emit(11, "reference prior is a fixed point", dev_fix, 1e-8)
-
-
-def test_12_adjoint_correction():
-    f, g = SIC
-    dev_unital = 0.0
-    for gate in ("identity", "pauli_x", "pauli_y", "pauli_z", "hadamard",
-                 "u_eg"):
-        s = channel_to_qpr(builtin_channel(gate), f, g)
-        dev_unital = max(dev_unital, max_abs(k_matrix(s)))
-    emit(12, "correction vanishes for unital channels", dev_unital, 1e-10)
-    s = channel_to_qpr(builtin_channel("half_swap"), f, g)
-    expected_row = np.array([-1, 1, -1, 1]) / (4 * SQ3)
-    dev_row = max_abs(k_matrix(s) - expected_row[None, :])
-    emit(12, "half-swap correction row pattern", dev_row, 1e-9)
-
-
-def test_13_graph_emission():
-    f, g = DW
-    s, v, shat = half_swap_recovery("dw", f, g)
-    retro = retro_graph(shat, v)
-    deterministic = (emit_dot(retro) == emit_dot(retro)
-                     and emit_svg(retro) == emit_svg(retro))
-    forward = forward_graph(s, s @ uniform_vector(4))
-    dashed = "style=dashed" in emit_dot(forward)
-    bubble_spread = max(forward.out_bubbles) - min(forward.out_bubbles)
-    s_h = channel_to_qpr(builtin_channel("hadamard"), f, g)
-    uniform = forward_graph(s_h, s_h @ uniform_vector(4))
-    uniform_spread = max(uniform.out_bubbles) - min(uniform.out_bubbles)
-    ok = (deterministic and dashed and bubble_spread > 1e-6
-          and uniform_spread < 1e-12)
-    emit(13, "graph emission determinism and styling",
-         0.0 if ok else 1.0, 0.5)
+@pytest.mark.parametrize("check", CHECKS)
+def test_check(check):
+    assert check.passed, check.line()

@@ -13,12 +13,15 @@ import qbret
 from qbret.cli import build_parser, main
 from qbret import graphs as gr
 from qbret import hilbert as hb
+from qbret import qprcore as qp
 from qbret.frames import (
     build_dw_qubit,
     build_sic_qubit,
     encode_complex_matrix,
     frame_to_dict,
+    structure_coeffs,
 )
+from qbret.matcore import max_abs
 
 SQ3 = np.sqrt(3.0)
 
@@ -30,6 +33,16 @@ def read_json(path):
 
 def matrix_of(doc):
     return np.array(doc["entries"]).reshape(doc["shape"])
+
+
+def half_swap_plus_dw():
+    """The library's channel matrix, prior vector and recovery for the
+    half-SWAP (|1> ancilla) at the |+> prior on dw-qubit; `qbret verify`
+    holds them to their closed forms."""
+    f, g = build_dw_qubit()
+    s = qp.channel_to_qpr(hb.builtin_channel("half_swap"), f, g)
+    v = qp.state_to_qpr(hb.projector(hb.KET_PLUS), f)
+    return s, v, qp.petz_qpr(s, v, structure_coeffs(f, g)).matrix
 
 
 def custom_sic_file(tmp_path):
@@ -149,9 +162,7 @@ class TestPetzCommand:
                      "--out", str(out)])
         assert code == 0
         doc = read_json(out)
-        expected = 0.5 * np.array([[1, 1, 1, 1], [1, 1, 1, 1],
-                                   [0, 0, 0, 0], [0, 0, 0, 0]])
-        np.testing.assert_allclose(matrix_of(doc), expected, atol=1e-8)
+        assert max_abs(matrix_of(doc) - half_swap_plus_dw()[2]) < 1e-12
         assert doc["meta"]["oracle_deviation"] < 1e-8
         assert doc["meta"]["eps_used"] == 0.0
 
@@ -315,9 +326,8 @@ class TestCompareCommand:
                      "--out", str(out)]) == 0
         doc = read_json(out)
         assert doc["max_difference"] > 0.1
-        classical = np.array(doc["classical"])
-        expected_first_row = [1, (3 - np.sqrt(2)) / 7, 1, (np.sqrt(2) + 3) / 7]
-        np.testing.assert_allclose(classical[0], expected_first_row, atol=1e-10)
+        s, v, _ = half_swap_plus_dw()
+        assert max_abs(np.array(doc["classical"]) - qp.classical_bayes(s, v)) < 1e-12
 
     def test_reports_oracle_deviation(self, tmp_path):
         out = tmp_path / "cmp.json"
@@ -372,25 +382,30 @@ class TestCompareCommand:
         ch.write_text(json.dumps({
             "kind": "kraus", "d": 2,
             "kraus": [[[[z.real, z.imag] for z in row] for row in u]]}))
-        out = tmp_path / "cmp.json"
-        assert main(["compare", "--channel", str(ch), "--kind", "dw-qubit",
-                     "--angles", f"{np.pi / 2},{np.pi / 2},0",
-                     "--out", str(out)]) == 0
-        doc = read_json(out)
-        assert doc["flagged"]
-        values = {(row["state"], row["effect"]): row["value"]
-                  for row in doc["born_scan_classical"]}
-        assert abs(values[("plus", "ket0")] - (1 + SQ3) / 2) < 1e-9
-        # same rotation through the tetrahedron frame flags a negative value
-        out2 = tmp_path / "cmp_sic.json"
-        assert main(["compare", "--channel", str(ch), "--kind", "sic-qubit",
-                     "--angles", f"{np.pi / 2},{np.pi / 2},0",
-                     "--out", str(out2)]) == 0
-        doc2 = read_json(out2)
-        values2 = {(row["state"], row["effect"]): row["value"]
-                   for row in doc2["born_scan_classical"]}
-        assert abs(values2[("ket0", "plus")] - (2 - 5 * SQ3) / 13) < 1e-9
-        assert any(row["value"] < -1e-6 for row in doc2["flagged"])
+        plus = hb.projector(hb.KET_PLUS)
+        named = {"plus": plus, "ket0": hb.projector(hb.KET0)}
+        # `qbret verify` holds both library values to their closed forms,
+        # one above 1 and one below 0; `flagged` indexes the scan rows
+        # outside [0, 1]
+        for kind, (f, g), (state, effect) in (
+                ("dw-qubit", build_dw_qubit(), ("plus", "ket0")),
+                ("sic-qubit", build_sic_qubit(), ("ket0", "plus"))):
+            out = tmp_path / f"cmp_{kind}.json"
+            assert main(["compare", "--channel", str(ch), "--kind", kind,
+                         "--angles", f"{np.pi / 2},{np.pi / 2},0",
+                         "--out", str(out)]) == 0
+            doc = read_json(out)
+            scan = doc["born_scan_classical"]
+            assert doc["flagged"] == [i for i, row in enumerate(scan)
+                                      if not row["valid"]]
+            flagged = {(scan[i]["state"], scan[i]["effect"]): scan[i]["value"]
+                       for i in doc["flagged"]}
+            scl = qp.classical_bayes(
+                qp.channel_to_qpr(hb.KrausChannel.from_unitary(u), f, g),
+                qp.state_to_qpr(plus, f))
+            value = qp.born(scl @ qp.state_to_qpr(named[state], f),
+                            qp.povm_to_qpr(named[effect], g))
+            assert abs(flagged[(state, effect)] - value) < 1e-12
 
     def test_diagonal_channel_agrees_on_diagonal(self, tmp_path):
         # classical channel embedded diagonally with a diagonal prior: the
