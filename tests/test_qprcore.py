@@ -139,6 +139,20 @@ class TestChannelToQpr:
         s = channel_to_qpr(ch, f, g)
         np.testing.assert_allclose(s.sum(axis=0), np.ones(4), atol=1e-12)
 
+    def test_born_rule_compatibility(self, sic):
+        f, g = sic
+        rng = np.random.default_rng(1)
+        ch = channel_from_dilation(random_unitary(rng, 4),
+                                   random_density(rng, 2))
+        s = channel_to_qpr(ch, f, g)
+        for _ in range(10):
+            rho = random_density(rng, 2)
+            effect = projector(random_unitary(rng, 2)[:, 0])
+            lhs = born(s @ state_to_qpr(rho, f), povm_to_qpr(effect, g))
+            rhs = np.trace(ch.apply(rho) @ effect).real
+            assert abs(lhs - rhs) < 1e-12
+
+
 def per_column(apply, f, g):
     """S[j, a] = Tr[F_j E[G_a]], one column and one trace at a time."""
     return np.array([[np.trace(f.ops[j] @ apply(g.ops[a])).real
@@ -318,6 +332,43 @@ class TestPetzQpr:
         # the pure prior needs no regularization: the posterior has full rank
         assert petz_qpr(s, v, xi, kind="nq").eps_used == 0.0
 
+    def test_unitary_retrodicts_to_transpose(self, dw, sic):
+        rng = np.random.default_rng(2)
+        for f, g in (dw, sic):
+            xi = structure_coeffs(f, g)
+            s = channel_to_qpr(builtin_channel("pauli_z"), f, g)
+            for _ in range(3):
+                v = state_to_qpr(random_density(rng, 2, min_eig=0.05), f)
+                result = petz_qpr(s, v, xi, kind=f.kind)
+                np.testing.assert_allclose(result.matrix, s.T, atol=1e-9)
+
+    def test_matches_hilbert_oracle(self, dw, sic):
+        rng = np.random.default_rng(3)
+        for f, g in (dw, sic):
+            xi = structure_coeffs(f, g)
+            for _ in range(20):
+                ch = channel_from_dilation(random_unitary(rng, 4),
+                                           random_density(rng, 2))
+                gamma = random_density(rng, 2, min_eig=0.05)
+                s = channel_to_qpr(ch, f, g)
+                v = state_to_qpr(gamma, f)
+                lhs = petz_qpr(s, v, xi, kind=f.kind).matrix
+                rhs = channel_to_qpr(petz_hilbert(ch, gamma), f, g)
+                assert max_abs(lhs - rhs) < 1e-9
+
+    def test_columns_sum_to_one_and_prior_fixed(self, sic):
+        f, g = sic
+        xi = structure_coeffs(f, g)
+        rng = np.random.default_rng(4)
+        ch = channel_from_dilation(random_unitary(rng, 4),
+                                   random_density(rng, 2))
+        gamma = random_density(rng, 2, min_eig=0.05)
+        s = channel_to_qpr(ch, f, g)
+        v = state_to_qpr(gamma, f)
+        shat = petz_qpr(s, v, xi, kind="sp").matrix
+        np.testing.assert_allclose(shat.sum(axis=0), np.ones(4), atol=1e-10)
+        np.testing.assert_allclose(shat @ (s @ v), v, atol=1e-10)
+
     def test_singular_posterior_raises_without_eps(self, dw):
         f, g = dw
         xi = structure_coeffs(f, g)
@@ -396,6 +447,18 @@ class TestPetzQpr:
         with pytest.raises(errors.RepMismatch):
             petz_qpr(s, v, structure_coeffs(f, g), kind="sp")
         assert classical_structure_coeffs(4).kind == "nq"
+
+    def test_classical_delta_coefficients_reduce_to_bayes(self):
+        rng = np.random.default_rng(5)
+        t = rng.random((3, 3)) + 0.1
+        t /= t.sum(axis=0)
+        p = rng.random(3) + 0.1
+        p /= p.sum()
+        via_pipeline = petz_qpr(t, p, classical_structure_coeffs(3),
+                                kind="nq").matrix
+        np.testing.assert_allclose(via_pipeline, classical_bayes(t, p),
+                                   atol=1e-13)
+
 
 @pytest.mark.parametrize("n_qubits", [3, 4])
 def test_product_frame_recovery_stays_factored(n_qubits, monkeypatch):
@@ -709,6 +772,24 @@ class TestGramRoute:
 
 
 class TestClassicalBayes:
+    def test_permutation_inverts_to_transpose(self):
+        rng = np.random.default_rng(6)
+        perm = np.eye(4)[rng.permutation(4)]
+        p = rng.random(4) + 0.1
+        p /= p.sum()
+        np.testing.assert_allclose(classical_bayes(perm, p), perm.T,
+                                   atol=1e-14)
+
+    def test_fixes_prior(self):
+        rng = np.random.default_rng(7)
+        t = rng.random((4, 4)) + 0.1
+        t /= t.sum(axis=0)
+        p = rng.random(4) + 0.1
+        p /= p.sum()
+        shat = classical_bayes(t, p)
+        np.testing.assert_allclose(shat @ (t @ p), p, atol=1e-14)
+        np.testing.assert_allclose(shat.sum(axis=0), np.ones(4), atol=1e-14)
+
     def test_zero_posterior_entry(self):
         # an unreachable outcome keeps a zero posterior entry even after
         # mixing the prior, so the inversion stays undefined
@@ -731,6 +812,15 @@ class TestMPowerCheck:
         report = m_power_check(uniform_vector(4), -1.0, f, g)
         np.testing.assert_allclose(report.lhs, 4 * np.eye(4), atol=1e-12)
         np.testing.assert_allclose(report.rhs, 4 * np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("r", [2.0, 0.5, -0.5, -1.0])
+    def test_random_full_rank_states(self, r, dw, sic):
+        rng = np.random.default_rng(8)
+        for f, g in (dw, sic):
+            for _ in range(10):
+                rho = random_density(rng, 2, min_eig=0.05)
+                report = m_power_check(state_to_qpr(rho, f), r, f, g)
+                assert report.max_dev < 1e-8
 
     def test_square_matches_matrix_product(self, sic):
         f, g = sic
