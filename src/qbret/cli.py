@@ -85,11 +85,15 @@ def _dump(obj) -> str:
 
 # --- state / channel / QPR files ---------------------------------------------
 
-def load_state_doc(doc: dict) -> np.ndarray:
+def load_state_doc(doc: dict, tol: float) -> np.ndarray:
+    """The density operator of a state document; a matrix that is not one
+    raises NotHermitian or NotPSD (exit 1)."""
     kind = doc.get("kind")
     try:
         if kind == "matrix":
-            return fr.decode_complex_matrix(doc["matrix"])
+            rho = fr.decode_complex_matrix(doc["matrix"])
+            hb.assert_density(rho, tol)
+            return rho
         if kind == "qubit_params":
             return hb.qubit_state(*_finite_angles(
                 (doc["omega"], doc["theta"], doc["phi"]), doc))
@@ -111,14 +115,14 @@ def load_channel_doc(doc: dict, tol: float) -> tuple[hb.KrausChannel, str]:
             beta_doc = doc["beta"]
         except KeyError as exc:
             raise ParseError(f"dilation channel missing field {exc}") from exc
-        beta = (load_state_doc(beta_doc) if isinstance(beta_doc, dict)
+        beta = (load_state_doc(beta_doc, tol) if isinstance(beta_doc, dict)
                 else fr.decode_complex_matrix(beta_doc))
         return hb.channel_from_dilation(u, beta, tol), "dilation"
     if kind == "builtin":
         name = doc.get("name")
         ancilla = doc.get("ancilla")
         if isinstance(ancilla, dict):
-            ancilla = load_state_doc(ancilla)
+            ancilla = load_state_doc(ancilla, tol)
         elif isinstance(ancilla, str):
             ancilla = parse_state_spec(ancilla)
         try:
@@ -176,9 +180,9 @@ def resolve_channel(args, tol: float) -> tuple[hb.KrausChannel, str]:
     raise ParseError("need --channel PATH or --builtin NAME")
 
 
-def resolve_prior(args) -> np.ndarray:
+def resolve_prior(args, tol: float) -> np.ndarray:
     if args.prior:
-        return load_state_doc(_read_json(args.prior))
+        return load_state_doc(_read_json(args.prior), tol)
     if args.angles:
         return hb.qubit_state(*_parse_angles(args.angles))
     raise ParseError("need --prior PATH or --angles w,t,p")
@@ -198,7 +202,7 @@ def _gated_recovery(args, tol: float, frame: fr.Frame, dual: fr.DualFrame):
     description, gate); the gate is the deviation and its bound as output
     metadata.  Raises OracleMismatch (exit 1) over the bound."""
     channel, desc = resolve_channel(args, tol)
-    prior = resolve_prior(args)
+    prior = resolve_prior(args, tol)
     s = qp.channel_to_qpr(channel, frame, dual)
     result = _recover(s, prior, frame, dual, args.eps, tol)
     oracle = hb.petz_hilbert(channel, prior, eps=result.eps_used or args.eps,
@@ -241,7 +245,7 @@ def cmd_repr(args, tol: float) -> int:
         meta["column_sums"] = [float(x) for x in s.sum(axis=0)]
         doc = qpr_object_dict(s, frame.name, "channel-matrix", meta)
     else:
-        v = qp.state_to_qpr(resolve_prior(args), frame)
+        v = qp.state_to_qpr(resolve_prior(args, tol), frame)
         meta["source"] = "state"
         meta["sum"] = float(v.sum())
         doc = qpr_object_dict(v, frame.name, "state-vector", meta)
@@ -252,7 +256,7 @@ def cmd_repr(args, tol: float) -> int:
 def cmd_petz(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
     if args.matrix:
-        prior = resolve_prior(args)
+        prior = resolve_prior(args, tol)
         s, rep = load_qpr_object(_read_json(args.matrix))
         if rep not in ("unknown", frame.name):
             raise QbretError(f"matrix file is in representation {rep!r}, "

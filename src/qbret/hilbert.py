@@ -1,13 +1,15 @@
 """Hilbert-space side: states, channels, adjoints and the recovery-map oracle.
 
 States and effects are plain complex numpy arrays; channels carry their
-Kraus operators.  This module is the ground truth that the quasiprobability
-computations are cross-checked against.
+Kraus operators and the d^2 x d^2 superoperator built from them once.
+This module is the ground truth that the quasiprobability computations
+are cross-checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,7 +121,8 @@ class KrausChannel:
                 raise DimensionMismatch("Kraus operators must share one square shape")
         total = sum(dagger(k) @ k for k in ops)
         dev = max_abs(total - np.eye(d))
-        if dev > tol:
+        # a NaN deviation fails too
+        if not dev <= tol:
             raise NotUnitary(
                 f"Kraus completeness violated: ||sum k^dag k - 1||_max = {dev:.3e}")
         return cls(kraus=ops, d=d)
@@ -127,21 +130,33 @@ class KrausChannel:
     @classmethod
     def from_unitary(cls, u, tol: float = DEFAULT_TOL) -> "KrausChannel":
         u = np.asarray(u, dtype=complex)
-        if max_abs(u @ dagger(u) - np.eye(u.shape[0])) > tol:
+        if not max_abs(u @ dagger(u) - np.eye(u.shape[0])) <= tol:
             raise NotUnitary("matrix is not unitary within tolerance")
         return cls(kraus=(u,), d=u.shape[0])
 
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """sum_l k (x) conj(k): the d^2 x d^2 matrix of the channel on
+        row-major vectorized operators, vec(k x k^dag) = (k (x) conj k) vec x."""
+        k = np.array(self.kraus)
+        return np.einsum("lab,lcd->acbd", k, k.conj()).reshape(
+            self.d * self.d, self.d * self.d)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """sum_l k x k^dag, elementwise on a (..., d, d) stack."""
+        """sum_l k x k^dag, elementwise on a (..., d, d) stack: one product
+        with the superoperator."""
         x = operator_stack(x, self.d)
-        return sum(k @ x @ dagger(k) for k in self.kraus)
+        flat = x.reshape(-1, self.d * self.d)
+        return (flat @ self.superop.T).reshape(x.shape)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """Heisenberg-picture adjoint sum_l k^dag x k, elementwise on a
-        (..., d, d) stack; unital by construction and tied to `apply` by
+        (..., d, d) stack, whose superoperator is the conjugate transpose;
+        unital by construction and tied to `apply` by
         Tr[E[rho] s] = Tr[E^dag[s] rho]."""
         x = operator_stack(x, self.d)
-        return sum(dagger(k) @ x @ k for k in self.kraus)
+        flat = x.reshape(-1, self.d * self.d)
+        return (flat @ self.superop.conj()).reshape(x.shape)
 
 
 def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
@@ -154,7 +169,7 @@ def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
-    if max_abs(u @ dagger(u) - np.eye(n)) > tol:
+    if not max_abs(u @ dagger(u) - np.eye(n)) <= tol:
         raise NotUnitary("dilation unitary fails U U^dag = 1")
     beta = np.asarray(beta, dtype=complex)
     d_b = beta.shape[0]

@@ -114,13 +114,13 @@ class Spectrum:
 def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Raises NotHermitian if ||H - H^dag||_max > tol and NoConvergence if the
-    underlying iteration fails.  The reconstruction residual is checked
-    against 10*tol*||H||_max.
+    Raises NotHermitian unless ||H - H^dag||_max <= tol, so also on NaN
+    entries, and NoConvergence if the underlying iteration fails.  The
+    reconstruction residual is checked against 10*tol*||H||_max.
     """
     h = _require_square(h)
     dev = max_abs(h - dagger(h))
-    if dev > tol:
+    if not dev <= tol:
         raise NotHermitian(f"||H - H^dag||_max = {dev:.3e} > tol = {tol:.3e}")
     try:
         w, v = np.linalg.eigh(h)

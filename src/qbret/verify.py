@@ -125,22 +125,21 @@ def suite_mmatrix(seed: int = 0) -> list[CheckResult]:
 
 def suite_powers(seed: int = 0) -> list[CheckResult]:
     out = []
-    for name, f, g in _canonical_pairs():
+    for name, f, g in (*_canonical_pairs(), ("dw-qubits:2", *fr.build_dw_qubits(2))):
         xi = fr.structure_coeffs(f, g)
         rng = np.random.default_rng(seed)
-        states = _random_states(rng, 50, min_eig=0.05)
+        states = [hb.random_density(rng, f.d, min_eig=0.05) for _ in range(50)]
+        vectors = [qp.state_to_qpr(rho, f) for rho in states]
         for r in (2.0, 0.5, -0.5, -1.0):
-            worst = 0.0
-            for rho in states:
-                v = qp.state_to_qpr(rho, f)
-                worst = max(worst, qp.m_power_check(v, r, f, g, xi).max_dev)
+            worst = max(qp.m_power_check(v, r, f, g, xi).max_dev for v in vectors)
             out.append(CheckResult(f"power-identity-{name}-r={r:g}", worst, 1e-8))
-        # informational only: trace of a matrix power is not 1 off rank one
-        v = qp.state_to_qpr(states[0], f)
-        tr_half = float(np.trace(qp.x_matrix(qp.state_power(v, 0.5, xi)[0], xi)))
-        out.append(CheckResult(
-            f"trace-of-root-{name}", 0.0, 1.0,
-            note=f"informational: Tr[M^(1/2)] = {tr_half:.6f} for a mixed state"))
+        # rho -> a rho a has trace (Tr a)^2, so Tr[M^(1/2)] = (Tr alpha^(1/2))^2
+        worst = 0.0
+        for rho, v in zip(states, vectors):
+            tr_half = np.trace(qp.x_matrix(qp.state_power(v, 0.5, xi)[0], xi))
+            root_trace = np.sqrt(np.linalg.eigvalsh(rho)).sum()
+            worst = max(worst, abs(tr_half - root_trace ** 2))
+        out.append(CheckResult(f"trace-of-root-{name}", worst, 1e-12))
     return out
 
 
@@ -371,16 +370,16 @@ def suite_counterexamples(seed: int = 0) -> list[CheckResult]:
         out.append(CheckResult(f"half-swap-recovery-{name}",
                                max_abs(shat - expected[name]), 1e-10))
         scl = qp.classical_bayes(s, v)
+        differs = f"differs from the recovery by {max_abs(scl - shat):.4f}"
         if name == "dw":
             out.append(CheckResult("half-swap-classical-dw",
-                                   max_abs(scl - classical_dw), 1e-12))
+                                   max_abs(scl - classical_dw), 1e-12,
+                                   note=differs))
         else:
             out.append(CheckResult("half-swap-classical-sp",
                                    max_abs(scl - classical_sp_3sf), 5e-4,
-                                   note="against 3-significant-figure values"))
-        out.append(CheckResult(
-            f"classical-differs-from-recovery-{name}", 0.0, 1.0,
-            note=f"informational: max difference = {max_abs(scl - shat):.4f}"))
+                                   note="against 3-significant-figure values; "
+                                        + differs))
 
     # unitary channel matrices: the Hadamard pattern is the same in both
     # frames, the example gate's is not

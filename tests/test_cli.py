@@ -701,3 +701,56 @@ class TestExitCodes:
         ch = tmp_path / "ch.json"
         ch.write_text("[1, 2, 3]")
         assert main(["repr", "--channel", str(ch), "--kind", "dw-qubit"]) == 2
+
+
+def _nan_corner(m):
+    """`m` encoded with NaN as its [0, 0] entry."""
+    m = np.array(m, dtype=complex)
+    m[0, 0] = np.nan
+    return encode_complex_matrix(m)
+
+
+_NAN_DIAG = _nan_corner(np.diag([0.0, 1.0]))
+
+
+class TestInvalidNumbers:
+    """A NaN makes every `dev > tol` test false, so each validation asks
+    `not dev <= tol`; a non-finite or non-state input exits 1 and writes
+    no output file."""
+
+    CHANNELS = {
+        "kraus-nan": {"kind": "kraus", "kraus": [_NAN_DIAG]},
+        "dilation-nan-unitary": {"kind": "dilation", "U": _nan_corner(np.eye(4)),
+                                 "beta": encode_complex_matrix(np.diag([0.0, 1.0]))},
+        "dilation-nan-ancilla": {"kind": "dilation",
+                                 "U": encode_complex_matrix(np.eye(4)),
+                                 "beta": _NAN_DIAG},
+        "dilation-nan-ancilla-doc": {
+            "kind": "dilation", "U": encode_complex_matrix(np.eye(4)),
+            "beta": {"kind": "matrix", "matrix": _NAN_DIAG}},
+    }
+
+    @staticmethod
+    def _run(tmp_path, option, doc, command="repr", extra=()):
+        source, out = tmp_path / "in.json", tmp_path / "out.json"
+        source.write_text(json.dumps(doc))
+        code = main([command, option, str(source), "--kind", "dw-qubit",
+                     *extra, "--out", str(out)])
+        return code, out.exists()
+
+    @pytest.mark.parametrize("name", list(CHANNELS))
+    def test_channel_repr(self, name, tmp_path):
+        assert self._run(tmp_path, "--channel", self.CHANNELS[name]) == (1, False)
+
+    def test_kraus_petz_names_completeness(self, tmp_path, capsys):
+        code, written = self._run(tmp_path, "--channel", self.CHANNELS["kraus-nan"],
+                                  "petz", ("--angles", "0.4,1.1,0.3"))
+        assert (code, written) == (1, False)
+        assert "completeness" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("matrix", [_NAN_DIAG,
+                                        encode_complex_matrix(np.diag([2.0, 1.0]))],
+                             ids=["nan", "trace-3"])
+    def test_matrix_prior_repr(self, matrix, tmp_path):
+        doc = {"kind": "matrix", "matrix": matrix}
+        assert self._run(tmp_path, "--prior", doc) == (1, False)

@@ -188,6 +188,49 @@ class TestStacks:
             fns[name](np.zeros((3, 5, 5), dtype=complex))
 
 
+class TestKrausReference:
+    """The superoperator products against the Kraus sums they replace,
+    built here from `ch.kraus`: d = 2 with four Kraus operators, d = 8
+    with four (a 16 x 16 dilation with a mixed qubit ancilla, the
+    three-qubit shape) and a (2, 3, d, d) stack."""
+
+    CASES = [(2, (5,)), (8, (5,)), (2, (2, 3)), (8, (2, 3))]
+
+    @staticmethod
+    def _case(d, shape):
+        rng = np.random.default_rng(20 + d + len(shape))
+        ch = channel_from_dilation(random_unitary(rng, 2 * d),
+                                   random_density(rng, 2))
+        assert len(ch.kraus) == 4
+        x = (rng.normal(size=(*shape, d, d))
+             + 1j * rng.normal(size=(*shape, d, d)))
+        y = (rng.normal(size=(*shape, d, d))
+             + 1j * rng.normal(size=(*shape, d, d)))
+        return ch, x, y
+
+    @pytest.mark.parametrize("d,shape", CASES)
+    def test_apply_is_the_kraus_sum(self, d, shape):
+        ch, x, _ = self._case(d, shape)
+        reference = sum(k @ x @ k.conj().T for k in ch.kraus)
+        assert max_abs(ch.apply(x) - reference) < 1e-14
+
+    @pytest.mark.parametrize("d,shape", CASES)
+    def test_adjoint_is_the_kraus_sum(self, d, shape):
+        ch, x, _ = self._case(d, shape)
+        reference = sum(k.conj().T @ x @ k for k in ch.kraus)
+        assert max_abs(ch.adjoint(x) - reference) < 1e-14
+
+    @pytest.mark.parametrize("d,shape", CASES)
+    def test_duality_and_trace_preservation(self, d, shape):
+        ch, x, y = self._case(d, shape)
+        # Tr[E(x) y] = Tr[x E^dag(y)] elementwise, and Tr E(x) = Tr x
+        lhs = np.einsum("...ab,...ba->...", ch.apply(x), y)
+        rhs = np.einsum("...ab,...ba->...", x, ch.adjoint(y))
+        assert max_abs(lhs - rhs) < 1e-12
+        assert max_abs(np.trace(ch.apply(x), axis1=-2, axis2=-1)
+                       - np.trace(x, axis1=-2, axis2=-1)) < 1e-12
+
+
 class TestPetzHilbert:
     def test_unitary_inverts(self):
         rng = np.random.default_rng(8)
