@@ -271,6 +271,7 @@ def cmd_petz(args, tol: float) -> int:
         "prior_kind": frame.kind,
         "converged": result.converged,
         "support_projected": result.support_projected,
+        "root_routes": list(result.root_routes),
         **gate,
     }
     if result.extrapolation_dev is not None:

@@ -298,7 +298,7 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
 
 # --- structure coefficients -------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureCoefficients:
     """Structure coefficients eta[x,i,j] = Tr[F_i G_x G_j] of a frame pair,
     held as complex (n_k, n_k, n_k) factor tensors whose Kronecker product
@@ -316,8 +316,9 @@ class StructureCoefficients:
     (every nq frame and product of them, the classical delta tensor).
     With the dual G = Q^{-1} F of a minimal frame, Re L = P Q^{-1} with
     P[i,k] = Re Tr[F_i alpha F_k] symmetric, so Q^{-1/2} (Re L) Q^{1/2} is
-    symmetric and its powers take `eigh` (`qprcore.state_power`).  The
-    same roots give the adjoint Q S^T Q^{-1} (`qprcore.adjoint_qpr`).
+    symmetric, and its powers take `eigh` or a Lanczos run
+    (`qprcore.state_power`).  The same roots give the adjoint Q S^T Q^{-1}
+    (`qprcore.adjoint_qpr`).
     """
 
     factors: tuple

@@ -105,7 +105,7 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r))).conj()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """CPTP map given by Kraus operators; completeness is checked on build."""
 
@@ -192,7 +192,7 @@ def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
     return KrausChannel.from_kraus(kraus, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PetzMap:
     """Recovery map sqrt(g) E^dag[P^{-1/2} . P^{-1/2}] sqrt(g) for prior g
     and posterior P = E[g], kept as the composition of its three factors.

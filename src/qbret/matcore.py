@@ -5,14 +5,16 @@ operators, real for quasiprobability objects).  Matrices are dense and
 small: the quasiprobability side of a frame is n x n with n = d^2, and
 n = 256 (dw-qubits:4) is the largest size run so far.
 
-Every matrix power is taken by one Hermitian eigendecomposition and
-`Spectrum.power`, which holds the one rank policy: clamp roundoff
-negatives, give power zero below the relative rank threshold, refuse
-negative powers of rank-deficient spectra unless asked for the inverse
-on the support.  The state-side matrices of frames whose Gram is not a
-multiple of the identity are not symmetric; `qprcore.state_matrix`
-makes them so by a similarity through the frame Gram before they reach
-`symmetric_eig`.
+Every matrix power is taken from one `Spectrum` by `Spectrum.power`,
+which holds the one rank policy: clamp roundoff negatives, give power
+zero below the relative rank threshold, refuse negative powers of
+rank-deficient spectra unless asked for the inverse on the support.  The
+spectrum is a Hermitian eigendecomposition here, or the Ritz spectrum of
+a Lanczos run for the state powers of larger frames (`qprcore.lanczos`).
+The state-side matrices of frames whose Gram is not a multiple of the
+identity are not symmetric; `qprcore.state_matrix` makes them so by a
+similarity through the frame Gram, and `symmetrized` checks them on both
+routes.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def operator_stack(x: np.ndarray, d: int, what: str = "operator") -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
 
@@ -144,16 +146,22 @@ def psd_sqrt(h: np.ndarray, tol: float = DEFAULT_TOL, *,
                                        singular=singular)
 
 
-def symmetric_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
-    """`hermitian_eig` of a real symmetric matrix, symmetrized first.
+def symmetrized(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """(m + m^T)/2 of a real square matrix.
 
-    Raises NotHermitian unless ||m - m^T||_max <= tol * max(||m||_max, 1).
+    Raises NotHermitian unless ||m - m^T||_max <= tol * max(||m||_max, 1),
+    so also on NaN entries.
     """
     m = _require_square(np.asarray(m, dtype=float))
     dev = max_abs(m - m.T)
-    if dev > tol * max(max_abs(m), 1.0):
+    if not dev <= tol * max(max_abs(m), 1.0):
         raise NotHermitian(f"||M - M^T||_max = {dev:.3e} exceeds tol")
-    return hermitian_eig((m + m.T) / 2, tol)
+    return (m + m.T) / 2
+
+
+def symmetric_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+    """`hermitian_eig` of a real symmetric matrix, `symmetrized` first."""
+    return hermitian_eig(symmetrized(m, tol), tol)
 
 
 def principal_power(m: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,

@@ -12,6 +12,7 @@ indexing the input (S[a_out, a_in]), so distributions compose as S @ v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from .matcore import (
     principal_power,
     rank_threshold,
     symmetric_eig,
+    symmetrized,
 )
 
 # Smaller regularization weights are floored to this, and the weight used
@@ -41,6 +43,31 @@ from .matcore import (
 # through Haar unitaries, the worst sic-qubit one is 3.8e-10 at 1e-5 and
 # 3.6e-9 at 1e-6, and at 1e-7 184 of the 200 miss the 1e-8 gate.
 QPR_EPS_FLOOR = 1e-5
+
+# Frames with fewer operators take state powers from one eigh of the state
+# matrix, larger ones from a certified Lanczos run (`lanczos`).  A Lanczos
+# run costs a fixed dozen small numpy calls per step, an eigh grows as n^3:
+# `state_power` of a random full-rank state (one BLAS thread, best of 5 x
+# 300-2000 calls), eigh vs Lanczos, took 0.075 vs 0.135 ms at n = 4 (dw),
+# 0.067 vs 0.119 (sic), 0.146 vs 0.239 at n = 16, 0.80 vs 0.38 at n = 64 and
+# 15.3 vs 3.3 ms at n = 256.  qubit-sweep (n = 4) and dw3-product (n = 64)
+# run on either side.
+LANCZOS_MIN_N = 64
+# A Lanczos run stops once its residual is this far below ||J||_max: the
+# Krylov space is then invariant to roundoff.  Stopping late or early costs
+# no accuracy, only certificates: the error estimate judges the run it gets.
+LANCZOS_BREAK = 1e-10
+# Largest `Lanczos.error_estimate` a run is used at; past it the state power
+# falls back to eigh.  Over the 6400 state powers of dw3-product's inputs at
+# seeds 0-99 and 900-999 the estimate stays below 1.2e-13 (the powers are
+# within 1.9e-14 of eigh's, relative), and over 20 at dw-qubits:4 below
+# 9.4e-13.  A pure dw-qubits:3 prior through a Haar 16x16 dilation with
+# ancilla diag(0.7, 0.3) has a rank-4 posterior; regularized at 1e-5 or
+# 1e-6 its other eigenvalues lie near 1e-6 and 1e-7, and over 20 such priors
+# at either weight the estimate reads 1.5e-2 or more, the relative error
+# 1.8e-4 or more.  The residual alone does not tell these apart: it reaches
+# 2.4e-11 ||J||_max on dw3-product and 1.7e-6 ||J||_max at dw-qubits:4.
+LANCZOS_RTOL = 1e-10
 
 
 def uniform_vector(n: int) -> np.ndarray:
@@ -140,14 +167,127 @@ def state_vector(p: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
     return half @ (p @ (inv_half @ coeffs.e))
 
 
+@dataclass(frozen=True, eq=False)
+class Lanczos:
+    """A Lanczos run of the symmetric `state_matrix` A from b = e (Q^{-1/2} e
+    through the Gram roots): the orthonormal rows q_1..q_m of `basis`, the
+    spectrum `ritz` of the tridiagonal T = basis A basis^T, `norm` = |b| and
+    `residual`, the norm of the part of A q_m outside the basis.
+
+    The basis is exactly invariant under A less a symmetric perturbation of
+    norm `residual`, so A^r b = norm * (T^r e_1) @ basis up to the relative
+    error `error_estimate` gives to first order.
+    """
+
+    ritz: Spectrum
+    basis: np.ndarray
+    norm: float
+    residual: float
+
+    def mixed(self, w: float, d: float) -> "Lanczos":
+        """The run of the state mixed with the uniform vector at weight w:
+        A becomes (1-w) A + (w/d) 1 (d = sum(e)), which keeps the basis and
+        maps T to (1-w) T + (w/d) 1 and the residual to (1-w) times it."""
+        ritz = Spectrum((1 - w) * self.ritz.values + w / d, self.ritz.vectors)
+        return Lanczos(ritz, self.basis, self.norm, (1 - w) * self.residual)
+
+    def error_estimate(self, r: float) -> float:
+        """Residual times derivative: the relative error of the power r of
+        the state matrix, to first order.
+
+        With q the unit residual direction, the basis is exactly invariant
+        under A - E, E = residual (q q_m^T + q_m q^T), whose power norm *
+        (T^r e_1) @ basis is.  The derivative of x^r in the direction E
+        moves it by residual * norm * sum_j z_j (z_j . q) e_m^T f[mu_j, T] e_1
+        over the eigenpairs (mu_j, z_j) off the basis, f[mu, x] the divided
+        difference of x^r (zero on the values `Spectrum.power` cuts).  Those
+        mu_j lie among the Ritz values, where they are taken; the estimate is
+        the largest such term over |T^r e_1|.
+        """
+        w = np.clip(self.ritz.values, 0.0, None)
+        keep = w >= rank_threshold(w[-1])
+        safe = np.where(keep, w, 1.0)
+        f = np.where(keep, safe ** r, 0.0)
+        top = f * self.ritz.vectors[0]
+        size = math.sqrt(top @ top)
+        if size == 0.0:
+            return 0.0
+        # f[w_j, w_i], or the derivative r w_i^(r-1) where the quotient
+        # would cancel (w_j within 1e-6 of w_i)
+        gap = w[:, None] - w
+        near = np.abs(gap) <= 1e-6 * w
+        dd = np.where(near, r * f / safe, (f[:, None] - f) / np.where(near, 1.0, gap))
+        ends = self.ritz.vectors[0] * self.ritz.vectors[-1]
+        return self.residual * float(np.abs(dd @ ends).max()) / size
+
+    def vector(self, p: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
+        """Vector of alpha^r from the power p = T^r of the Ritz spectrum:
+        norm * (p e_1) @ basis, mapped back through Q^{1/2}."""
+        y = self.norm * (p[:, 0] @ self.basis)
+        return y if coeffs.gram_roots is None else coeffs.gram_roots[0] @ y
+
+
+def lanczos(v: np.ndarray, coeffs: StructureCoefficients,
+            tol: float = DEFAULT_TOL) -> Lanczos:
+    """Lanczos run of the `state_matrix` of v from e, of at most
+    d = round(sum(e)) steps.
+
+    J^r e lies in the span of the vectors of 1, alpha, ..., alpha^(d-1), so
+    d steps reach it in exact arithmetic.  Each step orthogonalizes against
+    the whole basis by two classical Gram-Schmidt passes, and the run stops
+    early once the residual falls below LANCZOS_BREAK * ||J||_max.  Raises
+    NotHermitian on a state matrix that is not symmetric, as `symmetric_eig`
+    does.
+    """
+    a = symmetrized(state_matrix(v, coeffs), tol)
+    b = coeffs.e if coeffs.gram_roots is None else coeffs.gram_roots[1] @ coeffs.e
+    norm = math.sqrt(b @ b)
+    steps = int(round(coeffs.e.sum()))
+    stop = LANCZOS_BREAK * max_abs(a)
+    basis = np.empty((steps, a.shape[0]))
+    t = np.zeros((steps, steps))
+    q = b / norm
+    for k in range(steps):
+        basis[k] = q
+        done = basis[:k + 1]
+        q = a @ q
+        h = done @ q
+        q -= h @ done
+        h2 = done @ q
+        q -= h2 @ done
+        t[k, k] = h[k] + h2[k]
+        residual = math.sqrt(q @ q)
+        if residual <= stop or k == steps - 1:
+            break
+        t[k, k + 1] = t[k + 1, k] = residual
+        q *= 1.0 / residual
+    m = k + 1
+    return Lanczos(Spectrum(*np.linalg.eigh(t[:m, :m])), basis[:m], norm,
+                   residual)
+
+
+def _state_power(v: np.ndarray, r: float, coeffs: StructureCoefficients,
+                 tol: float, singular: str) -> tuple[np.ndarray, bool, str]:
+    """`state_power` and the route that took it, "lanczos" or "eigh"."""
+    if coeffs.e.size >= LANCZOS_MIN_N:
+        run = lanczos(v, coeffs, tol)
+        if run.error_estimate(r) <= LANCZOS_RTOL:
+            p, deficient = run.ritz.power(r, tol, singular=singular)
+            return run.vector(p, coeffs), deficient, "lanczos"
+    p, deficient = principal_power(state_matrix(v, coeffs), r, tol,
+                                   singular=singular)
+    return state_vector(p, coeffs), deficient, "eigh"
+
+
 def state_power(v: np.ndarray, r: float, coeffs: StructureCoefficients,
                 tol: float = DEFAULT_TOL, *,
                 singular: str = "error") -> tuple[np.ndarray, bool]:
-    """(vector of alpha^r, deficient): the `principal_power` of
-    `state_matrix`, mapped back by `state_vector`."""
-    p, deficient = principal_power(state_matrix(v, coeffs), r, tol,
-                                   singular=singular)
-    return state_vector(p, coeffs), deficient
+    """(vector of alpha^r, deficient), under the rank policy of
+    `Spectrum.power`.  Frames of LANCZOS_MIN_N operators or more take it
+    from a `lanczos` run whose `error_estimate` is within LANCZOS_RTOL;
+    otherwise it is the `principal_power` of `state_matrix`, mapped back by
+    `state_vector`."""
+    return _state_power(v, r, coeffs, tol, singular)[:2]
 
 
 def k_matrix(s: np.ndarray) -> np.ndarray:
@@ -183,7 +323,7 @@ def adjoint_qpr(s: np.ndarray, kind: str,
     return half @ (half @ s.T @ inv_half) @ inv_half
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PetzQprResult:
     """Retrodiction matrix plus how a rank-deficient posterior was handled.
 
@@ -199,7 +339,9 @@ class PetzQprResult:
     order, so no eps/10 probe is taken.  `converged` measures independence
     from eps, not agreement with the Hilbert-side oracle: a posterior whose
     kernel regularization lifts can move with eps at first order on both
-    sides, so a right matrix may read as unconverged.
+    sides, so a right matrix may read as unconverged.  `root_routes` names
+    the route of each state power, "lanczos" or "eigh": the prior's, then
+    each posterior's in the order taken (support, eps, eps/10).
     """
 
     matrix: np.ndarray
@@ -208,6 +350,7 @@ class PetzQprResult:
     support_matrix: np.ndarray | None = None
     support_dev: float | None = None
     support_projected: bool = False
+    root_routes: tuple = ()
 
     @property
     def converged(self) -> bool:
@@ -241,29 +384,37 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
                           f"{coeffs.frame_name!r}, whose kind is {coeffs.kind!r}")
     adjoint = adjoint_qpr(s, coeffs.kind, coeffs.gram_roots)
     # mixing with the uniform vector at weight w maps J to (1-w) J + (w/d) 1,
-    # d = Tr 1 = sum(e), so every mixed prior shares the prior's eigenvectors
-    prior = symmetric_eig(state_matrix(v_prior, coeffs), tol)
+    # d = Tr 1 = sum(e), so every mixed prior shares the prior's Lanczos
+    # basis or eigenvectors; the run must hold down to the eps/10 probe
     d, u = coeffs.e.sum(), uniform_vector(n)
+    eps_used = max(eps, QPR_EPS_FLOOR)
+    run = lanczos(v_prior, coeffs, tol) if n >= LANCZOS_MIN_N else None
+    if run is not None and all(run.mixed(w, d).error_estimate(0.5) <= LANCZOS_RTOL
+                               for w in (0.0, eps_used / 10)):
+        prior, to_vector, routes = run.ritz, run.vector, ["lanczos"]
+    else:
+        prior = symmetric_eig(state_matrix(v_prior, coeffs), tol)
+        to_vector, routes = state_vector, ["eigh"]
 
     def recovery(w: float) -> tuple[np.ndarray, bool]:
         # X(prior^{1/2}) adj X(post^{-1/2}) for the prior mixed at weight w;
         # the inverse root is taken on the support of a rank-deficient
         # posterior, and the same factorization says whether it was
-        inv_root, deficient = state_power(s @ ((1 - w) * v_prior + w * u), -0.5,
-                                          coeffs, tol, singular="support")
+        inv_root, deficient, route = _state_power(
+            s @ ((1 - w) * v_prior + w * u), -0.5, coeffs, tol, "support")
+        routes.append(route)
         mixed = Spectrum((1 - w) * prior.values + w / d, prior.vectors)
-        root = state_vector(mixed.power(0.5, tol)[0], coeffs)
+        root = to_vector(mixed.power(0.5, tol)[0], coeffs)
         return (x_matrix(root, coeffs) @ adjoint
                 @ x_matrix(inv_root, coeffs)), deficient
 
     support, deficient = recovery(0.0)
     if not deficient:
-        return PetzQprResult(matrix=support)
+        return PetzQprResult(matrix=support, root_routes=tuple(routes))
     if eps <= 0.0:
         raise SingularPosterior(
             "posterior matrix is rank-deficient and regularization is disabled")
 
-    eps_used = max(eps, QPR_EPS_FLOOR)
     primary, projected = recovery(eps_used)
     extrapolation_dev = None
     if not projected:
@@ -275,6 +426,7 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
         support_matrix=support,
         support_dev=max_abs(support - primary),
         support_projected=projected,
+        root_routes=tuple(routes),
     )
 
 
@@ -307,7 +459,7 @@ def classical_bayes(s: np.ndarray, v_prior: np.ndarray,
     return (np.diag(v) @ s.T) / post[None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MPowerReport:
     """Two-sided evaluation of the prior-matrix power identity."""
 

@@ -542,6 +542,28 @@ class TestOracleGate:
         assert meta["eps_used"] == 1e-5 and meta["converged"]
         assert meta["oracle_deviation"] <= meta["oracle_tol"] == 1e-8
 
+    def test_meta_names_the_root_routes(self, tmp_path):
+        # a pure dw-qubits:3 prior through a Haar dilation with a mixed
+        # ancilla: the prior and the support posterior take Lanczos runs,
+        # the regularized posteriors fail its certificate and take eigh
+        rng = np.random.default_rng(0)
+        u = hb.random_unitary(rng, 16)
+        prior = hb.projector(hb.random_unitary(rng, 8)[:, 0])
+        channel, state = tmp_path / "channel.json", tmp_path / "prior.json"
+        channel.write_text(json.dumps(
+            {"kind": "dilation", "U": encode_complex_matrix(u),
+             "beta": encode_complex_matrix(np.diag([0.7, 0.3]))}))
+        state.write_text(json.dumps(
+            {"kind": "matrix", "matrix": encode_complex_matrix(prior)}))
+        out = tmp_path / "petz.json"
+        assert main(["petz", "--kind", "dw-qubits:3", "--channel", str(channel),
+                     "--prior", str(state), "--out", str(out)]) == 0
+        meta = read_json(out)["meta"]
+        assert meta["root_routes"] == ["lanczos", "lanczos", "eigh", "eigh"]
+        assert meta["oracle_deviation"] <= meta["oracle_tol"]
+        assert main(["petz", *self.SIC_HALF_SWAP, "--out", str(out)]) == 0
+        assert read_json(out)["meta"]["root_routes"] == ["eigh", "eigh"]
+
     GATED = [["petz"], ["compare"], ["graph", "--direction", "retro"]]
     GATED_IDS = ["petz", "compare", "graph-retro"]
     SIC_HALF_SWAP = ["--builtin", "half_swap", "--ancilla", "1", "--kind",

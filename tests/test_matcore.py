@@ -18,6 +18,7 @@ from qbret.matcore import (
     psd_sqrt,
     rank_threshold,
     symmetric_eig,
+    symmetrized,
 )
 
 TOL = 1e-10
@@ -206,6 +207,15 @@ class TestPrincipalPower:
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         with pytest.raises(errors.NotHermitian):
             factor(rot)
+
+    @pytest.mark.parametrize("factor", [
+        lambda m: principal_power(m, 0.5), symmetric_eig, symmetrized],
+        ids=["principal_power", "symmetric_eig", "symmetrized"])
+    def test_nan_fails_the_symmetry_check(self, factor):
+        # NaN compares false, so the check must be `not dev <= bound`: the
+        # symmetry test itself raises, not a later Hermiticity check
+        with pytest.raises(errors.NotHermitian, match=r"M - M\^T"):
+            factor(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     def test_singular_negative_power(self):
         with pytest.raises(errors.Singular):

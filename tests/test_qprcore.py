@@ -30,16 +30,22 @@ from qbret.matcore import (
     ORACLE_TOL,
     Spectrum,
     max_abs,
+    principal_power,
     rank_threshold,
     symmetric_eig,
 )
 from qbret.qprcore import (
+    LANCZOS_MIN_N,
+    LANCZOS_RTOL,
     QPR_EPS_FLOOR,
+    MPowerReport,
+    PetzQprResult,
     adjoint_qpr,
     born,
     channel_to_qpr,
     classical_bayes,
     k_matrix,
+    lanczos,
     m_power_check,
     petz_qpr,
     povm_to_qpr,
@@ -769,6 +775,207 @@ class TestGramRoute:
             assert result.eps_used == 0.0
             oracle = channel_to_qpr(petz_hilbert(channel, prior), f, g)
             assert max_abs(result.matrix - oracle) < ORACLE_TOL, seed
+
+
+def lanczos_spectra(d: int) -> dict:
+    """Eigenvalues of d x d states that stress a Krylov run from e: one
+    distinct value, a pure and a half-rank flat state, two values 1e-6 to
+    1e-15 apart, and half of them in a cluster near 1e-8."""
+    half = max(d // 2, 1)
+    out = {"mixed": np.full(d, 1.0 / d), "pure": np.eye(d)[0],
+           "flat": np.r_[np.full(half, 1.0 / half), np.zeros(d - half)]}
+    for gap in (1e-6, 1e-9, 1e-12, 1e-15):
+        lam = np.linspace(1.0, 2.0, d)
+        lam[1] = lam[0] + gap
+        out[f"gap-{gap:.0e}"] = lam / lam.sum()
+    lam = np.r_[np.linspace(1.0, 2.0, d - d // 2),
+                1e-8 * (1 + 1e-3 * np.arange(d // 2))]
+    out["tiny-cluster"] = lam / lam.sum()
+    return out
+
+
+# spectra whose runs must certify, so that the Lanczos route is exercised
+CERTIFIED = ("mixed", "pure", "flat", "gap-1e-06", "gap-1e-09", "gap-1e-12",
+             "gap-1e-15")
+
+
+def _lanczos_case(frame, spectrum, custom_tetra):
+    """(coeffs, v, exact power) for a state of the named spectrum in the
+    named frame; the exact power of r is alpha^r on its support, taken on
+    the Hilbert side (on the diagonal for the classical delta tensor)."""
+    rng = np.random.default_rng(21)
+    if frame == "classical":
+        lam = lanczos_spectra(4)[spectrum]
+        keep = lam >= 1e-12 * lam.max()
+        return (classical_structure_coeffs(4), lam,
+                lambda r: np.where(keep, np.where(keep, lam, 1.0) ** r, 0.0))
+    f, g = {"dw": build_dw_qubit, "sic": build_sic_qubit,
+            "custom": lambda: custom_tetra(rng),
+            "dw2": lambda: build_dw_qubits(2),
+            "dw3": lambda: build_dw_qubits(3)}[frame]()
+    lam = lanczos_spectra(f.d)[spectrum]
+    u = random_unitary(rng, f.d)
+    keep = lam >= 1e-12 * lam.max()
+
+    def exact(r):
+        a = (u[:, keep] * lam[keep] ** r) @ u[:, keep].conj().T
+        return state_to_qpr(a, f)
+    return structure_coeffs(f, g), state_to_qpr((u * lam) @ u.conj().T, f), exact
+
+
+def _eigh_route(v, r, coeffs):
+    p, deficient = principal_power(state_matrix(v, coeffs), r,
+                                   singular="support")
+    return state_vector(p, coeffs), deficient
+
+
+class TestLanczos:
+    """The Lanczos route of a state power: a run of at most d steps from e,
+    used only when its error estimate certifies it, else the eigh route."""
+
+    FRAMES = ["dw", "sic", "custom", "dw2", "dw3", "classical"]
+
+    @pytest.mark.parametrize("spectrum", list(lanczos_spectra(2)))
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_certified_runs_match_the_hilbert_power(self, frame, spectrum,
+                                                    custom_tetra):
+        coeffs, v, exact = _lanczos_case(frame, spectrum, custom_tetra)
+        run = lanczos(v, coeffs)
+        assert len(run.basis) <= round(coeffs.e.sum())
+        assert max_abs(run.basis @ run.basis.T - np.eye(len(run.basis))) < 1e-13
+        # the Krylov dimension is the number of distinct values, to roundoff
+        if spectrum == "mixed":
+            assert len(run.basis) == 1
+        if spectrum == "gap-1e-15":
+            assert len(run.basis) == round(coeffs.e.sum()) - 1
+        for r in (0.5, -0.5):
+            estimate = run.error_estimate(r)
+            if spectrum in CERTIFIED:
+                assert estimate <= LANCZOS_RTOL
+            if estimate > LANCZOS_RTOL:
+                continue
+            p, deficient = run.ritz.power(r, singular="support")
+            power = run.vector(p, coeffs)
+            want = exact(r)
+            reference, reference_deficient = _eigh_route(v, r, coeffs)
+            assert max_abs(power - want) <= 1e-11 * max_abs(want), r
+            assert max_abs(power - reference) <= 1e-11 * max_abs(want), r
+            assert deficient == reference_deficient
+
+    @pytest.mark.parametrize("spectrum", list(lanczos_spectra(2)))
+    @pytest.mark.parametrize("frame", ["dw", "dw3"])
+    def test_state_power_takes_the_certified_route(self, frame, spectrum,
+                                                   custom_tetra):
+        # past LANCZOS_MIN_N a certified run gives the power, an uncertified
+        # one falls back to eigh bit for bit; below it eigh always runs
+        coeffs, v, exact = _lanczos_case(frame, spectrum, custom_tetra)
+        for r in (0.5, -0.5):
+            power, deficient = state_power(v, r, coeffs, singular="support")
+            reference, reference_deficient = _eigh_route(v, r, coeffs)
+            assert deficient == reference_deficient
+            run = lanczos(v, coeffs)
+            if coeffs.n < LANCZOS_MIN_N or run.error_estimate(r) > LANCZOS_RTOL:
+                assert np.array_equal(power, reference)
+            else:
+                want = exact(r)
+                assert max_abs(power - want) <= 1e-11 * max_abs(want)
+
+    @pytest.mark.parametrize("spectrum", ["mixed", "flat", "gap-1e-09",
+                                          "tiny-cluster"])
+    def test_recoveries_meet_the_oracle(self, spectrum, custom_tetra):
+        # dw-qubits:3 priors through a Haar 16x16 dilation with a mixed
+        # ancilla: the posterior has full rank (the pure prior's has rank 4,
+        # `_failing_case`)
+        f, g = build_dw_qubits(3)
+        _, v, _ = _lanczos_case("dw3", spectrum, custom_tetra)
+        rng = np.random.default_rng(22)
+        channel = channel_from_dilation(random_unitary(rng, 16),
+                                        np.diag([0.7, 0.3]))
+        prior = reconstruct_state(v, g)
+        result = petz_qpr(channel_to_qpr(channel, f, g), v,
+                          structure_coeffs(f, g))
+        assert result.eps_used == 0.0 and len(result.root_routes) == 2
+        if spectrum != "tiny-cluster":
+            assert result.root_routes == ("lanczos", "lanczos")
+        oracle = channel_to_qpr(petz_hilbert(channel, prior), f, g)
+        assert max_abs(result.matrix - oracle) < ORACLE_TOL
+
+    def test_qubit_frames_keep_eigh(self, dw):
+        f, g = dw
+        rng = np.random.default_rng(23)
+        channel = channel_from_dilation(random_unitary(rng, 4),
+                                        random_density(rng, 2))
+        s = channel_to_qpr(channel, f, g)
+        v = state_to_qpr(projector(KET_PLUS), f)
+        assert f.n < LANCZOS_MIN_N
+        assert petz_qpr(s, v, structure_coeffs(f, g)).root_routes == ("eigh",) * 2
+        pure = petz_qpr(channel_to_qpr(KrausChannel.from_unitary(
+            random_unitary(rng, 2)), f, g), v, structure_coeffs(f, g))
+        assert pure.eps_used > 0 and pure.root_routes == ("eigh",) * 4
+
+    @staticmethod
+    def _failing_case():
+        # a pure prior through a Haar 16x16 dilation with a mixed ancilla:
+        # the posterior has rank 4, and regularized its four other eigenvalues
+        # lie near 1e-6, where d Lanczos steps stay far from invariant
+        f, g = build_dw_qubits(3)
+        rng = np.random.default_rng(0)
+        channel = channel_from_dilation(random_unitary(rng, 16),
+                                        np.diag([0.7, 0.3]))
+        prior = projector(random_unitary(rng, 8)[:, 0])
+        result = petz_qpr(channel_to_qpr(channel, f, g), state_to_qpr(prior, f),
+                          structure_coeffs(f, g))
+        oracle = petz_hilbert(channel, prior, eps=result.eps_used)
+        return result, max_abs(result.matrix - channel_to_qpr(oracle, f, g))
+
+    def test_uncertified_posterior_falls_back_to_eigh(self):
+        result, deviation = self._failing_case()
+        assert result.eps_used == QPR_EPS_FLOOR
+        assert result.root_routes == ("lanczos", "lanczos", "eigh", "eigh")
+        assert deviation < ORACLE_TOL
+
+    def test_plain_lanczos_misses_the_oracle(self, monkeypatch):
+        # without the certificate the same recovery is far off the oracle
+        import qbret.qprcore as qc
+        monkeypatch.setattr(qc, "LANCZOS_RTOL", np.inf)
+        result, deviation = self._failing_case()
+        assert result.root_routes == ("lanczos",) * 4
+        assert deviation > 1e-6
+
+    @pytest.mark.parametrize("frame", ["dw", "dw3"])
+    def test_errors_raise_on_both_routes(self, frame, custom_tetra):
+        coeffs, v, _ = _lanczos_case(frame, "pure", custom_tetra)
+        with pytest.raises(errors.Singular):
+            state_power(v, -0.5, coeffs)
+        # 1.3 |psi><psi| - 0.3 (1/d) has the eigenvalue -0.3/d
+        bad = 1.3 * v - 0.3 * uniform_vector(coeffs.n)
+        with pytest.raises(errors.NotPSD):
+            state_power(bad, 0.5, coeffs)
+        nan = v.copy()
+        nan[0] = np.nan
+        with pytest.raises(errors.NotHermitian):
+            state_power(nan, 0.5, coeffs)
+        with pytest.raises(errors.NotHermitian):
+            lanczos(nan, coeffs)
+
+
+def test_result_types_compare_by_identity():
+    # frozen dataclasses holding arrays: the generated __eq__ would compare
+    # arrays and raise, and __hash__ would hash them
+    f, g = build_dw_qubit()
+    coeffs = structure_coeffs(f, g)
+    channel = builtin_channel("half_swap")
+    v = state_to_qpr(projector(KET_PLUS), f)
+    s = channel_to_qpr(channel, f, g)
+    objects = [channel, petz_hilbert(channel, projector(KET_PLUS)),
+               symmetric_eig(np.eye(2)), coeffs, petz_qpr(s, v, coeffs),
+               m_power_check(v, 0.5, f, g, coeffs), lanczos(v, coeffs)]
+    assert isinstance(objects[4], PetzQprResult)
+    assert isinstance(objects[5], MPowerReport)
+    for obj in objects:
+        assert obj == obj and hash(obj) == hash(obj)
+        assert len({obj, obj}) == 1
+    assert builtin_channel("half_swap") != builtin_channel("half_swap")
 
 
 class TestClassicalBayes:
