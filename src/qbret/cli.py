@@ -25,7 +25,7 @@ from . import hilbert as hb
 from . import qprcore as qp
 from . import verify as vf
 from .errors import OracleMismatch, ParseError, QbretError
-from .matcore import DEFAULT_TOL, ORACLE_TOL, max_abs
+from .matcore import DEFAULT_TOL, ORACLE_TOL, max_abs, mixing_weight
 
 _NAMED_KETS = {
     "0": hb.KET0, "ket0": hb.KET0,
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--prior", help="state file (JSON)")
     inputs.add_argument("--angles", help="qubit state angles omega,theta,phi")
     recovery = argparse.ArgumentParser(add_help=False, parents=[inputs])
-    recovery.add_argument("--eps", type=float, default=1e-8)
+    recovery.add_argument("--eps", type=mixing_weight, default=1e-8)
 
     sub.add_parser("frame", parents=[frame], help="build or validate a frame")
     sub.add_parser("repr", parents=[inputs],

@@ -30,6 +30,7 @@ from .matcore import (
     dagger,
     hermitian_eig,
     max_abs,
+    mixing_weight,
     operator_stack,
     psd_sqrt,
     rank_threshold,
@@ -225,12 +226,13 @@ def petz_hilbert(channel: KrausChannel, prior: np.ndarray,
     """Build the recovery map for `channel` with respect to `prior`.
 
     A rank-deficient posterior is escaped by mixing the prior with the
-    maximally mixed state at weight `eps` (reported on the result); with
-    eps = 0 it raises SingularPosterior instead.  Each matrix is factored
-    once: the prior by `assert_density`, whose eigenvectors the mixed prior
-    shares, and each posterior by the `psd_sqrt` that also says whether it
-    is deficient.
+    maximally mixed state at weight `eps` in [0, 1] (reported on the
+    result; ValueError outside); with eps = 0 it raises SingularPosterior
+    instead.  Each matrix is factored once: the prior by `assert_density`,
+    whose eigenvectors the mixed prior shares, and each posterior by the
+    `psd_sqrt` that also says whether it is deficient.
     """
+    eps = mixing_weight(eps)
     spec = assert_density(prior, tol)
     d = channel.d
     inv_root, deficient = psd_sqrt(channel.apply(prior), tol, inverse=True,

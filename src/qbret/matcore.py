@@ -5,16 +5,16 @@ operators, real for quasiprobability objects).  Matrices are dense and
 small: the quasiprobability side of a frame is n x n with n = d^2, and
 n = 256 (dw-qubits:4) is the largest size run so far.
 
-Every matrix power is taken from one `Spectrum` by `Spectrum.power`,
-which holds the one rank policy: clamp roundoff negatives, give power
-zero below the relative rank threshold, refuse negative powers of
-rank-deficient spectra unless asked for the inverse on the support.  The
-spectrum is a Hermitian eigendecomposition here, or the Ritz spectrum of
-a Lanczos run for the state powers of larger frames (`qprcore.lanczos`).
-The state-side matrices of frames whose Gram is not a multiple of the
-identity are not symmetric; `qprcore.state_matrix` makes them so by a
-similarity through the frame Gram, and `symmetrized` checks them on both
-routes.
+Every matrix power is taken from one spectrum under the one rank policy
+of `Spectrum.power`: clamp roundoff negatives, give power zero below the
+relative rank threshold, refuse negative powers of rank-deficient spectra
+unless asked for the inverse on the support.  Its values half,
+`power_values`, also powers the eigen- or Ritz values of a state matrix
+in `qprcore.StateSpectrum`, which maps them to the vector J^r e and never
+builds the n x n power.  The state-side matrices of frames whose Gram is
+not a multiple of the identity are not symmetric; `qprcore.state_matrix`
+makes them so by a similarity through the frame Gram, and `symmetrized`
+checks them once, before `qprcore.state_spectrum` picks either route.
 """
 
 from __future__ import annotations
@@ -61,6 +61,13 @@ def rank_threshold(scale: float, rank_rtol: float = RANK_RTOL) -> float:
     return rank_rtol * max(float(scale), 1e-300)
 
 
+def mixing_weight(eps: float) -> float:
+    """`eps` as a float if it lies in [0, 1]; ValueError otherwise, NaN too."""
+    if not 0.0 <= float(eps) <= 1.0:
+        raise ValueError(f"mixing weight {eps!r} is not in [0, 1]")
+    return float(eps)
+
+
 def _require_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -99,18 +106,23 @@ class Spectrum:
         -tol, and Singular for a negative power of a deficient spectrum
         unless singular="support" asks for the inverse on the support.
         """
-        w = self.values
-        if w[0] < -tol:
-            raise NotPSD(f"smallest eigenvalue {w[0]:.3e} < -tol")
-        w = np.clip(w, 0.0, None)
-        thr = rank_threshold(w[-1])
-        keep = w >= thr
-        deficient = not bool(keep.all())
-        if r < 0 and deficient and singular != "support":
-            raise Singular(f"eigenvalue {w[0]:.3e} below rank threshold {thr:.3e}")
-        vals = np.where(keep, np.maximum(w, thr) ** r, 0.0)
-        v = self.vectors
-        return (v * vals) @ dagger(v), deficient
+        vals, deficient = power_values(self.values, r, tol, singular=singular)
+        return (self.vectors * vals) @ dagger(self.vectors), deficient
+
+
+def power_values(w: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
+                 singular: str = "error") -> tuple[np.ndarray, bool]:
+    """(w^r, deficient) for ascending eigenvalues w: the values half of
+    `Spectrum.power`, under its rank policy and with its errors."""
+    if w[0] < -tol:
+        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} < -tol")
+    w = np.clip(w, 0.0, None)
+    thr = rank_threshold(w[-1])
+    keep = w >= thr
+    deficient = not bool(keep.all())
+    if r < 0 and deficient and singular != "support":
+        raise Singular(f"eigenvalue {w[0]:.3e} below rank threshold {thr:.3e}")
+    return np.where(keep, np.maximum(w, thr) ** r, 0.0), deficient
 
 
 def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:

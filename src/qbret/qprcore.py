@@ -28,13 +28,12 @@ from .frames import (
 )
 from .matcore import (
     DEFAULT_TOL,
-    Spectrum,
     hermitian_eig,
     max_abs,
+    mixing_weight,
     operator_stack,
-    principal_power,
+    power_values,
     rank_threshold,
-    symmetric_eig,
     symmetrized,
 )
 
@@ -57,7 +56,7 @@ LANCZOS_MIN_N = 64
 # Krylov space is then invariant to roundoff.  Stopping late or early costs
 # no accuracy, only certificates: the error estimate judges the run it gets.
 LANCZOS_BREAK = 1e-10
-# Largest `Lanczos.error_estimate` a run is used at; past it the state power
+# Largest `StateSpectrum.error_estimate` a run is used at; past it the power
 # falls back to eigh.  Over the 6400 state powers of dw3-product's inputs at
 # seeds 0-99 and 900-999 the estimate stays below 1.2e-13 (the powers are
 # within 1.9e-14 of eigh's, relative), and over 20 at dw-qubits:4 below
@@ -158,58 +157,56 @@ def state_matrix(v: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
     return inv_half @ j @ half
 
 
-def state_vector(p: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
-    """Vector of alpha^r = J^r e (e = `coeffs.e`) from a power p of
-    `state_matrix`: p e, or Q^{1/2} p Q^{-1/2} e through the Gram roots."""
-    if coeffs.gram_roots is None:
-        return p @ coeffs.e
-    half, inv_half = coeffs.gram_roots
-    return half @ (p @ (inv_half @ coeffs.e))
-
-
 @dataclass(frozen=True, eq=False)
-class Lanczos:
-    """A Lanczos run of the symmetric `state_matrix` A from b = e (Q^{-1/2} e
-    through the Gram roots): the orthonormal rows q_1..q_m of `basis`, the
-    spectrum `ritz` of the tridiagonal T = basis A basis^T, `norm` = |b| and
-    `residual`, the norm of the part of A q_m outside the basis.
+class StateSpectrum:
+    """The powers J^r b = Y diag(values^r) c of the symmetric `state_matrix`
+    A, b = e (Q^{-1/2} e through the Gram roots): `vectors` Y has
+    orthonormal columns and `weights` c = Y^T b.  On the "eigh" `route`
+    they are A's eigenpairs; on the "lanczos" route the Ritz pairs of a run
+    whose basis is invariant under A less a symmetric perturbation of norm
+    `residual`, and `last` holds the Ritz vectors' last components."""
 
-    The basis is exactly invariant under A less a symmetric perturbation of
-    norm `residual`, so A^r b = norm * (T^r e_1) @ basis up to the relative
-    error `error_estimate` gives to first order.
-    """
+    values: np.ndarray
+    vectors: np.ndarray
+    weights: np.ndarray
+    route: str
+    residual: float = 0.0
+    last: np.ndarray | None = None
 
-    ritz: Spectrum
-    basis: np.ndarray
-    norm: float
-    residual: float
+    def mixed(self, w: float, d: float) -> "StateSpectrum":
+        """The state mixed with the uniform vector at weight w: A becomes
+        (1-w) A + (w/d) 1 (d = sum(e)), which keeps the vectors and maps the
+        values to (1-w) values + w/d and the residual to (1-w) times it."""
+        return StateSpectrum((1 - w) * self.values + w / d, self.vectors,
+                             self.weights, self.route, (1 - w) * self.residual,
+                             self.last)
 
-    def mixed(self, w: float, d: float) -> "Lanczos":
-        """The run of the state mixed with the uniform vector at weight w:
-        A becomes (1-w) A + (w/d) 1 (d = sum(e)), which keeps the basis and
-        maps T to (1-w) T + (w/d) 1 and the residual to (1-w) times it."""
-        ritz = Spectrum((1 - w) * self.ritz.values + w / d, self.ritz.vectors)
-        return Lanczos(ritz, self.basis, self.norm, (1 - w) * self.residual)
+    def power(self, r: float, coeffs: StructureCoefficients,
+              tol: float = DEFAULT_TOL, *,
+              singular: str = "error") -> tuple[np.ndarray, bool]:
+        """(Q^{1/2} Y values^r c, deficient): alpha^r by `power_values`."""
+        vals, deficient = power_values(self.values, r, tol, singular=singular)
+        y = self.vectors @ (vals * self.weights)
+        return (y if coeffs.gram_roots is None else coeffs.gram_roots[0] @ y,
+                deficient)
 
     def error_estimate(self, r: float) -> float:
-        """Residual times derivative: the relative error of the power r of
-        the state matrix, to first order.
-
-        With q the unit residual direction, the basis is exactly invariant
-        under A - E, E = residual (q q_m^T + q_m q^T), whose power norm *
-        (T^r e_1) @ basis is.  The derivative of x^r in the direction E
-        moves it by residual * norm * sum_j z_j (z_j . q) e_m^T f[mu_j, T] e_1
-        over the eigenpairs (mu_j, z_j) off the basis, f[mu, x] the divided
-        difference of x^r (zero on the values `Spectrum.power` cuts).  Those
-        mu_j lie among the Ritz values, where they are taken; the estimate is
-        the largest such term over |T^r e_1|.
-        """
-        w = np.clip(self.ritz.values, 0.0, None)
+        """Residual times derivative: the relative error of the power r, to
+        first order; 0 on the eigh route.  The basis is exactly invariant
+        under A - E, E = residual (q q_m^T + q_m q^T) with q_m its last
+        vector and q the unit residual direction.  The derivative of x^r
+        along E moves the power by residual * sum_j z_j (z_j . q) e_m^T
+        f[mu_j, T] Z c over the eigenpairs (mu_j, z_j) off the basis, with
+        T = Z diag(values) Z^T and f[mu, x] the divided difference of x^r
+        (zero on the values `power_values` cuts).  The mu_j are taken at the
+        Ritz values; the estimate is the largest term over |values^r c|."""
+        if self.last is None:
+            return 0.0
+        w = np.clip(self.values, 0.0, None)
         keep = w >= rank_threshold(w[-1])
         safe = np.where(keep, w, 1.0)
         f = np.where(keep, safe ** r, 0.0)
-        top = f * self.ritz.vectors[0]
-        size = math.sqrt(top @ top)
+        size = math.hypot(*(f * self.weights))
         if size == 0.0:
             return 0.0
         # f[w_j, w_i], or the derivative r w_i^(r-1) where the quotient
@@ -217,32 +214,17 @@ class Lanczos:
         gap = w[:, None] - w
         near = np.abs(gap) <= 1e-6 * w
         dd = np.where(near, r * f / safe, (f[:, None] - f) / np.where(near, 1.0, gap))
-        ends = self.ritz.vectors[0] * self.ritz.vectors[-1]
-        return self.residual * float(np.abs(dd @ ends).max()) / size
-
-    def vector(self, p: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
-        """Vector of alpha^r from the power p = T^r of the Ritz spectrum:
-        norm * (p e_1) @ basis, mapped back through Q^{1/2}."""
-        y = self.norm * (p[:, 0] @ self.basis)
-        return y if coeffs.gram_roots is None else coeffs.gram_roots[0] @ y
+        return self.residual * max_abs(dd @ (self.weights * self.last)) / size
 
 
-def lanczos(v: np.ndarray, coeffs: StructureCoefficients,
-            tol: float = DEFAULT_TOL) -> Lanczos:
-    """Lanczos run of the `state_matrix` of v from e, of at most
-    d = round(sum(e)) steps.
-
-    J^r e lies in the span of the vectors of 1, alpha, ..., alpha^(d-1), so
-    d steps reach it in exact arithmetic.  Each step orthogonalizes against
-    the whole basis by two classical Gram-Schmidt passes, and the run stops
-    early once the residual falls below LANCZOS_BREAK * ||J||_max.  Raises
-    NotHermitian on a state matrix that is not symmetric, as `symmetric_eig`
-    does.
-    """
-    a = symmetrized(state_matrix(v, coeffs), tol)
-    b = coeffs.e if coeffs.gram_roots is None else coeffs.gram_roots[1] @ coeffs.e
+def lanczos(a: np.ndarray, b: np.ndarray, steps: int) -> StateSpectrum:
+    """Lanczos run of the symmetric matrix a from b, of at most `steps`
+    steps; J^r e lies in the span of the vectors of 1, alpha, ...,
+    alpha^(d-1), so d = sum(e) steps reach it in exact arithmetic.  Each
+    step orthogonalizes against the whole basis by two classical
+    Gram-Schmidt passes, and the run stops early once the residual falls
+    below LANCZOS_BREAK * ||a||_max."""
     norm = math.sqrt(b @ b)
-    steps = int(round(coeffs.e.sum()))
     stop = LANCZOS_BREAK * max_abs(a)
     basis = np.empty((steps, a.shape[0]))
     t = np.zeros((steps, steps))
@@ -261,33 +243,39 @@ def lanczos(v: np.ndarray, coeffs: StructureCoefficients,
             break
         t[k, k + 1] = t[k + 1, k] = residual
         q *= 1.0 / residual
-    m = k + 1
-    return Lanczos(Spectrum(*np.linalg.eigh(t[:m, :m])), basis[:m], norm,
-                   residual)
+    values, z = np.linalg.eigh(t[:k + 1, :k + 1])
+    # b = norm q_1, so c = Y^T b = norm Z^T e_1
+    return StateSpectrum(values, basis[:k + 1].T @ z, norm * z[0], "lanczos",
+                         residual, z[-1])
 
 
-def _state_power(v: np.ndarray, r: float, coeffs: StructureCoefficients,
-                 tol: float, singular: str) -> tuple[np.ndarray, bool, str]:
-    """`state_power` and the route that took it, "lanczos" or "eigh"."""
+def state_spectrum(v: np.ndarray, coeffs: StructureCoefficients, tol: float,
+                   probes: tuple) -> StateSpectrum:
+    """The `StateSpectrum` of v: the one place a state power's route is
+    chosen.  Frames of LANCZOS_MIN_N operators or more take a `lanczos` run
+    of d = sum(e) steps if, for every (w, r) of `probes`, the run mixed at
+    weight w has an `error_estimate` of the power r within LANCZOS_RTOL;
+    otherwise, and for smaller frames, one `hermitian_eig` of the same
+    `symmetrized` state matrix, whose NotHermitian either route raises."""
+    a = symmetrized(state_matrix(v, coeffs), tol)
+    b = coeffs.e if coeffs.gram_roots is None else coeffs.gram_roots[1] @ coeffs.e
     if coeffs.e.size >= LANCZOS_MIN_N:
-        run = lanczos(v, coeffs, tol)
-        if run.error_estimate(r) <= LANCZOS_RTOL:
-            p, deficient = run.ritz.power(r, tol, singular=singular)
-            return run.vector(p, coeffs), deficient, "lanczos"
-    p, deficient = principal_power(state_matrix(v, coeffs), r, tol,
-                                   singular=singular)
-    return state_vector(p, coeffs), deficient, "eigh"
+        d = coeffs.e.sum()
+        run = lanczos(a, b, int(round(d)))
+        if all(run.mixed(w, d).error_estimate(r) <= LANCZOS_RTOL
+               for w, r in probes):
+            return run
+    spec = hermitian_eig(a, tol)
+    return StateSpectrum(spec.values, spec.vectors, spec.vectors.T @ b, "eigh")
 
 
 def state_power(v: np.ndarray, r: float, coeffs: StructureCoefficients,
                 tol: float = DEFAULT_TOL, *,
                 singular: str = "error") -> tuple[np.ndarray, bool]:
     """(vector of alpha^r, deficient), under the rank policy of
-    `Spectrum.power`.  Frames of LANCZOS_MIN_N operators or more take it
-    from a `lanczos` run whose `error_estimate` is within LANCZOS_RTOL;
-    otherwise it is the `principal_power` of `state_matrix`, mapped back by
-    `state_vector`."""
-    return _state_power(v, r, coeffs, tol, singular)[:2]
+    `Spectrum.power`, from the `state_spectrum` certified for r."""
+    return state_spectrum(v, coeffs, tol, ((0.0, r),)).power(
+        r, coeffs, tol, singular=singular)
 
 
 def k_matrix(s: np.ndarray) -> np.ndarray:
@@ -340,8 +328,8 @@ class PetzQprResult:
     from eps, not agreement with the Hilbert-side oracle: a posterior whose
     kernel regularization lifts can move with eps at first order on both
     sides, so a right matrix may read as unconverged.  `root_routes` names
-    the route of each state power, "lanczos" or "eigh": the prior's, then
-    each posterior's in the order taken (support, eps, eps/10).
+    the `state_spectrum` route of each state, "lanczos" or "eigh": the
+    prior's, then each posterior's in the order taken (support, eps, eps/10).
     """
 
     matrix: np.ndarray
@@ -371,8 +359,9 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
 
     A rank-deficient posterior matrix with eps = 0 raises
     SingularPosterior; otherwise the prior is mixed with the uniform vector
-    at weight max(eps, QPR_EPS_FLOOR) and both the regularized and the
-    support-restricted evaluations are reported.
+    at weight max(eps, QPR_EPS_FLOOR), eps in [0, 1] (ValueError outside),
+    and both the regularized and the support-restricted evaluations are
+    reported.
     """
     s = np.asarray(s, dtype=float)
     v_prior = np.asarray(v_prior, dtype=float)
@@ -383,28 +372,23 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
         raise RepMismatch(f"kind {kind!r} contradicts the coefficients of "
                           f"{coeffs.frame_name!r}, whose kind is {coeffs.kind!r}")
     adjoint = adjoint_qpr(s, coeffs.kind, coeffs.gram_roots)
-    # mixing with the uniform vector at weight w maps J to (1-w) J + (w/d) 1,
-    # d = Tr 1 = sum(e), so every mixed prior shares the prior's Lanczos
-    # basis or eigenvectors; the run must hold down to the eps/10 probe
+    # every mixed prior shares the prior's vectors (`StateSpectrum.mixed`),
+    # so a Lanczos run must hold down to the eps/10 probe
     d, u = coeffs.e.sum(), uniform_vector(n)
-    eps_used = max(eps, QPR_EPS_FLOOR)
-    run = lanczos(v_prior, coeffs, tol) if n >= LANCZOS_MIN_N else None
-    if run is not None and all(run.mixed(w, d).error_estimate(0.5) <= LANCZOS_RTOL
-                               for w in (0.0, eps_used / 10)):
-        prior, to_vector, routes = run.ritz, run.vector, ["lanczos"]
-    else:
-        prior = symmetric_eig(state_matrix(v_prior, coeffs), tol)
-        to_vector, routes = state_vector, ["eigh"]
+    eps_used = max(mixing_weight(eps), QPR_EPS_FLOOR)
+    prior = state_spectrum(v_prior, coeffs, tol,
+                           ((0.0, 0.5), (eps_used / 10, 0.5)))
+    routes = [prior.route]
 
     def recovery(w: float) -> tuple[np.ndarray, bool]:
         # X(prior^{1/2}) adj X(post^{-1/2}) for the prior mixed at weight w;
         # the inverse root is taken on the support of a rank-deficient
         # posterior, and the same factorization says whether it was
-        inv_root, deficient, route = _state_power(
-            s @ ((1 - w) * v_prior + w * u), -0.5, coeffs, tol, "support")
-        routes.append(route)
-        mixed = Spectrum((1 - w) * prior.values + w / d, prior.vectors)
-        root = to_vector(mixed.power(0.5, tol)[0], coeffs)
+        post = state_spectrum(s @ ((1 - w) * v_prior + w * u), coeffs, tol,
+                              ((0.0, -0.5),))
+        routes.append(post.route)
+        inv_root, deficient = post.power(-0.5, coeffs, tol, singular="support")
+        root = prior.mixed(w, d).power(0.5, coeffs, tol)[0]
         return (x_matrix(root, coeffs) @ adjoint
                 @ x_matrix(inv_root, coeffs)), deficient
 
@@ -438,9 +422,11 @@ def classical_bayes(s: np.ndarray, v_prior: np.ndarray,
     without complaint: evaluating the formally invalid grafting of the
     classical rule onto quasiprobabilities is a supported mode.  Posterior
     entries at zero are escaped by mixing the prior with the uniform
-    distribution at weight eps; if that cannot lift them, the inversion is
-    genuinely undefined and SingularPosterior is raised.
+    distribution at weight eps in [0, 1] (ValueError outside); if that
+    cannot lift them, the inversion is undefined and SingularPosterior is
+    raised.
     """
+    eps = mixing_weight(eps)
     s = np.asarray(s, dtype=float)
     v = np.asarray(v_prior, dtype=float)
     n = v.shape[0]

@@ -706,6 +706,16 @@ class TestExitCodes:
                      "--kind", "dw-qubit", "--angles", angles]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["2", "nan", "inf", "-1"])
+    def test_eps_outside_the_unit_interval(self, eps, capsys):
+        # at weight 2 the pure prior would mix to its orthogonal state, which
+        # the oracle shares, so the gate alone cannot catch it
+        with pytest.raises(SystemExit) as exc:
+            main(["petz", "--kind", "dw-qubit", "--builtin", "hadamard",
+                  "--angles", "1.5707963267948966,0.7,0.3", "--eps", eps])
+        assert exc.value.code == 2
+        assert "--eps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("omega", [float("nan"), "inf", "pi"])
     def test_bad_qubit_params(self, omega, tmp_path, capsys):
         state = tmp_path / "prior.json"

@@ -27,12 +27,13 @@ from qbret.hilbert import (
     random_unitary,
 )
 from qbret.matcore import (
+    DEFAULT_TOL,
     ORACLE_TOL,
-    Spectrum,
     max_abs,
     principal_power,
     rank_threshold,
     symmetric_eig,
+    symmetrized,
 )
 from qbret.qprcore import (
     LANCZOS_MIN_N,
@@ -52,8 +53,8 @@ from qbret.qprcore import (
     reconstruct_state,
     state_matrix,
     state_power,
+    state_spectrum,
     state_to_qpr,
-    state_vector,
     uniform_vector,
     x_matrix,
 )
@@ -330,6 +331,19 @@ class TestAdjoint:
 
 
 class TestPetzQpr:
+    @pytest.mark.parametrize("eps", [2.0, np.nan, np.inf, -1.0])
+    def test_mixing_weights_outside_the_unit_interval_raise(self, dw, eps):
+        f, g = dw
+        channel = builtin_channel("half_swap")
+        prior = projector(KET_PLUS)
+        s, v = channel_to_qpr(channel, f, g), state_to_qpr(prior, f)
+        with pytest.raises(ValueError, match="not in"):
+            petz_qpr(s, v, structure_coeffs(f, g), eps=eps)
+        with pytest.raises(ValueError, match="not in"):
+            petz_hilbert(channel, prior, eps=eps)
+        with pytest.raises(ValueError, match="not in"):
+            classical_bayes(s, v, eps=eps)
+
     def test_half_swap_plus_prior_dw(self, dw):
         f, g = dw
         xi = structure_coeffs(f, g)
@@ -682,11 +696,14 @@ class TestFactorizationCount:
             f, g = _frame_pair(frame, rng, custom_tetra)
             coeffs = structure_coeffs(f, g)
             v = state_to_qpr(projector(random_unitary(rng, f.d)[:, 0]), f)
-        prior = symmetric_eig(state_matrix(v, coeffs))
-        for w in (1e-5, 1e-6):
-            shifted = Spectrum((1 - w) * prior.values + w / coeffs.e.sum(),
-                               prior.vectors)
-            root = state_vector(shifted.power(0.5)[0], coeffs)
+        weights = (1e-5, 1e-6)
+        prior = state_spectrum(v, coeffs, DEFAULT_TOL,
+                               tuple((w, 0.5) for w in (0.0, *weights)))
+        # the dw3 run is certified, so the Lanczos mixing rule is held to
+        # the power of the mixed prior too
+        assert prior.route == ("lanczos" if frame == "dw3" else "eigh")
+        for w in weights:
+            root = prior.mixed(w, coeffs.e.sum()).power(0.5, coeffs)[0]
             mixed = (1 - w) * v + w * uniform_vector(coeffs.n)
             assert max_abs(root - state_power(mixed, 0.5, coeffs)[0]) < 1e-12
 
@@ -823,10 +840,22 @@ def _lanczos_case(frame, spectrum, custom_tetra):
     return structure_coeffs(f, g), state_to_qpr((u * lam) @ u.conj().T, f), exact
 
 
+def _lanczos_run(v, coeffs):
+    """The `lanczos` run `state_spectrum` takes of v, certified or not."""
+    b = coeffs.e if coeffs.gram_roots is None else coeffs.gram_roots[1] @ coeffs.e
+    return lanczos(symmetrized(state_matrix(v, coeffs)), b,
+                   round(coeffs.e.sum()))
+
+
 def _eigh_route(v, r, coeffs):
+    """The n x n `principal_power` of the state matrix applied to e, mapped
+    back through the Gram roots: an eigh route that builds the power."""
     p, deficient = principal_power(state_matrix(v, coeffs), r,
                                    singular="support")
-    return state_vector(p, coeffs), deficient
+    if coeffs.gram_roots is None:
+        return p @ coeffs.e, deficient
+    half, inv_half = coeffs.gram_roots
+    return half @ (p @ (inv_half @ coeffs.e)), deficient
 
 
 class TestLanczos:
@@ -840,22 +869,22 @@ class TestLanczos:
     def test_certified_runs_match_the_hilbert_power(self, frame, spectrum,
                                                     custom_tetra):
         coeffs, v, exact = _lanczos_case(frame, spectrum, custom_tetra)
-        run = lanczos(v, coeffs)
-        assert len(run.basis) <= round(coeffs.e.sum())
-        assert max_abs(run.basis @ run.basis.T - np.eye(len(run.basis))) < 1e-13
+        run = _lanczos_run(v, coeffs)
+        steps = run.values.size
+        assert run.route == "lanczos" and steps <= round(coeffs.e.sum())
+        assert max_abs(run.vectors.T @ run.vectors - np.eye(steps)) < 1e-13
         # the Krylov dimension is the number of distinct values, to roundoff
         if spectrum == "mixed":
-            assert len(run.basis) == 1
+            assert steps == 1
         if spectrum == "gap-1e-15":
-            assert len(run.basis) == round(coeffs.e.sum()) - 1
+            assert steps == round(coeffs.e.sum()) - 1
         for r in (0.5, -0.5):
             estimate = run.error_estimate(r)
             if spectrum in CERTIFIED:
                 assert estimate <= LANCZOS_RTOL
             if estimate > LANCZOS_RTOL:
                 continue
-            p, deficient = run.ritz.power(r, singular="support")
-            power = run.vector(p, coeffs)
+            power, deficient = run.power(r, coeffs, singular="support")
             want = exact(r)
             reference, reference_deficient = _eigh_route(v, r, coeffs)
             assert max_abs(power - want) <= 1e-11 * max_abs(want), r
@@ -865,15 +894,23 @@ class TestLanczos:
     @pytest.mark.parametrize("spectrum", list(lanczos_spectra(2)))
     @pytest.mark.parametrize("frame", ["dw", "dw3"])
     def test_state_power_takes_the_certified_route(self, frame, spectrum,
-                                                   custom_tetra):
+                                                   custom_tetra, monkeypatch):
         # past LANCZOS_MIN_N a certified run gives the power, an uncertified
-        # one falls back to eigh bit for bit; below it eigh always runs
+        # one falls back to the eigh route bit for bit; below it eigh always
+        # runs.  That route is forced by raising LANCZOS_MIN_N, and held to
+        # the n x n power applied to e.
+        import qbret.qprcore as qc
         coeffs, v, exact = _lanczos_case(frame, spectrum, custom_tetra)
         for r in (0.5, -0.5):
             power, deficient = state_power(v, r, coeffs, singular="support")
-            reference, reference_deficient = _eigh_route(v, r, coeffs)
-            assert deficient == reference_deficient
-            run = lanczos(v, coeffs)
+            with monkeypatch.context() as patch:
+                patch.setattr(qc, "LANCZOS_MIN_N", np.inf)
+                reference, reference_deficient = state_power(
+                    v, r, coeffs, singular="support")
+            matrix_power, matrix_deficient = _eigh_route(v, r, coeffs)
+            assert max_abs(reference - matrix_power) <= 1e-14 * max_abs(matrix_power)
+            assert deficient == reference_deficient == matrix_deficient
+            run = _lanczos_run(v, coeffs)
             if coeffs.n < LANCZOS_MIN_N or run.error_estimate(r) > LANCZOS_RTOL:
                 assert np.array_equal(power, reference)
             else:
@@ -934,6 +971,20 @@ class TestLanczos:
         assert result.root_routes == ("lanczos", "lanczos", "eigh", "eigh")
         assert deviation < ORACLE_TOL
 
+    def test_each_state_matrix_is_built_once(self, monkeypatch):
+        # one state matrix per state, whichever route its spectrum takes:
+        # the prior and three posteriors, two of them past a failed run
+        import qbret.qprcore as qc
+        real, calls = qc.state_matrix, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(qc, "state_matrix", counted)
+        result, _ = self._failing_case()
+        assert result.root_routes == ("lanczos", "lanczos", "eigh", "eigh")
+        assert len(calls) == 4
+
     def test_plain_lanczos_misses_the_oracle(self, monkeypatch):
         # without the certificate the same recovery is far off the oracle
         import qbret.qprcore as qc
@@ -956,7 +1007,7 @@ class TestLanczos:
         with pytest.raises(errors.NotHermitian):
             state_power(nan, 0.5, coeffs)
         with pytest.raises(errors.NotHermitian):
-            lanczos(nan, coeffs)
+            state_spectrum(nan, coeffs, DEFAULT_TOL, ((0.0, 0.5),))
 
 
 def test_result_types_compare_by_identity():
@@ -969,7 +1020,8 @@ def test_result_types_compare_by_identity():
     s = channel_to_qpr(channel, f, g)
     objects = [channel, petz_hilbert(channel, projector(KET_PLUS)),
                symmetric_eig(np.eye(2)), coeffs, petz_qpr(s, v, coeffs),
-               m_power_check(v, 0.5, f, g, coeffs), lanczos(v, coeffs)]
+               m_power_check(v, 0.5, f, g, coeffs),
+               state_spectrum(v, coeffs, DEFAULT_TOL, ((0.0, 0.5),))]
     assert isinstance(objects[4], PetzQprResult)
     assert isinstance(objects[5], MPowerReport)
     for obj in objects:
