@@ -166,7 +166,13 @@ def resolve_frame(args, tol: float) -> tuple[fr.Frame, fr.DualFrame]:
     if kind == "sic-qubit":
         return fr.build_sic_qubit()
     if kind.startswith("dw-qubits:"):
-        return fr.build_dw_qubits(int(kind.split(":", 1)[1]))
+        try:
+            count = int(kind.split(":", 1)[1])
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ParseError(f"frame kind {kind!r} needs a qubit count N >= 1")
+        return fr.build_dw_qubits(count)
     raise ParseError(f"unknown frame kind {kind!r}; expected dw-qubit, "
                      "dw-qubits:N or sic-qubit")
 
@@ -199,8 +205,9 @@ def _recover(s: np.ndarray, prior: np.ndarray, frame: fr.Frame,
 def _gated_recovery(args, tol: float, frame: fr.Frame, dual: fr.DualFrame):
     """The recovery for the command line's channel and prior, held to the
     Hilbert-space oracle.  Returns (channel matrix, prior, result, channel
-    description, gate); the gate is the deviation and its bound as output
-    metadata.  Raises OracleMismatch (exit 1) over the bound."""
+    description, gate); the gate is the deviation, its bound and
+    `oracle_checked` as output metadata.  Raises OracleMismatch (exit 1)
+    over the bound."""
     channel, desc = resolve_channel(args, tol)
     prior = resolve_prior(args, tol)
     s = qp.channel_to_qpr(channel, frame, dual)
@@ -211,7 +218,8 @@ def _gated_recovery(args, tol: float, frame: fr.Frame, dual: fr.DualFrame):
     if deviation > ORACLE_TOL:
         raise OracleMismatch(f"deviation from the Hilbert-side oracle "
                              f"{deviation:.3e} exceeds {ORACLE_TOL:.1e}")
-    gate = {"oracle_deviation": deviation, "oracle_tol": ORACLE_TOL}
+    gate = {"oracle_checked": True, "oracle_deviation": deviation,
+            "oracle_tol": ORACLE_TOL}
     return s, prior, result, desc, gate
 
 
@@ -263,7 +271,8 @@ def cmd_petz(args, tol: float) -> int:
                              f"frame is {frame.name!r}")
         print("warning: channel given as a bare matrix; "
               "the Hilbert-side cross-check is disabled", file=sys.stderr)
-        result, gate = _recover(s, prior, frame, dual, args.eps, tol), {}
+        result = _recover(s, prior, frame, dual, args.eps, tol)
+        gate = {"oracle_checked": False}
     else:
         _, _, result, _, gate = _gated_recovery(args, tol, frame, dual)
     meta = {

@@ -33,7 +33,7 @@ from .matcore import (
     PAULI_Y,
     PAULI_Z,
     dagger,
-    hermitian_eig,
+    eigh_spectrum,
     max_abs,
 )
 
@@ -42,9 +42,10 @@ KIND_SP = "sp"
 KIND_CUSTOM = "custom"
 KNOWN_KINDS = (KIND_NQ, KIND_SP, KIND_CUSTOM)
 
-# Largest structure-coefficient factor `structure_coeffs` allocates: the n^3
-# complex tensor of n operators is 4.2 MB at n = 64, 268 MB at n = 256.
-XI_FACTOR_MAX_BYTES = 1 << 30
+# Largest complex tensor a frame allocates: a structure-coefficient factor
+# of n operators (n^3 entries) is 4.2 MB at n = 64 and 268 MB at n = 256; the
+# (n, d, d) operator stack of dw-qubits:N is 268 MB at N = 6, 4.3 GB at 7.
+MAX_TENSOR_BYTES = 1 << 30
 # Largest frame-Gram condition number `structure_coeffs` accepts.  Over 300
 # seeded full-rank recoveries each on shrunk tetrahedra, none missed the
 # 1e-8 oracle gate at cond(Q) = 9.9e3 (worst 9.4e-9), and 14 did at 1.9e4.
@@ -151,7 +152,8 @@ def tensor_frames(parts: list[tuple[Frame, DualFrame]]) -> tuple[Frame, DualFram
     with the last factor fastest.  Only the NQPR kind composes this way.
 
     The composite records its single-factor pairs in `parts` (a composite
-    part contributes its own parts).
+    part contributes its own parts).  Raises TooLarge, before allocating,
+    if its operator stack would exceed MAX_TENSOR_BYTES.
     """
     if not parts:
         raise ValueError("need at least one frame pair")
@@ -161,8 +163,11 @@ def tensor_frames(parts: list[tuple[Frame, DualFrame]]) -> tuple[Frame, DualFram
                           "only NQPR frames tensor-compose")
     if len(parts) == 1:
         return parts[0]
+    d = math.prod(f.d for f, _ in parts)
+    if 16 * d ** 4 > MAX_TENSOR_BYTES:  # n = d^2 complex128 d x d operators
+        raise TooLarge(f"a frame of dimension {d} has an operator stack over "
+                       f"{MAX_TENSOR_BYTES} bytes")
     labels = tuple(itertools.product(*(f.labels for f, _ in parts)))
-    d = int(np.prod([f.d for f, _ in parts]))
     name = "*".join(f.name for f, _ in parts)
     frame = Frame(name=name, d=d, labels=labels,
                   ops=_kron_stack([f.ops for f, _ in parts]), kind=KIND_NQ,
@@ -331,15 +336,6 @@ class StructureCoefficients:
     def n(self) -> int:
         return math.prod(f.shape[0] for f in self.factors)
 
-    @property
-    def xi(self) -> np.ndarray:
-        """Dense real tensor Re xi[i,x,j,y] = Re Tr[F_i G_x G_j G_y], built
-        on every access as sum_k eta[x,i,k] conj(eta[y,k,j]) (n^4 float64,
-        so 134 MB at n = 64): for inspection at small n, not for computing.
-        The identity is the sum-trace property, so it needs a dual pair."""
-        eta = _kron_stack(list(self.factors))
-        return np.einsum("xik,ykj->ixjy", eta, eta.conj(), optimize=True).real
-
     def left(self, v: np.ndarray) -> np.ndarray:
         """L[i, j] = sum_x v_x eta[x, i, j] for a real vector v.
 
@@ -396,13 +392,13 @@ def _gram_roots(stacks: list[np.ndarray], tol: float) -> tuple | None:
     q = grams[0]
     for g in grams[1:]:
         q = np.kron(q, g)
-    spec = hermitian_eig(q, tol)
-    w, v = spec.values, spec.vectors
+    spec = eigh_spectrum(q, tol)  # a Kronecker product of symmetric grams
+    w = spec.values
     if w[-1] > GRAM_COND_MAX * w[0]:
         raise IllConditioned(f"frame Gram eigenvalues span [{w[0]:.3e}, "
                              f"{w[-1]:.3e}]: condition number over "
                              f"GRAM_COND_MAX = {GRAM_COND_MAX:.0e}")
-    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+    return spec.power(0.5, tol)[0], spec.power(-0.5, tol)[0]
 
 
 def structure_coeffs(frame: Frame, dual: DualFrame,
@@ -415,7 +411,7 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
     pair is a single factor.  The roots of the frame Gram are computed here
     too, once per pair (see `StructureCoefficients`).  Raises IllConditioned
     if cond(Q) exceeds GRAM_COND_MAX, TooLarge, before allocating, if a
-    factor would exceed XI_FACTOR_MAX_BYTES, and ComplexResidue if a factor
+    factor would exceed MAX_TENSOR_BYTES, and ComplexResidue if a factor
     breaks conj(eta[x,i,j]) = eta[j,i,x] by more than tol.
     """
     cached = frame._coeffs.get(dual)
@@ -426,9 +422,9 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
             and _is_kron(dual.ops, [g.ops for _, g in parts], tol)):
         parts = ((frame, dual),)
     for f, _ in parts:
-        if 16 * f.n ** 3 > XI_FACTOR_MAX_BYTES:  # complex128
+        if 16 * f.n ** 3 > MAX_TENSOR_BYTES:  # complex128
             raise TooLarge(f"a structure-coefficient factor of {f.n} operators "
-                           f"exceeds {XI_FACTOR_MAX_BYTES} bytes")
+                           f"exceeds {MAX_TENSOR_BYTES} bytes")
     coeffs = StructureCoefficients(  # an ill-conditioned Gram raises first
         gram_roots=_gram_roots([f.ops for f, _ in parts], tol),
         factors=tuple(_factor_tensor(f.ops, g.ops, tol) for f, g in parts),

@@ -73,6 +73,17 @@ def assert_povm(effects, tol: float = DEFAULT_TOL):
     return effects
 
 
+def assert_unitary(u, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """u as a complex matrix; DimensionMismatch unless it is square, and
+    NotUnitary unless ||U U^dag - 1||_max <= tol, so also on NaN entries."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatch(f"a unitary must be square, got shape {u.shape}")
+    if not max_abs(u @ dagger(u) - np.eye(u.shape[0])) <= tol:
+        raise NotUnitary("matrix fails U U^dag = 1 within tolerance")
+    return u
+
+
 def qubit_state(omega: float, theta: float, phi: float) -> np.ndarray:
     """Qubit density operator sin^2(w)|psi><psi| + cos^2(w)|psi_perp><psi_perp|
     with |psi> = cos(t/2)|0> + e^{i p} sin(t/2)|1> and |psi_perp> its
@@ -130,9 +141,7 @@ class KrausChannel:
 
     @classmethod
     def from_unitary(cls, u, tol: float = DEFAULT_TOL) -> "KrausChannel":
-        u = np.asarray(u, dtype=complex)
-        if not max_abs(u @ dagger(u) - np.eye(u.shape[0])) <= tol:
-            raise NotUnitary("matrix is not unitary within tolerance")
+        u = assert_unitary(u, tol)
         return cls(kraus=(u,), d=u.shape[0])
 
     @cached_property
@@ -168,10 +177,8 @@ def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
     so pure ancillas yield a minimal Kraus set.  Composite ordering is
     ancilla-fastest.
     """
-    u = np.asarray(u, dtype=complex)
+    u = assert_unitary(u, tol)
     n = u.shape[0]
-    if not max_abs(u @ dagger(u) - np.eye(n)) <= tol:
-        raise NotUnitary("dilation unitary fails U U^dag = 1")
     beta = np.asarray(beta, dtype=complex)
     d_b = beta.shape[0]
     if n % d_b != 0:
@@ -302,10 +309,8 @@ def builtin_gates() -> dict:
         "full_swap": _FULL_SWAP.copy(),
         "u_eg": _U_EG.copy(),
     }
-    for name, u in gates.items():
-        dev = max_abs(u @ dagger(u) - np.eye(u.shape[0]))
-        if dev > DEFAULT_TOL:
-            raise NotUnitary(f"builtin {name} failed unitarity: {dev:.3e}")
+    for u in gates.values():
+        assert_unitary(u)
     return gates
 
 

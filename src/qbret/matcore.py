@@ -14,7 +14,7 @@ in `qprcore.StateSpectrum`, which maps them to the vector J^r e and never
 builds the n x n power.  The state-side matrices of frames whose Gram is
 not a multiple of the identity are not symmetric; `qprcore.state_matrix`
 makes them so by a similarity through the frame Gram, and `symmetrized`
-checks them once, before `qprcore.state_spectrum` picks either route.
+checks them once; neither route of `qprcore.state_spectrum` checks again.
 """
 
 from __future__ import annotations
@@ -126,23 +126,26 @@ def power_values(w: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
 
 
 def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Raises NotHermitian unless ||H - H^dag||_max <= tol, so also on NaN
-    entries, and NoConvergence if the underlying iteration fails.  The
-    reconstruction residual is checked against 10*tol*||H||_max.
-    """
+    """`eigh_spectrum` of h; NotHermitian unless ||H - H^dag||_max <= tol,
+    so also on NaN entries."""
     h = _require_square(h)
     dev = max_abs(h - dagger(h))
     if not dev <= tol:
         raise NotHermitian(f"||H - H^dag||_max = {dev:.3e} > tol = {tol:.3e}")
+    return eigh_spectrum(h, tol)
+
+
+def eigh_spectrum(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+    """Eigenvalues (ascending) and eigenvectors of a matrix already made
+    Hermitian, checked no further.  Raises NoConvergence if eigh fails or
+    the reconstruction residual exceeds 10*tol*||H||_max, NaN included."""
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     resid = max_abs((v * w) @ dagger(v) - h)
     bound = 10 * tol * max(max_abs(h), 1.0)
-    if resid > bound:
+    if not resid <= bound:
         raise NoConvergence(f"reconstruction residual {resid:.3e} > {bound:.3e}")
     return Spectrum(values=w, vectors=v)
 
@@ -171,16 +174,13 @@ def symmetrized(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (m + m.T) / 2
 
 
-def symmetric_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
-    """`hermitian_eig` of a real symmetric matrix, `symmetrized` first."""
-    return hermitian_eig(symmetrized(m, tol), tol)
-
-
 def principal_power(m: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
                     singular: str = "error") -> tuple[np.ndarray, bool]:
     """(m^r, deficient) of a real symmetric matrix with nonnegative
-    spectrum: `Spectrum.power` of `symmetric_eig`, whose errors it shares."""
-    return symmetric_eig(m, tol).power(r, tol, singular=singular)
+    spectrum: `Spectrum.power` of `eigh_spectrum(symmetrized(m))`, whose
+    errors it shares.  No state power calls it: it is the n x n reference."""
+    spec = eigh_spectrum(symmetrized(m, tol), tol)
+    return spec.power(r, tol, singular=singular)
 
 
 def partial_trace_b(w: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

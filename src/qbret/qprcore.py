@@ -28,6 +28,7 @@ from .frames import (
 )
 from .matcore import (
     DEFAULT_TOL,
+    eigh_spectrum,
     hermitian_eig,
     max_abs,
     mixing_weight,
@@ -255,8 +256,8 @@ def state_spectrum(v: np.ndarray, coeffs: StructureCoefficients, tol: float,
     chosen.  Frames of LANCZOS_MIN_N operators or more take a `lanczos` run
     of d = sum(e) steps if, for every (w, r) of `probes`, the run mixed at
     weight w has an `error_estimate` of the power r within LANCZOS_RTOL;
-    otherwise, and for smaller frames, one `hermitian_eig` of the same
-    `symmetrized` state matrix, whose NotHermitian either route raises."""
+    otherwise, and for smaller frames, one `eigh_spectrum` of the same
+    matrix.  `symmetrized` is the one symmetry check on either route."""
     a = symmetrized(state_matrix(v, coeffs), tol)
     b = coeffs.e if coeffs.gram_roots is None else coeffs.gram_roots[1] @ coeffs.e
     if coeffs.e.size >= LANCZOS_MIN_N:
@@ -265,7 +266,7 @@ def state_spectrum(v: np.ndarray, coeffs: StructureCoefficients, tol: float,
         if all(run.mixed(w, d).error_estimate(r) <= LANCZOS_RTOL
                for w, r in probes):
             return run
-    spec = hermitian_eig(a, tol)
+    spec = eigh_spectrum(a, tol)
     return StateSpectrum(spec.values, spec.vectors, spec.vectors.T @ b, "eigh")
 
 

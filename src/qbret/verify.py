@@ -63,19 +63,20 @@ def suite_frames(seed: int = 0) -> list[CheckResult]:
                                max(rep.checks.values()), 1e-12))
     # delta tensor of the diagonal-projector representation, by direct trace
     pf, pg = fr.classical_projectors(3)
-    xi_direct = np.einsum("pab,qbc,rcd,sda->pqrs", pf, pg, pg, pg).real
-    out.append(CheckResult("classical-coeffs-are-deltas",
-                           max_abs(xi_direct - fr.classical_structure_coeffs(3).xi),
-                           0.0))
-    # sum over the first index against the direct three-operator trace
+    eta_direct = np.einsum("iab,xbc,jca->xij", pf, pg, pg)
+    out.append(CheckResult("classical-coeffs-are-deltas", max_abs(
+        eta_direct - fr.classical_structure_coeffs(3).factors[0]), 0.0))
+    # sum_i xi[i,q,r,s] against the three-operator trace, for the 4-index
+    # Re xi[i,x,j,y] = Re Tr[F_i G_x G_j G_y] = Re sum_k eta[x,i,k] conj(eta[y,k,j])
     rng = np.random.default_rng(seed)
     for name, f, g in (("dw", dw_f, dw_g), ("sp", sp_f, sp_g)):
-        xi = fr.structure_coeffs(f, g).xi
+        eta = fr.structure_coeffs(f, g).factors[0]
         worst = 0.0
         for _ in range(10):
             q, r, s = rng.integers(0, f.n, size=3)
             direct = np.trace(g.ops[q] @ g.ops[r] @ g.ops[s]).real
-            worst = max(worst, abs(xi[:, q, r, s].sum() - direct))
+            summed = (eta[q] @ eta[s].conj()).real[:, r].sum()
+            worst = max(worst, abs(summed - direct))
         out.append(CheckResult(f"coeff-sum-consistency-{name}", worst, 1e-10))
     return out
 

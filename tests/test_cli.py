@@ -97,6 +97,19 @@ class TestFrameCommand:
     def test_unknown_kind_exits_2(self):
         assert main(["frame", "--kind", "heptagon"]) == 2
 
+    @pytest.mark.parametrize("count", ["abc", "0", "-1", ""])
+    def test_bad_qubit_count_exits_2(self, count, capsys):
+        assert main(["frame", "--kind", f"dw-qubits:{count}"]) == 2
+        assert "N >= 1" in capsys.readouterr().err
+
+    def test_frame_over_the_size_limit_exits_1(self, monkeypatch, capsys):
+        # dw-qubits:3 stacks 64 KiB of operators; the limit is lowered so
+        # that no test allocates a large stack
+        import qbret.frames
+        monkeypatch.setattr(qbret.frames, "MAX_TENSOR_BYTES", 2 ** 15)
+        assert main(["frame", "--kind", "dw-qubits:3"]) == 1
+        assert "operator stack" in capsys.readouterr().err
+
     def test_tolerance_option(self, tmp_path):
         f, g = build_dw_qubit()
         doc = frame_to_dict(f, g)
@@ -163,6 +176,7 @@ class TestPetzCommand:
         assert code == 0
         doc = read_json(out)
         assert max_abs(matrix_of(doc) - half_swap_plus_dw()[2]) < 1e-12
+        assert doc["meta"]["oracle_checked"] is True
         assert doc["meta"]["oracle_deviation"] < 1e-8
         assert doc["meta"]["eps_used"] == 0.0
 
@@ -199,7 +213,9 @@ class TestPetzCommand:
                      "--angles", "0.4,1.1,0.3", "--out", str(p_out)]) == 0
         captured = capsys.readouterr()
         assert "cross-check is disabled" in captured.err
-        assert "oracle_deviation" not in read_json(p_out)["meta"]
+        meta = read_json(p_out)["meta"]
+        assert "oracle_deviation" not in meta
+        assert meta["oracle_checked"] is False
 
     def test_singular_posterior_reports_regularization(self, tmp_path):
         out = tmp_path / "petz.json"
@@ -335,6 +351,7 @@ class TestCompareCommand:
                      "--kind", "sic-qubit", "--angles", "0.4,1.1,0.3",
                      "--out", str(out)]) == 0
         doc = read_json(out)
+        assert doc["oracle_checked"] is True
         assert doc["oracle_tol"] == 1e-8
         assert doc["oracle_deviation"] < 1e-8
 
@@ -728,6 +745,15 @@ class TestExitCodes:
         ch = tmp_path / "ch.json"
         ch.write_text(json.dumps({"kind": "dilation", "U": [[[1.0, 0.0]]]}))
         assert main(["repr", "--channel", str(ch), "--kind", "dw-qubit"]) == 2
+
+    def test_non_square_dilation_unitary_exits_1(self, tmp_path, capsys):
+        ch = tmp_path / "ch.json"
+        ch.write_text(json.dumps({
+            "kind": "dilation", "U": encode_complex_matrix(np.eye(2, 3)),
+            "beta": encode_complex_matrix(np.eye(1))}))
+        assert main(["petz", "--channel", str(ch), "--kind", "dw-qubit",
+                     "--angles", "0.4,1.1,0.3"]) == 1
+        assert "square" in capsys.readouterr().err
 
     def test_non_object_json(self, tmp_path):
         ch = tmp_path / "ch.json"

@@ -41,6 +41,18 @@ def direct_eta(f_ops, g_ops):
     return np.einsum("iab,xbc,jca->xij", f_ops, g_ops, g_ops, optimize=True)
 
 
+def xi_from_factors(coeffs):
+    """The paper's 4-index Re xi[i,x,j,y] = Re sum_k eta[x,i,k] conj(eta[y,k,j])
+    from the stored factors, eta their Kronecker product: n^4 float64, so
+    for n <= 16 only."""
+    eta = coeffs.factors[0]
+    for f in coeffs.factors[1:]:
+        n = eta.shape[0] * f.shape[0]
+        eta = np.einsum("xij,ykl->xyikjl", eta, f).reshape(n, n, n)
+    assert eta.shape[0] <= 16
+    return np.einsum("xik,ykj->ixjy", eta, eta.conj()).real
+
+
 def test_dw_first_operator():
     f, _ = build_dw_qubit()
     expected = (EYE2 + PAULI_X + PAULI_Z + PAULI_Y) / 4
@@ -270,33 +282,41 @@ class TestLoadFrame:
 class TestStructureCoeffs:
     def test_classical_is_delta_tensor(self):
         pf, pg = classical_projectors(4)
-        xi = np.einsum("pab,qbc,rcd,sda->pqrs", pf, pg, pg, pg).real
-        np.testing.assert_array_equal(xi, classical_structure_coeffs(4).xi)
-        # delta_pq delta_rs delta_pr structure
-        nonzero = np.argwhere(xi != 0)
-        assert all(p == q == r == s for p, q, r, s in nonzero)
+        eta = classical_structure_coeffs(4).factors[0]
+        np.testing.assert_array_equal(eta, direct_eta(pf, pg))
+        # delta_xi delta_ij structure
+        nonzero = np.argwhere(eta != 0)
+        assert all(x == i == j for x, i, j in nonzero)
 
     def test_dw_concrete_entry(self):
+        # eta[0,0,0] = Tr[F_0 G_0 G_0] and sum_k eta[0,0,k] eta[0,k,0]^* =
+        # Tr[F_0 G_0 G_0 G_0], with G_0 = 2 F_0
         f, g = build_dw_qubit()
-        xi = structure_coeffs(f, g).xi
-        direct = np.trace(f.ops[0] @ np.linalg.matrix_power(2 * f.ops[0], 3)).real
-        assert abs(xi[0, 0, 0, 0] - direct) < 1e-14
+        eta = structure_coeffs(f, g).factors[0]
+        g0 = 2 * f.ops[0]
+        assert abs(eta[0, 0, 0] - np.trace(f.ops[0] @ g0 @ g0)) < 1e-14
+        direct = np.trace(f.ops[0] @ np.linalg.matrix_power(g0, 3)).real
+        assert abs((eta[0, 0] @ eta[0, :, 0].conj()).real - direct) < 1e-14
 
     def test_sic_uniform_contraction(self):
+        # L(u) conj(L(u)) with L(u) = sum_x u_x eta[x], the maximally mixed
+        # state's matrix of rho -> alpha rho alpha
         f, g = build_sic_qubit()
-        xi = structure_coeffs(f, g).xi
-        u = np.full(4, 0.25)
-        m = np.einsum("x,y,ixjy->ij", u, u, xi)
-        np.testing.assert_allclose(m, np.eye(4) / 4, atol=1e-14)
+        eta = structure_coeffs(f, g).factors[0]
+        left = np.einsum("x,xij->ij", np.full(4, 0.25), eta)
+        np.testing.assert_allclose((left @ left.conj()).real, np.eye(4) / 4,
+                                   atol=1e-14)
 
     def test_sum_over_first_index(self):
+        # sum_i xi[i,q,r,s] = Re sum_ik eta[q,i,k] conj(eta[s,k,r])
         rng = np.random.default_rng(1)
         for f, g in (build_dw_qubit(), build_sic_qubit()):
-            xi = structure_coeffs(f, g).xi
+            eta = structure_coeffs(f, g).factors[0]
             for _ in range(10):
                 q, r, s = rng.integers(0, 4, size=3)
                 direct = np.trace(g.ops[q] @ g.ops[r] @ g.ops[s]).real
-                assert abs(xi[:, q, r, s].sum() - direct) < 1e-13
+                summed = (eta[q] @ eta[s].conj()).real[:, r].sum()
+                assert abs(summed - direct) < 1e-13
 
     def test_cached_per_frame(self):
         f, g = build_dw_qubit()
@@ -317,8 +337,9 @@ class TestStructureCoeffs:
     @pytest.mark.parametrize("builder", [build_dw_qubit, build_sic_qubit,
                                          lambda: build_dw_qubits(2)])
     def test_dense_xi_matches_direct_traces(self, builder):
+        # the sum-trace property, so only for a dual pair
         f, g = builder()
-        np.testing.assert_allclose(structure_coeffs(f, g).xi,
+        np.testing.assert_allclose(xi_from_factors(structure_coeffs(f, g)),
                                    direct_xi(f.ops, g.ops), atol=1e-14)
 
     @pytest.mark.parametrize("builder", [
@@ -384,13 +405,25 @@ class TestStructureCoeffs:
         # a dense 16-operator factor takes 64 KiB, a one-qubit factor 1 KiB;
         # the limit is lowered so that no test allocates a large tensor
         import qbret.frames
-        monkeypatch.setattr(qbret.frames, "XI_FACTOR_MAX_BYTES", 2 ** 15)
+        monkeypatch.setattr(qbret.frames, "MAX_TENSOR_BYTES", 2 ** 15)
         loaded = load_frame(json.dumps(frame_to_dict(*build_dw_qubits(2))))
         assert not loaded[0].parts
         with pytest.raises(errors.TooLarge):
             structure_coeffs(*loaded)
         f, g = tensor_frames([build_dw_qubit(), build_dw_qubit()])
         assert len(structure_coeffs(f, g).factors) == 2
+
+    def test_refuses_an_operator_stack_over_the_size_limit(self, monkeypatch):
+        # dw-qubits:3 stacks 64 operators of 8 x 8 complex entries in 64 KiB;
+        # the limit is lowered so that no test allocates a large stack
+        import qbret.frames
+        monkeypatch.setattr(qbret.frames, "MAX_TENSOR_BYTES", 2 ** 15)
+        calls = []
+        monkeypatch.setattr(qbret.frames, "_kron_stack",
+                            lambda stacks: calls.append(stacks))
+        with pytest.raises(errors.TooLarge):
+            build_dw_qubits(3)
+        assert calls == []
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["dw-qubits:2", "dw-qubits:3"])

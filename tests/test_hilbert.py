@@ -102,6 +102,14 @@ class TestDilation:
             channel_from_dilation(np.eye(4, dtype=complex),
                                   np.diag([2.0, -1.0]).astype(complex))
 
+    def test_rejects_a_non_square_unitary(self):
+        # a 2 x 3 isometry passes U U^dag = 1 but dilates nothing
+        isometry = np.eye(2, 3, dtype=complex)
+        with pytest.raises(errors.DimensionMismatch):
+            channel_from_dilation(isometry, np.eye(1, dtype=complex))
+        with pytest.raises(errors.DimensionMismatch):
+            KrausChannel.from_unitary(isometry)
+
 
 class TestApplyAdjoint:
     def test_half_swap_plus_input(self):

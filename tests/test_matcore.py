@@ -11,13 +11,13 @@ from qbret.matcore import (
     PAULI_Y,
     PAULI_Z,
     RANK_RTOL,
+    eigh_spectrum,
     hermitian_eig,
     max_abs,
     partial_trace_b,
     principal_power,
     psd_sqrt,
     rank_threshold,
-    symmetric_eig,
     symmetrized,
 )
 
@@ -73,6 +73,27 @@ class TestHermitianEig:
     def test_rejects_non_square(self):
         with pytest.raises(errors.DimensionMismatch):
             hermitian_eig(np.zeros((2, 3)), TOL)
+
+    def test_nan_fails_the_hermiticity_check(self):
+        with pytest.raises(errors.NotHermitian, match=r"H - H\^dag"):
+            hermitian_eig(np.array([[1.0, np.nan], [np.nan, 1.0]]), TOL)
+
+    def test_checks_then_factors_by_eigh_spectrum(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(4, 4))
+        m = symmetrized(a + a.T)
+        checked, factored = hermitian_eig(m, TOL), eigh_spectrum(m, TOL)
+        assert np.array_equal(checked.values, factored.values)
+        assert np.array_equal(checked.vectors, factored.vectors)
+
+    @pytest.mark.parametrize("m", [np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                   np.array([[1.0, np.nan], [np.nan, 1.0]])],
+                             ids=["non-symmetric", "nan"])
+    def test_factorization_alone_fails_its_residual_check(self, m):
+        # eigh reads one triangle; the reconstruction residual catches a
+        # matrix that was not made symmetric, or NaN, as NoConvergence
+        with pytest.raises(errors.NoConvergence):
+            eigh_spectrum(m, TOL)
 
 
 class TestPsdSqrt:
@@ -200,8 +221,8 @@ class TestPrincipalPower:
             principal_power(np.diag([1.0, -0.5]), 0.5)
 
     @pytest.mark.parametrize("factor", [
-        lambda m: principal_power(m, 0.5), symmetric_eig],
-        ids=["principal_power", "symmetric_eig"])
+        lambda m: principal_power(m, 0.5), symmetrized, hermitian_eig],
+        ids=["principal_power", "symmetrized", "hermitian_eig"])
     def test_rejects_nonsymmetric_input_as_not_hermitian(self, factor):
         # a rotation has a complex spectrum, but the symmetry test comes first
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -209,8 +230,8 @@ class TestPrincipalPower:
             factor(rot)
 
     @pytest.mark.parametrize("factor", [
-        lambda m: principal_power(m, 0.5), symmetric_eig, symmetrized],
-        ids=["principal_power", "symmetric_eig", "symmetrized"])
+        lambda m: principal_power(m, 0.5), symmetrized],
+        ids=["principal_power", "symmetrized"])
     def test_nan_fails_the_symmetry_check(self, factor):
         # NaN compares false, so the check must be `not dev <= bound`: the
         # symmetry test itself raises, not a later Hermiticity check

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from qbret import errors
 from qbret.frames import (
-    StructureCoefficients,
     build_dw_qubit,
     build_dw_qubits,
     build_sic_qubit,
@@ -29,10 +28,10 @@ from qbret.hilbert import (
 from qbret.matcore import (
     DEFAULT_TOL,
     ORACLE_TOL,
+    hermitian_eig,
     max_abs,
     principal_power,
     rank_threshold,
-    symmetric_eig,
     symmetrized,
 )
 from qbret.qprcore import (
@@ -481,12 +480,10 @@ class TestPetzQpr:
 
 
 @pytest.mark.parametrize("n_qubits", [3, 4])
-def test_product_frame_recovery_stays_factored(n_qubits, monkeypatch):
+def test_product_frame_recovery_stays_factored(n_qubits):
     # dense xi would be 134 MB at three qubits and 34 GB at four
     f, g = build_dw_qubits(n_qubits)
     coeffs = structure_coeffs(f, g)
-    monkeypatch.setattr(StructureCoefficients, "xi", property(
-        lambda self: pytest.fail("petz_qpr built the dense xi tensor")))
     rng = np.random.default_rng(n_qubits)
     d = 2 ** n_qubits
     channel = channel_from_dilation(random_unitary(rng, 2 * d),
@@ -505,10 +502,8 @@ def test_product_frame_recovery_stays_factored(n_qubits, monkeypatch):
 
 
 @pytest.mark.parametrize("frame", ["sic", "custom", "classical"])
-def test_recovery_builds_no_xi(frame, custom_tetra, monkeypatch):
+def test_recovery_builds_no_xi(frame, custom_tetra):
     # every pair, not only products, computes from eta alone
-    monkeypatch.setattr(StructureCoefficients, "xi", property(
-        lambda self: pytest.fail("petz_qpr built the dense xi tensor")))
     rng = np.random.default_rng(13)
     if frame == "classical":
         t = rng.random((4, 4)) + 0.1
@@ -985,6 +980,31 @@ class TestLanczos:
         assert result.root_routes == ("lanczos", "lanczos", "eigh", "eigh")
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("case", ["eigh", "fallback"])
+    def test_each_state_matrix_is_symmetry_checked_once(self, case, sic,
+                                                        monkeypatch):
+        # `symmetrized` checks each state matrix, and neither route checks
+        # it again: a regularized sic-qubit recovery takes four state
+        # matrices by eigh, the failing dw-qubits:3 case two Lanczos runs and
+        # two eigh fallbacks
+        import qbret.qprcore as qc
+        calls = []
+        for name in ("symmetrized", "hermitian_eig"):
+            def counted(*args, _real=getattr(qc, name), **kwargs):
+                calls.append(None)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(qc, name, counted)
+        if case == "eigh":
+            f, g = sic
+            rng = np.random.default_rng(24)
+            channel = KrausChannel.from_unitary(random_unitary(rng, 2))
+            result = _recover(f, g, channel, projector(KET_PLUS))
+            assert result.root_routes == ("eigh",) * 4
+        else:
+            result, _ = self._failing_case()
+            assert result.root_routes == ("lanczos", "lanczos", "eigh", "eigh")
+        assert len(calls) == len(result.root_routes)
+
     def test_plain_lanczos_misses_the_oracle(self, monkeypatch):
         # without the certificate the same recovery is far off the oracle
         import qbret.qprcore as qc
@@ -1019,7 +1039,7 @@ def test_result_types_compare_by_identity():
     v = state_to_qpr(projector(KET_PLUS), f)
     s = channel_to_qpr(channel, f, g)
     objects = [channel, petz_hilbert(channel, projector(KET_PLUS)),
-               symmetric_eig(np.eye(2)), coeffs, petz_qpr(s, v, coeffs),
+               hermitian_eig(np.eye(2)), coeffs, petz_qpr(s, v, coeffs),
                m_power_check(v, 0.5, f, g, coeffs),
                state_spectrum(v, coeffs, DEFAULT_TOL, ((0.0, 0.5),))]
     assert isinstance(objects[4], PetzQprResult)
