@@ -23,10 +23,6 @@ class NotPSD(QbretError):
     pass
 
 
-class Singular(QbretError):
-    pass
-
-
 class ComplexResidue(QbretError):
     pass
 

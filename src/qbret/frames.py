@@ -381,7 +381,7 @@ def _gram_roots(stacks: list[np.ndarray], tol: float) -> tuple | None:
     whose operators are the Kronecker products of `stacks`; None only where
     every factor's Gram is a multiple of the identity (the similarity would
     be a scaling, and the adjoint is the transpose).  Raises IllConditioned
-    past GRAM_COND_MAX, a singular Q included."""
+    past GRAM_COND_MAX, a rank-deficient Q included."""
     grams = []
     for ops in stacks:
         q = np.einsum("iab,jba->ij", ops, ops, optimize=True).real

@@ -3,7 +3,12 @@
 States and effects are plain complex numpy arrays; channels carry their
 Kraus operators and the d^2 x d^2 superoperator built from them once.
 This module is the ground truth that the quasiprobability computations
-are cross-checked against.
+are cross-checked against.  Its roots follow the rank policy of
+`matcore.power_values`: the dilation's ancilla roots decide which Kraus
+operators exist, and the oracle's posterior inverse root is taken on the
+support, its `deficient` flag deciding whether the prior is regularized.
+The gate catalog is one module-level table; each builtin channel checks
+the unitarity of its gate once, in the channel constructor.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from .matcore import (
     max_abs,
     mixing_weight,
     operator_stack,
+    power_values,
     psd_sqrt,
-    rank_threshold,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -57,20 +62,6 @@ def assert_density(rho: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     if spec.values[0] < -tol:
         raise NotPSD(f"negative eigenvalue {spec.values[0]:.3e}")
     return spec
-
-
-def assert_povm(effects, tol: float = DEFAULT_TOL):
-    """Check that the effects are PSD and sum to the identity."""
-    effects = [np.asarray(e, dtype=complex) for e in effects]
-    d = effects[0].shape[0]
-    for e in effects:
-        if hermitian_eig(e, tol).values[0] < -tol:
-            raise NotPSD("effect with a negative eigenvalue")
-    total = sum(effects)
-    dev = max_abs(total - np.eye(d))
-    if dev > tol:
-        raise NotPSD(f"effects sum to identity only within {dev:.3e}")
-    return effects
 
 
 def assert_unitary(u, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -173,9 +164,9 @@ def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
                           tol: float = DEFAULT_TOL) -> KrausChannel:
     """Kraus form of rho -> Tr_B[U (rho (x) beta) U^dag].
 
-    Ancilla eigenvalues below `rank_threshold` of the largest are dropped,
-    so pure ancillas yield a minimal Kraus set.  Composite ordering is
-    ancilla-fastest.
+    Each ancilla eigenvector is weighted by the root `power_values` gives
+    its eigenvalue, and those with root zero are dropped, so pure ancillas
+    yield a minimal Kraus set.  Composite ordering is ancilla-fastest.
     """
     u = assert_unitary(u, tol)
     n = u.shape[0]
@@ -188,15 +179,15 @@ def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
         spec = assert_density(beta, tol)
     except Exception as exc:
         raise BadAncilla(f"ancilla is not a density operator: {exc}") from exc
-    thr = rank_threshold(spec.values[-1])
+    roots, _ = power_values(spec.values, 0.5, tol)
     u4 = u.reshape(d_a, d_b, d_a, d_b)
     kraus = []
-    for lam, b in zip(spec.values, spec.vectors.T):
-        if lam < thr:
+    for root, b in zip(roots, spec.vectors.T):
+        if root == 0.0:
             continue
         for i in range(d_b):
             # (1 (x) <i|) U (1 (x) |b_j>), weighted by sqrt(lambda_j)
-            kraus.append(np.sqrt(lam) * np.einsum("asb,b->as", u4[:, i, :, :], b))
+            kraus.append(root * np.einsum("asb,b->as", u4[:, i, :, :], b))
     return KrausChannel.from_kraus(kraus, tol)
 
 
@@ -242,8 +233,7 @@ def petz_hilbert(channel: KrausChannel, prior: np.ndarray,
     eps = mixing_weight(eps)
     spec = assert_density(prior, tol)
     d = channel.d
-    inv_root, deficient = psd_sqrt(channel.apply(prior), tol, inverse=True,
-                                   singular="support")
+    inv_root, deficient = psd_sqrt(channel.apply(prior), tol, inverse=True)
     eps_used = 0.0
     if deficient:
         if eps <= 0.0:
@@ -253,8 +243,7 @@ def petz_hilbert(channel: KrausChannel, prior: np.ndarray,
         spec = Spectrum((1 - eps) * spec.values + eps / d, spec.vectors)
         # channels that erase whole directions keep a posterior kernel for
         # any prior; the inverse root is then taken on the support
-        inv_root, deficient = psd_sqrt(channel.apply(mixed), tol, inverse=True,
-                                       singular="support")
+        inv_root, deficient = psd_sqrt(channel.apply(mixed), tol, inverse=True)
         eps_used = eps
     return PetzMap(base=channel,
                    sqrt_prior=spec.power(0.5, tol)[0],
@@ -289,29 +278,28 @@ _U_EG = np.array([
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
-BUILTIN_NAMES = ("identity", "pauli_x", "pauli_y", "pauli_z", "hadamard",
-                 "half_swap", "full_swap", "u_eg")
+# The two-qubit entries (half_swap, full_swap, u_eg) act on system (x)
+# ancilla with the ancilla index fastest.  Read-only: the channels built
+# from them hold them uncopied, and the channel constructors check them.
+_GATES = {
+    "identity": EYE2.copy(),
+    "pauli_x": PAULI_X.copy(),
+    "pauli_y": PAULI_Y.copy(),
+    "pauli_z": PAULI_Z.copy(),
+    "hadamard": _HADAMARD,
+    "half_swap": _HALF_SWAP,
+    "full_swap": _FULL_SWAP,
+    "u_eg": _U_EG,
+}
+for _u in _GATES.values():
+    _u.setflags(write=False)
+
+BUILTIN_NAMES = tuple(_GATES)
 
 
 def builtin_gates() -> dict:
-    """Unitary matrices of the built-in catalog, unitarity verified.
-
-    The two-qubit entries (half_swap, full_swap, u_eg) act on system (x)
-    ancilla with the ancilla index fastest.
-    """
-    gates = {
-        "identity": EYE2.copy(),
-        "pauli_x": PAULI_X.copy(),
-        "pauli_y": PAULI_Y.copy(),
-        "pauli_z": PAULI_Z.copy(),
-        "hadamard": _HADAMARD.copy(),
-        "half_swap": _HALF_SWAP.copy(),
-        "full_swap": _FULL_SWAP.copy(),
-        "u_eg": _U_EG.copy(),
-    }
-    for u in gates.values():
-        assert_unitary(u)
-    return gates
+    """Copies of the unitary matrices of the built-in catalog."""
+    return {name: u.copy() for name, u in _GATES.items()}
 
 
 def builtin_channel(name: str, ancilla: np.ndarray | None = None,
@@ -322,11 +310,10 @@ def builtin_channel(name: str, ancilla: np.ndarray | None = None,
     dilations and take an ancilla (default |1><1| for the swaps, |0><0|
     for u_eg, whose action is ancilla-independent).
     """
-    gates = builtin_gates()
-    if name not in gates:
+    if name not in _GATES:
         raise KeyError(f"unknown builtin channel {name!r}; "
                        f"expected one of {BUILTIN_NAMES}")
-    u = gates[name]
+    u = _GATES[name]
     if u.shape[0] == 2:
         return KrausChannel.from_unitary(u, tol)
     if ancilla is None:

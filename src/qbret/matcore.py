@@ -6,15 +6,17 @@ small: the quasiprobability side of a frame is n x n with n = d^2, and
 n = 256 (dw-qubits:4) is the largest size run so far.
 
 Every matrix power is taken from one spectrum under the one rank policy
-of `Spectrum.power`: clamp roundoff negatives, give power zero below the
-relative rank threshold, refuse negative powers of rank-deficient spectra
-unless asked for the inverse on the support.  Its values half,
-`power_values`, also powers the eigen- or Ritz values of a state matrix
-in `qprcore.StateSpectrum`, which maps them to the vector J^r e and never
-builds the n x n power.  The state-side matrices of frames whose Gram is
-not a multiple of the identity are not symmetric; `qprcore.state_matrix`
-makes them so by a similarity through the frame Gram, and `symmetrized`
-checks them once; neither route of `qprcore.state_spectrum` checks again.
+of `power_values`: clamp roundoff negatives, give power zero below the
+relative rank threshold, and return the power on the support with a
+`deficient` flag, for negative powers too; the callers that need full
+rank read the flag.  `Spectrum.power` applies it to an eigenbasis,
+`qprcore.StateSpectrum` to the eigen- or Ritz values of a state matrix,
+which it maps to the vector J^r e without building the n x n power, and
+`hilbert.channel_from_dilation` to the ancilla spectrum.  The state-side
+matrices of frames whose Gram is not a multiple of the identity are not
+symmetric; `qprcore.state_matrix` makes them so by a similarity through
+the frame Gram, and `symmetrized` checks them once; neither route of
+`qprcore.state_spectrum` checks again.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import (
     NoConvergence,
     NotHermitian,
     NotPSD,
-    Singular,
 )
 
 # Default tolerances: hermiticity/PSD checks at 1e-10, cross-checks against
@@ -54,11 +55,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def rank_threshold(scale: float, rank_rtol: float = RANK_RTOL) -> float:
+def rank_threshold(scale: float) -> float:
     """Absolute cutoff below which a value counts as zero next to `scale`
     (the largest eigenvalue or entry); never zero, so a zero `scale`
     still leaves every value at or below the cutoff."""
-    return rank_rtol * max(float(scale), 1e-300)
+    return RANK_RTOL * max(float(scale), 1e-300)
 
 
 def mixing_weight(eps: float) -> float:
@@ -93,36 +94,27 @@ class Spectrum:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ dagger(self.vectors)
-
-    def power(self, r: float, tol: float = DEFAULT_TOL, *,
-              singular: str = "error") -> tuple[np.ndarray, bool]:
-        """(matrix^r, deficient) for a nonnegative spectrum.
-
-        Eigenvalues in [-tol, 0) are clamped to zero, and those below
-        `rank_threshold` of the largest get power zero (the power on the
-        support); `deficient` says whether any did.  Raises NotPSD below
-        -tol, and Singular for a negative power of a deficient spectrum
-        unless singular="support" asks for the inverse on the support.
-        """
-        vals, deficient = power_values(self.values, r, tol, singular=singular)
+    def power(self, r: float,
+              tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+        """(matrix^r on the support, deficient) for a nonnegative
+        spectrum, by `power_values`."""
+        vals, deficient = power_values(self.values, r, tol)
         return (self.vectors * vals) @ dagger(self.vectors), deficient
 
 
-def power_values(w: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
-                 singular: str = "error") -> tuple[np.ndarray, bool]:
-    """(w^r, deficient) for ascending eigenvalues w: the values half of
-    `Spectrum.power`, under its rank policy and with its errors."""
+def power_values(w: np.ndarray, r: float,
+                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+    """(w^r on the support, deficient) for ascending eigenvalues w: the
+    one rank policy.  Values in [-tol, 0) are clamped to zero, and those
+    below `rank_threshold` of the largest get power zero, for negative r
+    too (the inverse on the support); `deficient` says whether any did.
+    Raises NotPSD below -tol."""
     if w[0] < -tol:
         raise NotPSD(f"smallest eigenvalue {w[0]:.3e} < -tol")
     w = np.clip(w, 0.0, None)
     thr = rank_threshold(w[-1])
     keep = w >= thr
-    deficient = not bool(keep.all())
-    if r < 0 and deficient and singular != "support":
-        raise Singular(f"eigenvalue {w[0]:.3e} below rank threshold {thr:.3e}")
-    return np.where(keep, np.maximum(w, thr) ** r, 0.0), deficient
+    return np.where(keep, np.maximum(w, thr) ** r, 0.0), not bool(keep.all())
 
 
 def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
@@ -151,14 +143,11 @@ def eigh_spectrum(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
 
 
 def psd_sqrt(h: np.ndarray, tol: float = DEFAULT_TOL, *,
-             inverse: bool = False,
-             singular: str = "error") -> tuple[np.ndarray, bool]:
-    """(h^{1/2} or h^{-1/2}, deficient) of a PSD matrix by one
-    `hermitian_eig`, under the rank policy of `Spectrum.power`: a pure
-    state's root is its projector, and the inverse root of a deficient
-    matrix raises Singular unless singular="support"."""
-    return hermitian_eig(h, tol).power(-0.5 if inverse else 0.5, tol,
-                                       singular=singular)
+             inverse: bool = False) -> tuple[np.ndarray, bool]:
+    """(h^{1/2} or h^{-1/2} on the support, deficient) of a PSD matrix by
+    one `hermitian_eig`, under the rank policy of `power_values`: a pure
+    state's root and inverse root are both its projector."""
+    return hermitian_eig(h, tol).power(-0.5 if inverse else 0.5, tol)
 
 
 def symmetrized(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -174,13 +163,12 @@ def symmetrized(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (m + m.T) / 2
 
 
-def principal_power(m: np.ndarray, r: float, tol: float = DEFAULT_TOL, *,
-                    singular: str = "error") -> tuple[np.ndarray, bool]:
-    """(m^r, deficient) of a real symmetric matrix with nonnegative
-    spectrum: `Spectrum.power` of `eigh_spectrum(symmetrized(m))`, whose
-    errors it shares.  No state power calls it: it is the n x n reference."""
-    spec = eigh_spectrum(symmetrized(m, tol), tol)
-    return spec.power(r, tol, singular=singular)
+def principal_power(m: np.ndarray, r: float,
+                    tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+    """(m^r on the support, deficient) of a real symmetric matrix with
+    nonnegative spectrum: `Spectrum.power` of `eigh_spectrum(symmetrized(m))`,
+    whose errors it shares.  Nothing in the package calls it."""
+    return eigh_spectrum(symmetrized(m, tol), tol).power(r, tol)
 
 
 def partial_trace_b(w: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -183,10 +183,10 @@ class StateSpectrum:
                              self.last)
 
     def power(self, r: float, coeffs: StructureCoefficients,
-              tol: float = DEFAULT_TOL, *,
-              singular: str = "error") -> tuple[np.ndarray, bool]:
-        """(Q^{1/2} Y values^r c, deficient): alpha^r by `power_values`."""
-        vals, deficient = power_values(self.values, r, tol, singular=singular)
+              tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+        """(Q^{1/2} Y values^r c, deficient): alpha^r on the support by
+        `power_values`."""
+        vals, deficient = power_values(self.values, r, tol)
         y = self.vectors @ (vals * self.weights)
         return (y if coeffs.gram_roots is None else coeffs.gram_roots[0] @ y,
                 deficient)
@@ -271,12 +271,10 @@ def state_spectrum(v: np.ndarray, coeffs: StructureCoefficients, tol: float,
 
 
 def state_power(v: np.ndarray, r: float, coeffs: StructureCoefficients,
-                tol: float = DEFAULT_TOL, *,
-                singular: str = "error") -> tuple[np.ndarray, bool]:
-    """(vector of alpha^r, deficient), under the rank policy of
-    `Spectrum.power`, from the `state_spectrum` certified for r."""
-    return state_spectrum(v, coeffs, tol, ((0.0, r),)).power(
-        r, coeffs, tol, singular=singular)
+                tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+    """(vector of alpha^r on the support, deficient), under the rank policy
+    of `power_values`, from the `state_spectrum` certified for r."""
+    return state_spectrum(v, coeffs, tol, ((0.0, r),)).power(r, coeffs, tol)
 
 
 def k_matrix(s: np.ndarray) -> np.ndarray:
@@ -388,7 +386,7 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
         post = state_spectrum(s @ ((1 - w) * v_prior + w * u), coeffs, tol,
                               ((0.0, -0.5),))
         routes.append(post.route)
-        inv_root, deficient = post.power(-0.5, coeffs, tol, singular="support")
+        inv_root, deficient = post.power(-0.5, coeffs, tol)
         root = prior.mixed(w, d).power(0.5, coeffs, tol)[0]
         return (x_matrix(root, coeffs) @ adjoint
                 @ x_matrix(inv_root, coeffs)), deficient
@@ -464,7 +462,7 @@ def m_power_check(v: np.ndarray, r: float, frame: Frame, dual: DualFrame,
     The left side builds alpha^r in Hilbert space from the reconstructed
     state and takes traces directly; the right side raises the
     quasiprobability-side matrix to the r-th power.  Both sides follow the
-    rank policy of `Spectrum.power`, so they agree on deficient states too.
+    rank policy of `power_values`, so they agree on deficient states at every r.
     """
     if coeffs is None:
         coeffs = structure_coeffs(frame, dual, tol)

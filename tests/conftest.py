@@ -4,6 +4,8 @@ import pytest
 from qbret.frames import DualFrame, Frame
 from qbret.matcore import PAULI_X, PAULI_Y, PAULI_Z
 
+pytest_plugins = ["pytester"]
+
 TETRAHEDRON = np.array([(1, -1, 1), (1, 1, -1), (-1, 1, 1), (-1, -1, -1)]) / np.sqrt(3)
 
 

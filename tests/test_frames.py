@@ -429,21 +429,22 @@ class TestStructureCoeffs:
 @pytest.fixture(scope="module", params=[2, 3], ids=["dw-qubits:2", "dw-qubits:3"])
 def product_coeffs(request):
     f, g = build_dw_qubits(request.param)
-    return (structure_coeffs(f, g), direct_eta(f.ops, g.ops),
-            direct_xi(f.ops, g.ops))
+    return structure_coeffs(f, g), direct_eta(f.ops, g.ops), f.ops, g.ops
 
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_contract_matches_dense_contraction(product_coeffs, data):
     # L(v), built factor by factor, against sum_x v_x eta[x], and the prior
-    # matrix L conj(L) against sum_{xy} v_x v_y xi[i,x,j,y]
+    # matrix L conj(L) against the direct traces Re Tr[F_i a G_j a] with
+    # a = sum_x v_x G_x, which need no n^4 tensor
     from qbret.qprcore import x_matrix
-    coeffs, eta, xi = product_coeffs
+    coeffs, eta, f_ops, g_ops = product_coeffs
     v = data.draw(arrays(np.float64, coeffs.n,
                          elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
     # 1e-12 relative; the absolute floor only covers products that underflow
     dense = np.einsum("x,xij->ij", v, eta)
     assert max_abs(coeffs.left(v) - dense) <= 1e-12 * np.abs(dense).max() + 1e-300
-    dense = np.einsum("x,y,ixjy->ij", v, v, xi, optimize=True)
+    a = np.einsum("x,xab->ab", v, g_ops)
+    dense = np.einsum("iab,bc,jcd,da->ij", f_ops, a, g_ops, a, optimize=True).real
     assert max_abs(x_matrix(v, coeffs) - dense) <= 1e-12 * np.abs(dense).max() + 1e-300

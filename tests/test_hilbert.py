@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qbret import errors
 from qbret.hilbert import (
+    BUILTIN_NAMES,
     KET0,
     KET1,
     KET_MINUS,
@@ -383,18 +384,29 @@ class TestBuiltins:
         with pytest.raises(KeyError):
             builtin_channel("nope")
 
+    def test_catalog_gates_are_unitary(self):
+        gates = builtin_gates()
+        assert tuple(gates) == BUILTIN_NAMES
+        for name, u in gates.items():
+            assert max_abs(u @ dagger(u) - np.eye(u.shape[0])) <= 1e-12, name
 
-class TestPovmCheck:
-    def test_projective_pair(self):
-        from qbret.hilbert import assert_povm
-        assert_povm([projector(KET0), projector(KET1)])
+    def test_builtin_gates_returns_copies(self):
+        builtin_gates()["hadamard"][0, 0] = 7.0
+        assert builtin_gates()["hadamard"][0, 0] == 1 / np.sqrt(2)
 
-    def test_incomplete_set_rejected(self):
-        from qbret.hilbert import assert_povm
-        with pytest.raises(errors.NotPSD):
-            assert_povm([projector(KET0)])
+    def test_one_unitarity_check_per_builtin_channel(self, monkeypatch):
+        # the channel constructor checks the chosen gate; the catalog is
+        # not re-checked per call
+        import qbret.hilbert as hb
+        calls = []
 
-    def test_negative_effect_rejected(self):
-        from qbret.hilbert import assert_povm
-        with pytest.raises(errors.NotPSD):
-            assert_povm([1.5 * projector(KET0), np.eye(2) - 1.5 * projector(KET0)])
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        real = hb.assert_unitary
+        monkeypatch.setattr(hb, "assert_unitary", counted)
+        for name in BUILTIN_NAMES:
+            calls.clear()
+            builtin_channel(name)
+            assert len(calls) == 1, name

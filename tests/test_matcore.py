@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qbret import errors
 from qbret.matcore import (
+    DEFAULT_TOL,
     EYE2,
     PAULI_X,
     PAULI_Y,
@@ -22,6 +23,12 @@ from qbret.matcore import (
 )
 
 TOL = 1e-10
+
+
+def sym_power(m, r, tol=DEFAULT_TOL):
+    """m^r on the support of a real symmetric matrix, by the composition
+    `principal_power` is: one `eigh_spectrum` of `symmetrized(m)`."""
+    return eigh_spectrum(symmetrized(m, tol), tol).power(r, tol)
 
 
 def bloch_mixture(omega, theta, phi):
@@ -64,7 +71,8 @@ class TestHermitianEig:
         h = a + a.conj().T
         spec = hermitian_eig(h, TOL)
         assert np.all(np.diff(spec.values) >= 0)
-        assert max_abs(spec.reconstruct() - h) <= 10 * TOL * max_abs(h)
+        rebuilt = (spec.vectors * spec.values) @ spec.vectors.conj().T
+        assert max_abs(rebuilt - h) <= 10 * TOL * max_abs(h)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(errors.NotHermitian):
@@ -131,8 +139,11 @@ class TestPsdSqrt:
             psd_sqrt(np.diag([1.0, -0.5]).astype(complex), TOL)
 
     def test_inverse_variant_singular(self):
-        with pytest.raises(errors.Singular):
-            psd_sqrt(np.diag([1.0, 0.0]).astype(complex), TOL, inverse=True)
+        # the inverse root on the support: a projector is its own
+        out, deficient = psd_sqrt(np.diag([1.0, 0.0]).astype(complex), TOL,
+                                  inverse=True)
+        assert deficient
+        np.testing.assert_array_equal(out, np.diag([1.0, 0.0]))
 
     def test_inverse_variant(self):
         h = np.diag([4.0, 9.0]).astype(complex)
@@ -141,13 +152,17 @@ class TestPsdSqrt:
 
 
 class TestPrincipalPower:
+    """The n x n power of a real symmetric matrix, taken as `sym_power`,
+    the composition `principal_power` is (the `principal_power` ids name
+    that composition)."""
+
     def test_identity_inverse_root(self):
-        np.testing.assert_allclose(principal_power(np.eye(3), -0.5)[0],
+        np.testing.assert_allclose(sym_power(np.eye(3), -0.5)[0],
                                    np.eye(3), atol=1e-12)
 
     def test_scaled_identity_root(self):
         # the matrix of the maximally mixed qubit state is I/4
-        np.testing.assert_allclose(principal_power(np.eye(4) / 4, 0.5)[0],
+        np.testing.assert_allclose(sym_power(np.eye(4) / 4, 0.5)[0],
                                    np.eye(4) / 2, atol=1e-12)
 
     def test_root_of_pure_state_matrix(self):
@@ -158,7 +173,7 @@ class TestPrincipalPower:
                        + (-1) ** (r + s) * PAULI_Y) / 4 for r, s in labels])
         rho = np.diag([1.0, 0.0]).astype(complex)
         m = np.einsum("iab,bc,jcd,da->ij", f, rho, 2 * f, rho).real
-        root, deficient = principal_power(m, 0.5, TOL)
+        root, deficient = sym_power(m, 0.5, TOL)
         assert deficient
         assert max_abs(root @ root - m) < 1e-10
 
@@ -166,8 +181,8 @@ class TestPrincipalPower:
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 3))
         m = a @ a.T
-        np.testing.assert_allclose(principal_power(m, 1.0)[0], m, atol=1e-12)
-        np.testing.assert_allclose(principal_power(m, 0.0)[0], np.eye(3),
+        np.testing.assert_allclose(sym_power(m, 1.0)[0], m, atol=1e-12)
+        np.testing.assert_allclose(sym_power(m, 0.0)[0], np.eye(3),
                                    atol=1e-12)
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.25, -0.75), (1.5, -0.5)])
@@ -175,8 +190,8 @@ class TestPrincipalPower:
         rng = np.random.default_rng(11)
         g = rng.normal(size=(4, 4))
         m = g @ g.T + 0.5 * np.eye(4)
-        lhs = principal_power(m, a, TOL)[0] @ principal_power(m, b, TOL)[0]
-        rhs, _ = principal_power(m, a + b, TOL)
+        lhs = sym_power(m, a, TOL)[0] @ sym_power(m, b, TOL)[0]
+        rhs, _ = sym_power(m, a + b, TOL)
         assert max_abs(lhs - rhs) < 10 * 1e-10 * max_abs(rhs) + 1e-10
 
     def test_root_squared_recovers_state_matrices(self):
@@ -218,10 +233,10 @@ class TestPrincipalPower:
 
     def test_rejects_negative_spectrum(self):
         with pytest.raises(errors.NotPSD):
-            principal_power(np.diag([1.0, -0.5]), 0.5)
+            sym_power(np.diag([1.0, -0.5]), 0.5)
 
     @pytest.mark.parametrize("factor", [
-        lambda m: principal_power(m, 0.5), symmetrized, hermitian_eig],
+        lambda m: sym_power(m, 0.5), symmetrized, hermitian_eig],
         ids=["principal_power", "symmetrized", "hermitian_eig"])
     def test_rejects_nonsymmetric_input_as_not_hermitian(self, factor):
         # a rotation has a complex spectrum, but the symmetry test comes first
@@ -230,7 +245,7 @@ class TestPrincipalPower:
             factor(rot)
 
     @pytest.mark.parametrize("factor", [
-        lambda m: principal_power(m, 0.5), symmetrized],
+        lambda m: sym_power(m, 0.5), symmetrized],
         ids=["principal_power", "symmetrized"])
     def test_nan_fails_the_symmetry_check(self, factor):
         # NaN compares false, so the check must be `not dev <= bound`: the
@@ -239,45 +254,51 @@ class TestPrincipalPower:
             factor(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     def test_singular_negative_power(self):
-        with pytest.raises(errors.Singular):
-            principal_power(np.diag([1.0, 0.0]), -0.5)
+        # a negative power of a deficient matrix is its inverse on the support
+        out, deficient = sym_power(np.diag([1.0, 0.0]), -0.5)
+        assert deficient
+        np.testing.assert_array_equal(out, np.diag([1.0, 0.0]))
 
     def test_support_mode_inverts_on_support(self):
         m = np.diag([4.0, 0.0])
-        out, deficient = principal_power(m, -0.5, singular="support")
+        out, deficient = sym_power(m, -0.5)
         assert deficient
         np.testing.assert_allclose(out, np.diag([0.5, 0.0]), atol=1e-12)
 
 
 class TestSpectrumPower:
-    """`Spectrum.power` holds the one rank policy behind `psd_sqrt`,
-    `principal_power` and the Hilbert-side oracle."""
+    """`Spectrum.power` holds the one rank policy, `power_values`, behind
+    `psd_sqrt`, `principal_power` and the Hilbert-side oracle."""
 
     def test_psd_sqrt_and_principal_power_agree_bit_for_bit(self):
+        # principal_power is pinned to the composition that replaces it
         rng = np.random.default_rng(21)
         for rank in (1, 2, 4):
             a = rng.normal(size=(4, rank))
             m = a @ a.T
             for r, inverse in ((0.5, False), (-0.5, True)):
-                want = principal_power(m, r, singular="support")
-                got = psd_sqrt(m, inverse=inverse, singular="support")
-                assert np.array_equal(got[0], want[0])
-                assert got[1] == want[1] == (rank < 4)
+                want = sym_power(m, r)
+                for got in (principal_power(m, r), psd_sqrt(m, inverse=inverse)):
+                    assert np.array_equal(got[0], want[0])
+                    assert got[1] == want[1] == (rank < 4)
 
     def test_one_error_per_violation(self):
-        for fn in (lambda m, r: principal_power(m, r),
+        # NotPSD is the one error; a deficient spectrum gets its power on
+        # the support, flagged
+        for fn in (lambda m, r: sym_power(m, r),
                    lambda m, r: psd_sqrt(m, inverse=r < 0),
                    lambda m, r: hermitian_eig(m).power(r)):
             with pytest.raises(errors.NotPSD):
                 fn(np.diag([1.0, -0.5]), 0.5)
-            with pytest.raises(errors.Singular):
-                fn(np.diag([1.0, 0.0]), -0.5)
+            out, deficient = fn(np.diag([1.0, 0.0]), -0.5)
+            assert deficient
+            np.testing.assert_array_equal(out, np.diag([1.0, 0.0]))
 
     def test_cut_eigenvalues_raise_no_floating_point_error(self):
         # 0 ** -0.5 would divide by zero; the cut values never reach it
         spec = hermitian_eig(np.diag([0.0, 1e-13, 4.0]))
         with np.errstate(all="raise"):
-            out, deficient = spec.power(-0.5, singular="support")
+            out, deficient = spec.power(-0.5)
         assert deficient
         np.testing.assert_array_equal(out, np.diag([0.0, 0.0, 0.5]))
 
@@ -321,7 +342,7 @@ class TestNonsymmetricRoots:
             ref = scipy.linalg.sqrtm(m)
             for r in (0.5, -0.5):
                 expected = scipy.linalg.fractional_matrix_power(m, r)
-                power_v, deficient = state_power(v, r, xi, TOL, singular="support")
+                power_v, deficient = state_power(v, r, xi, TOL)
                 power = x_matrix(power_v, xi)
                 assert not deficient
                 assert not np.iscomplexobj(power)
@@ -339,7 +360,7 @@ class TestNonsymmetricRoots:
         rho = np.array([[1, 1], [1, 1]], dtype=complex) / 2
         v = state_to_qpr(rho, f)
         m = x_matrix(v, xi)
-        inv_v, deficient = state_power(v, -0.5, xi, TOL, singular="support")
+        inv_v, deficient = state_power(v, -0.5, xi, TOL)
         inv = x_matrix(inv_v, xi)
         assert deficient
         # rank one with eigenvalue 1: the support inverse root is the
@@ -351,7 +372,6 @@ class TestNonsymmetricRoots:
 class TestRankThreshold:
     def test_relative_to_scale(self):
         assert rank_threshold(4.0) == 4.0 * RANK_RTOL
-        assert rank_threshold(2.0, 1e-3) == 2e-3
 
     def test_zero_scale_keeps_a_positive_cutoff(self):
         assert 0.0 < rank_threshold(0.0) < 1e-300

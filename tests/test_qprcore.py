@@ -28,9 +28,9 @@ from qbret.hilbert import (
 from qbret.matcore import (
     DEFAULT_TOL,
     ORACLE_TOL,
+    eigh_spectrum,
     hermitian_eig,
     max_abs,
-    principal_power,
     rank_threshold,
     symmetrized,
 )
@@ -749,7 +749,7 @@ class TestGramRoute:
             for r in (0.5, -0.5):
                 expected = (hilbert_power_matrix(alpha, r, f, g) if rank_one
                             else scipy.linalg.fractional_matrix_power(m, r))
-                power, deficient = state_power(vec, r, coeffs, singular="support")
+                power, deficient = state_power(vec, r, coeffs)
                 assert deficient == rank_one
                 power = x_matrix(power, coeffs)
                 assert max_abs(power - expected) <= 1e-12 * grow * max_abs(expected)
@@ -843,10 +843,9 @@ def _lanczos_run(v, coeffs):
 
 
 def _eigh_route(v, r, coeffs):
-    """The n x n `principal_power` of the state matrix applied to e, mapped
-    back through the Gram roots: an eigh route that builds the power."""
-    p, deficient = principal_power(state_matrix(v, coeffs), r,
-                                   singular="support")
+    """The n x n power of the state matrix applied to e, mapped back through
+    the Gram roots: an eigh route that builds the power."""
+    p, deficient = eigh_spectrum(symmetrized(state_matrix(v, coeffs))).power(r)
     if coeffs.gram_roots is None:
         return p @ coeffs.e, deficient
     half, inv_half = coeffs.gram_roots
@@ -879,7 +878,7 @@ class TestLanczos:
                 assert estimate <= LANCZOS_RTOL
             if estimate > LANCZOS_RTOL:
                 continue
-            power, deficient = run.power(r, coeffs, singular="support")
+            power, deficient = run.power(r, coeffs)
             want = exact(r)
             reference, reference_deficient = _eigh_route(v, r, coeffs)
             assert max_abs(power - want) <= 1e-11 * max_abs(want), r
@@ -897,11 +896,10 @@ class TestLanczos:
         import qbret.qprcore as qc
         coeffs, v, exact = _lanczos_case(frame, spectrum, custom_tetra)
         for r in (0.5, -0.5):
-            power, deficient = state_power(v, r, coeffs, singular="support")
+            power, deficient = state_power(v, r, coeffs)
             with monkeypatch.context() as patch:
                 patch.setattr(qc, "LANCZOS_MIN_N", np.inf)
-                reference, reference_deficient = state_power(
-                    v, r, coeffs, singular="support")
+                reference, reference_deficient = state_power(v, r, coeffs)
             matrix_power, matrix_deficient = _eigh_route(v, r, coeffs)
             assert max_abs(reference - matrix_power) <= 1e-14 * max_abs(matrix_power)
             assert deficient == reference_deficient == matrix_deficient
@@ -1014,10 +1012,17 @@ class TestLanczos:
         assert deviation > 1e-6
 
     @pytest.mark.parametrize("frame", ["dw", "dw3"])
-    def test_errors_raise_on_both_routes(self, frame, custom_tetra):
+    def test_errors_raise_on_both_routes(self, frame, custom_tetra, monkeypatch):
+        # a pure state's inverse root is no error: both routes give the same
+        # power on the support, flagged deficient
+        import qbret.qprcore as qc
         coeffs, v, _ = _lanczos_case(frame, "pure", custom_tetra)
-        with pytest.raises(errors.Singular):
-            state_power(v, -0.5, coeffs)
+        power, deficient = state_power(v, -0.5, coeffs)
+        with monkeypatch.context() as patch:
+            patch.setattr(qc, "LANCZOS_MIN_N", np.inf)
+            reference, reference_deficient = state_power(v, -0.5, coeffs)
+        assert deficient and reference_deficient
+        assert max_abs(power - reference) <= 1e-12 * max_abs(reference)
         # 1.3 |psi><psi| - 0.3 (1/d) has the eigenvalue -0.3/d
         bad = 1.3 * v - 0.3 * uniform_vector(coeffs.n)
         with pytest.raises(errors.NotPSD):
@@ -1112,11 +1117,13 @@ class TestMPowerCheck:
         np.testing.assert_allclose(report.rhs, m @ m, atol=1e-12)
         assert report.max_dev < 1e-10
 
-    def test_singular_state_negative_power(self, dw):
-        f, g = dw
-        v = state_to_qpr(projector(KET0), f)
-        with pytest.raises(errors.Singular):
-            m_power_check(v, -0.5, f, g)
+    def test_singular_state_negative_power(self, dw, sic):
+        # both sides take the inverse powers of a pure state on its support
+        for f, g in (dw, sic):
+            for ket in (KET0, KET_PLUS):
+                v = state_to_qpr(projector(ket), f)
+                for r in (-0.5, -1.0):
+                    assert m_power_check(v, r, f, g).max_dev < 1e-10
 
     def test_pure_state_half_power(self, dw, sic):
         # the power identity holds on rank-deficient states too for r >= 0
