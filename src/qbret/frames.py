@@ -339,9 +339,10 @@ class StructureCoefficients:
     def left(self, v: np.ndarray) -> np.ndarray:
         """L[i, j] = sum_x v_x eta[x, i, j] for a real vector v.
 
-        v is viewed as a tensor with one index x_k per factor, and each
-        factor in turn replaces its leading index by the trailing pair
-        (i_k, j_k), as one matrix product.
+        A single factor is one product of v with the flattened tensor.
+        Otherwise v is viewed as a tensor with one index x_k per factor,
+        and each factor in turn replaces its leading index by the trailing
+        pair (i_k, j_k), as one matrix product.
         """
         dims = tuple(f.shape[0] for f in self.factors)
         n, k = math.prod(dims), len(dims)
@@ -349,6 +350,8 @@ class StructureCoefficients:
         if t.shape != (n,):
             raise RepMismatch(
                 f"vector length {t.shape} does not match coefficients ({n})")
+        if k == 1:
+            return (t @ self.factors[0].reshape(n, n * n)).reshape(n, n)
         for f in self.factors:
             t = t.reshape(f.shape[0], -1).T @ f.reshape(f.shape[0], -1)
         return t.reshape(tuple(d for d in dims for _ in (0, 1))).transpose(

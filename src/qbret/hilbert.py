@@ -306,15 +306,19 @@ def builtin_channel(name: str, ancilla: np.ndarray | None = None,
                     tol: float = DEFAULT_TOL) -> KrausChannel:
     """Qubit channel for a catalog entry.
 
-    Single-qubit gates become unitary channels; the two-qubit gates are
-    dilations and take an ancilla (default |1><1| for the swaps, |0><0|
-    for u_eg, whose action is ancilla-independent).
+    Single-qubit gates become unitary channels and take no ancilla
+    (BadAncilla if one is given); the two-qubit gates are dilations and
+    take an ancilla (default |1><1| for the swaps, |0><0| for u_eg, whose
+    action is ancilla-independent).
     """
     if name not in _GATES:
         raise KeyError(f"unknown builtin channel {name!r}; "
                        f"expected one of {BUILTIN_NAMES}")
     u = _GATES[name]
     if u.shape[0] == 2:
+        if ancilla is not None:
+            raise BadAncilla(f"builtin {name!r} is a single-qubit gate and "
+                             "takes no ancilla")
         return KrausChannel.from_unitary(u, tol)
     if ancilla is None:
         ancilla = projector(KET0) if name == "u_eg" else projector(KET1)

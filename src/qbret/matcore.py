@@ -9,9 +9,11 @@ Every matrix power is taken from one spectrum under the one rank policy
 of `power_values`: clamp roundoff negatives, give power zero below the
 relative rank threshold, and return the power on the support with a
 `deficient` flag, for negative powers too; the callers that need full
-rank read the flag.  `Spectrum.power` applies it to an eigenbasis,
-`qprcore.StateSpectrum` to the eigen- or Ritz values of a state matrix,
-which it maps to the vector J^r e without building the n x n power, and
+rank read the flag.  The values must be in ascending order, as `eigh`
+gives them, because the flag is read from the smallest alone.
+`Spectrum.power` applies it to an eigenbasis, `qprcore.StateSpectrum` to
+the eigen- or Ritz values of a state matrix, which it maps to the vector
+J^r e without building the n x n power, and
 `hilbert.channel_from_dilation` to the ancilla spectrum.  The state-side
 matrices of frames whose Gram is not a multiple of the identity are not
 symmetric; `qprcore.state_matrix` makes them so by a similarity through
@@ -46,9 +48,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def max_abs(a: np.ndarray) -> float:
-    """Largest absolute entry (max norm)."""
+    """Largest absolute entry (max norm), NaN if any entry is NaN, and 0.0
+    for an empty array."""
     a = np.asarray(a)
-    return 0.0 if a.size == 0 else float(np.abs(a).max())
+    return 0.0 if a.size == 0 else float(np.maximum.reduce(np.abs(a), axis=None))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -99,29 +102,30 @@ class Spectrum:
         """(matrix^r on the support, deficient) for a nonnegative
         spectrum, by `power_values`."""
         vals, deficient = power_values(self.values, r, tol)
-        return (self.vectors * vals) @ dagger(self.vectors), deficient
+        return (self.vectors * vals) @ self.vectors.conj().T, deficient
 
 
 def power_values(w: np.ndarray, r: float,
                  tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
-    """(w^r on the support, deficient) for ascending eigenvalues w: the
-    one rank policy.  Values in [-tol, 0) are clamped to zero, and those
-    below `rank_threshold` of the largest get power zero, for negative r
-    too (the inverse on the support); `deficient` says whether any did.
-    Raises NotPSD below -tol."""
-    if w[0] < -tol:
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} < -tol")
-    w = np.clip(w, 0.0, None)
+    """(w^r on the support, deficient) for eigenvalues w in ascending
+    order: the one rank policy.  Values in [-tol, 0) are clamped to zero,
+    and those below `rank_threshold` of the largest get power zero, for
+    negative r too (the inverse on the support); `deficient` says whether
+    any did, read from the smallest value, w[0].  Raises NotPSD unless
+    w[0] >= -tol and w[-1] >= w[0], so also on a NaN at either end."""
+    if not (w[0] >= -tol and w[-1] >= w[0]):
+        raise NotPSD(f"eigenvalues from {w[0]:.3e} to {w[-1]:.3e} are not "
+                     f"ascending and >= -tol")
+    w = np.maximum(w, 0.0)
     thr = rank_threshold(w[-1])
-    keep = w >= thr
-    return np.where(keep, np.maximum(w, thr) ** r, 0.0), not bool(keep.all())
+    return np.where(w >= thr, np.maximum(w, thr) ** r, 0.0), not w[0] >= thr
 
 
 def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     """`eigh_spectrum` of h; NotHermitian unless ||H - H^dag||_max <= tol,
     so also on NaN entries."""
     h = _require_square(h)
-    dev = max_abs(h - dagger(h))
+    dev = max_abs(h - h.conj().T)
     if not dev <= tol:
         raise NotHermitian(f"||H - H^dag||_max = {dev:.3e} > tol = {tol:.3e}")
     return eigh_spectrum(h, tol)
@@ -135,7 +139,7 @@ def eigh_spectrum(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    resid = max_abs((v * w) @ dagger(v) - h)
+    resid = max_abs((v * w) @ v.conj().T - h)
     bound = 10 * tol * max(max_abs(h), 1.0)
     if not resid <= bound:
         raise NoConvergence(f"reconstruction residual {resid:.3e} > {bound:.3e}")
@@ -157,10 +161,11 @@ def symmetrized(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     so also on NaN entries.
     """
     m = _require_square(np.asarray(m, dtype=float))
-    dev = max_abs(m - m.T)
+    t = m.T
+    dev = max_abs(m - t)
     if not dev <= tol * max(max_abs(m), 1.0):
         raise NotHermitian(f"||M - M^T||_max = {dev:.3e} exceeds tol")
-    return (m + m.T) / 2
+    return (m + t) * 0.5
 
 
 def principal_power(m: np.ndarray, r: float,

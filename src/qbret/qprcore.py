@@ -286,7 +286,7 @@ def k_matrix(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     n = s.shape[0]
     row = (s.sum(axis=1) - 1.0) / int(round(np.sqrt(n)))
-    return np.tile(row, (n, 1))
+    return row[None, :].repeat(n, axis=0)
 
 
 def adjoint_qpr(s: np.ndarray, kind: str,
@@ -373,7 +373,6 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
     adjoint = adjoint_qpr(s, coeffs.kind, coeffs.gram_roots)
     # every mixed prior shares the prior's vectors (`StateSpectrum.mixed`),
     # so a Lanczos run must hold down to the eps/10 probe
-    d, u = coeffs.e.sum(), uniform_vector(n)
     eps_used = max(mixing_weight(eps), QPR_EPS_FLOOR)
     prior = state_spectrum(v_prior, coeffs, tol,
                            ((0.0, 0.5), (eps_used / 10, 0.5)))
@@ -383,11 +382,14 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
         # X(prior^{1/2}) adj X(post^{-1/2}) for the prior mixed at weight w;
         # the inverse root is taken on the support of a rank-deficient
         # posterior, and the same factorization says whether it was
-        post = state_spectrum(s @ ((1 - w) * v_prior + w * u), coeffs, tol,
-                              ((0.0, -0.5),))
+        mixed, v_mixed = prior, v_prior
+        if w > 0.0:
+            mixed = prior.mixed(w, coeffs.e.sum())
+            v_mixed = (1 - w) * v_prior + w * uniform_vector(n)
+        post = state_spectrum(s @ v_mixed, coeffs, tol, ((0.0, -0.5),))
         routes.append(post.route)
         inv_root, deficient = post.power(-0.5, coeffs, tol)
-        root = prior.mixed(w, d).power(0.5, coeffs, tol)[0]
+        root = mixed.power(0.5, coeffs, tol)[0]
         return (x_matrix(root, coeffs) @ adjoint
                 @ x_matrix(inv_root, coeffs)), deficient
 

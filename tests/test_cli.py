@@ -141,6 +141,21 @@ class TestReprCommand:
         np.testing.assert_allclose(s.sum(axis=0), np.ones(4), atol=1e-10)
         assert s.min() < -1e-3
 
+    def test_single_qubit_builtin_refuses_ancilla(self, tmp_path, capsys):
+        out = tmp_path / "h.json"
+        assert main(["repr", "--builtin", "hadamard", "--ancilla", "1",
+                     "--kind", "dw-qubit", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "hadamard" in capsys.readouterr().err
+
+    def test_single_qubit_builtin_document_refuses_ancilla(self, tmp_path):
+        source, out = tmp_path / "ch.json", tmp_path / "h.json"
+        source.write_text(json.dumps({"kind": "builtin", "name": "hadamard",
+                                      "ancilla": "1"}))
+        assert main(["repr", "--channel", str(source), "--kind", "dw-qubit",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_identity_channel(self, tmp_path):
         out = tmp_path / "s.json"
         assert main(["repr", "--builtin", "identity", "--kind", "sic-qubit",

@@ -448,3 +448,38 @@ def test_contract_matches_dense_contraction(product_coeffs, data):
     a = np.einsum("x,xab->ab", v, g_ops)
     dense = np.einsum("iab,bc,jcd,da->ij", f_ops, a, g_ops, a, optimize=True).real
     assert max_abs(x_matrix(v, coeffs) - dense) <= 1e-12 * np.abs(dense).max() + 1e-300
+
+
+def per_factor_left(coeffs, v):
+    """L(v) by the per-factor contraction: each factor in turn replaces the
+    leading index of v, viewed as one index per factor, by its (i, j) pair,
+    and the pairs are then put back in (i..., j...) order."""
+    dims = tuple(f.shape[0] for f in coeffs.factors)
+    n, k = int(np.prod(dims)), len(dims)
+    t = np.asarray(v, dtype=float)
+    for f in coeffs.factors:
+        t = t.reshape(f.shape[0], -1).T @ f.reshape(f.shape[0], -1)
+    return t.reshape(tuple(d for d in dims for _ in (0, 1))).transpose(
+        tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2))).reshape(n, n)
+
+
+@pytest.mark.parametrize("name", ["dw-qubit", "sic-qubit", "custom"])
+def test_single_factor_left_is_the_per_factor_contraction(name, custom_tetra):
+    # the one product of v with the flattened factor gives the same bits
+    rng = np.random.default_rng(8)
+    pair = {"dw-qubit": build_dw_qubit, "sic-qubit": build_sic_qubit,
+            "custom": lambda: custom_tetra(rng)}[name]()
+    coeffs = structure_coeffs(*pair)
+    assert len(coeffs.factors) == 1
+    for _ in range(20):
+        v = rng.normal(size=coeffs.n)
+        assert np.array_equal(coeffs.left(v), per_factor_left(coeffs, v))
+
+
+def test_product_left_is_the_per_factor_contraction(product_coeffs):
+    coeffs = product_coeffs[0]
+    assert len(coeffs.factors) > 1
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        v = rng.normal(size=coeffs.n)
+        assert np.array_equal(coeffs.left(v), per_factor_left(coeffs, v))

@@ -384,6 +384,13 @@ class TestBuiltins:
         with pytest.raises(KeyError):
             builtin_channel("nope")
 
+    @pytest.mark.parametrize("name", ["identity", "pauli_x", "pauli_y",
+                                      "pauli_z", "hadamard"])
+    def test_single_qubit_gate_refuses_an_ancilla(self, name):
+        # an ancilla the gate would ignore is refused, not dropped
+        with pytest.raises(errors.BadAncilla, match=name):
+            builtin_channel(name, ancilla=projector(KET1))
+
     def test_catalog_gates_are_unitary(self):
         gates = builtin_gates()
         assert tuple(gates) == BUILTIN_NAMES

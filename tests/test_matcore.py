@@ -16,6 +16,7 @@ from qbret.matcore import (
     hermitian_eig,
     max_abs,
     partial_trace_b,
+    power_values,
     principal_power,
     psd_sqrt,
     rank_threshold,
@@ -367,6 +368,51 @@ class TestNonsymmetricRoots:
         # spectral projector, so it squares to itself and fixes m
         assert max_abs(inv @ inv - inv) < 1e-12
         assert max_abs(inv @ m - m) < 1e-12
+
+
+class TestMaxAbs:
+    def test_nan_propagates(self):
+        # every `not dev <= tol` check relies on a NaN entry giving NaN
+        for a in ([1.0, np.nan], [np.nan, 1.0], [[1.0, 2.0], [np.nan, 0.0]],
+                  [1.0 + 0j, complex(0.0, np.nan)]):
+            assert np.isnan(max_abs(np.array(a)))
+
+    def test_empty_is_zero(self):
+        assert max_abs(np.array([])) == 0.0
+        assert max_abs(np.empty((0, 3))) == 0.0
+
+
+class TestPowerValues:
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [0.1, np.nan]])
+    def test_nan_raises(self, w):
+        # a NaN is no zero eigenvalue: its power is not silently zeroed
+        with pytest.raises(errors.NotPSD):
+            power_values(np.array(w), 0.5)
+
+    def test_descending_ends_raise(self):
+        with pytest.raises(errors.NotPSD):
+            power_values(np.array([1.0, 0.5]), 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scale=st.floats(1e-6, 1e6),
+           picks=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+           r=st.sampled_from([0.5, -0.5, 1.0, -1.0]))
+    def test_deficient_from_the_smallest(self, scale, picks, fractions, r):
+        # ascending values at, just below and just above the cut, roundoff
+        # negatives and zeros: the flag read from w[0] is the flag over all
+        # values, and the powers are those of the np.clip form
+        thr = rank_threshold(scale)
+        near = [thr, np.nextafter(thr, 0.0), np.nextafter(thr, np.inf),
+                0.0, -0.5 * TOL]
+        w = np.sort([near[p] if p < 5 else fractions[i] * scale
+                     for i, p in enumerate(picks)] + [scale])
+        vals, deficient = power_values(w, r)
+        clamped = np.maximum(w, 0.0)
+        keep = clamped >= rank_threshold(clamped[-1])
+        assert deficient == (not keep.all())
+        want = np.where(keep, np.maximum(np.clip(w, 0.0, None), thr) ** r, 0.0)
+        assert np.array_equal(vals, want)
 
 
 class TestRankThreshold:
