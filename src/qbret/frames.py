@@ -337,25 +337,31 @@ class StructureCoefficients:
         return math.prod(f.shape[0] for f in self.factors)
 
     def left(self, v: np.ndarray) -> np.ndarray:
-        """L[i, j] = sum_x v_x eta[x, i, j] for a real vector v.
+        """L[i, j] = sum_x v_x eta[x, i, j] for a real vector v, or the
+        (b, n, n) stack of them for a (b, n) stack of vectors.
 
         A single factor is one product of v with the flattened tensor.
-        Otherwise v is viewed as a tensor with one index x_k per factor,
-        and each factor in turn replaces its leading index by the trailing
-        pair (i_k, j_k), as one matrix product.
+        Otherwise v^T is viewed as a tensor with one index x_k per factor
+        and the batch index last, and each factor in turn replaces its
+        leading index by the trailing pair (i_k, j_k), as one matrix
+        product; the batch index then comes out in front.
         """
         dims = tuple(f.shape[0] for f in self.factors)
         n, k = math.prod(dims), len(dims)
         t = np.asarray(v, dtype=float)
-        if t.shape != (n,):
+        batch = t.shape[:-1]
+        if t.ndim not in (1, 2) or t.shape[-1] != n:
             raise RepMismatch(
                 f"vector length {t.shape} does not match coefficients ({n})")
         if k == 1:
-            return (t @ self.factors[0].reshape(n, n * n)).reshape(n, n)
+            return (t @ self.factors[0].reshape(n, n * n)).reshape(batch + (n, n))
+        t = t.T
         for f in self.factors:
             t = t.reshape(f.shape[0], -1).T @ f.reshape(f.shape[0], -1)
-        return t.reshape(tuple(d for d in dims for _ in (0, 1))).transpose(
-            tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2))).reshape(n, n)
+        b = len(batch)
+        return t.reshape(batch + tuple(d for d in dims for _ in (0, 1))).transpose(
+            tuple(range(b)) + tuple(range(b, b + 2 * k, 2))
+            + tuple(range(b + 1, b + 2 * k, 2))).reshape(batch + (n, n))
 
 
 def _is_kron(ops: np.ndarray, stacks: list[np.ndarray], tol: float) -> bool:

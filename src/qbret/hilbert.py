@@ -7,6 +7,7 @@ are cross-checked against.  Its roots follow the rank policy of
 `matcore.power_values`: the dilation's ancilla roots decide which Kraus
 operators exist, and the oracle's posterior inverse root is taken on the
 support, its `deficient` flag deciding whether the prior is regularized.
+The oracle factors its prior and posterior as one stack.
 The gate catalog is one module-level table; each builtin channel checks
 the unitarity of its gate once, in the channel constructor.
 """
@@ -31,6 +32,7 @@ from .matcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    ROOT_AND_INVERSE,
     Spectrum,
     dagger,
     hermitian_eig,
@@ -38,7 +40,6 @@ from .matcore import (
     mixing_weight,
     operator_stack,
     power_values,
-    psd_sqrt,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -56,12 +57,21 @@ def assert_density(rho: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     """Check Hermiticity, unit trace and positivity of a density operator
     and return the spectrum the check computed."""
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2:
+        raise DimensionMismatch(
+            f"a density operator is a matrix, got shape {rho.shape}")
     spec = hermitian_eig(rho, tol)
+    _density_checks(rho, spec.values, tol)
+    return spec
+
+
+def _density_checks(rho: np.ndarray, values: np.ndarray, tol: float) -> None:
+    """NotPSD unless the Hermitian rho has unit trace and none of its
+    ascending eigenvalues `values` lies below -tol."""
     if abs(np.trace(rho) - 1.0) > tol:
         raise NotPSD(f"trace {np.trace(rho).real:.12f} != 1")
-    if spec.values[0] < -tol:
-        raise NotPSD(f"negative eigenvalue {spec.values[0]:.3e}")
-    return spec
+    if values[0] < -tol:
+        raise NotPSD(f"negative eigenvalue {values[0]:.3e}")
 
 
 def assert_unitary(u, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -226,30 +236,40 @@ def petz_hilbert(channel: KrausChannel, prior: np.ndarray,
     A rank-deficient posterior is escaped by mixing the prior with the
     maximally mixed state at weight `eps` in [0, 1] (reported on the
     result; ValueError outside); with eps = 0 it raises SingularPosterior
-    instead.  Each matrix is factored once: the prior by `assert_density`,
-    whose eigenvectors the mixed prior shares, and each posterior by the
-    `psd_sqrt` that also says whether it is deficient.
+    instead.  Each matrix is factored once, and the prior with its
+    posterior as one stack: one Hermiticity check, one eigh and one power
+    call, whose `deficient` flag says whether the posterior has a kernel.
+    The prior then passes the checks of `assert_density`.  A regularized
+    prior shares the prior's eigenvectors, so only its posterior is
+    factored again.
     """
     eps = mixing_weight(eps)
-    spec = assert_density(prior, tol)
     d = channel.d
-    inv_root, deficient = psd_sqrt(channel.apply(prior), tol, inverse=True)
+    prior = np.asarray(prior, dtype=complex)
+    if prior.shape != (d, d):
+        raise DimensionMismatch(
+            f"prior shape {prior.shape} does not match dimension {d}")
+    spec = hermitian_eig(np.array([prior, channel.apply(prior)]), tol)
+    _density_checks(prior, spec.values[0], tol)
+    roots, deficient = spec.power(ROOT_AND_INVERSE, tol)
     eps_used = 0.0
-    if deficient:
+    if deficient[1]:
         if eps <= 0.0:
             raise SingularPosterior(
                 "posterior is rank-deficient and regularization is disabled")
-        mixed = (1 - eps) * np.asarray(prior, dtype=complex) + eps * np.eye(d) / d
-        spec = Spectrum((1 - eps) * spec.values + eps / d, spec.vectors)
+        mixed = (1 - eps) * prior + eps * np.eye(d) / d
         # channels that erase whole directions keep a posterior kernel for
         # any prior; the inverse root is then taken on the support
-        inv_root, deficient = psd_sqrt(channel.apply(mixed), tol, inverse=True)
+        post = hermitian_eig(channel.apply(mixed), tol)
+        spec = Spectrum(np.array([(1 - eps) * spec.values[0] + eps / d, post.values]),
+                        np.array([spec.vectors[0], post.vectors]))
+        roots, deficient = spec.power(ROOT_AND_INVERSE, tol)
         eps_used = eps
     return PetzMap(base=channel,
-                   sqrt_prior=spec.power(0.5, tol)[0],
-                   inv_sqrt_post=inv_root,
+                   sqrt_prior=roots[0],
+                   inv_sqrt_post=roots[1],
                    eps_used=eps_used,
-                   support_projected=deficient)
+                   support_projected=deficient[1])
 
 
 # --- built-in gate catalog ---------------------------------------------------

@@ -5,6 +5,13 @@ operators, real for quasiprobability objects).  Matrices are dense and
 small: the quasiprobability side of a frame is n x n with n = d^2, and
 n = 256 (dw-qubits:4) is the largest size run so far.
 
+The checks and factorizations take a square matrix or a (..., m, m)
+stack of them, and a stack is the same code as a single matrix: one
+call checks, factors or powers every matrix, and every tolerance that
+scales with a matrix scales with that matrix alone, never with the
+stack.  So independent matrices, such as a prior and its posterior, are
+checked once and factored by one `eigh` call.
+
 Every matrix power is taken from one spectrum under the one rank policy
 of `power_values`: clamp roundoff negatives, give power zero below the
 relative rank threshold, and return the power on the support with a
@@ -41,6 +48,11 @@ DEFAULT_TOL = 1e-10
 ORACLE_TOL = 1e-8
 RANK_RTOL = 1e-12
 
+# The exponents of a stacked (prior, posterior) spectrum, one per row: the
+# root of the prior and the inverse root of the posterior.
+ROOT_AND_INVERSE = np.array([0.5, -0.5])
+ROOT_AND_INVERSE.setflags(write=False)
+
 EYE2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -58,11 +70,24 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def rank_threshold(scale: float) -> float:
+def _max_abs_each(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """max(`max_abs`, floor) of each matrix of a (..., m, m) stack, NaN
+    where the matrix holds one."""
+    return np.maximum.reduce(np.abs(a), axis=(-2, -1), initial=floor)
+
+
+def _within(dev: np.ndarray, bound: np.ndarray) -> bool:
+    """Whether dev <= bound everywhere, False on NaN: one reduction of
+    bound - dev, exact because a float difference is zero only between
+    equal floats."""
+    return bool(np.minimum.reduce(bound - dev, axis=None) >= 0.0)
+
+
+def rank_threshold(scale: float | np.ndarray) -> float | np.ndarray:
     """Absolute cutoff below which a value counts as zero next to `scale`
-    (the largest eigenvalue or entry); never zero, so a zero `scale`
-    still leaves every value at or below the cutoff."""
-    return RANK_RTOL * max(float(scale), 1e-300)
+    (the largest eigenvalue or entry, or an array of them); never zero, so
+    a zero `scale` still leaves every value at or below the cutoff."""
+    return RANK_RTOL * np.maximum(scale, 1e-300)
 
 
 def mixing_weight(eps: float) -> float:
@@ -73,8 +98,9 @@ def mixing_weight(eps: float) -> float:
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
+    """a as an array of shape (..., m, m); DimensionMismatch otherwise."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -92,40 +118,48 @@ def operator_stack(x: np.ndarray, d: int, what: str = "operator") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, or
+    of each matrix of a stack: `values` (..., m), `vectors` (..., m, m)."""
 
     values: np.ndarray
     vectors: np.ndarray
 
-    def power(self, r: float,
-              tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+    def power(self, r: float | np.ndarray, tol: float = DEFAULT_TOL
+              ) -> tuple[np.ndarray, bool | list[bool]]:
         """(matrix^r on the support, deficient) for a nonnegative
-        spectrum, by `power_values`."""
+        spectrum, by `power_values`, per matrix of a stack, with r a number
+        or one exponent per matrix."""
         vals, deficient = power_values(self.values, r, tol)
-        return (self.vectors * vals) @ self.vectors.conj().T, deficient
+        v = self.vectors
+        return (v * vals[..., None, :]) @ v.conj().swapaxes(-1, -2), deficient
 
 
-def power_values(w: np.ndarray, r: float,
-                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
-    """(w^r on the support, deficient) for eigenvalues w in ascending
-    order: the one rank policy.  Values in [-tol, 0) are clamped to zero,
-    and those below `rank_threshold` of the largest get power zero, for
-    negative r too (the inverse on the support); `deficient` says whether
-    any did, read from the smallest value, w[0].  Raises NotPSD unless
-    w[0] >= -tol and w[-1] >= w[0], so also on a NaN at either end."""
-    if not (w[0] >= -tol and w[-1] >= w[0]):
-        raise NotPSD(f"eigenvalues from {w[0]:.3e} to {w[-1]:.3e} are not "
-                     f"ascending and >= -tol")
-    w = np.maximum(w, 0.0)
-    thr = rank_threshold(w[-1])
-    return np.where(w >= thr, np.maximum(w, thr) ** r, 0.0), not w[0] >= thr
+def power_values(w: np.ndarray, r: float | np.ndarray, tol: float = DEFAULT_TOL
+                 ) -> tuple[np.ndarray, bool | list[bool]]:
+    """(w^r on the support, deficient) for eigenvalues w, one row (m,) or a
+    (k, m) stack, each row in ascending order: the one rank policy.  Values
+    in [-tol, 0) count as zero, and those below `rank_threshold` of their
+    row's largest get power zero, for negative r too (the inverse on the
+    support); `deficient` says whether any did, read from the row's
+    smallest value: a bool for one row, a list of bools for a stack.  r is
+    a number or one exponent per row.  Raises NotPSD unless every value is
+    >= -tol and each row's last >= its first, so also on a NaN anywhere."""
+    # rows along the last axis, so a row's first and last values and its
+    # exponent broadcast against all of its values
+    wt = w.T
+    if not np.minimum.reduce(np.minimum(wt + tol, wt[-1] - wt[0]), axis=None) >= 0.0:
+        raise NotPSD(f"eigenvalues {w} are not ascending and >= -tol")
+    thr = rank_threshold(wt[-1])
+    keep = wt >= thr
+    return np.where(keep, np.maximum(wt, thr) ** r, 0.0).T, (~keep[0]).tolist()
 
 
 def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
-    """`eigh_spectrum` of h; NotHermitian unless ||H - H^dag||_max <= tol,
-    so also on NaN entries."""
+    """`eigh_spectrum` of h or of a stack of them; NotHermitian unless
+    ||H - H^dag||_max <= tol for each matrix, so also on NaN entries."""
     h = _require_square(h)
-    dev = max_abs(h - h.conj().T)
+    # tol is absolute, so the largest deviation over the stack checks each
+    dev = max_abs(h - h.conj().swapaxes(-1, -2))
     if not dev <= tol:
         raise NotHermitian(f"||H - H^dag||_max = {dev:.3e} > tol = {tol:.3e}")
     return eigh_spectrum(h, tol)
@@ -133,38 +167,41 @@ def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
 
 def eigh_spectrum(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     """Eigenvalues (ascending) and eigenvectors of a matrix already made
-    Hermitian, checked no further.  Raises NoConvergence if eigh fails or
-    the reconstruction residual exceeds 10*tol*||H||_max, NaN included."""
+    Hermitian, or of each matrix of a stack by one `eigh` call, checked no
+    further.  Raises NoConvergence if eigh fails or a matrix's
+    reconstruction residual exceeds 10*tol*||H||_max of that matrix, NaN
+    included."""
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    resid = max_abs((v * w) @ v.conj().T - h)
-    bound = 10 * tol * max(max_abs(h), 1.0)
-    if not resid <= bound:
-        raise NoConvergence(f"reconstruction residual {resid:.3e} > {bound:.3e}")
+    resid = _max_abs_each((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - h)
+    bound = 10 * tol * _max_abs_each(h, 1.0)
+    if not _within(resid, bound):
+        raise NoConvergence(f"reconstruction residual {resid} > {bound}")
     return Spectrum(values=w, vectors=v)
 
 
 def psd_sqrt(h: np.ndarray, tol: float = DEFAULT_TOL, *,
              inverse: bool = False) -> tuple[np.ndarray, bool]:
-    """(h^{1/2} or h^{-1/2} on the support, deficient) of a PSD matrix by
-    one `hermitian_eig`, under the rank policy of `power_values`: a pure
-    state's root and inverse root are both its projector."""
+    """(h^{1/2} or h^{-1/2} on the support, deficient) of a PSD matrix, or
+    of each of a stack, by one `hermitian_eig`, under the rank policy of
+    `power_values`: a pure state's root and inverse root are both its
+    projector."""
     return hermitian_eig(h, tol).power(-0.5 if inverse else 0.5, tol)
 
 
 def symmetrized(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """(m + m^T)/2 of a real square matrix.
+    """(m + m^T)/2 of a real square matrix or of each of a stack.
 
-    Raises NotHermitian unless ||m - m^T||_max <= tol * max(||m||_max, 1),
-    so also on NaN entries.
+    Raises NotHermitian unless ||m - m^T||_max <= tol * max(||m||_max, 1)
+    for each matrix, so also on NaN entries.
     """
     m = _require_square(np.asarray(m, dtype=float))
-    t = m.T
-    dev = max_abs(m - t)
-    if not dev <= tol * max(max_abs(m), 1.0):
-        raise NotHermitian(f"||M - M^T||_max = {dev:.3e} exceeds tol")
+    t = m.swapaxes(-1, -2)
+    dev = _max_abs_each(m - t)
+    if not _within(dev, tol * _max_abs_each(m, 1.0)):
+        raise NotHermitian(f"||M - M^T||_max = {dev} exceeds tol")
     return (m + t) * 0.5
 
 
@@ -182,8 +219,8 @@ def partial_trace_b(w: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     The composite basis |a> (x) |b> is ordered with b fastest, matching
     numpy's kron convention.
     """
-    w = _require_square(w)
-    if w.shape[0] != dim_a * dim_b:
+    w = np.asarray(w)
+    if w.shape != (dim_a * dim_b,) * 2:
         raise DimensionMismatch(
-            f"matrix of size {w.shape[0]} incompatible with {dim_a}x{dim_b}")
+            f"matrix of shape {w.shape} incompatible with {dim_a}x{dim_b}")
     return np.einsum("abcb->ac", w.reshape(dim_a, dim_b, dim_a, dim_b))

@@ -28,6 +28,7 @@ from .frames import (
 )
 from .matcore import (
     DEFAULT_TOL,
+    ROOT_AND_INVERSE,
     eigh_spectrum,
     hermitian_eig,
     max_abs,
@@ -139,7 +140,15 @@ def x_matrix(v: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
     """Matrix X[i, j] = Tr[F_i alpha G_j alpha] of rho -> alpha rho alpha
     for alpha reconstructed from v: L conj(L) with L = `coeffs.left(v)`,
     the matrix of rho -> alpha rho.  The classical delta tensor gives
-    diag(v^2)."""
+    diag(v^2).  A (k, n) stack of vectors gives the (k, n, n) stack of
+    their matrices: from one `left` and two stacked products below
+    LANCZOS_MIN_N operators, a row at a time from there.  A stack of large
+    matrices saves little time and costs memory: at n = 64 one complex L
+    is 64 KiB and two are 128 KiB, the size from which glibc's malloc maps
+    and trims its heap on every recovery (on dw3-product, 70 page faults
+    and 10-40% of an operation)."""
+    if np.ndim(v) == 2 and coeffs.n >= LANCZOS_MIN_N:
+        return np.array([x_matrix(row, coeffs) for row in v])
     left = coeffs.left(v)
     # the real part of L conj(L); its imaginary part cancels for real v
     return left.real @ left.real + left.imag @ left.imag
@@ -150,7 +159,8 @@ def state_matrix(v: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
     for alpha reconstructed from v, as the symmetric Q^{-1/2} J Q^{1/2} if
     `coeffs` carries Gram roots.  J maps each eigenprojector of alpha to its
     eigenvalue times itself; its spectrum {(l_a + l_b)/2} keeps alpha's
-    conditioning, which X(v) squares."""
+    conditioning, which X(v) squares.  A (k, n) stack of vectors gives the
+    (k, n, n) stack of their matrices."""
     j = coeffs.left(v).real
     if coeffs.gram_roots is None:
         return j
@@ -165,30 +175,42 @@ class StateSpectrum:
     orthonormal columns and `weights` c = Y^T b.  On the "eigh" `route`
     they are A's eigenpairs; on the "lanczos" route the Ritz pairs of a run
     whose basis is invariant under A less a symmetric perturbation of norm
-    `residual`, and `last` holds the Ritz vectors' last components."""
+    `residual`, and `last` holds the Ritz vectors' last components.
+
+    A stack of k spectra holds `values` and `weights` as (k, m) and
+    `vectors` as (k, n, m), or as one (n, m) shared by the mixtures of one
+    state, and one `route` per row; its rows were certified before they
+    were stacked, so it carries no residual."""
 
     values: np.ndarray
     vectors: np.ndarray
     weights: np.ndarray
-    route: str
+    route: str | tuple
     residual: float = 0.0
     last: np.ndarray | None = None
 
-    def mixed(self, w: float, d: float) -> "StateSpectrum":
+    def mixed(self, w: float | np.ndarray, d: float) -> "StateSpectrum":
         """The state mixed with the uniform vector at weight w: A becomes
         (1-w) A + (w/d) 1 (d = sum(e)), which keeps the vectors and maps the
-        values to (1-w) values + w/d and the residual to (1-w) times it."""
+        values to (1-w) values + w/d and the residual to (1-w) times it.  A
+        (k, 1) column of weights gives the stack of the k mixtures."""
         return StateSpectrum((1 - w) * self.values + w / d, self.vectors,
                              self.weights, self.route, (1 - w) * self.residual,
                              self.last)
 
-    def power(self, r: float, coeffs: StructureCoefficients,
-              tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+    def row(self, i: int) -> "StateSpectrum":
+        """Row i of a stack."""
+        return StateSpectrum(self.values[i], self.vectors[i], self.weights[i],
+                             self.route[i])
+
+    def power(self, r: float | np.ndarray, coeffs: StructureCoefficients,
+              tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool | list[bool]]:
         """(Q^{1/2} Y values^r c, deficient): alpha^r on the support by
-        `power_values`."""
+        `power_values`; for a stack the (k, n) rows, with r a number or one
+        exponent per row, and a list of flags."""
         vals, deficient = power_values(self.values, r, tol)
-        y = self.vectors @ (vals * self.weights)
-        return (y if coeffs.gram_roots is None else coeffs.gram_roots[0] @ y,
+        y = (self.vectors @ (vals * self.weights)[..., None])[..., 0]
+        return (y if coeffs.gram_roots is None else y @ coeffs.gram_roots[0].T,
                 deficient)
 
     def error_estimate(self, r: float) -> float:
@@ -203,7 +225,7 @@ class StateSpectrum:
         Ritz values; the estimate is the largest term over |values^r c|."""
         if self.last is None:
             return 0.0
-        w = np.clip(self.values, 0.0, None)
+        w = np.maximum(self.values, 0.0)
         keep = w >= rank_threshold(w[-1])
         safe = np.where(keep, w, 1.0)
         f = np.where(keep, safe ** r, 0.0)
@@ -257,17 +279,57 @@ def state_spectrum(v: np.ndarray, coeffs: StructureCoefficients, tol: float,
     of d = sum(e) steps if, for every (w, r) of `probes`, the run mixed at
     weight w has an `error_estimate` of the power r within LANCZOS_RTOL;
     otherwise, and for smaller frames, one `eigh_spectrum` of the same
-    matrix.  `symmetrized` is the one symmetry check on either route."""
-    a = symmetrized(state_matrix(v, coeffs), tol)
+    matrix.  `symmetrized` is the one symmetry check on either route.
+
+    A (k, n) stack of vectors, with one tuple of probes per row, gives the
+    stack of their k spectra.  Below LANCZOS_MIN_N that is one stack of
+    state matrices, one symmetry check and one eigh call.  From there each
+    row builds and checks its own state matrix and keeps its own run and
+    probes, as a stack of large matrices saves little time and costs
+    memory (see `x_matrix`); the rows that fail their certificates are
+    factored by one stacked eigh call, and `_stacked` pads the rows to one
+    width."""
     b = coeffs.e if coeffs.gram_roots is None else coeffs.gram_roots[1] @ coeffs.e
-    if coeffs.e.size >= LANCZOS_MIN_N:
-        d = coeffs.e.sum()
+    if coeffs.e.size < LANCZOS_MIN_N:
+        a = symmetrized(state_matrix(v, coeffs), tol)
+        spec = eigh_spectrum(a, tol)
+        return StateSpectrum(spec.values, spec.vectors,
+                             spec.vectors.swapaxes(-1, -2) @ b,
+                             "eigh" if a.ndim == 2 else ("eigh",) * len(a))
+    stack = np.ndim(v) == 2
+    d = coeffs.e.sum()
+    runs, failed = [], []
+    for row, checks in zip(v if stack else (v,), probes if stack else (probes,)):
+        a = symmetrized(state_matrix(row, coeffs), tol)
         run = lanczos(a, b, int(round(d)))
-        if all(run.mixed(w, d).error_estimate(r) <= LANCZOS_RTOL
-               for w, r in probes):
-            return run
-    spec = eigh_spectrum(a, tol)
-    return StateSpectrum(spec.values, spec.vectors, spec.vectors.T @ b, "eigh")
+        certified = all(run.mixed(w, d).error_estimate(r) <= LANCZOS_RTOL
+                        for w, r in checks)
+        runs.append(run if certified else None)
+        if not certified:
+            failed.append(a)
+    if failed:
+        spec = eigh_spectrum(np.array(failed), tol)
+        fallback = (StateSpectrum(w, y, y.T @ b, "eigh")
+                    for w, y in zip(spec.values, spec.vectors))
+        runs = [run or next(fallback) for run in runs]
+    return _stacked(runs) if stack else runs[0]
+
+
+def _stacked(rows: list) -> StateSpectrum:
+    """The stack of single spectra that may differ in width, as Lanczos
+    runs do: each row is padded to the widest with copies of its largest
+    value, zero vectors and zero weights, which leave its powers and its
+    deficient flag as they were."""
+    m = max(row.values.size for row in rows)
+    values = np.empty((len(rows), m))
+    vectors = np.zeros((len(rows), rows[0].vectors.shape[0], m))
+    weights = np.zeros((len(rows), m))
+    for i, row in enumerate(rows):
+        j = row.values.size
+        values[i, :j], values[i, j:] = row.values, row.values[-1]
+        vectors[i, :, :j] = row.vectors
+        weights[i, :j] = row.weights
+    return StateSpectrum(values, vectors, weights, tuple(row.route for row in rows))
 
 
 def state_power(v: np.ndarray, r: float, coeffs: StructureCoefficients,
@@ -361,6 +423,12 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
     at weight max(eps, QPR_EPS_FLOOR), eps in [0, 1] (ValueError outside),
     and both the regularized and the support-restricted evaluations are
     reported.
+
+    The prior and the support posterior are factored as one stack, by one
+    `state_spectrum` call; a regularized recovery factors its primary and
+    its eps/10 probe posteriors as a second stack, and every mixed prior
+    takes its root from the prior's spectrum.  A full-rank recovery is one
+    eigh call on the eigh route, a regularized one two.
     """
     s = np.asarray(s, dtype=float)
     v_prior = np.asarray(v_prior, dtype=float)
@@ -374,44 +442,38 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
     # every mixed prior shares the prior's vectors (`StateSpectrum.mixed`),
     # so a Lanczos run must hold down to the eps/10 probe
     eps_used = max(mixing_weight(eps), QPR_EPS_FLOOR)
-    prior = state_spectrum(v_prior, coeffs, tol,
-                           ((0.0, 0.5), (eps_used / 10, 0.5)))
-    routes = [prior.route]
-
-    def recovery(w: float) -> tuple[np.ndarray, bool]:
-        # X(prior^{1/2}) adj X(post^{-1/2}) for the prior mixed at weight w;
-        # the inverse root is taken on the support of a rank-deficient
-        # posterior, and the same factorization says whether it was
-        mixed, v_mixed = prior, v_prior
-        if w > 0.0:
-            mixed = prior.mixed(w, coeffs.e.sum())
-            v_mixed = (1 - w) * v_prior + w * uniform_vector(n)
-        post = state_spectrum(s @ v_mixed, coeffs, tol, ((0.0, -0.5),))
-        routes.append(post.route)
-        inv_root, deficient = post.power(-0.5, coeffs, tol)
-        root = mixed.power(0.5, coeffs, tol)[0]
-        return (x_matrix(root, coeffs) @ adjoint
-                @ x_matrix(inv_root, coeffs)), deficient
-
-    support, deficient = recovery(0.0)
+    # X(prior^{1/2}) adj X(post^{-1/2}); the inverse root is taken on the
+    # support of a rank-deficient posterior, and the same factorization
+    # says whether it was
+    spec = state_spectrum(np.array([v_prior, s @ v_prior]), coeffs, tol,
+                          (((0.0, 0.5), (eps_used / 10, 0.5)), ((0.0, -0.5),)))
+    roots, (_, deficient) = spec.power(ROOT_AND_INVERSE, coeffs, tol)
+    x = x_matrix(roots, coeffs)
+    support = x[0] @ adjoint @ x[1]
     if not deficient:
-        return PetzQprResult(matrix=support, root_routes=tuple(routes))
+        return PetzQprResult(matrix=support, root_routes=spec.route)
     if eps <= 0.0:
         raise SingularPosterior(
             "posterior matrix is rank-deficient and regularization is disabled")
 
-    primary, projected = recovery(eps_used)
-    extrapolation_dev = None
-    if not projected:
-        extrapolation_dev = max_abs(primary - recovery(eps_used / 10)[0])
+    # the primary weight and the eps/10 probe: the prior's spectrum mixed at
+    # each, their posteriors factored as one stack; a support-projected
+    # primary discards the probe
+    w = np.array([[eps_used], [eps_used / 10]])
+    posts = state_spectrum(((1 - w) * v_prior + w * uniform_vector(n)) @ s.T,
+                           coeffs, tol, (((0.0, -0.5),),) * 2)
+    inv_roots, (projected, _) = posts.power(-0.5, coeffs, tol)
+    roots = spec.row(0).mixed(w, coeffs.e.sum()).power(0.5, coeffs, tol)[0]
+    x = x_matrix(np.concatenate((roots, inv_roots)), coeffs)
+    primary, probe = x[:2] @ adjoint @ x[2:]
     return PetzQprResult(
         matrix=primary,
         eps_used=eps_used,
-        extrapolation_dev=extrapolation_dev,
+        extrapolation_dev=None if projected else max_abs(primary - probe),
         support_matrix=support,
         support_dev=max_abs(support - primary),
         support_projected=projected,
-        root_routes=tuple(routes),
+        root_routes=spec.route + posts.route[:1 if projected else 2],
     )
 
 

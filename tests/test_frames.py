@@ -483,3 +483,24 @@ def test_product_left_is_the_per_factor_contraction(product_coeffs):
     for _ in range(5):
         v = rng.normal(size=coeffs.n)
         assert np.array_equal(coeffs.left(v), per_factor_left(coeffs, v))
+
+
+@pytest.mark.parametrize("name", ["dw-qubit", "sic-qubit", "dw-qubits:2",
+                                  "dw-qubits:3"])
+def test_left_of_a_stack_is_left_of_each_row(name):
+    # a (k, n) stack through the same loop, started from V^T, comes out
+    # with the batch index in front and the rows' own matrices
+    pair = {"dw-qubit": build_dw_qubit, "sic-qubit": build_sic_qubit,
+            "dw-qubits:2": lambda: build_dw_qubits(2),
+            "dw-qubits:3": lambda: build_dw_qubits(3)}[name]()
+    coeffs = structure_coeffs(*pair)
+    rng = np.random.default_rng(10)
+    stack = rng.normal(size=(3, coeffs.n))
+    rows = np.array([coeffs.left(v) for v in stack])
+    left = coeffs.left(stack)
+    assert left.shape == (3, coeffs.n, coeffs.n)
+    assert max_abs(left - rows) <= 1e-15 * max_abs(rows)
+    with pytest.raises(errors.RepMismatch):
+        coeffs.left(stack[:, :-1])
+    with pytest.raises(errors.RepMismatch):
+        coeffs.left(stack[None])

@@ -315,39 +315,41 @@ class TestPetzHilbert:
 
 
 class TestFactorizationCount:
-    """The oracle factors each matrix once: the prior by `assert_density`,
-    whose eigenvectors the regularized prior shares, and each posterior by
-    the `psd_sqrt` that also says whether it is rank-deficient."""
+    """The oracle factors each matrix once, and the prior with its
+    posterior as one stack in one eigh call; a regularized prior shares the
+    prior's eigenvectors, so only its posterior takes a second call.
+    `_count_eigh` gives (eigh calls, matrices factored, result), a stack
+    counting each of its matrices."""
 
     @staticmethod
     def _count_eigh(monkeypatch, build):
-        real, calls = np.linalg.eigh, []
+        real, stacks = np.linalg.eigh, []
 
-        def eigh(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
+        def eigh(a, *args, **kwargs):
+            stacks.append(int(np.prod(np.shape(a)[:-2])))
+            return real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         result = build()
         monkeypatch.undo()
-        return len(calls), result
+        return len(stacks), sum(stacks), result
 
     def test_full_rank_prior_takes_two(self, monkeypatch):
         rng = np.random.default_rng(15)
         ch = channel_from_dilation(random_unitary(rng, 4), random_density(rng, 2))
         prior = random_density(rng, 2, min_eig=0.05)
-        count, recovery = self._count_eigh(monkeypatch,
-                                           lambda: petz_hilbert(ch, prior))
+        calls, matrices, recovery = self._count_eigh(
+            monkeypatch, lambda: petz_hilbert(ch, prior))
         assert recovery.eps_used == 0.0
-        assert count == 2
+        assert (calls, matrices) == (1, 2)
 
     def test_regularized_pure_prior_takes_three(self, monkeypatch):
         rng = np.random.default_rng(16)
         ch = KrausChannel.from_unitary(random_unitary(rng, 2))
         prior = projector(random_unitary(rng, 2)[:, 0])
-        count, recovery = self._count_eigh(
+        calls, matrices, recovery = self._count_eigh(
             monkeypatch, lambda: petz_hilbert(ch, prior, eps=1e-5))
         assert recovery.eps_used == 1e-5 and not recovery.support_projected
-        assert count == 3
+        assert (calls, matrices) == (2, 3)
         # the prior's own eigenvectors give the root of the mixed prior
         mixed = (1 - 1e-5) * prior + 1e-5 * np.eye(2) / 2
         assert max_abs(recovery.sqrt_prior - psd_sqrt(mixed)[0]) < 1e-13
@@ -355,10 +357,10 @@ class TestFactorizationCount:
     def test_dilation_takes_one(self, monkeypatch):
         rng = np.random.default_rng(17)
         u, beta = random_unitary(rng, 4), random_density(rng, 2)
-        count, ch = self._count_eigh(monkeypatch,
-                                     lambda: channel_from_dilation(u, beta))
+        calls, matrices, ch = self._count_eigh(
+            monkeypatch, lambda: channel_from_dilation(u, beta))
         assert len(ch.kraus) == 4
-        assert count == 1
+        assert (calls, matrices) == (1, 1)
 
 
 class TestBuiltins:

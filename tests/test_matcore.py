@@ -393,6 +393,15 @@ class TestPowerValues:
         with pytest.raises(errors.NotPSD):
             power_values(np.array([1.0, 0.5]), 0.5)
 
+    def test_nan_between_the_ends_raises(self):
+        # neither the smallest nor the largest: its power is not zeroed
+        with pytest.raises(errors.NotPSD):
+            power_values(np.array([0.1, np.nan, 1.0]), 0.5)
+
+    def test_nan_in_a_later_row_raises(self):
+        with pytest.raises(errors.NotPSD):
+            power_values(np.array([[0.1, 0.5, 1.0], [0.1, np.nan, 1.0]]), 0.5)
+
     @settings(max_examples=200, deadline=None)
     @given(scale=st.floats(1e-6, 1e6),
            picks=st.lists(st.integers(0, 5), min_size=1, max_size=6),
@@ -413,6 +422,96 @@ class TestPowerValues:
         assert deficient == (not keep.all())
         want = np.where(keep, np.maximum(np.clip(w, 0.0, None), thr) ** r, 0.0)
         assert np.array_equal(vals, want)
+
+
+def stack_strategy():
+    """A (k, m, m) stack of symmetric PSD matrices, some of them nearly rank
+    deficient (eigenvalues at, just below and just above the rank cut of
+    their own largest), with their scales spread over twelve decades."""
+    return st.builds(
+        _psd_stack,
+        seed=st.integers(0, 2 ** 32 - 1),
+        k=st.integers(1, 4), m=st.integers(2, 5),
+        scales=st.lists(st.floats(1e-6, 1e6), min_size=4, max_size=4),
+        near=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e3]), min_size=4,
+                      max_size=4))
+
+
+def _psd_stack(seed, k, m, scales, near):
+    rng = np.random.default_rng(seed)
+    stack = []
+    for i in range(k):
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        w = rng.uniform(0.0, 1.0, size=m)
+        w[-1] = 1.0
+        # the smallest eigenvalue a multiple of the rank cut RANK_RTOL
+        w[0] = near[i] * RANK_RTOL
+        stack.append(scales[i] * (q * w) @ q.T)
+    return np.array(stack)
+
+
+class TestStacks:
+    """A stack is the same code as one matrix: every check, factorization
+    and power of a stack gives, row by row, what each matrix gives alone,
+    and each matrix keeps its own tolerance scale and rank cut."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=stack_strategy(), r=st.sampled_from([0.5, -0.5, 1.0, -1.0]))
+    def test_rows_match_single_calls(self, stack, r):
+        sym = symmetrized(stack)
+        assert np.array_equal(sym, np.array([symmetrized(a) for a in stack]))
+        spec = eigh_spectrum(sym)
+        singles = [eigh_spectrum(a) for a in sym]
+        assert np.array_equal(spec.values, np.array([s.values for s in singles]))
+        assert np.array_equal(spec.vectors, np.array([s.vectors for s in singles]))
+        values = np.clip(spec.values, 0.0, None)
+        vals, deficient = power_values(values, r)
+        rows = [power_values(w, r) for w in values]
+        assert np.array_equal(vals, np.array([v for v, _ in rows]))
+        assert np.array_equal(deficient, [f for _, f in rows])
+        # one exponent per row: numpy picks its power kernel by exponent
+        # form and memory layout (sqrt for the number 0.5), so the values
+        # are held to two units in the last place, the flags exactly
+        rs = np.resize([r, -r], len(values))
+        vals, deficient = power_values(values, rs)
+        rows = [power_values(w, ri) for w, ri in zip(values, rs)]
+        np.testing.assert_allclose(vals, np.array([v for v, _ in rows]),
+                                   rtol=4.5e-16, atol=0.0)
+        assert np.array_equal(deficient, [f for _, f in rows])
+
+    def test_symmetry_tolerance_is_per_matrix(self):
+        # off-symmetric by 1e-9 on a unit matrix fails tol = 1e-10; next to
+        # a 1e6-scaled matrix a pooled scale would let it pass
+        big = 1e6 * np.array([[2.0, 1.0], [1.0, 3.0]])
+        skew = np.eye(2) + np.array([[0.0, 1e-9], [0.0, 0.0]])
+        symmetrized(big)
+        with pytest.raises(errors.NotHermitian):
+            symmetrized(np.array([big, skew]))
+        with pytest.raises(errors.NotHermitian):
+            symmetrized(skew)
+
+    def test_residual_bound_is_per_matrix(self):
+        # eigh reads one triangle: a unit matrix off-symmetric by 1e-8 has a
+        # reconstruction residual over 10 * tol; a pooled bound scaled by
+        # the 1e6 matrix next to it would be 1e-3
+        big = 1e6 * np.array([[2.0, 1.0], [1.0, 3.0]])
+        skew = np.eye(2) + np.array([[0.0, 0.0], [1e-8, 0.0]])
+        eigh_spectrum(big)
+        with pytest.raises(errors.NoConvergence):
+            eigh_spectrum(np.array([big, skew]))
+
+    def test_rank_cut_is_per_row(self):
+        # 1e-13 is below the cut of a row whose largest value is 1 and above
+        # that of a row whose largest is 1e-3
+        vals, deficient = power_values(np.array([[1e-13, 1.0], [1e-13, 1e-3]]), 0.5)
+        assert deficient == [True, False]
+        assert vals[0, 0] == 0.0 and vals[1, 0] == np.sqrt(1e-13)
+        assert power_values(np.array([1e-13, 1.0]), 0.5)[1] is True
+        assert power_values(np.array([1e-13, 1e-3]), 0.5)[1] is False
+
+    def test_hermiticity_is_checked_per_matrix(self):
+        with pytest.raises(errors.NotHermitian):
+            hermitian_eig(np.array([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))
 
 
 class TestRankThreshold:

@@ -597,18 +597,33 @@ class TestRankDeficient:
             assert max_abs(result.matrix - channel_to_qpr(oracle, f, g)) < ORACLE_TOL
 
 
+def count_eigh(monkeypatch, tally):
+    """Wrap np.linalg.eigh to add its calls to tally["eigh"] and the
+    matrices they factor, a stack counting each of its own, to
+    tally["matrices"]."""
+    real = np.linalg.eigh
+    tally.update(eigh=0, matrices=0)
+
+    def eigh(a, *args, **kwargs):
+        tally["eigh"] += 1
+        tally["matrices"] += int(np.prod(np.shape(a)[:-2]))
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
 class TestFactorizationCount:
-    """Each matrix root factors its matrix once, by eigh: the SIC roots go
-    through the frame Gram, so a full-rank SIC recovery runs two eigh calls,
-    as a dw recovery does, and a regularized one factors the prior once for
-    every weight it tries.  The scipy counters stay at zero because no
-    qbret module imports scipy (`TestImportCost` in test_cli.py)."""
+    """Each matrix root factors its matrix once, by eigh, and the matrices
+    that do not depend on each other share one eigh call: a full-rank
+    recovery factors its prior and its posterior as one stack.  The SIC
+    roots go through the frame Gram, so a full-rank SIC recovery factors
+    two matrices in one call, as a dw recovery does.  The scipy counters
+    stay at zero because no qbret module imports scipy (`TestImportCost`
+    in test_cli.py)."""
 
     @staticmethod
     def _count_petz(pair, monkeypatch):
         import scipy.linalg
 
-        import qbret.matcore as mc
         import qbret.qprcore as qc
         f, g = pair
         xi = structure_coeffs(f, g)
@@ -632,28 +647,33 @@ class TestFactorizationCount:
         count(scipy.linalg, "schur")
         count(scipy.linalg, "fractional_matrix_power")
         count(qc.np.linalg, "eigvals")
-        count(mc.np.linalg, "eigh")
+        count_eigh(monkeypatch, tally)
         result = petz_qpr(s, v, xi, kind=f.kind)
         assert result.eps_used == 0.0
         return tally
 
     def test_full_rank_sic_runs_no_schur_form(self, sic, monkeypatch):
         assert self._count_petz(sic, monkeypatch) == {
-            "schur": 0, "fractional_matrix_power": 0, "eigvals": 0, "eigh": 2}
+            "schur": 0, "fractional_matrix_power": 0, "eigvals": 0, "eigh": 1,
+            "matrices": 2}
 
     def test_dw_runs_no_schur_form(self, dw, monkeypatch):
         assert self._count_petz(dw, monkeypatch) == {
-            "schur": 0, "fractional_matrix_power": 0, "eigvals": 0, "eigh": 2}
+            "schur": 0, "fractional_matrix_power": 0, "eigvals": 0, "eigh": 1,
+            "matrices": 2}
 
     @pytest.mark.parametrize("frame", ["dw", "sic", "custom"])
-    @pytest.mark.parametrize("case, eigh", [
-        ("regularized", 4), ("support-projected", 3)])
-    def test_prior_is_factored_once(self, frame, case, eigh, custom_tetra,
+    @pytest.mark.parametrize("case, matrices", [
+        ("regularized", 4), ("support-projected", 4)])
+    def test_prior_is_factored_once(self, frame, case, matrices, custom_tetra,
                                     monkeypatch):
-        # one eigh for the prior and one per posterior root: the support
-        # route, the eps primary and (unless support-projected) the eps/10
-        # probe all take the prior's root from the same spectrum; the
-        # full-rank count (2) is pinned by the two tests above
+        # two eigh calls: the prior with the support posterior, then the eps
+        # primary with the eps/10 probe posterior; every mixed prior takes
+        # its root from the prior's spectrum.  A support-projected primary
+        # discards the probe after its stack has factored it, so that corner
+        # factors 4 matrices where one matrix per call factored 3.  The
+        # full-rank count (1 call, 2 matrices) is pinned by the two tests
+        # above
         rng = np.random.default_rng(9)
         f, g = _frame_pair(frame, rng, custom_tetra)
         if case == "regularized":
@@ -665,17 +685,14 @@ class TestFactorizationCount:
                 "full_swap", ancilla=projector(random_unitary(rng, 2)[:, 0]))
         s, v = channel_to_qpr(channel, f, g), state_to_qpr(prior, f)
         coeffs = structure_coeffs(f, g)
-        real, calls = np.linalg.eigh, []
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        tally = {}
+        count_eigh(monkeypatch, tally)
         result = petz_qpr(s, v, coeffs)
         monkeypatch.undo()
         assert result.eps_used == QPR_EPS_FLOOR
         assert result.support_projected == (case == "support-projected")
-        assert len(calls) == eigh
+        assert len(result.root_routes) == (3 if result.support_projected else 4)
+        assert tally == {"eigh": 2, "matrices": matrices}
 
     @pytest.mark.parametrize("frame", ["dw", "sic", "custom", "dw3",
                                        "classical"])
@@ -958,6 +975,36 @@ class TestLanczos:
         oracle = petz_hilbert(channel, prior, eps=result.eps_used)
         return result, max_abs(result.matrix - channel_to_qpr(oracle, f, g))
 
+    @pytest.mark.parametrize("frame", ["dw", "sic", "dw3"])
+    def test_stack_gives_each_row_its_route_and_power(self, frame):
+        # on dw3 the prior's run is certified and the regularized
+        # posterior's is not: the stack mixes routes, and the Lanczos row is
+        # padded to the eigh row's width without moving either power
+        f, g = {"dw": build_dw_qubit, "sic": build_sic_qubit,
+                "dw3": lambda: build_dw_qubits(3)}[frame]()
+        coeffs = structure_coeffs(f, g)
+        rng = np.random.default_rng(0)
+        channel = channel_from_dilation(random_unitary(rng, 2 * f.d),
+                                        np.diag([0.7, 0.3]))
+        prior = projector(random_unitary(rng, f.d)[:, 0])
+        v = state_to_qpr(random_density(rng, f.d, min_eig=0.01), f)
+        mixed = (1 - 1e-5) * state_to_qpr(prior, f) + 1e-5 * uniform_vector(f.n)
+        stack = np.array([v, channel_to_qpr(channel, f, g) @ mixed])
+        probes = (((0.0, 0.5),), ((0.0, -0.5),))
+        spec = state_spectrum(stack, coeffs, DEFAULT_TOL, probes)
+        rows = [state_spectrum(x, coeffs, DEFAULT_TOL, p)
+                for x, p in zip(stack, probes)]
+        assert spec.route == tuple(row.route for row in rows)
+        if frame == "dw3":
+            assert spec.route == ("lanczos", "eigh")
+        else:
+            assert spec.route == ("eigh", "eigh")
+        powers, deficient = spec.power(np.array([0.5, -0.5]), coeffs)
+        for power, flag, row, r in zip(powers, deficient, rows, (0.5, -0.5)):
+            want, want_flag = row.power(r, coeffs)
+            assert max_abs(power - want) <= 1e-13 * max_abs(want)
+            assert flag == want_flag
+
     def test_uncertified_posterior_falls_back_to_eigh(self):
         result, deviation = self._failing_case()
         assert result.eps_used == QPR_EPS_FLOOR
@@ -966,31 +1013,35 @@ class TestLanczos:
 
     def test_each_state_matrix_is_built_once(self, monkeypatch):
         # one state matrix per state, whichever route its spectrum takes:
-        # the prior and three posteriors, two of them past a failed run
+        # the prior and three posteriors, two of them past a failed run; on
+        # the Lanczos route each row builds its own
         import qbret.qprcore as qc
-        real, calls = qc.state_matrix, []
+        real, stacks = qc.state_matrix, []
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
+        def counted(v, *args, **kwargs):
+            stacks.append(int(np.prod(np.shape(v)[:-1])))
+            return real(v, *args, **kwargs)
         monkeypatch.setattr(qc, "state_matrix", counted)
         result, _ = self._failing_case()
         assert result.root_routes == ("lanczos", "lanczos", "eigh", "eigh")
-        assert len(calls) == 4
+        assert stacks == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("case", ["eigh", "fallback"])
     def test_each_state_matrix_is_symmetry_checked_once(self, case, sic,
                                                         monkeypatch):
         # `symmetrized` checks each state matrix, and neither route checks
         # it again: a regularized sic-qubit recovery takes four state
-        # matrices by eigh, the failing dw-qubits:3 case two Lanczos runs and
-        # two eigh fallbacks
+        # matrices by eigh, as two stacks of two; the failing dw-qubits:3
+        # case checks each of its four alone, for two Lanczos runs and two
+        # eigh fallbacks, which share one call
         import qbret.qprcore as qc
-        calls = []
-        for name in ("symmetrized", "hermitian_eig"):
-            def counted(*args, _real=getattr(qc, name), **kwargs):
-                calls.append(None)
-                return _real(*args, **kwargs)
+        tally = {name: [] for name in ("symmetrized", "hermitian_eig",
+                                       "eigh_spectrum")}
+        for name, stacks in tally.items():
+            def counted(m, *args, _real=getattr(qc, name), _stacks=stacks,
+                        **kwargs):
+                _stacks.append(int(np.prod(np.shape(m)[:-2])))
+                return _real(m, *args, **kwargs)
             monkeypatch.setattr(qc, name, counted)
         if case == "eigh":
             f, g = sic
@@ -998,10 +1049,14 @@ class TestLanczos:
             channel = KrausChannel.from_unitary(random_unitary(rng, 2))
             result = _recover(f, g, channel, projector(KET_PLUS))
             assert result.root_routes == ("eigh",) * 4
+            assert tally["symmetrized"] == tally["eigh_spectrum"] == [2, 2]
         else:
             result, _ = self._failing_case()
             assert result.root_routes == ("lanczos", "lanczos", "eigh", "eigh")
-        assert len(calls) == len(result.root_routes)
+            assert tally["symmetrized"] == [1, 1, 1, 1]
+            assert tally["eigh_spectrum"] == [2]
+        assert tally["hermitian_eig"] == []
+        assert sum(tally["symmetrized"]) == len(result.root_routes)
 
     def test_plain_lanczos_misses_the_oracle(self, monkeypatch):
         # without the certificate the same recovery is far off the oracle
