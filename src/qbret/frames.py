@@ -322,7 +322,7 @@ class StructureCoefficients:
     With the dual G = Q^{-1} F of a minimal frame, Re L = P Q^{-1} with
     P[i,k] = Re Tr[F_i alpha F_k] symmetric, so Q^{-1/2} (Re L) Q^{1/2} is
     symmetric, and its powers come from one `eigh` or Lanczos run
-    (`qprcore.state_spectrum`).  The same roots give the adjoint Q S^T Q^{-1}
+    (`qprcore.state_powers`).  The same roots give the adjoint Q S^T Q^{-1}
     (`qprcore.adjoint_qpr`).
     """
 

@@ -21,11 +21,13 @@ gives them, because the flag is read from the smallest alone.
 `Spectrum.power` applies it to an eigenbasis, `qprcore.StateSpectrum` to
 the eigen- or Ritz values of a state matrix, which it maps to the vector
 J^r e without building the n x n power, and
-`hilbert.channel_from_dilation` to the ancilla spectrum.  The state-side
-matrices of frames whose Gram is not a multiple of the identity are not
-symmetric; `qprcore.state_matrix` makes them so by a similarity through
-the frame Gram, and `symmetrized` checks them once; neither route of
-`qprcore.state_spectrum` checks again.
+`hilbert.channel_from_dilation` to the ancilla spectrum.  Its cut and
+powers are `support_powers`, which the Lanczos certificate
+`qprcore.StateSpectrum.error_estimate` shares, so there is one rank cut.
+The state-side matrices of frames whose Gram is not a multiple of the
+identity are not symmetric; `qprcore.state_matrix` makes them so by a
+similarity through the frame Gram, and `symmetrized` checks them once;
+neither route of `qprcore.state_powers` checks again.
 """
 
 from __future__ import annotations
@@ -149,9 +151,21 @@ def power_values(w: np.ndarray, r: float | np.ndarray, tol: float = DEFAULT_TOL
     wt = w.T
     if not np.minimum.reduce(np.minimum(wt + tol, wt[-1] - wt[0]), axis=None) >= 0.0:
         raise NotPSD(f"eigenvalues {w} are not ascending and >= -tol")
-    thr = rank_threshold(wt[-1])
-    keep = wt >= thr
-    return np.where(keep, np.maximum(wt, thr) ** r, 0.0).T, (~keep[0]).tolist()
+    keep, _, powers = support_powers(wt, r)
+    return powers.T, (~keep[0]).tolist()
+
+
+def support_powers(w: np.ndarray, r: float | np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keep, safe, powers) of ascending eigenvalues w with the values of a
+    row down the first axis (one row, or a transposed stack): the rank cut
+    of `power_values`, unchecked.  `keep` marks the values at or above
+    `rank_threshold` of their row's largest, `safe` holds them with 1.0
+    elsewhere, and `powers` holds safe^r where kept and 0.0 elsewhere: no
+    cut value is raised to r, so a zero spectrum cannot overflow."""
+    keep = w >= rank_threshold(w[-1])
+    safe = np.where(keep, w, 1.0)
+    return keep, safe, np.where(keep, safe ** r, 0.0)
 
 
 def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:

@@ -6,6 +6,13 @@ rule Q S^T Q^{-1} with its NQPR and SIC closed forms, the recovery map
 assembled purely from quasiprobability data (no Hilbert-space channel),
 and the classical Bayes inverse it is contrasted with.
 
+A state power, the vector of alpha^r, comes from the spectrum of the
+state's symmetric `state_matrix`: `state_powers` takes a stack of states
+with one exponent each and chooses each power's route, one eigh of the
+stack below LANCZOS_MIN_N operators and from there a Lanczos run per
+state, certified at that state and exponent.  The recovery's X factors
+are `x_matrix` of those vectors.
+
 Conventions: a channel matrix S has unit column sums with the column
 indexing the input (S[a_out, a_in]), so distributions compose as S @ v.
 """
@@ -36,6 +43,7 @@ from .matcore import (
     operator_stack,
     power_values,
     rank_threshold,
+    support_powers,
     symmetrized,
 )
 
@@ -173,35 +181,18 @@ class StateSpectrum:
     """The powers J^r b = Y diag(values^r) c of the symmetric `state_matrix`
     A, b = e (Q^{-1/2} e through the Gram roots): `vectors` Y has
     orthonormal columns and `weights` c = Y^T b.  On the "eigh" `route`
-    they are A's eigenpairs; on the "lanczos" route the Ritz pairs of a run
-    whose basis is invariant under A less a symmetric perturbation of norm
-    `residual`, and `last` holds the Ritz vectors' last components.
-
-    A stack of k spectra holds `values` and `weights` as (k, m) and
-    `vectors` as (k, n, m), or as one (n, m) shared by the mixtures of one
-    state, and one `route` per row; its rows were certified before they
-    were stacked, so it carries no residual."""
+    they are A's eigenpairs, of one matrix or of a stack ((k, m) values
+    and weights, (k, n, m) vectors); on the "lanczos" route the Ritz pairs
+    of one run whose basis is invariant under A less a symmetric
+    perturbation of norm `residual`, and `last` holds the Ritz vectors'
+    last components."""
 
     values: np.ndarray
     vectors: np.ndarray
     weights: np.ndarray
-    route: str | tuple
+    route: str
     residual: float = 0.0
     last: np.ndarray | None = None
-
-    def mixed(self, w: float | np.ndarray, d: float) -> "StateSpectrum":
-        """The state mixed with the uniform vector at weight w: A becomes
-        (1-w) A + (w/d) 1 (d = sum(e)), which keeps the vectors and maps the
-        values to (1-w) values + w/d and the residual to (1-w) times it.  A
-        (k, 1) column of weights gives the stack of the k mixtures."""
-        return StateSpectrum((1 - w) * self.values + w / d, self.vectors,
-                             self.weights, self.route, (1 - w) * self.residual,
-                             self.last)
-
-    def row(self, i: int) -> "StateSpectrum":
-        """Row i of a stack."""
-        return StateSpectrum(self.values[i], self.vectors[i], self.weights[i],
-                             self.route[i])
 
     def power(self, r: float | np.ndarray, coeffs: StructureCoefficients,
               tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool | list[bool]]:
@@ -220,20 +211,20 @@ class StateSpectrum:
         vector and q the unit residual direction.  The derivative of x^r
         along E moves the power by residual * sum_j z_j (z_j . q) e_m^T
         f[mu_j, T] Z c over the eigenpairs (mu_j, z_j) off the basis, with
-        T = Z diag(values) Z^T and f[mu, x] the divided difference of x^r
-        (zero on the values `power_values` cuts).  The mu_j are taken at the
-        Ritz values; the estimate is the largest term over |values^r c|."""
+        T = Z diag(values) Z^T and f[mu, x] the divided difference of x^r,
+        zero on the values the rank cut of `power_values` (its
+        `support_powers`) sets to zero.  The mu_j are taken at the Ritz
+        values; the estimate is the largest term over |values^r c|."""
         if self.last is None:
             return 0.0
-        w = np.maximum(self.values, 0.0)
-        keep = w >= rank_threshold(w[-1])
-        safe = np.where(keep, w, 1.0)
-        f = np.where(keep, safe ** r, 0.0)
+        keep, safe, f = support_powers(self.values, r)
         size = math.hypot(*(f * self.weights))
         if size == 0.0:
             return 0.0
-        # f[w_j, w_i], or the derivative r w_i^(r-1) where the quotient
-        # would cancel (w_j within 1e-6 of w_i)
+        # f[w_j, w_i] over the values with the cut ones at zero, or the
+        # derivative r w_i^(r-1) where the quotient would cancel (w_j within
+        # 1e-6 of w_i)
+        w = np.where(keep, self.values, 0.0)
         gap = w[:, None] - w
         near = np.abs(gap) <= 1e-6 * w
         dd = np.where(near, r * f / safe, (f[:, None] - f) / np.where(near, 1.0, gap))
@@ -272,71 +263,52 @@ def lanczos(a: np.ndarray, b: np.ndarray, steps: int) -> StateSpectrum:
                          residual, z[-1])
 
 
-def state_spectrum(v: np.ndarray, coeffs: StructureCoefficients, tol: float,
-                   probes: tuple) -> StateSpectrum:
-    """The `StateSpectrum` of v: the one place a state power's route is
-    chosen.  Frames of LANCZOS_MIN_N operators or more take a `lanczos` run
-    of d = sum(e) steps if, for every (w, r) of `probes`, the run mixed at
-    weight w has an `error_estimate` of the power r within LANCZOS_RTOL;
-    otherwise, and for smaller frames, one `eigh_spectrum` of the same
-    matrix.  `symmetrized` is the one symmetry check on either route.
+def _eigh_spectrum_of(a: np.ndarray, b: np.ndarray, tol: float) -> StateSpectrum:
+    """The "eigh" `StateSpectrum` of a symmetrized state matrix or stack."""
+    spec = eigh_spectrum(a, tol)
+    return StateSpectrum(spec.values, spec.vectors,
+                         spec.vectors.swapaxes(-1, -2) @ b, "eigh")
 
-    A (k, n) stack of vectors, with one tuple of probes per row, gives the
-    stack of their k spectra.  Below LANCZOS_MIN_N that is one stack of
-    state matrices, one symmetry check and one eigh call.  From there each
-    row builds and checks its own state matrix and keeps its own run and
-    probes, as a stack of large matrices saves little time and costs
-    memory (see `x_matrix`); the rows that fail their certificates are
-    factored by one stacked eigh call, and `_stacked` pads the rows to one
-    width."""
+
+def state_powers(v: np.ndarray, r: tuple | np.ndarray,
+                 coeffs: StructureCoefficients, tol: float = DEFAULT_TOL
+                 ) -> tuple[np.ndarray, list, tuple]:
+    """(rows, deficient, routes) for a (k, n) stack of state vectors and
+    one exponent r_i per row: the vector of alpha_i^{r_i} on the support,
+    under the rank policy of `power_values`, its deficient flag and its
+    route, for each row.  The one place a state power's route is chosen,
+    and `symmetrized` is the one symmetry check on either route.
+
+    Below LANCZOS_MIN_N operators the rows are one stack of state
+    matrices, one symmetry check, one eigh call and one power.  From there
+    each row builds and checks its own state matrix, as a stack of large
+    matrices saves little time and costs memory (see `x_matrix`), and
+    takes a `lanczos` run of d = sum(e) steps.  The run is used if its
+    `error_estimate` of the power r_i is within LANCZOS_RTOL, so each
+    power is certified at the matrix and exponent it is taken at;
+    otherwise the row takes the eigh spectrum of the same matrix."""
     b = coeffs.e if coeffs.gram_roots is None else coeffs.gram_roots[1] @ coeffs.e
     if coeffs.e.size < LANCZOS_MIN_N:
-        a = symmetrized(state_matrix(v, coeffs), tol)
-        spec = eigh_spectrum(a, tol)
-        return StateSpectrum(spec.values, spec.vectors,
-                             spec.vectors.swapaxes(-1, -2) @ b,
-                             "eigh" if a.ndim == 2 else ("eigh",) * len(a))
-    stack = np.ndim(v) == 2
-    d = coeffs.e.sum()
-    runs, failed = [], []
-    for row, checks in zip(v if stack else (v,), probes if stack else (probes,)):
+        spec = _eigh_spectrum_of(symmetrized(state_matrix(v, coeffs), tol), b, tol)
+        rows, deficient = spec.power(r, coeffs, tol)
+        return rows, deficient, ("eigh",) * len(rows)
+    out = []
+    for row, exponent in zip(v, r):
         a = symmetrized(state_matrix(row, coeffs), tol)
-        run = lanczos(a, b, int(round(d)))
-        certified = all(run.mixed(w, d).error_estimate(r) <= LANCZOS_RTOL
-                        for w, r in checks)
-        runs.append(run if certified else None)
-        if not certified:
-            failed.append(a)
-    if failed:
-        spec = eigh_spectrum(np.array(failed), tol)
-        fallback = (StateSpectrum(w, y, y.T @ b, "eigh")
-                    for w, y in zip(spec.values, spec.vectors))
-        runs = [run or next(fallback) for run in runs]
-    return _stacked(runs) if stack else runs[0]
-
-
-def _stacked(rows: list) -> StateSpectrum:
-    """The stack of single spectra that may differ in width, as Lanczos
-    runs do: each row is padded to the widest with copies of its largest
-    value, zero vectors and zero weights, which leave its powers and its
-    deficient flag as they were."""
-    m = max(row.values.size for row in rows)
-    values = np.empty((len(rows), m))
-    vectors = np.zeros((len(rows), rows[0].vectors.shape[0], m))
-    weights = np.zeros((len(rows), m))
-    for i, row in enumerate(rows):
-        j = row.values.size
-        values[i, :j], values[i, j:] = row.values, row.values[-1]
-        vectors[i, :, :j] = row.vectors
-        weights[i, :j] = row.weights
-    return StateSpectrum(values, vectors, weights, tuple(row.route for row in rows))
+        spec = lanczos(a, b, int(round(coeffs.e.sum())))
+        if not spec.error_estimate(exponent) <= LANCZOS_RTOL:
+            spec = _eigh_spectrum_of(a, b, tol)
+        out.append((*spec.power(exponent, coeffs, tol), spec.route))
+    rows, deficient, routes = zip(*out)
+    return np.array(rows), list(deficient), routes
 
 
 def state_power(v: np.ndarray, r: float, coeffs: StructureCoefficients,
                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
-    """(vector of alpha^r on the support, deficient), under the rank policy
-    of `power_values`, from the `state_spectrum` certified for r."""
-    return state_spectrum(v, coeffs, tol, ((0.0, r),)).power(r, coeffs, tol)
+    """(vector of alpha^r on the support, deficient): row 0 of the
+    `state_powers` of the one-row stack of v."""
+    rows, deficient, _ = state_powers(np.asarray(v)[None], (r,), coeffs, tol)
+    return rows[0], deficient[0]
 
 
 def k_matrix(s: np.ndarray) -> np.ndarray:
@@ -389,8 +361,10 @@ class PetzQprResult:
     from eps, not agreement with the Hilbert-side oracle: a posterior whose
     kernel regularization lifts can move with eps at first order on both
     sides, so a right matrix may read as unconverged.  `root_routes` names
-    the `state_spectrum` route of each state, "lanczos" or "eigh": the
-    prior's, then each posterior's in the order taken (support, eps, eps/10).
+    the `state_powers` route of each root, "lanczos" or "eigh", in the
+    order taken: the prior and the support posterior; then, if
+    regularized, the prior mixed at eps_used and at eps_used/10 and the
+    posteriors of those two, less the eps_used/10 pair if support-projected.
     """
 
     matrix: np.ndarray
@@ -425,10 +399,9 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
     reported.
 
     The prior and the support posterior are factored as one stack, by one
-    `state_spectrum` call; a regularized recovery factors its primary and
-    its eps/10 probe posteriors as a second stack, and every mixed prior
-    takes its root from the prior's spectrum.  A full-rank recovery is one
-    eigh call on the eigh route, a regularized one two.
+    `state_powers` call; a regularized recovery factors its two mixed
+    priors and their posteriors as a second stack.  A full-rank recovery
+    is one eigh call on the eigh route, a regularized one two.
     """
     s = np.asarray(s, dtype=float)
     v_prior = np.asarray(v_prior, dtype=float)
@@ -439,32 +412,28 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
         raise RepMismatch(f"kind {kind!r} contradicts the coefficients of "
                           f"{coeffs.frame_name!r}, whose kind is {coeffs.kind!r}")
     adjoint = adjoint_qpr(s, coeffs.kind, coeffs.gram_roots)
-    # every mixed prior shares the prior's vectors (`StateSpectrum.mixed`),
-    # so a Lanczos run must hold down to the eps/10 probe
     eps_used = max(mixing_weight(eps), QPR_EPS_FLOOR)
     # X(prior^{1/2}) adj X(post^{-1/2}); the inverse root is taken on the
     # support of a rank-deficient posterior, and the same factorization
     # says whether it was
-    spec = state_spectrum(np.array([v_prior, s @ v_prior]), coeffs, tol,
-                          (((0.0, 0.5), (eps_used / 10, 0.5)), ((0.0, -0.5),)))
-    roots, (_, deficient) = spec.power(ROOT_AND_INVERSE, coeffs, tol)
+    roots, (_, deficient), routes = state_powers(
+        np.array([v_prior, s @ v_prior]), ROOT_AND_INVERSE, coeffs, tol)
     x = x_matrix(roots, coeffs)
     support = x[0] @ adjoint @ x[1]
     if not deficient:
-        return PetzQprResult(matrix=support, root_routes=spec.route)
+        return PetzQprResult(matrix=support, root_routes=routes)
     if eps <= 0.0:
         raise SingularPosterior(
             "posterior matrix is rank-deficient and regularization is disabled")
 
-    # the primary weight and the eps/10 probe: the prior's spectrum mixed at
-    # each, their posteriors factored as one stack; a support-projected
-    # primary discards the probe
+    # the prior mixed at the primary weight and at the eps/10 probe, then
+    # their posteriors, as one stack; a support-projected primary discards
+    # the probe
     w = np.array([[eps_used], [eps_used / 10]])
-    posts = state_spectrum(((1 - w) * v_prior + w * uniform_vector(n)) @ s.T,
-                           coeffs, tol, (((0.0, -0.5),),) * 2)
-    inv_roots, (projected, _) = posts.power(-0.5, coeffs, tol)
-    roots = spec.row(0).mixed(w, coeffs.e.sum()).power(0.5, coeffs, tol)[0]
-    x = x_matrix(np.concatenate((roots, inv_roots)), coeffs)
+    mixed = (1 - w) * v_prior + w * uniform_vector(n)
+    roots, (_, _, projected, _), mixed_routes = state_powers(
+        np.concatenate((mixed, mixed @ s.T)), (0.5, 0.5, -0.5, -0.5), coeffs, tol)
+    x = x_matrix(roots, coeffs)
     primary, probe = x[:2] @ adjoint @ x[2:]
     return PetzQprResult(
         matrix=primary,
@@ -473,7 +442,7 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
         support_matrix=support,
         support_dev=max_abs(support - primary),
         support_projected=projected,
-        root_routes=spec.route + posts.route[:1 if projected else 2],
+        root_routes=routes + (mixed_routes[::2] if projected else mixed_routes),
     )
 
 
@@ -487,7 +456,7 @@ def classical_bayes(s: np.ndarray, v_prior: np.ndarray,
     entries at zero are escaped by mixing the prior with the uniform
     distribution at weight eps in [0, 1] (ValueError outside); if that
     cannot lift them, the inversion is undefined and SingularPosterior is
-    raised.
+    raised.  A non-finite entry in s or in the prior raises RepMismatch.
     """
     eps = mixing_weight(eps)
     s = np.asarray(s, dtype=float)
@@ -495,6 +464,9 @@ def classical_bayes(s: np.ndarray, v_prior: np.ndarray,
     n = v.shape[0]
     if s.shape != (n, n):
         raise RepMismatch(f"matrix shape {s.shape} does not match prior length {n}")
+    for name, x in (("channel matrix", s), ("prior", v)):
+        if not np.isfinite(x).all():
+            raise RepMismatch(f"{name} has a non-finite entry")
     post = s @ v
     if np.abs(post).min() <= rank_threshold(np.abs(post).max()):
         if eps <= 0.0:

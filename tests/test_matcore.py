@@ -402,6 +402,15 @@ class TestPowerValues:
         with pytest.raises(errors.NotPSD):
             power_values(np.array([[0.1, 0.5, 1.0], [0.1, np.nan, 1.0]]), 0.5)
 
+    @pytest.mark.parametrize("m, r", [(np.zeros((2, 2)), -1.0),
+                                      (np.zeros((1, 1)), -2.0)],
+                             ids=["2x2-inverse", "1x1-inverse-square"])
+    def test_zero_matrix_negative_power_is_zero(self, m, r):
+        # every value is cut, so none is raised to r: no overflow warning
+        # (an error in this suite), power zero on the empty support
+        power, deficient = hermitian_eig(m).power(r)
+        assert np.array_equal(power, np.zeros_like(m)) and deficient
+
     @settings(max_examples=200, deadline=None)
     @given(scale=st.floats(1e-6, 1e6),
            picks=st.lists(st.integers(0, 5), min_size=1, max_size=6),

@@ -26,7 +26,6 @@ from qbret.hilbert import (
     random_unitary,
 )
 from qbret.matcore import (
-    DEFAULT_TOL,
     ORACLE_TOL,
     eigh_spectrum,
     hermitian_eig,
@@ -52,7 +51,7 @@ from qbret.qprcore import (
     reconstruct_state,
     state_matrix,
     state_power,
-    state_spectrum,
+    state_powers,
     state_to_qpr,
     uniform_vector,
     x_matrix,
@@ -663,17 +662,16 @@ class TestFactorizationCount:
             "matrices": 2}
 
     @pytest.mark.parametrize("frame", ["dw", "sic", "custom"])
-    @pytest.mark.parametrize("case, matrices", [
+    @pytest.mark.parametrize("case, mixed", [
         ("regularized", 4), ("support-projected", 4)])
-    def test_prior_is_factored_once(self, frame, case, matrices, custom_tetra,
+    def test_prior_is_factored_once(self, frame, case, mixed, custom_tetra,
                                     monkeypatch):
-        # two eigh calls: the prior with the support posterior, then the eps
-        # primary with the eps/10 probe posterior; every mixed prior takes
-        # its root from the prior's spectrum.  A support-projected primary
-        # discards the probe after its stack has factored it, so that corner
-        # factors 4 matrices where one matrix per call factored 3.  The
-        # full-rank count (1 call, 2 matrices) is pinned by the two tests
-        # above
+        # two eigh calls: the prior with the support posterior, then a stack
+        # of `mixed` matrices, the prior mixed at eps and at eps/10 and
+        # their two posteriors, 6 matrices in all.  A support-projected
+        # primary discards the eps/10 pair after its stack has factored it.
+        # The full-rank count (1 call, 2 matrices) is pinned by the two
+        # tests above
         rng = np.random.default_rng(9)
         f, g = _frame_pair(frame, rng, custom_tetra)
         if case == "regularized":
@@ -691,33 +689,8 @@ class TestFactorizationCount:
         monkeypatch.undo()
         assert result.eps_used == QPR_EPS_FLOOR
         assert result.support_projected == (case == "support-projected")
-        assert len(result.root_routes) == (3 if result.support_projected else 4)
-        assert tally == {"eigh": 2, "matrices": matrices}
-
-    @pytest.mark.parametrize("frame", ["dw", "sic", "custom", "dw3",
-                                       "classical"])
-    def test_shifted_spectrum_is_the_mixed_prior_root(self, frame,
-                                                      custom_tetra):
-        # J((1-w) v + w u) = (1-w) J(v) + (w/d) 1 with d = sum(e), through
-        # the Gram similarity too, so shifting the pure prior's spectrum
-        # gives the root of the mixed prior
-        rng = np.random.default_rng(10)
-        if frame == "classical":
-            coeffs, v = classical_structure_coeffs(4), np.eye(4)[1]
-        else:
-            f, g = _frame_pair(frame, rng, custom_tetra)
-            coeffs = structure_coeffs(f, g)
-            v = state_to_qpr(projector(random_unitary(rng, f.d)[:, 0]), f)
-        weights = (1e-5, 1e-6)
-        prior = state_spectrum(v, coeffs, DEFAULT_TOL,
-                               tuple((w, 0.5) for w in (0.0, *weights)))
-        # the dw3 run is certified, so the Lanczos mixing rule is held to
-        # the power of the mixed prior too
-        assert prior.route == ("lanczos" if frame == "dw3" else "eigh")
-        for w in weights:
-            root = prior.mixed(w, coeffs.e.sum()).power(0.5, coeffs)[0]
-            mixed = (1 - w) * v + w * uniform_vector(coeffs.n)
-            assert max_abs(root - state_power(mixed, 0.5, coeffs)[0]) < 1e-12
+        assert len(result.root_routes) == (4 if result.support_projected else 6)
+        assert tally == {"eigh": 2, "matrices": 2 + mixed}
 
 
 def hilbert_power_matrix(alpha, r, f, g):
@@ -853,10 +826,23 @@ def _lanczos_case(frame, spectrum, custom_tetra):
 
 
 def _lanczos_run(v, coeffs):
-    """The `lanczos` run `state_spectrum` takes of v, certified or not."""
+    """The `lanczos` run `state_powers` takes of v, certified or not."""
     b = coeffs.e if coeffs.gram_roots is None else coeffs.gram_roots[1] @ coeffs.e
     return lanczos(symmetrized(state_matrix(v, coeffs)), b,
                    round(coeffs.e.sum()))
+
+
+def _rank_state(rng, d, rank):
+    """A random d x d density operator of the given rank."""
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+# the routes of `TestLanczos._failing_case`: the prior, the support
+# posterior and the two mixed priors certify their runs, and the two
+# regularized posteriors fall back to eigh
+FAILING_ROUTES = ("lanczos",) * 4 + ("eigh",) * 2
 
 
 def _eigh_route(v, r, coeffs):
@@ -958,7 +944,7 @@ class TestLanczos:
         assert petz_qpr(s, v, structure_coeffs(f, g)).root_routes == ("eigh",) * 2
         pure = petz_qpr(channel_to_qpr(KrausChannel.from_unitary(
             random_unitary(rng, 2)), f, g), v, structure_coeffs(f, g))
-        assert pure.eps_used > 0 and pure.root_routes == ("eigh",) * 4
+        assert pure.eps_used > 0 and pure.root_routes == ("eigh",) * 6
 
     @staticmethod
     def _failing_case():
@@ -975,11 +961,37 @@ class TestLanczos:
         oracle = petz_hilbert(channel, prior, eps=result.eps_used)
         return result, max_abs(result.matrix - channel_to_qpr(oracle, f, g))
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           frame=st.sampled_from(["dw", "sic", "custom", "dw3"]),
+           rows=st.lists(st.tuples(st.sampled_from([1, 2, 8]),
+                                   st.sampled_from([0.5, -0.5, 1.0, -1.0, 0.25])),
+                         min_size=1, max_size=4))
+    def test_each_row_is_its_own_state_power(self, custom_tetra, seed, frame,
+                                             rows):
+        # a stack of states of rank 1, 2 or full and its exponents: each
+        # row is the state power of that row at its exponent, with its
+        # flag and its route
+        rng = np.random.default_rng(seed)
+        f, g = _frame_pair(frame, rng, custom_tetra)
+        coeffs = structure_coeffs(f, g)
+        v = np.array([state_to_qpr(_rank_state(rng, f.d, min(rank, f.d)), f)
+                      for rank, _ in rows])
+        exponents = [r for _, r in rows]
+        powers, deficient, routes = state_powers(v, exponents, coeffs)
+        assert len(powers) == len(deficient) == len(routes) == len(rows)
+        for vec, r, power, flag, route in zip(v, exponents, powers, deficient,
+                                              routes):
+            want, want_flag = state_power(vec, r, coeffs)
+            assert max_abs(power - want) <= 1e-13 * max_abs(want)
+            assert flag == want_flag
+            assert (route,) == state_powers(vec[None], (r,), coeffs)[2]
+
     @pytest.mark.parametrize("frame", ["dw", "sic", "dw3"])
     def test_stack_gives_each_row_its_route_and_power(self, frame):
         # on dw3 the prior's run is certified and the regularized
-        # posterior's is not: the stack mixes routes, and the Lanczos row is
-        # padded to the eigh row's width without moving either power
+        # posterior's is not: the stack mixes routes, and each row keeps
+        # the power and the route it takes on its own
         f, g = {"dw": build_dw_qubit, "sic": build_sic_qubit,
                 "dw3": lambda: build_dw_qubits(3)}[frame]()
         coeffs = structure_coeffs(f, g)
@@ -990,31 +1002,51 @@ class TestLanczos:
         v = state_to_qpr(random_density(rng, f.d, min_eig=0.01), f)
         mixed = (1 - 1e-5) * state_to_qpr(prior, f) + 1e-5 * uniform_vector(f.n)
         stack = np.array([v, channel_to_qpr(channel, f, g) @ mixed])
-        probes = (((0.0, 0.5),), ((0.0, -0.5),))
-        spec = state_spectrum(stack, coeffs, DEFAULT_TOL, probes)
-        rows = [state_spectrum(x, coeffs, DEFAULT_TOL, p)
-                for x, p in zip(stack, probes)]
-        assert spec.route == tuple(row.route for row in rows)
+        exponents = (0.5, -0.5)
+        powers, deficient, routes = state_powers(stack, exponents, coeffs)
+        assert routes == tuple(state_powers(x[None], (r,), coeffs)[2][0]
+                               for x, r in zip(stack, exponents))
         if frame == "dw3":
-            assert spec.route == ("lanczos", "eigh")
+            assert routes == ("lanczos", "eigh")
         else:
-            assert spec.route == ("eigh", "eigh")
-        powers, deficient = spec.power(np.array([0.5, -0.5]), coeffs)
-        for power, flag, row, r in zip(powers, deficient, rows, (0.5, -0.5)):
-            want, want_flag = row.power(r, coeffs)
+            assert routes == ("eigh", "eigh")
+        for x, r, power, flag in zip(stack, exponents, powers, deficient):
+            want, want_flag = state_power(x, r, coeffs)
             assert max_abs(power - want) <= 1e-13 * max_abs(want)
             assert flag == want_flag
 
     def test_uncertified_posterior_falls_back_to_eigh(self):
         result, deviation = self._failing_case()
         assert result.eps_used == QPR_EPS_FLOOR
-        assert result.root_routes == ("lanczos", "lanczos", "eigh", "eigh")
+        assert result.root_routes == FAILING_ROUTES
         assert deviation < ORACLE_TOL
 
+    def test_each_run_is_certified_once_at_its_exponent(self, monkeypatch):
+        # every Lanczos run gets one error estimate, at the exponent of the
+        # power taken from it: the prior's and each mixed prior's at 1/2
+        # from their own runs, each posterior's at -1/2
+        import qbret.qprcore as qc
+        runs, estimates = [], []
+        real_lanczos, real_estimate = qc.lanczos, qc.StateSpectrum.error_estimate
+
+        def run(*args):
+            runs.append(real_lanczos(*args))
+            return runs[-1]
+
+        def estimate(spec, r):
+            estimates.append((spec.vectors, r))
+            return real_estimate(spec, r)
+        monkeypatch.setattr(qc, "lanczos", run)
+        monkeypatch.setattr(qc.StateSpectrum, "error_estimate", estimate)
+        result, _ = self._failing_case()
+        assert len(runs) == len(estimates) == len(result.root_routes) == 6
+        for spec, r in zip(runs, (0.5, -0.5, 0.5, 0.5, -0.5, -0.5)):
+            assert [e for vectors, e in estimates if vectors is spec.vectors] == [r]
+
     def test_each_state_matrix_is_built_once(self, monkeypatch):
-        # one state matrix per state, whichever route its spectrum takes:
-        # the prior and three posteriors, two of them past a failed run; on
-        # the Lanczos route each row builds its own
+        # one state matrix per state, whichever route its power takes: the
+        # prior, two mixed priors and three posteriors, two of them past a
+        # failed run; on the Lanczos route each row builds its own
         import qbret.qprcore as qc
         real, stacks = qc.state_matrix, []
 
@@ -1023,17 +1055,17 @@ class TestLanczos:
             return real(v, *args, **kwargs)
         monkeypatch.setattr(qc, "state_matrix", counted)
         result, _ = self._failing_case()
-        assert result.root_routes == ("lanczos", "lanczos", "eigh", "eigh")
-        assert stacks == [1, 1, 1, 1]
+        assert result.root_routes == FAILING_ROUTES
+        assert stacks == [1] * 6
 
     @pytest.mark.parametrize("case", ["eigh", "fallback"])
     def test_each_state_matrix_is_symmetry_checked_once(self, case, sic,
                                                         monkeypatch):
         # `symmetrized` checks each state matrix, and neither route checks
-        # it again: a regularized sic-qubit recovery takes four state
-        # matrices by eigh, as two stacks of two; the failing dw-qubits:3
-        # case checks each of its four alone, for two Lanczos runs and two
-        # eigh fallbacks, which share one call
+        # it again: a regularized sic-qubit recovery takes six state
+        # matrices by eigh, as a stack of two and a stack of four; the
+        # failing dw-qubits:3 case checks each of its six alone, for four
+        # certified Lanczos runs and two eigh fallbacks of one matrix each
         import qbret.qprcore as qc
         tally = {name: [] for name in ("symmetrized", "hermitian_eig",
                                        "eigh_spectrum")}
@@ -1048,13 +1080,13 @@ class TestLanczos:
             rng = np.random.default_rng(24)
             channel = KrausChannel.from_unitary(random_unitary(rng, 2))
             result = _recover(f, g, channel, projector(KET_PLUS))
-            assert result.root_routes == ("eigh",) * 4
-            assert tally["symmetrized"] == tally["eigh_spectrum"] == [2, 2]
+            assert result.root_routes == ("eigh",) * 6
+            assert tally["symmetrized"] == tally["eigh_spectrum"] == [2, 4]
         else:
             result, _ = self._failing_case()
-            assert result.root_routes == ("lanczos", "lanczos", "eigh", "eigh")
-            assert tally["symmetrized"] == [1, 1, 1, 1]
-            assert tally["eigh_spectrum"] == [2]
+            assert result.root_routes == FAILING_ROUTES
+            assert tally["symmetrized"] == [1] * 6
+            assert tally["eigh_spectrum"] == [1, 1]
         assert tally["hermitian_eig"] == []
         assert sum(tally["symmetrized"]) == len(result.root_routes)
 
@@ -1063,7 +1095,7 @@ class TestLanczos:
         import qbret.qprcore as qc
         monkeypatch.setattr(qc, "LANCZOS_RTOL", np.inf)
         result, deviation = self._failing_case()
-        assert result.root_routes == ("lanczos",) * 4
+        assert result.root_routes == ("lanczos",) * 6
         assert deviation > 1e-6
 
     @pytest.mark.parametrize("frame", ["dw", "dw3"])
@@ -1087,7 +1119,7 @@ class TestLanczos:
         with pytest.raises(errors.NotHermitian):
             state_power(nan, 0.5, coeffs)
         with pytest.raises(errors.NotHermitian):
-            state_spectrum(nan, coeffs, DEFAULT_TOL, ((0.0, 0.5),))
+            state_powers(nan[None], (0.5,), coeffs)
 
 
 def test_result_types_compare_by_identity():
@@ -1101,7 +1133,7 @@ def test_result_types_compare_by_identity():
     objects = [channel, petz_hilbert(channel, projector(KET_PLUS)),
                hermitian_eig(np.eye(2)), coeffs, petz_qpr(s, v, coeffs),
                m_power_check(v, 0.5, f, g, coeffs),
-               state_spectrum(v, coeffs, DEFAULT_TOL, ((0.0, 0.5),))]
+               _lanczos_run(v, coeffs)]
     assert isinstance(objects[4], PetzQprResult)
     assert isinstance(objects[5], MPowerReport)
     for obj in objects:
@@ -1137,6 +1169,17 @@ class TestClassicalBayes:
             classical_bayes(s, np.array([0.5, 0.5]), eps=0.0)
         with pytest.raises(errors.SingularPosterior):
             classical_bayes(s, np.array([0.5, 0.5]), eps=1e-8)
+
+    @pytest.mark.parametrize("bad", ["channel", "prior"])
+    def test_non_finite_input_raises(self, bad):
+        # a NaN or infinite entry is refused, not turned into a NaN matrix
+        s, p = np.eye(2), np.array([0.5, 0.5])
+        if bad == "channel":
+            s = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        else:
+            p = np.array([np.nan, 1.0])
+        with pytest.raises(errors.RepMismatch, match=bad):
+            classical_bayes(s, p)
 
     def test_regularization_lifts_reachable_zero(self):
         s = np.array([[1.0, 0.5], [0.0, 0.5]])
