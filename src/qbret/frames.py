@@ -54,7 +54,8 @@ GRAM_COND_MAX = 1e4
 
 @dataclass(eq=False)
 class Frame:
-    """d^2 Hermitian frame operators, stacked as an (n, d, d) array.
+    """d^2 Hermitian frame operators, stacked as a C-contiguous (n, d, d)
+    complex array, which `qprcore` views as floats for its traces.
 
     Tuple labels are kept for display; all matrix indexing uses their
     flattened order 0..d^2-1.  `parts` holds the (frame, dual) pairs that
@@ -73,7 +74,7 @@ class Frame:
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     def __post_init__(self):
-        self.ops = np.asarray(self.ops, dtype=complex)
+        self.ops = np.ascontiguousarray(self.ops, dtype=complex)
         self.labels = tuple(self.labels)
 
     @property
@@ -83,11 +84,13 @@ class Frame:
 
 @dataclass(eq=False)
 class DualFrame:
+    """The dual operators G_j of a frame, stored as `Frame.ops` is."""
+
     name: str
     ops: np.ndarray
 
     def __post_init__(self):
-        self.ops = np.asarray(self.ops, dtype=complex)
+        self.ops = np.ascontiguousarray(self.ops, dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -223,10 +223,21 @@ class PetzMap:
         return self.base.d
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The recovery map, elementwise on a (..., d, d) stack."""
+        """The recovery map, elementwise on a (..., d, d) stack, each
+        sandwich two products for the whole stack (`_sandwich`)."""
         x = operator_stack(x, self.d)
-        inner = self.base.adjoint(self.inv_sqrt_post @ x @ self.inv_sqrt_post)
-        return self.sqrt_prior @ inner @ self.sqrt_prior
+        inner = self.base.adjoint(_sandwich(self.inv_sqrt_post, x))
+        return _sandwich(self.sqrt_prior, inner)
+
+
+def _sandwich(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x_j a for every matrix x_j of a (..., d, d) stack: a times the
+    matrices side by side, [a x_1 ... a x_m], then their stacked rows
+    times a."""
+    d = a.shape[0]
+    m = x.size // (d * d)
+    side = a @ x.reshape(m, d, d).swapaxes(0, 1).reshape(d, m * d)
+    return (side.reshape(d, m, d).swapaxes(0, 1).reshape(m * d, d) @ a).reshape(x.shape)
 
 
 def petz_hilbert(channel: KrausChannel, prior: np.ndarray,

@@ -6,12 +6,14 @@ rule Q S^T Q^{-1} with its NQPR and SIC closed forms, the recovery map
 assembled purely from quasiprobability data (no Hilbert-space channel),
 and the classical Bayes inverse it is contrasted with.
 
-A state power, the vector of alpha^r, comes from the spectrum of the
-state's symmetric `state_matrix`: `state_powers` takes a stack of states
-with one exponent each and chooses each power's route, one eigh of the
+Every trace Tr[F_i X] against the Hermitian frame is taken as one real
+product (`_traces`).  A state power, the vector of alpha^r, comes from
+the spectrum of the state's symmetric `state_matrix`: `state_powers`
+builds and checks the state matrices of a whole stack of states at once,
+with one exponent each, and chooses each power's route, one eigh of the
 stack below LANCZOS_MIN_N operators and from there a Lanczos run per
 state, certified at that state and exponent.  The recovery's X factors
-are `x_matrix` of those vectors.
+are `x_matrix` of those vectors, one stacked product at every n.
 
 Conventions: a channel matrix S has unit column sums with the column
 indexing the input (S[a_out, a_in]), so distributions compose as S @ v.
@@ -86,11 +88,13 @@ def uniform_vector(n: int) -> np.ndarray:
 
 def _traces(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Re Tr[ops_j x] for every j, indexed [j, ...] over a (..., d, d)
-    stack x: one product of the flattened operators with the flattened
-    transposes of x."""
+    stack x.  The operators are Hermitian (`validate_frame` checks them to
+    tol), so Re Tr[F x] = Re sum conj(F)_ab x_ab for any x: one real
+    product of the flattened operators and matrices, each viewed as its
+    interleaved real and imaginary parts."""
     n, d = ops.shape[0], ops.shape[-1]
-    flat = np.swapaxes(x, -1, -2).reshape(-1, d * d)
-    return (ops.reshape(n, d * d) @ flat.T).real.reshape(n, *x.shape[:-2])
+    flat = np.ascontiguousarray(x, dtype=complex).reshape(-1, d * d).view(float)
+    return (ops.reshape(n, d * d).view(float) @ flat.T).reshape(n, *x.shape[:-2])
 
 
 def state_to_qpr(rho: np.ndarray, frame: Frame) -> np.ndarray:
@@ -149,14 +153,10 @@ def x_matrix(v: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
     for alpha reconstructed from v: L conj(L) with L = `coeffs.left(v)`,
     the matrix of rho -> alpha rho.  The classical delta tensor gives
     diag(v^2).  A (k, n) stack of vectors gives the (k, n, n) stack of
-    their matrices: from one `left` and two stacked products below
-    LANCZOS_MIN_N operators, a row at a time from there.  A stack of large
-    matrices saves little time and costs memory: at n = 64 one complex L
-    is 64 KiB and two are 128 KiB, the size from which glibc's malloc maps
-    and trims its heap on every recovery (on dw3-product, 70 page faults
-    and 10-40% of an operation)."""
-    if np.ndim(v) == 2 and coeffs.n >= LANCZOS_MIN_N:
-        return np.array([x_matrix(row, coeffs) for row in v])
+    their matrices from one `left` call and two stacked products, at every
+    n.  Minor page faults per operation: 0.025 on dw3-product, as when rows
+    went one at a time from n = 64; 2240 per full-rank dw-qubits:4
+    recovery on four Haar dilations, against 480-1696 a row at a time."""
     left = coeffs.left(v)
     # the real part of L conj(L); its imaginary part cancels for real v
     return left.real @ left.real + left.imag @ left.imag
@@ -246,11 +246,14 @@ def lanczos(a: np.ndarray, b: np.ndarray, steps: int) -> StateSpectrum:
     for k in range(steps):
         basis[k] = q
         done = basis[:k + 1]
-        q = a @ q
-        h = done @ q
-        q -= h @ done
-        h2 = done @ q
-        q -= h2 @ done
+        # np.dot gives the runs of @ bit for bit (all 96 on dw3-product's
+        # inputs at seeds 1-3) with less dispatch per call: 99 us a run
+        # against 116 us at n = 64, one BLAS thread on a 2-core x86
+        q = np.dot(a, q)
+        h = np.dot(done, q)
+        q -= np.dot(h, done)
+        h2 = np.dot(done, q)
+        q -= np.dot(h2, done)
         t[k, k] = h[k] + h2[k]
         residual = math.sqrt(q @ q)
         if residual <= stop or k == steps - 1:
@@ -279,22 +282,20 @@ def state_powers(v: np.ndarray, r: tuple | np.ndarray,
     route, for each row.  The one place a state power's route is chosen,
     and `symmetrized` is the one symmetry check on either route.
 
-    Below LANCZOS_MIN_N operators the rows are one stack of state
-    matrices, one symmetry check, one eigh call and one power.  From there
-    each row builds and checks its own state matrix, as a stack of large
-    matrices saves little time and costs memory (see `x_matrix`), and
-    takes a `lanczos` run of d = sum(e) steps.  The run is used if its
+    At every n the rows' state matrices are built as one stack and
+    checked by one `symmetrized` call.  Below LANCZOS_MIN_N operators
+    their powers are one eigh call and one power.  From there each row
+    takes a `lanczos` run of d = sum(e) steps, used if its
     `error_estimate` of the power r_i is within LANCZOS_RTOL, so each
     power is certified at the matrix and exponent it is taken at;
     otherwise the row takes the eigh spectrum of the same matrix."""
     b = coeffs.e if coeffs.gram_roots is None else coeffs.gram_roots[1] @ coeffs.e
+    matrices = symmetrized(state_matrix(v, coeffs), tol)
     if coeffs.e.size < LANCZOS_MIN_N:
-        spec = _eigh_spectrum_of(symmetrized(state_matrix(v, coeffs), tol), b, tol)
-        rows, deficient = spec.power(r, coeffs, tol)
+        rows, deficient = _eigh_spectrum_of(matrices, b, tol).power(r, coeffs, tol)
         return rows, deficient, ("eigh",) * len(rows)
     out = []
-    for row, exponent in zip(v, r):
-        a = symmetrized(state_matrix(row, coeffs), tol)
+    for a, exponent in zip(matrices, r):
         spec = lanczos(a, b, int(round(coeffs.e.sum())))
         if not spec.error_estimate(exponent) <= LANCZOS_RTOL:
             spec = _eigh_spectrum_of(a, b, tol)

@@ -197,6 +197,48 @@ class TestStacks:
             fns[name](np.zeros((3, 5, 5), dtype=complex))
 
 
+class TestPetzSandwich:
+    """`PetzMap.apply` against its per-matrix definition
+    P base.adjoint(I x I) P, on one matrix, an (m, d, d) stack and a
+    (2, m, d, d) stack, full-rank and regularized.  A regularized
+    posterior's inverse root I reaches about eps^(-1/2), so the bound is
+    relative to max|P|^2 max|I|^2 max|x|, the size of the terms summed."""
+
+    @staticmethod
+    def _recovery(d, regularized):
+        rng = np.random.default_rng(30 + d)
+        if regularized:
+            # a pure prior through a unitary: a pure posterior
+            ch = KrausChannel.from_unitary(random_unitary(rng, d))
+            prior = projector(random_unitary(rng, d)[:, 0])
+        else:
+            ch = channel_from_dilation(random_unitary(rng, 2 * d),
+                                       np.diag([0.7, 0.3]))
+            prior = random_density(rng, d, min_eig=0.01)
+        recovery = petz_hilbert(ch, prior, eps=1e-5)
+        assert (recovery.eps_used > 0) == regularized
+        return recovery, rng
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 5)],
+                             ids=["one", "stack", "stack-of-stacks"])
+    @pytest.mark.parametrize("regularized", [False, True],
+                             ids=["full-rank", "regularized"])
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_matches_the_per_matrix_sandwich(self, d, regularized, shape):
+        recovery, rng = self._recovery(d, regularized)
+        x = (rng.normal(size=(*shape, d, d))
+             + 1j * rng.normal(size=(*shape, d, d)))
+        p, i = recovery.sqrt_prior, recovery.inv_sqrt_post
+        reference = np.array([p @ recovery.base.adjoint(i @ m @ i) @ p
+                              for m in x.reshape(-1, d, d)]).reshape(x.shape)
+        out = recovery.apply(x)
+        assert out.shape == x.shape
+        # roundoff scales with the factors, not with the result: the
+        # regularized inverse roots here reach 2.4e2 (d = 2) and 8.6e2 (d = 8)
+        scale = max_abs(p) ** 2 * max_abs(i) ** 2 * max_abs(x)
+        assert max_abs(out - reference) <= 1e-14 * scale
+
+
 class TestKrausReference:
     """The superoperator products against the Kraus sums they replace,
     built here from `ch.kraus`: d = 2 with four Kraus operators, d = 8

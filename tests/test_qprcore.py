@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from qbret import errors
 from qbret.frames import (
+    DualFrame,
+    Frame,
     build_dw_qubit,
     build_dw_qubits,
     build_sic_qubit,
@@ -199,6 +201,54 @@ class TestBatchedMorphism:
         for a, rho in enumerate(stack):
             assert max_abs(states[:, a] - state_to_qpr(rho, f)) < 1e-15
             assert max_abs(effects[:, a] - povm_to_qpr(rho, g)) < 1e-15
+
+    @pytest.mark.parametrize("hermitian", [True, False],
+                             ids=["hermitian", "non-hermitian"])
+    @pytest.mark.parametrize("name", ["dw-qubit", "sic-qubit", "dw-qubits:3",
+                                      "custom-tetra"])
+    def test_traces_match_the_einsum_reference(self, name, hermitian,
+                                               custom_tetra):
+        # the real product of the Hermitian operators' real and imaginary
+        # parts against the complex traces it replaces, on a (5, d, d) and
+        # a (2, 3, d, d) stack and on a stack of n images for the morphism
+        f, g = self._pair(name, custom_tetra)
+        rng = np.random.default_rng(14)
+
+        def stack(*shape):
+            x = (rng.normal(size=(*shape, f.d, f.d))
+                 + 1j * rng.normal(size=(*shape, f.d, f.d)))
+            return (x + np.swapaxes(x, -1, -2).conj()) / 2 if hermitian else x
+
+        def reference(ops, x):
+            return np.einsum("jab,...ba->j...", ops, x).real
+
+        def close(got, want):
+            assert got.shape == want.shape
+            return max_abs(got - want) <= 1e-13 * max_abs(want)
+        for shape in ((5,), (2, 3)):
+            x = stack(*shape)
+            assert close(state_to_qpr(x, f), reference(f.ops, x))
+            assert close(povm_to_qpr(x, g), reference(g.ops, x))
+        images = stack(f.n)
+        assert close(channel_to_qpr(lambda _: images, f, g),
+                     reference(f.ops, images))
+
+    def test_frame_from_a_strided_view(self, dw):
+        # operators taken from a strided view are stored C-contiguous, so
+        # the traces can view them as floats
+        f, g = dw
+        big = np.stack([f.ops, g.ops], axis=-1)  # (n, d, d, 2)
+        frame = Frame(name="strided", d=2, labels=f.labels, ops=big[..., 0],
+                      kind=f.kind)
+        dual = DualFrame(name="strided", ops=big[..., 1])
+        assert frame.ops.flags.c_contiguous and dual.ops.flags.c_contiguous
+        rng = np.random.default_rng(15)
+        rho = random_density(rng, 2)
+        ch = channel_from_dilation(random_unitary(rng, 4), random_density(rng, 2))
+        assert np.array_equal(state_to_qpr(rho, frame), state_to_qpr(rho, f))
+        assert np.array_equal(povm_to_qpr(rho, dual), povm_to_qpr(rho, g))
+        assert np.array_equal(channel_to_qpr(ch, frame, dual),
+                              channel_to_qpr(ch, f, g))
 
     def test_channel_dimension_must_match(self):
         f, g = build_dw_qubits(2)
@@ -1046,7 +1096,8 @@ class TestLanczos:
     def test_each_state_matrix_is_built_once(self, monkeypatch):
         # one state matrix per state, whichever route its power takes: the
         # prior, two mixed priors and three posteriors, two of them past a
-        # failed run; on the Lanczos route each row builds its own
+        # failed run; each stack of rows builds its matrices in one call on
+        # either route, and a failed run's eigh reuses its row's matrix
         import qbret.qprcore as qc
         real, stacks = qc.state_matrix, []
 
@@ -1056,15 +1107,16 @@ class TestLanczos:
         monkeypatch.setattr(qc, "state_matrix", counted)
         result, _ = self._failing_case()
         assert result.root_routes == FAILING_ROUTES
-        assert stacks == [1] * 6
+        assert stacks == [2, 4]
+        assert sum(stacks) == len(result.root_routes)
 
     @pytest.mark.parametrize("case", ["eigh", "fallback"])
     def test_each_state_matrix_is_symmetry_checked_once(self, case, sic,
                                                         monkeypatch):
         # `symmetrized` checks each state matrix, and neither route checks
-        # it again: a regularized sic-qubit recovery takes six state
-        # matrices by eigh, as a stack of two and a stack of four; the
-        # failing dw-qubits:3 case checks each of its six alone, for four
+        # it again: a recovery checks its six state matrices as a stack of
+        # two and a stack of four, whether a regularized sic-qubit one
+        # takes them all by eigh or the failing dw-qubits:3 case takes four
         # certified Lanczos runs and two eigh fallbacks of one matrix each
         import qbret.qprcore as qc
         tally = {name: [] for name in ("symmetrized", "hermitian_eig",
@@ -1085,7 +1137,7 @@ class TestLanczos:
         else:
             result, _ = self._failing_case()
             assert result.root_routes == FAILING_ROUTES
-            assert tally["symmetrized"] == [1] * 6
+            assert tally["symmetrized"] == [2, 4]
             assert tally["eigh_spectrum"] == [1, 1]
         assert tally["hermitian_eig"] == []
         assert sum(tally["symmetrized"]) == len(result.root_routes)
