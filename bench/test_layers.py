@@ -9,8 +9,10 @@ back into the frame, `x_matrix` of the prior root and the posterior
 inverse root, `state_powers` of the prior and its posterior, the whole
 `petz_qpr` and the Hilbert-space oracle `petz_hilbert`.  Every frame takes
 one seeded case: a full-rank prior through a Haar 2d x 2d dilation with
-ancilla diag(0.7, 0.3).  The tier-1 run does not collect this directory
-(`testpaths`); `--benchmark-disable` runs each layer once, as a smoke test.
+ancilla diag(0.7, 0.3).  `petz_qpr` also takes a regularized case: a pure
+prior through a Haar d x d unitary, whose posterior is pure.  The tier-1
+run does not collect this directory (`testpaths`); `--benchmark-disable`
+runs each layer once, as a smoke test.
 """
 
 from __future__ import annotations
@@ -25,13 +27,16 @@ from qbret.frames import (
     structure_coeffs,
 )
 from qbret.hilbert import (
+    KrausChannel,
     channel_from_dilation,
     petz_hilbert,
+    projector,
     random_density,
     random_unitary,
 )
 from qbret.matcore import ORACLE_TOL, ROOT_AND_INVERSE, max_abs
 from qbret.qprcore import (
+    QPR_EPS_FLOOR,
     channel_to_qpr,
     petz_qpr,
     state_powers,
@@ -64,6 +69,11 @@ class Case:
         self.stack = np.array([self.v, self.s @ self.v])
         self.roots = state_powers(self.stack, ROOT_AND_INVERSE, self.coeffs)[0]
         self.oracle = petz_hilbert(self.channel, self.prior)
+        pure = projector(random_unitary(rng, d)[:, 0])
+        unitary = KrausChannel.from_unitary(random_unitary(rng, d))
+        self.pure_s = channel_to_qpr(unitary, self.frame, self.dual)
+        self.pure_v = state_to_qpr(pure, self.frame)
+        self.pure_oracle = petz_hilbert(unitary, pure, eps=QPR_EPS_FLOOR)
 
 
 @pytest.fixture(scope="module", params=list(FRAMES))
@@ -96,6 +106,13 @@ def test_petz_qpr(benchmark, case):
     result = benchmark(petz_qpr, case.s, case.v, case.coeffs)
     assert result.eps_used == 0.0
     oracle = channel_to_qpr(case.oracle, case.frame, case.dual)
+    assert max_abs(result.matrix - oracle) <= ORACLE_TOL
+
+
+def test_petz_qpr_regularized(benchmark, case):
+    result = benchmark(petz_qpr, case.pure_s, case.pure_v, case.coeffs)
+    assert result.eps_used == QPR_EPS_FLOOR
+    oracle = channel_to_qpr(case.pure_oracle, case.frame, case.dual)
     assert max_abs(result.matrix - oracle) <= ORACLE_TOL
 
 

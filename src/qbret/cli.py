@@ -59,6 +59,15 @@ def parse_state_spec(spec: str) -> np.ndarray:
     return hb.qubit_state(*_parse_angles(spec))
 
 
+def tolerance(text: str) -> float:
+    """`--tol` as a float if it is finite and > 0; ValueError otherwise,
+    NaN too, which argparse reports as a usage error (exit 2)."""
+    tol = float(text)
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance {text!r} is not a finite number > 0")
+    return tol
+
+
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -105,9 +114,10 @@ def load_state_doc(doc: dict, tol: float) -> np.ndarray:
 def load_channel_doc(doc: dict, tol: float) -> tuple[hb.KrausChannel, str]:
     kind = doc.get("kind")
     if kind == "kraus":
-        ops = [fr.decode_complex_matrix(k) for k in doc.get("kraus", [])]
-        if not ops:
-            raise ParseError("kraus channel needs at least one operator")
+        kraus = doc.get("kraus")
+        if not isinstance(kraus, list) or not kraus:
+            raise ParseError("kraus channel needs a list of at least one operator")
+        ops = [fr.decode_complex_matrix(k) for k in kraus]
         return hb.KrausChannel.from_kraus(ops, tol), "kraus"
     if kind == "dilation":
         try:
@@ -278,13 +288,10 @@ def cmd_petz(args, tol: float) -> int:
     meta = {
         "eps_used": result.eps_used,
         "prior_kind": frame.kind,
-        "converged": result.converged,
         "support_projected": result.support_projected,
         "root_routes": list(result.root_routes),
         **gate,
     }
-    if result.extrapolation_dev is not None:
-        meta["extrapolation_dev"] = result.extrapolation_dev
     if result.support_dev is not None:
         meta["support_route_dev"] = result.support_dev
     doc = qpr_object_dict(result.matrix, frame.name, "retrodiction-matrix", meta)
@@ -413,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbret",
         description="Quantum Bayesian retrodiction in quasiprobability "
                     "representations")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    parser.add_argument("--tol", type=tolerance, default=DEFAULT_TOL,
                         help="numerical tolerance (default 1e-10)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -168,8 +168,8 @@ def tensor_frames(parts: list[tuple[Frame, DualFrame]]) -> tuple[Frame, DualFram
         return parts[0]
     d = math.prod(f.d for f, _ in parts)
     if 16 * d ** 4 > MAX_TENSOR_BYTES:  # n = d^2 complex128 d x d operators
-        raise TooLarge(f"a frame of dimension {d} has an operator stack over "
-                       f"{MAX_TENSOR_BYTES} bytes")
+        raise TooLarge(f"a product of {len(parts)} frames has an operator stack "
+                       f"over {MAX_TENSOR_BYTES} bytes")
     labels = tuple(itertools.product(*(f.labels for f, _ in parts)))
     name = "*".join(f.name for f, _ in parts)
     frame = Frame(name=name, d=d, labels=labels,
@@ -179,8 +179,14 @@ def tensor_frames(parts: list[tuple[Frame, DualFrame]]) -> tuple[Frame, DualFram
 
 
 def build_dw_qubits(n_qubits: int) -> tuple[Frame, DualFrame]:
+    """The N-fold `tensor_frames` of dw-qubit.  Its operator stack takes
+    16^(N+1) = 2^(4N+4) bytes, over MAX_TENSOR_BYTES exactly when 4N+4
+    reaches the bound's bit length; such an N raises TooLarge at once."""
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
+    if 4 * n_qubits + 4 >= MAX_TENSOR_BYTES.bit_length():
+        raise TooLarge(f"dw-qubits:{n_qubits} has an operator stack of "
+                       f"16^{n_qubits + 1} bytes, over {MAX_TENSOR_BYTES}")
     pair = build_dw_qubit()
     frame, dual = tensor_frames([pair] * n_qubits)
     if n_qubits > 1:
@@ -274,23 +280,24 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
     if not isinstance(document, dict):
         raise ParseError("frame document must be a JSON object")
     try:
-        d = int(document["d"])
-        kind = document.get("kind", KIND_CUSTOM)
-        f_ops = [decode_complex_matrix(m) for m in document["F"]]
-        g_ops = [decode_complex_matrix(m) for m in document["G"]]
+        d, f_ops, g_ops = document["d"], document["F"], document["G"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from exc
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ParseError(f"d must be a positive integer, got {d!r}")
+    kind = document.get("kind", KIND_CUSTOM)
     if kind not in KNOWN_KINDS:
         raise ParseError(f"unknown kind {kind!r}; expected one of {KNOWN_KINDS}")
-    if len(f_ops) != d * d or len(g_ops) != d * d:
-        raise ParseError(
-            f"expected {d * d} operators for d={d}, got {len(f_ops)} F / {len(g_ops)} G")
+    labels = document.get("labels", list(range(d * d)))
+    for field, entries in (("F", f_ops), ("G", g_ops), ("labels", labels)):
+        if not isinstance(entries, list) or len(entries) != d * d:
+            raise ParseError(f"{field} must be a list of {d * d} entries for d={d}")
+    f_ops = [decode_complex_matrix(m) for m in f_ops]
+    g_ops = [decode_complex_matrix(m) for m in g_ops]
     for op in f_ops + g_ops:
         if op.shape != (d, d):
             raise ParseError(f"operator of shape {op.shape}, expected ({d}, {d})")
-    labels = document.get("labels")
-    labels = (tuple(tuple(l) if isinstance(l, list) else l for l in labels)
-              if labels is not None else tuple(range(d * d)))
+    labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
     frame = Frame(name=document.get("name", "custom"), d=d, labels=labels,
                   ops=np.array(f_ops), kind=kind)
     dual = DualFrame(name=frame.name, ops=np.array(g_ops))

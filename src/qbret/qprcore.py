@@ -350,35 +350,39 @@ class PetzQprResult:
     """Retrodiction matrix plus how a rank-deficient posterior was handled.
 
     For a full-rank posterior only `matrix` is meaningful (eps_used = 0).
-    Otherwise `matrix` is the prior-regularized evaluation at `eps_used`,
-    `extrapolation_dev` compares it against eps_used/10 (agreement within
-    1e-6 is the convergence criterion), and `support_matrix` carries the
-    alternative pseudo-inverse-root evaluation on the posterior support
-    with its deviation from the regularized route.  The two routes are not
-    guaranteed to agree; disagreement is reported, not resolved.
-    `support_projected` marks, as on `PetzMap`, a posterior that keeps a
-    kernel after regularization; the recovery then moves with eps to first
-    order, so no eps/10 probe is taken.  `converged` measures independence
-    from eps, not agreement with the Hilbert-side oracle: a posterior whose
-    kernel regularization lifts can move with eps at first order on both
-    sides, so a right matrix may read as unconverged.  `root_routes` names
-    the `state_powers` route of each root, "lanczos" or "eigh", in the
-    order taken: the prior and the support posterior; then, if
-    regularized, the prior mixed at eps_used and at eps_used/10 and the
-    posteriors of those two, less the eps_used/10 pair if support-projected.
+    Otherwise `matrix` is the Petz map of the prior mixed with the uniform
+    vector at `eps_used`, the map the Hilbert-side oracle regularizes to,
+    and `support_matrix` carries the alternative pseudo-inverse-root
+    evaluation on the posterior support with `support_dev`, its deviation
+    from the regularized route.  The two routes are not guaranteed to
+    agree; disagreement is reported, not resolved.  `support_projected`
+    marks, as on `PetzMap`, a posterior that keeps a kernel after
+    regularization.  `root_routes` names the `state_powers` route of each
+    root, "lanczos" or "eigh", in the order taken: the prior and its
+    support posterior, then, if regularized, the mixed prior and its
+    posterior.
     """
 
     matrix: np.ndarray
     eps_used: float = 0.0
-    extrapolation_dev: float | None = None
     support_matrix: np.ndarray | None = None
     support_dev: float | None = None
     support_projected: bool = False
     root_routes: tuple = ()
 
-    @property
-    def converged(self) -> bool:
-        return self.extrapolation_dev is None or self.extrapolation_dev <= 1e-6
+
+def _petz_sandwich(s: np.ndarray, v: np.ndarray, adjoint: np.ndarray,
+                   coeffs: StructureCoefficients, tol: float
+                   ) -> tuple[np.ndarray, bool, tuple]:
+    """(X(v^{1/2}) adjoint X((S v)^{-1/2}), deficient, routes): the
+    recovery for the prior v, its inverse root taken on the support of a
+    rank-deficient posterior, which the same factorization flags, and the
+    routes of the two roots.  The prior and its posterior are one
+    `state_powers` stack and one `x_matrix` call."""
+    roots, (_, deficient), routes = state_powers(
+        np.array([v, s @ v]), ROOT_AND_INVERSE, coeffs, tol)
+    x = x_matrix(roots, coeffs)
+    return x[0] @ adjoint @ x[1], deficient, routes
 
 
 def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
@@ -395,14 +399,13 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
 
     A rank-deficient posterior matrix with eps = 0 raises
     SingularPosterior; otherwise the prior is mixed with the uniform vector
-    at weight max(eps, QPR_EPS_FLOOR), eps in [0, 1] (ValueError outside),
-    and both the regularized and the support-restricted evaluations are
-    reported.
+    at weight eps_used = max(eps, QPR_EPS_FLOOR), eps in [0, 1] (ValueError
+    outside), and the matrix is the same evaluation of that mixed prior,
+    with the support-restricted one of the prior reported beside it.
 
-    The prior and the support posterior are factored as one stack, by one
-    `state_powers` call; a regularized recovery factors its two mixed
-    priors and their posteriors as a second stack.  A full-rank recovery
-    is one eigh call on the eigh route, a regularized one two.
+    Each evaluation factors its prior and posterior as one stack, by one
+    `state_powers` call: a full-rank recovery is one eigh call on the eigh
+    route, a regularized one two.
     """
     s = np.asarray(s, dtype=float)
     v_prior = np.asarray(v_prior, dtype=float)
@@ -414,37 +417,17 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
                           f"{coeffs.frame_name!r}, whose kind is {coeffs.kind!r}")
     adjoint = adjoint_qpr(s, coeffs.kind, coeffs.gram_roots)
     eps_used = max(mixing_weight(eps), QPR_EPS_FLOOR)
-    # X(prior^{1/2}) adj X(post^{-1/2}); the inverse root is taken on the
-    # support of a rank-deficient posterior, and the same factorization
-    # says whether it was
-    roots, (_, deficient), routes = state_powers(
-        np.array([v_prior, s @ v_prior]), ROOT_AND_INVERSE, coeffs, tol)
-    x = x_matrix(roots, coeffs)
-    support = x[0] @ adjoint @ x[1]
+    support, deficient, routes = _petz_sandwich(s, v_prior, adjoint, coeffs, tol)
     if not deficient:
         return PetzQprResult(matrix=support, root_routes=routes)
     if eps <= 0.0:
         raise SingularPosterior(
             "posterior matrix is rank-deficient and regularization is disabled")
-
-    # the prior mixed at the primary weight and at the eps/10 probe, then
-    # their posteriors, as one stack; a support-projected primary discards
-    # the probe
-    w = np.array([[eps_used], [eps_used / 10]])
-    mixed = (1 - w) * v_prior + w * uniform_vector(n)
-    roots, (_, _, projected, _), mixed_routes = state_powers(
-        np.concatenate((mixed, mixed @ s.T)), (0.5, 0.5, -0.5, -0.5), coeffs, tol)
-    x = x_matrix(roots, coeffs)
-    primary, probe = x[:2] @ adjoint @ x[2:]
-    return PetzQprResult(
-        matrix=primary,
-        eps_used=eps_used,
-        extrapolation_dev=None if projected else max_abs(primary - probe),
-        support_matrix=support,
-        support_dev=max_abs(support - primary),
-        support_projected=projected,
-        root_routes=routes + (mixed_routes[::2] if projected else mixed_routes),
-    )
+    mixed = (1 - eps_used) * v_prior + eps_used * uniform_vector(n)
+    matrix, projected, mixed_routes = _petz_sandwich(s, mixed, adjoint, coeffs, tol)
+    return PetzQprResult(matrix=matrix, eps_used=eps_used, support_matrix=support,
+                         support_dev=max_abs(support - matrix),
+                         support_projected=projected, root_routes=routes + mixed_routes)
 
 
 def classical_bayes(s: np.ndarray, v_prior: np.ndarray,

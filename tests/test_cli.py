@@ -110,6 +110,14 @@ class TestFrameCommand:
         assert main(["frame", "--kind", "dw-qubits:3"]) == 1
         assert "operator stack" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [10 ** 5, 10 ** 9])
+    def test_huge_qubit_count_exits_1_at_once(self, count, capsys):
+        # refused from N alone, before a part is built or d is formed
+        assert main(["frame", "--kind", f"dw-qubits:{count}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"dw-qubits:{count}" in err
+        assert str(qbret.frames.MAX_TENSOR_BYTES) in err
+
     def test_tolerance_option(self, tmp_path):
         f, g = build_dw_qubit()
         doc = frame_to_dict(f, g)
@@ -120,6 +128,15 @@ class TestFrameCommand:
         assert main(["frame", "--frame", str(path)]) == 1
         assert main(["--tol", "1e-3", "frame", "--frame", str(path),
                      "--out", str(tmp_path / "ok.json")]) == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3", "0", "abc"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
+        # at nan every check would fail with a misleading message, at inf
+        # every check would pass
+        with pytest.raises(SystemExit) as exc:
+            main([f"--tol={tol}", "frame", "--kind", "dw-qubit"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
 
 class TestReprCommand:
@@ -239,19 +256,19 @@ class TestPetzCommand:
                      "--out", str(out)]) == 0
         meta = read_json(out)["meta"]
         assert meta["eps_used"] > 0
-        assert "extrapolation_dev" in meta
+        assert len(meta["root_routes"]) == 4 and "support_route_dev" in meta
 
     def test_replacement_channel_projects_on_the_support(self, tmp_path):
         # a full swap replaces every state by the pure ancilla, so the
         # posterior keeps its kernel after regularization; the recovery is
-        # right, and it is reported as support-projected, not unconverged
+        # right, and it is reported as support-projected
         out = tmp_path / "petz.json"
         assert main(["petz", "--builtin", "full_swap", "--ancilla", "1",
                      "--kind", "dw-qubit", "--angles", "0.4,1.1,0.3",
                      "--out", str(out)]) == 0
         meta = read_json(out)["meta"]
         assert meta["support_projected"] is True
-        assert meta["converged"] is True and "extrapolation_dev" not in meta
+        assert len(meta["root_routes"]) == 4
         assert meta["oracle_deviation"] <= meta["oracle_tol"]
 
     def test_output_byte_deterministic(self, tmp_path):
@@ -571,14 +588,14 @@ class TestOracleGate:
         assert main(["petz", "--kind", "dw-qubits:3", "--channel", str(channel),
                      "--prior", str(state), "--out", str(out)]) == 0
         meta = read_json(out)["meta"]
-        assert meta["eps_used"] == 1e-5 and meta["converged"]
+        assert meta["eps_used"] == 1e-5 and len(meta["root_routes"]) == 4
         assert meta["oracle_deviation"] <= meta["oracle_tol"] == 1e-8
 
     def test_meta_names_the_root_routes(self, tmp_path):
         # a pure dw-qubits:3 prior through a Haar dilation with a mixed
-        # ancilla: the prior, the support posterior and the two mixed
-        # priors take Lanczos runs, the two regularized posteriors fail
-        # their certificates and take eigh
+        # ancilla: the prior, the support posterior and the mixed prior
+        # take Lanczos runs, the regularized posterior fails its
+        # certificate and takes eigh
         rng = np.random.default_rng(0)
         u = hb.random_unitary(rng, 16)
         prior = hb.projector(hb.random_unitary(rng, 8)[:, 0])
@@ -592,7 +609,7 @@ class TestOracleGate:
         assert main(["petz", "--kind", "dw-qubits:3", "--channel", str(channel),
                      "--prior", str(state), "--out", str(out)]) == 0
         meta = read_json(out)["meta"]
-        assert meta["root_routes"] == ["lanczos"] * 4 + ["eigh"] * 2
+        assert meta["root_routes"] == ["lanczos"] * 3 + ["eigh"]
         assert meta["oracle_deviation"] <= meta["oracle_tol"]
         assert main(["petz", *self.SIC_HALF_SWAP, "--out", str(out)]) == 0
         assert read_json(out)["meta"]["root_routes"] == ["eigh", "eigh"]
@@ -775,6 +792,29 @@ class TestExitCodes:
         ch = tmp_path / "ch.json"
         ch.write_text("[1, 2, 3]")
         assert main(["repr", "--channel", str(ch), "--kind", "dw-qubit"]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"d": "two", "F": [], "G": []},
+        {"d": 2, "F": 5, "G": []},
+        {"d": 0, "F": [], "G": []},
+        {**frame_to_dict(*build_dw_qubit()), "d": 2.0},
+        {**frame_to_dict(*build_dw_qubit()), "labels": 5},
+        {**frame_to_dict(*build_dw_qubit()), "labels": [0, 1]},
+    ], ids=["d-string", "F-number", "d-zero", "d-float", "labels-number",
+            "labels-short"])
+    def test_malformed_frame_document(self, doc, tmp_path, capsys):
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(doc))
+        assert main(["frame", "--frame", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("kraus", [5, {"a": 1}, []],
+                             ids=["number", "object", "empty"])
+    def test_malformed_kraus_document(self, kraus, tmp_path, capsys):
+        ch = tmp_path / "ch.json"
+        ch.write_text(json.dumps({"kind": "kraus", "kraus": kraus}))
+        assert main(["repr", "--channel", str(ch), "--kind", "dw-qubit"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def _nan_corner(m):

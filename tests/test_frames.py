@@ -423,7 +423,16 @@ class TestStructureCoeffs:
                             lambda stacks: calls.append(stacks))
         with pytest.raises(errors.TooLarge):
             build_dw_qubits(3)
+        with pytest.raises(errors.TooLarge):
+            tensor_frames([build_dw_qubit()] * 3)
         assert calls == []
+        # a huge N is refused from N alone, before its N parts or its
+        # 2^N-digit d are formed
+        monkeypatch.undo()
+        for count in (10 ** 5, 10 ** 9):
+            with pytest.raises(errors.TooLarge, match=f"dw-qubits:{count} .* "
+                               f"{qbret.frames.MAX_TENSOR_BYTES}"):
+                build_dw_qubits(count)
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["dw-qubits:2", "dw-qubits:3"])

@@ -453,7 +453,9 @@ class TestPetzQpr:
         v = state_to_qpr(projector(KET1), f)
         result = petz_qpr(s, v, xi, kind="nq")
         assert result.eps_used == QPR_EPS_FLOOR
-        assert result.extrapolation_dev is not None
+        # the prior and its support posterior, then the mixed prior and
+        # its posterior
+        assert len(result.root_routes) == 4
         assert result.support_matrix is not None
         # the regularized route is the morphism of the equally regularized
         # Hilbert-side recovery map
@@ -608,8 +610,8 @@ class TestRankDeficient:
     def test_regularized_posterior_meets_the_oracle(self, frame, draws,
                                                     custom_tetra):
         # a pure prior through a Haar unitary leaves a pure posterior, which
-        # regularization lifts; the primary must meet the oracle built at
-        # the same eps and agree with the eps/10 probe
+        # regularization lifts; the recovery must meet the oracle built at
+        # the same eps, from the two roots of the mixed prior's evaluation
         for seed in range(draws):
             rng = np.random.default_rng(seed)
             f, g = _frame_pair(frame, rng, custom_tetra)
@@ -617,11 +619,32 @@ class TestRankDeficient:
             channel = KrausChannel.from_unitary(random_unitary(rng, f.d))
             result = _recover(f, g, channel, prior)
             assert result.eps_used == QPR_EPS_FLOOR
-            assert result.converged, (seed, result.extrapolation_dev)
+            assert len(result.root_routes) == 4, seed
             oracle = petz_hilbert(channel, prior, eps=result.eps_used)
             assert result.support_projected == oracle.support_projected
             deviation = max_abs(result.matrix - channel_to_qpr(oracle, f, g))
             assert deviation < ORACLE_TOL, seed
+
+    @pytest.mark.parametrize("frame, draws", [
+        ("dw", 20), ("sic", 20), ("custom", 20), ("dw3", 3)])
+    def test_regularized_matrix_is_the_petz_map_of_its_mixed_prior(
+            self, frame, draws, custom_tetra):
+        # the regularized recovery is the full-rank recovery of the prior
+        # mixed at eps_used, bit for bit: one evaluation computes both
+        for seed in range(draws):
+            rng = np.random.default_rng(seed)
+            f, g = _frame_pair(frame, rng, custom_tetra)
+            prior = projector(random_unitary(rng, f.d)[:, 0])
+            channel = KrausChannel.from_unitary(random_unitary(rng, f.d))
+            s, v = channel_to_qpr(channel, f, g), state_to_qpr(prior, f)
+            coeffs = structure_coeffs(f, g)
+            result = petz_qpr(s, v, coeffs)
+            assert result.eps_used == QPR_EPS_FLOOR
+            mixed = ((1 - result.eps_used) * v
+                     + result.eps_used * uniform_vector(f.n))
+            plain = petz_qpr(s, mixed, coeffs)
+            assert plain.eps_used == 0.0
+            assert np.array_equal(result.matrix, plain.matrix), seed
 
     @pytest.mark.parametrize("frame", ["dw", "sic", "custom"])
     def test_posterior_kernel_for_every_prior_meets_the_oracle(
@@ -629,8 +652,8 @@ class TestRankDeficient:
         # a full swap with a pure ancilla replaces every state by the
         # ancilla: the posterior keeps its kernel after regularization and
         # both sides invert on its support.  The recovery then depends on
-        # eps to first order (every column is the regularized prior), so
-        # no eps/10 probe is taken and the result counts as converged.
+        # eps to first order (every column is the regularized prior), and
+        # it takes the same two evaluations as any regularized one.
         for seed in range(30):
             rng = np.random.default_rng(seed)
             f, g = _frame_pair(frame, rng, custom_tetra)
@@ -642,7 +665,7 @@ class TestRankDeficient:
             oracle = petz_hilbert(channel, prior, eps=result.eps_used)
             assert oracle.support_projected
             assert result.support_projected == oracle.support_projected
-            assert result.extrapolation_dev is None and result.converged
+            assert len(result.root_routes) == 4
             assert max_abs(result.matrix - channel_to_qpr(oracle, f, g)) < ORACLE_TOL
 
 
@@ -712,16 +735,14 @@ class TestFactorizationCount:
             "matrices": 2}
 
     @pytest.mark.parametrize("frame", ["dw", "sic", "custom"])
-    @pytest.mark.parametrize("case, mixed", [
+    @pytest.mark.parametrize("case, matrices", [
         ("regularized", 4), ("support-projected", 4)])
-    def test_prior_is_factored_once(self, frame, case, mixed, custom_tetra,
+    def test_prior_is_factored_once(self, frame, case, matrices, custom_tetra,
                                     monkeypatch):
-        # two eigh calls: the prior with the support posterior, then a stack
-        # of `mixed` matrices, the prior mixed at eps and at eps/10 and
-        # their two posteriors, 6 matrices in all.  A support-projected
-        # primary discards the eps/10 pair after its stack has factored it.
-        # The full-rank count (1 call, 2 matrices) is pinned by the two
-        # tests above
+        # two eigh calls of two matrices each, 4 in all: the prior with the
+        # support posterior, then the prior mixed at eps with its posterior,
+        # whether or not that posterior keeps a kernel.  The full-rank count
+        # (1 call, 2 matrices) is pinned by the two tests above
         rng = np.random.default_rng(9)
         f, g = _frame_pair(frame, rng, custom_tetra)
         if case == "regularized":
@@ -739,8 +760,8 @@ class TestFactorizationCount:
         monkeypatch.undo()
         assert result.eps_used == QPR_EPS_FLOOR
         assert result.support_projected == (case == "support-projected")
-        assert len(result.root_routes) == (4 if result.support_projected else 6)
-        assert tally == {"eigh": 2, "matrices": 2 + mixed}
+        assert len(result.root_routes) == 4
+        assert tally == {"eigh": 2, "matrices": matrices}
 
 
 def hilbert_power_matrix(alpha, r, f, g):
@@ -890,9 +911,9 @@ def _rank_state(rng, d, rank):
 
 
 # the routes of `TestLanczos._failing_case`: the prior, the support
-# posterior and the two mixed priors certify their runs, and the two
-# regularized posteriors fall back to eigh
-FAILING_ROUTES = ("lanczos",) * 4 + ("eigh",) * 2
+# posterior and the mixed prior certify their runs, and the regularized
+# posterior falls back to eigh
+FAILING_ROUTES = ("lanczos",) * 3 + ("eigh",)
 
 
 def _eigh_route(v, r, coeffs):
@@ -994,7 +1015,7 @@ class TestLanczos:
         assert petz_qpr(s, v, structure_coeffs(f, g)).root_routes == ("eigh",) * 2
         pure = petz_qpr(channel_to_qpr(KrausChannel.from_unitary(
             random_unitary(rng, 2)), f, g), v, structure_coeffs(f, g))
-        assert pure.eps_used > 0 and pure.root_routes == ("eigh",) * 6
+        assert pure.eps_used > 0 and pure.root_routes == ("eigh",) * 4
 
     @staticmethod
     def _failing_case():
@@ -1073,7 +1094,7 @@ class TestLanczos:
 
     def test_each_run_is_certified_once_at_its_exponent(self, monkeypatch):
         # every Lanczos run gets one error estimate, at the exponent of the
-        # power taken from it: the prior's and each mixed prior's at 1/2
+        # power taken from it: the prior's and the mixed prior's at 1/2
         # from their own runs, each posterior's at -1/2
         import qbret.qprcore as qc
         runs, estimates = [], []
@@ -1089,15 +1110,15 @@ class TestLanczos:
         monkeypatch.setattr(qc, "lanczos", run)
         monkeypatch.setattr(qc.StateSpectrum, "error_estimate", estimate)
         result, _ = self._failing_case()
-        assert len(runs) == len(estimates) == len(result.root_routes) == 6
-        for spec, r in zip(runs, (0.5, -0.5, 0.5, 0.5, -0.5, -0.5)):
+        assert len(runs) == len(estimates) == len(result.root_routes) == 4
+        for spec, r in zip(runs, (0.5, -0.5, 0.5, -0.5)):
             assert [e for vectors, e in estimates if vectors is spec.vectors] == [r]
 
     def test_each_state_matrix_is_built_once(self, monkeypatch):
         # one state matrix per state, whichever route its power takes: the
-        # prior, two mixed priors and three posteriors, two of them past a
-        # failed run; each stack of rows builds its matrices in one call on
-        # either route, and a failed run's eigh reuses its row's matrix
+        # prior, the mixed prior and their two posteriors, one of them past
+        # a failed run; each stack of rows builds its matrices in one call
+        # on either route, and a failed run's eigh reuses its row's matrix
         import qbret.qprcore as qc
         real, stacks = qc.state_matrix, []
 
@@ -1107,17 +1128,17 @@ class TestLanczos:
         monkeypatch.setattr(qc, "state_matrix", counted)
         result, _ = self._failing_case()
         assert result.root_routes == FAILING_ROUTES
-        assert stacks == [2, 4]
+        assert stacks == [2, 2]
         assert sum(stacks) == len(result.root_routes)
 
     @pytest.mark.parametrize("case", ["eigh", "fallback"])
     def test_each_state_matrix_is_symmetry_checked_once(self, case, sic,
                                                         monkeypatch):
         # `symmetrized` checks each state matrix, and neither route checks
-        # it again: a recovery checks its six state matrices as a stack of
-        # two and a stack of four, whether a regularized sic-qubit one
-        # takes them all by eigh or the failing dw-qubits:3 case takes four
-        # certified Lanczos runs and two eigh fallbacks of one matrix each
+        # it again: a recovery checks its four state matrices as two stacks
+        # of two, whether a regularized sic-qubit one takes them all by eigh
+        # or the failing dw-qubits:3 case takes three certified Lanczos runs
+        # and one eigh fallback of one matrix
         import qbret.qprcore as qc
         tally = {name: [] for name in ("symmetrized", "hermitian_eig",
                                        "eigh_spectrum")}
@@ -1132,13 +1153,13 @@ class TestLanczos:
             rng = np.random.default_rng(24)
             channel = KrausChannel.from_unitary(random_unitary(rng, 2))
             result = _recover(f, g, channel, projector(KET_PLUS))
-            assert result.root_routes == ("eigh",) * 6
-            assert tally["symmetrized"] == tally["eigh_spectrum"] == [2, 4]
+            assert result.root_routes == ("eigh",) * 4
+            assert tally["symmetrized"] == tally["eigh_spectrum"] == [2, 2]
         else:
             result, _ = self._failing_case()
             assert result.root_routes == FAILING_ROUTES
-            assert tally["symmetrized"] == [2, 4]
-            assert tally["eigh_spectrum"] == [1, 1]
+            assert tally["symmetrized"] == [2, 2]
+            assert tally["eigh_spectrum"] == [1]
         assert tally["hermitian_eig"] == []
         assert sum(tally["symmetrized"]) == len(result.root_routes)
 
@@ -1147,7 +1168,7 @@ class TestLanczos:
         import qbret.qprcore as qc
         monkeypatch.setattr(qc, "LANCZOS_RTOL", np.inf)
         result, deviation = self._failing_case()
-        assert result.root_routes == ("lanczos",) * 6
+        assert result.root_routes == ("lanczos",) * 4
         assert deviation > 1e-6
 
     @pytest.mark.parametrize("frame", ["dw", "dw3"])
