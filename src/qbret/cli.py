@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import graphs as gr
 from . import hilbert as hb
 from . import qprcore as qp
 from . import verify as vf
-from .errors import OracleMismatch, ParseError, QbretError
+from .errors import OracleMismatch, ParseError, QbretError, TooLarge
 from .matcore import DEFAULT_TOL, ORACLE_TOL, max_abs, mixing_weight
 
 _NAMED_KETS = {
@@ -35,21 +36,20 @@ _NAMED_KETS = {
 }
 
 
-def _finite_angles(values, source) -> tuple[float, float, float]:
-    try:
-        angles = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad angle in {source!r}: {exc}") from exc
+def _finite_angles(angles: np.ndarray, source) -> tuple[float, float, float]:
     if not np.isfinite(angles).all():
         raise ParseError(f"angles must be finite, got {source!r}")
-    return angles  # type: ignore[return-value]
+    return tuple(angles.tolist())  # type: ignore[return-value]
 
 
 def _parse_angles(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ParseError(f"expected three comma-separated angles, got {text!r}")
-    return _finite_angles(parts, text)
+    try:
+        return _finite_angles(np.array(parts, dtype=float), text)
+    except ValueError as exc:
+        raise ParseError(f"bad angle in {text!r}: {exc}") from exc
 
 
 def parse_state_spec(spec: str) -> np.ndarray:
@@ -100,41 +100,45 @@ def load_state_doc(doc: dict, tol: float) -> np.ndarray:
     kind = doc.get("kind")
     try:
         if kind == "matrix":
-            rho = fr.decode_complex_matrix(doc["matrix"])
+            rho = fr.decode_complex_matrix(doc["matrix"], what="state matrix")
             hb.assert_density(rho, tol)
             return rho
         if kind == "qubit_params":
-            return hb.qubit_state(*_finite_angles(
-                (doc["omega"], doc["theta"], doc["phi"]), doc))
+            return hb.qubit_state(*_finite_angles(fr.decode_array(
+                [doc["omega"], doc["theta"], doc["phi"]], (3,), "qubit angle"), doc))
     except KeyError as exc:
         raise ParseError(f"state document missing field {exc}") from exc
     raise ParseError(f"state kind must be 'matrix' or 'qubit_params', got {kind!r}")
 
 
+def load_ancilla(doc, tol: float) -> np.ndarray:
+    """A dilation's `beta` or a builtin's `ancilla`: a state document, an
+    [re, im] matrix, or a state spec string (`parse_state_spec`)."""
+    if isinstance(doc, dict):
+        return load_state_doc(doc, tol)
+    if isinstance(doc, str):
+        return parse_state_spec(doc)
+    return fr.decode_complex_matrix(doc, what="ancilla or beta")
+
+
 def load_channel_doc(doc: dict, tol: float) -> tuple[hb.KrausChannel, str]:
+    """A channel document; a Kraus list is decoded as one (k, d, d) stack,
+    so operators of mixed shapes are a malformed document."""
     kind = doc.get("kind")
     if kind == "kraus":
-        kraus = doc.get("kraus")
-        if not isinstance(kraus, list) or not kraus:
-            raise ParseError("kraus channel needs a list of at least one operator")
-        ops = [fr.decode_complex_matrix(k) for k in kraus]
+        ops = fr.decode_complex_matrix(doc.get("kraus"), (None,) * 3, "kraus")
         return hb.KrausChannel.from_kraus(ops, tol), "kraus"
     if kind == "dilation":
         try:
-            u = fr.decode_complex_matrix(doc["U"])
-            beta_doc = doc["beta"]
+            u = fr.decode_complex_matrix(doc["U"], what="U")
+            beta = load_ancilla(doc["beta"], tol)
         except KeyError as exc:
             raise ParseError(f"dilation channel missing field {exc}") from exc
-        beta = (load_state_doc(beta_doc, tol) if isinstance(beta_doc, dict)
-                else fr.decode_complex_matrix(beta_doc))
         return hb.channel_from_dilation(u, beta, tol), "dilation"
     if kind == "builtin":
-        name = doc.get("name")
-        ancilla = doc.get("ancilla")
-        if isinstance(ancilla, dict):
-            ancilla = load_state_doc(ancilla, tol)
-        elif isinstance(ancilla, str):
-            ancilla = parse_state_spec(ancilla)
+        name, ancilla = doc.get("name"), doc.get("ancilla")
+        if ancilla is not None:
+            ancilla = load_ancilla(ancilla, tol)
         try:
             return hb.builtin_channel(name, ancilla, tol), f"builtin:{name}"
         except KeyError as exc:
@@ -149,18 +153,20 @@ def qpr_object_dict(arr: np.ndarray, rep: str, kind: str, meta: dict) -> dict:
         "rep": rep,
         "kind": kind,
         "shape": list(arr.shape),
-        "entries": [float(x) for x in arr.reshape(-1)],
+        "entries": arr.reshape(-1).tolist(),
         "meta": meta,
     }
 
 
 def load_qpr_object(doc: dict) -> tuple[np.ndarray, str]:
-    try:
-        shape = tuple(int(s) for s in doc["shape"])
-        arr = np.array([float(x) for x in doc["entries"]]).reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed quasiprobability object: {exc}") from exc
-    return arr, doc.get("rep", "unknown")
+    """The real array of a quasiprobability object and its `rep`; its
+    `shape` must be non-negative integers whose product is the number of
+    `entries`."""
+    entries = fr.decode_array(doc.get("entries"), (None,), "entries")
+    shape = fr.decode_array(doc.get("shape"), (None,), "shape").tolist()
+    if not all(isinstance(s, int) and s >= 0 for s in shape) or math.prod(shape) != entries.size:
+        raise ParseError(f"shape {doc['shape']} does not hold {entries.size} entries")
+    return entries.astype(float).reshape(shape), doc.get("rep", "unknown")
 
 
 # --- frame selection ----------------------------------------------------------
@@ -237,6 +243,11 @@ def _gated_recovery(args, tol: float, frame: fr.Frame, dual: fr.DualFrame):
 
 def cmd_frame(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
+    # F and G as [re, im] pairs: 4 n d^2 floats, refused before any is written
+    cost = 4 * frame.n * frame.d ** 2 * fr.ENCODED_FLOAT_BYTES
+    if cost > fr.MAX_TENSOR_BYTES:
+        raise TooLarge(f"the document of frame {frame.name} would take about "
+                       f"{cost} bytes to write, over {fr.MAX_TENSOR_BYTES}")
     report = fr.validate_frame(frame, dual, tol)
     doc = fr.frame_to_dict(frame, dual)
     doc["validation"] = {
@@ -260,7 +271,7 @@ def cmd_repr(args, tol: float) -> int:
         channel, desc = resolve_channel(args, tol)
         s = qp.channel_to_qpr(channel, frame, dual)
         meta["source"] = desc
-        meta["column_sums"] = [float(x) for x in s.sum(axis=0)]
+        meta["column_sums"] = s.sum(axis=0).tolist()
         doc = qpr_object_dict(s, frame.name, "channel-matrix", meta)
     else:
         v = qp.state_to_qpr(resolve_prior(args, tol), frame)
@@ -349,14 +360,11 @@ def _born_scan(matrix: np.ndarray, frame: fr.Frame, dual: fr.DualFrame) -> list:
     states = qp.state_to_qpr(projectors, frame)
     effects = qp.povm_to_qpr(
         np.concatenate([projectors, np.eye(frame.d)[None]]), dual)
-    values = effects.T @ (matrix @ states)  # [effect, state]
-    rows = []
-    for a, sname in enumerate(names):
-        for b, ename in enumerate(names + ("identity",)):
-            value = float(values[b, a])
-            rows.append({"state": sname, "effect": ename, "value": value,
-                         "valid": -1e-9 <= value <= 1.0 + 1e-9})
-    return rows
+    values = (effects.T @ (matrix @ states)).T.tolist()  # [state][effect]
+    return [{"state": sname, "effect": ename, "value": value,
+             "valid": -1e-9 <= value <= 1.0 + 1e-9}
+            for sname, row in zip(names, values)
+            for ename, value in zip(names + ("identity",), row)]
 
 
 def cmd_compare(args, tol: float) -> int:
@@ -370,8 +378,8 @@ def cmd_compare(args, tol: float) -> int:
     payload = {
         "channel": desc,
         "rep": frame.name,
-        "recovery": [[float(x) for x in row] for row in recovery],
-        "classical": [[float(x) for x in row] for row in classical],
+        "recovery": recovery.tolist(),
+        "classical": classical.tolist(),
         "max_difference": max_abs(recovery - classical),
         "born_scan_classical": scan,
         "flagged": flagged,

@@ -46,6 +46,13 @@ KNOWN_KINDS = (KIND_NQ, KIND_SP, KIND_CUSTOM)
 # of n operators (n^3 entries) is 4.2 MB at n = 64 and 268 MB at n = 256; the
 # (n, d, d) operator stack of dw-qubits:N is 268 MB at N = 6, 4.3 GB at 7.
 MAX_TENSOR_BYTES = 1 << 30
+# Peak memory per float of a frame document, which holds F and G as 4 n d^2
+# floats.  `qbret frame --kind dw-qubits:N` (x86-64 Linux, CPython 3.11,
+# numpy 2.4) peaked at 65 MB RSS at N = 4 and 438 MB at N = 5, whose
+# documents hold 4 * 16^4 and 4 * 32^4 floats: (438 - 65) MiB / 3.93e6 floats
+# = 99.5 bytes each, as Python lists and JSON text.  `qbret frame` refuses a
+# document over MAX_TENSOR_BYTES at this rate: N = 5 takes 419 MB, N = 6 6.7 GB.
+ENCODED_FLOAT_BYTES = 100
 # Largest frame-Gram condition number `structure_coeffs` accepts.  Over 300
 # seeded full-rank recoveries each on shrunk tetrahedra, none missed the
 # 1e-8 oracle gate at cond(Q) = 9.9e3 (worst 9.4e-9), and 14 did at 1.9e4.
@@ -200,12 +207,21 @@ def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return (a + dagger(a)) / 2
 
 
+def _complex_traces(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T[j, p] = Tr[ops_j x_p] for two stacks of d x d matrices, as one
+    product of the flattened `ops` with the flattened transposes of `x`.
+    Unlike `qprcore._traces` it assumes no operator Hermitian, since it
+    serves the checks that test that."""
+    return ops.reshape(len(ops), -1) @ np.transpose(x, (0, 2, 1)).reshape(len(x), -1).T
+
+
 def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
                    seed: int = 0) -> FrameReport:
     """Check every frame/dual invariant and report the max violation each.
 
     The sum-trace reconstruction property is probed on the pair (1, 1) and
-    on 20 seeded random Hermitian pairs.
+    on 20 seeded random Hermitian pairs: all n^2 traces Tr[F_j G_k] are one
+    product, and so are the traces of the 21 probes against F and against G.
     """
     f, g = frame.ops, dual.ops
     d, n = frame.d, frame.n
@@ -217,17 +233,14 @@ def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
     checks["normalization"] = max_abs(f.sum(axis=0) - np.eye(d))
     checks["frame_trace"] = max_abs(np.einsum("jaa->j", f) - 1.0 / d)
     checks["dual_trace"] = max_abs(np.einsum("jaa->j", g) - 1.0)
-    checks["orthogonality"] = max_abs(np.einsum("jab,kba->jk", f, g) - np.eye(n))
+    checks["orthogonality"] = max_abs(_complex_traces(f, g) - np.eye(n))
     rng = np.random.default_rng(seed)
     pairs = [(np.eye(d, dtype=complex), np.eye(d, dtype=complex))]
     pairs += [(_random_hermitian(rng, d), _random_hermitian(rng, d))
               for _ in range(20)]
-    worst = 0.0
-    for a, b in pairs:
-        lhs = np.einsum("jab,ba->j", f, a) @ np.einsum("jcd,dc->j", g, b)
-        rhs = np.trace(a @ b)
-        worst = max(worst, abs(lhs - rhs))
-    checks["sum_trace"] = float(worst)
+    a, b = (np.array(x) for x in zip(*pairs))
+    lhs = np.einsum("jp,jp->p", _complex_traces(f, a), _complex_traces(g, b))
+    checks["sum_trace"] = max_abs(lhs - np.einsum("pab,pba->p", a, b))
     if frame.kind == KIND_NQ:
         # the traces 1/d of F and 1 of G leave d as the only consistent scale
         checks["nq_dual_scaling"] = max_abs(g - d * f)
@@ -238,21 +251,45 @@ def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
 
 # --- file format -----------------------------------------------------------
 #
+# Every numeric array in a document is nested lists of JSON numbers, read by
+# `decode_array`; a complex array's innermost lists are [re, im] pairs.
 # Frame file (JSON): {"d": int, "kind": "nq"|"sp"|"custom", "labels": [...],
-#   "F": [matrix, ...], "G": [matrix, ...]} where a matrix is a row-major
-# list of rows and every complex number is a [re, im] pair.  A "c" field
-# (the nq dual scale, always d) is ignored.
+#   "F": stack, "G": stack} where a stack is the (d^2, d, d) complex array
+# of operators, each matrix a row-major list of rows.  A "c" field (the nq
+# dual scale, always d) is ignored.
+
+def decode_array(data, shape: tuple, what: str) -> np.ndarray:
+    """`data` as one array of `shape`, where None leaves an axis free.
+
+    The nested lists are read by one `np.array` call; ParseError, naming
+    `what`, unless the entries are numbers and the lists are rectangular
+    with that shape.  A string, a null or an array of bools alone is
+    refused; numpy reads a bool among numbers as 0 or 1.
+    """
+    try:
+        arr = np.array(data)
+    except ValueError as exc:
+        raise ParseError(f"{what}: nested lists are not rectangular") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ParseError(f"{what} must be nested lists of numbers")
+    if arr.ndim != len(shape) or any(w not in (None, k) for w, k in zip(shape, arr.shape)):
+        raise ParseError(f"{what}: shape {arr.shape}, expected {shape} (None: any length)")
+    return arr
+
 
 def encode_complex_matrix(m: np.ndarray) -> list:
+    """Nested lists of [re, im] pairs for a complex array of any shape."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def decode_complex_matrix(data) -> np.ndarray:
-    try:
-        return np.array([[complex(z[0], z[1]) for z in row] for row in data])
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"malformed complex matrix: {exc}") from exc
+def decode_complex_matrix(data, shape: tuple = (None, None),
+                          what: str = "complex matrix") -> np.ndarray:
+    """The complex array of `shape` (None for a free axis) whose entries
+    `data` gives as [re, im] pairs, through `decode_array`; the pairs are
+    viewed as complex numbers, bit for bit."""
+    pairs = decode_array(data, (*shape, 2), what)
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def frame_to_dict(frame: Frame, dual: DualFrame) -> dict:
@@ -261,8 +298,8 @@ def frame_to_dict(frame: Frame, dual: DualFrame) -> dict:
         "kind": frame.kind,
         "name": frame.name,
         "labels": [list(l) if isinstance(l, tuple) else l for l in frame.labels],
-        "F": [encode_complex_matrix(op) for op in frame.ops],
-        "G": [encode_complex_matrix(op) for op in dual.ops],
+        "F": encode_complex_matrix(frame.ops),
+        "G": encode_complex_matrix(dual.ops),
     }
 
 
@@ -270,7 +307,8 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
     """Build a validated frame pair from a frame document (dict or JSON text).
 
     Fails loudly: ParseError for structural problems, ValidationFailed
-    naming the first violated invariant otherwise.
+    naming the first violated invariant otherwise.  `F` and `G` are each
+    decoded as one (d^2, d, d) stack, before `labels` is read.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -288,19 +326,15 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
     kind = document.get("kind", KIND_CUSTOM)
     if kind not in KNOWN_KINDS:
         raise ParseError(f"unknown kind {kind!r}; expected one of {KNOWN_KINDS}")
+    f_ops = decode_complex_matrix(f_ops, (d * d, d, d), "F")
+    g_ops = decode_complex_matrix(g_ops, (d * d, d, d), "G")
     labels = document.get("labels", list(range(d * d)))
-    for field, entries in (("F", f_ops), ("G", g_ops), ("labels", labels)):
-        if not isinstance(entries, list) or len(entries) != d * d:
-            raise ParseError(f"{field} must be a list of {d * d} entries for d={d}")
-    f_ops = [decode_complex_matrix(m) for m in f_ops]
-    g_ops = [decode_complex_matrix(m) for m in g_ops]
-    for op in f_ops + g_ops:
-        if op.shape != (d, d):
-            raise ParseError(f"operator of shape {op.shape}, expected ({d}, {d})")
+    if not isinstance(labels, list) or len(labels) != d * d:
+        raise ParseError(f"labels must be a list of {d * d} entries for d={d}")
     labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
     frame = Frame(name=document.get("name", "custom"), d=d, labels=labels,
-                  ops=np.array(f_ops), kind=kind)
-    dual = DualFrame(name=frame.name, ops=np.array(g_ops))
+                  ops=f_ops, kind=kind)
+    dual = DualFrame(name=frame.name, ops=g_ops)
     report = validate_frame(frame, dual, tol)
     if not report.passed:
         # name the first violated invariant, in the report's order; a NaN
@@ -456,11 +490,9 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
 def classical_structure_coeffs(n: int) -> StructureCoefficients:
     """Delta tensor eta[x,i,j] = [x = i = j] of the classical (diagonal
     projector) representation on n outcomes, whose identity vector is all
-    ones."""
-    eta = np.zeros((n, n, n), dtype=complex)
-    idx = np.arange(n)
-    eta[idx, idx, idx] = 1.0
-    return StructureCoefficients(factors=(eta,), frame_name=f"classical:{n}",
+    ones; it is the stack of `classical_projectors`."""
+    return StructureCoefficients(factors=(classical_projectors(n)[0],),
+                                 frame_name=f"classical:{n}",
                                  e=np.ones(n), kind=KIND_NQ)
 
 
@@ -468,6 +500,5 @@ def classical_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal projectors |j><j| used as both frame and dual on the
     classical side; their structure coefficients are the delta tensor."""
     ops = np.zeros((n, n, n), dtype=complex)
-    for j in range(n):
-        ops[j, j, j] = 1.0
+    ops[np.diag_indices(n, ndim=3)] = 1.0
     return ops, ops.copy()

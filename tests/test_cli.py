@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qbret
-from qbret.cli import build_parser, main
+from qbret.cli import build_parser, main, qpr_object_dict
 from qbret import graphs as gr
 from qbret import hilbert as hb
 from qbret import qprcore as qp
@@ -109,6 +109,42 @@ class TestFrameCommand:
         monkeypatch.setattr(qbret.frames, "MAX_TENSOR_BYTES", 2 ** 15)
         assert main(["frame", "--kind", "dw-qubits:3"]) == 1
         assert "operator stack" in capsys.readouterr().err
+
+    def test_frame_document_over_the_size_limit_exits_1(self, monkeypatch, capsys,
+                                                       tmp_path):
+        # at the lowered limit dw-qubits:2 builds its 4 KiB operator stacks,
+        # but its document of 4 n d^2 = 1024 floats would take 102400 bytes
+        import qbret.frames
+        monkeypatch.setattr(qbret.frames, "MAX_TENSOR_BYTES", 2 ** 15)
+        checked = []
+        monkeypatch.setattr(qbret.frames, "validate_frame",
+                            lambda *args: checked.append(args))
+        out = tmp_path / "frame.json"
+        assert main(["frame", "--kind", "dw-qubits:2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "document" in err
+        assert checked == [] and not out.exists()
+        monkeypatch.undo()
+        assert main(["frame", "--kind", "dw-qubit", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("qubits", [5, 6])
+    def test_document_bound_admits_five_qubits_refuses_six(self, qubits, monkeypatch):
+        # a stand-in of dw-qubits:N's size, so that no test builds one; the
+        # command validates a frame only if it would write its document
+        import qbret.cli
+        d = 2 ** qubits
+        frame = qbret.frames.Frame(name=f"dw-qubits:{qubits}", d=d, labels=(),
+                                   ops=np.zeros((0, d, d)))
+        monkeypatch.setattr(qbret.cli, "resolve_frame", lambda args, tol: (frame, None))
+        reached = []
+
+        def validate(*args):
+            reached.append(args)
+            raise qbret.QbretError("stand-in frame")
+
+        monkeypatch.setattr(qbret.frames, "validate_frame", validate)
+        assert main(["frame", "--kind", f"dw-qubits:{qubits}"]) == 1
+        assert len(reached) == (qubits == 5)
 
     @pytest.mark.parametrize("count", [10 ** 5, 10 ** 9])
     def test_huge_qubit_count_exits_1_at_once(self, count, capsys):
@@ -815,6 +851,120 @@ class TestExitCodes:
         ch.write_text(json.dumps({"kind": "kraus", "kraus": kraus}))
         assert main(["repr", "--channel", str(ch), "--kind", "dw-qubit"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _with_entry(encoded, entry):
+    """An encoded matrix (or stack) whose first [re, im] pair is `entry`."""
+    doc = json.loads(json.dumps(encoded))
+    inner = doc
+    while isinstance(inner[0][0], list):
+        inner = inner[0]
+    inner[0] = entry
+    return doc
+
+
+_PURE_0 = encode_complex_matrix(np.diag([1.0, 0.0]))
+_HALF_SWAP_U = encode_complex_matrix(hb.builtin_gates()["half_swap"])
+
+
+class TestMalformedNumbers:
+    """Every numeric array of a document passes one decoder: a malformed one
+    exits 2 with an `error:` line and writes no output file."""
+
+    @staticmethod
+    def _exits_2(tmp_path, capsys, argv, **docs):
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("matrix", [
+        _with_entry(_PURE_0, [1.0, 0.0, 0.0]),
+        [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],
+        [[[z] for z in row] for row in _PURE_0],
+        [_PURE_0[0], _PURE_0[1][:1]],
+    ], ids=["one-triple", "all-triples", "over-nested", "ragged"])
+    def test_state_matrix(self, matrix, tmp_path, capsys):
+        self._exits_2(tmp_path, capsys,
+                      ["repr", "--kind", "dw-qubit", "--prior", str(tmp_path / "prior.json")],
+                      prior={"kind": "matrix", "matrix": matrix})
+
+    def test_qubit_params_of_numeric_strings(self, tmp_path, capsys):
+        self._exits_2(tmp_path, capsys,
+                      ["repr", "--kind", "dw-qubit", "--prior", str(tmp_path / "prior.json")],
+                      prior={"kind": "qubit_params", "omega": "0.4", "theta": 1.1,
+                             "phi": 0.3})
+
+    def test_frame_operator_with_a_triple(self, tmp_path, capsys):
+        doc = frame_to_dict(*build_dw_qubit())
+        doc["F"] = _with_entry(doc["F"], [0.5, 0.0, 7.0])
+        self._exits_2(tmp_path, capsys, ["frame", "--frame", str(tmp_path / "f.json")],
+                      f=doc)
+
+    @pytest.mark.parametrize("command", ["graph", "petz"])
+    @pytest.mark.parametrize("field, value", [
+        ("entries", [str(x) for x in np.eye(4).reshape(-1)]),
+        ("shape", [-1, 4]),
+        ("shape", [4.7, 4]),
+        ("shape", [4.7]),
+        ("shape", ["4", "4"]),
+    ], ids=["entries-strings", "shape-negative", "shape-float", "shape-float-only",
+            "shape-strings"])
+    def test_qpr_object(self, command, field, value, tmp_path, capsys):
+        s, _, _ = half_swap_plus_dw()
+        doc = qpr_object_dict(s, "dw-qubit", "channel-matrix", {})
+        doc[field] = value
+        argv = [command, "--matrix", str(tmp_path / "s.json")]
+        if command == "petz":
+            argv += ["--kind", "dw-qubit", "--angles", "0.4,1.1,0.3"]
+        self._exits_2(tmp_path, capsys, argv, s=doc)
+
+    @pytest.mark.parametrize("ancilla", [5, True, [[1, 0], [0, 0]]],
+                             ids=["number", "bool", "real-matrix"])
+    @pytest.mark.parametrize("kind", ["builtin", "dilation"])
+    def test_ancilla(self, kind, ancilla, tmp_path, capsys):
+        doc = ({"kind": "builtin", "name": "half_swap", "ancilla": ancilla}
+               if kind == "builtin" else
+               {"kind": "dilation", "U": _HALF_SWAP_U, "beta": ancilla})
+        self._exits_2(tmp_path, capsys,
+                      ["repr", "--kind", "dw-qubit", "--channel", str(tmp_path / "ch.json")],
+                      ch=doc)
+
+    def test_kraus_list_of_mixed_shapes(self, tmp_path, capsys):
+        kraus = [encode_complex_matrix(np.eye(2) / np.sqrt(2)),
+                 encode_complex_matrix(np.eye(3) / np.sqrt(2))]
+        self._exits_2(tmp_path, capsys,
+                      ["repr", "--kind", "dw-qubit", "--channel", str(tmp_path / "ch.json")],
+                      ch={"kind": "kraus", "kraus": kraus})
+
+
+class TestAncillaForms:
+    """A builtin's `ancilla` and a dilation's `beta` take the same forms: a
+    state document, an [re, im] matrix or a state spec string."""
+
+    FORMS = {"spec": "1",
+             "matrix": encode_complex_matrix(np.diag([0.0, 1.0])),
+             "document": {"kind": "matrix",
+                          "matrix": encode_complex_matrix(np.diag([0.0, 1.0]))}}
+
+    @pytest.mark.parametrize("form", list(FORMS))
+    @pytest.mark.parametrize("kind", ["builtin", "dilation"])
+    def test_every_form_gives_the_ancilla_option_channel(self, kind, form, tmp_path):
+        expected = tmp_path / "expected.json"
+        assert main(["repr", "--builtin", "half_swap", "--ancilla", "1",
+                     "--kind", "sic-qubit", "--out", str(expected)]) == 0
+        ancilla = self.FORMS[form]
+        doc = ({"kind": "builtin", "name": "half_swap", "ancilla": ancilla}
+               if kind == "builtin" else
+               {"kind": "dilation", "U": _HALF_SWAP_U, "beta": ancilla})
+        source, out = tmp_path / "ch.json", tmp_path / "s.json"
+        source.write_text(json.dumps(doc))
+        assert main(["repr", "--channel", str(source), "--kind", "sic-qubit",
+                     "--out", str(out)]) == 0
+        np.testing.assert_allclose(matrix_of(read_json(out)),
+                                   matrix_of(read_json(expected)), atol=1e-14)
 
 
 def _nan_corner(m):

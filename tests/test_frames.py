@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,6 +17,8 @@ from qbret.frames import (
     build_sic_qubit,
     classical_projectors,
     classical_structure_coeffs,
+    decode_complex_matrix,
+    encode_complex_matrix,
     frame_to_dict,
     load_frame,
     structure_coeffs,
@@ -165,6 +167,16 @@ class TestValidateFrame:
                                        "orthogonality", "sum_trace",
                                        "nq_dual_scaling"]
 
+    def test_nan_operator_reads_nan_in_every_check_of_f(self):
+        # a NaN probe trace once read as a sum_trace of 0.0
+        f, g = build_dw_qubit()
+        ops = f.ops.copy()
+        ops[1, 0, 0] = np.nan
+        report = validate_frame(Frame(name="nan", d=2, labels=f.labels, ops=ops,
+                                      kind="nq"), g)
+        assert report.checks.pop("dual_trace") == 0.0
+        assert all(np.isnan(v) for v in report.checks.values())
+
     @pytest.mark.parametrize("builder, kind_check", [
         (build_dw_qubit, "nq_dual_scaling"),
         (lambda: build_dw_qubits(2), "nq_dual_scaling"),
@@ -207,6 +219,10 @@ class TestSumTrace:
         expected = self._four_operand(f, bad)
         assert expected > 1e-4
         assert abs(report.checks["sum_trace"] - expected) < 1e-13
+        # the n^2 traces Tr[F_j G_k], one product in validate_frame
+        direct = np.einsum("jab,kba->jk", f.ops, bad.ops) - np.eye(f.n)
+        assert report.checks["orthogonality"] > 1e-4
+        assert abs(report.checks["orthogonality"] - max_abs(direct)) < 1e-14
         assert not report.passed
 
 
@@ -277,6 +293,72 @@ class TestLoadFrame:
         with pytest.raises(errors.ValidationFailed) as exc:
             load_frame(doc)
         assert exc.value.check == check
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1.0])
+
+
+def _shapes():
+    """(d, d) and (k, d, d) shapes, with the [re, im] axis appended."""
+    dims = st.integers(1, 4)
+    return st.one_of(st.tuples(dims, dims).map(lambda s: (s[1], s[1], 2)),
+                     st.tuples(dims, dims).map(lambda s: (s[0], s[1], s[1], 2)))
+
+
+class TestCodec:
+    @given(pairs=arrays(np.float64, _shapes(), elements=st.floats(
+        allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    @example(pairs=_SPECIAL.reshape(2, 2, 2))
+    @example(pairs=np.resize(_SPECIAL, (3, 2, 2, 2)))
+    @settings(max_examples=200, deadline=None)
+    def test_json_round_trip_is_bit_exact(self, pairs):
+        m = pairs.view(complex)[..., 0]
+        text = json.dumps(encode_complex_matrix(m))
+        back = decode_complex_matrix(json.loads(text), (None,) * m.ndim)
+        assert back.dtype == complex and back.shape == m.shape
+        got, want = back.view(float), m.view(float)
+        assert np.array_equal(got, want, equal_nan=True)
+        # array_equal takes -0.0 for 0.0; the sign of every number survives
+        number = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+    @pytest.mark.parametrize("name", ["dw-qubit", "sic-qubit", "dw-qubits:2",
+                                      "dw-qubits:3", "custom"])
+    def test_frame_document_round_trip_is_exact(self, name, custom_tetra):
+        f, g = {"dw-qubit": build_dw_qubit, "sic-qubit": build_sic_qubit,
+                "dw-qubits:2": lambda: build_dw_qubits(2),
+                "dw-qubits:3": lambda: build_dw_qubits(3),
+                "custom": lambda: custom_tetra(np.random.default_rng(5))}[name]()
+        text = json.dumps(frame_to_dict(f, g))
+        f2, g2 = load_frame(text)
+        assert np.array_equal(f2.ops, f.ops) and np.array_equal(g2.ops, g.ops)
+        assert json.dumps(frame_to_dict(f2, g2)) == text
+
+    @pytest.mark.parametrize("data, shape", [
+        ([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], (None, None)),
+        ([[[1, 0], [0, 0]]], (None, None)),
+    ])
+    def test_integers_decode_as_floats(self, data, shape):
+        m = decode_complex_matrix(data, shape)
+        assert m.dtype == complex and m.flags.c_contiguous
+        assert np.array_equal(m, np.array([[complex(*z) for z in row] for row in data]))
+
+    @pytest.mark.parametrize("data, shape", [
+        ([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], (3, None)),
+        ([[["1", "0"]]], (None, None)),
+        ([[[True, False]]], (None, None)),
+        ([[[None, 0]]], (None, None)),
+        ([[[1, 0]], [[1, 0], [0, 0]]], (None, None)),
+        ([[[1, 0, 0]]], (None, None)),
+        ([[1, 0]], (None, None)),
+        (5, (None, None)),
+        ({"re": 1}, (None, None)),
+        ([[[2 ** 70, 0]]], (None, None)),
+    ], ids=["wrong-length", "strings", "bools", "null", "ragged", "triple",
+            "real", "scalar", "object", "huge-integer"])
+    def test_malformed_arrays_raise_parse_error(self, data, shape):
+        with pytest.raises(errors.ParseError):
+            decode_complex_matrix(data, shape)
 
 
 class TestStructureCoeffs:
