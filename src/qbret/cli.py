@@ -59,13 +59,32 @@ def parse_state_spec(spec: str) -> np.ndarray:
     return hb.qubit_state(*_parse_angles(spec))
 
 
-def tolerance(text: str) -> float:
-    """`--tol` as a float if it is finite and > 0; ValueError otherwise,
-    NaN too, which argparse reports as a usage error (exit 2)."""
-    tol = float(text)
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tolerance {text!r} is not a finite number > 0")
-    return tol
+def positive(text: str) -> float:
+    """`--tol` and `--bounds` as a float if it is finite and > 0;
+    ValueError otherwise, NaN too, which argparse reports as a usage error
+    (exit 2)."""
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{text!r} is not a finite number > 0")
+    return value
+
+
+def nonnegative(text: str) -> float:
+    """`--cutoff` as a float if it is finite and >= 0; ValueError
+    otherwise, NaN too (exit 2)."""
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{text!r} is not a finite number >= 0")
+    return value
+
+
+def seed(text: str) -> int:
+    """`--seed` as an int >= 0, the seeds `np.random.default_rng` takes;
+    ValueError otherwise (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"seed {text!r} is negative")
+    return value
 
 
 def _read_json(path: str) -> dict:
@@ -174,23 +193,9 @@ def load_qpr_object(doc: dict) -> tuple[np.ndarray, str]:
 def resolve_frame(args, tol: float) -> tuple[fr.Frame, fr.DualFrame]:
     if args.frame:
         return fr.load_frame(_read_json(args.frame), tol)
-    kind = args.kind
-    if not kind:
+    if not args.kind:
         raise ParseError("need --frame PATH or --kind NAME")
-    if kind == "dw-qubit":
-        return fr.build_dw_qubit()
-    if kind == "sic-qubit":
-        return fr.build_sic_qubit()
-    if kind.startswith("dw-qubits:"):
-        try:
-            count = int(kind.split(":", 1)[1])
-        except ValueError:
-            count = 0
-        if count < 1:
-            raise ParseError(f"frame kind {kind!r} needs a qubit count N >= 1")
-        return fr.build_dw_qubits(count)
-    raise ParseError(f"unknown frame kind {kind!r}; expected dw-qubit, "
-                     "dw-qubits:N or sic-qubit")
+    return fr.builtin_frame(args.kind)
 
 
 def resolve_channel(args, tol: float) -> tuple[hb.KrausChannel, str]:
@@ -428,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbret",
         description="Quantum Bayesian retrodiction in quasiprobability "
                     "representations")
-    parser.add_argument("--tol", type=tolerance, default=DEFAULT_TOL,
+    parser.add_argument("--tol", type=positive, default=DEFAULT_TOL,
                         help="numerical tolerance (default 1e-10)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -437,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out")
     frame = argparse.ArgumentParser(add_help=False, parents=[out])
     frame.add_argument("--frame", help="frame file (JSON)")
-    frame.add_argument("--kind", help="builtin frame: dw-qubit, dw-qubits:N, "
-                                      "sic-qubit")
+    frame.add_argument("--kind", help="builtin frame: "
+                                      + ", ".join(fr.BUILTIN_FRAMES))
     inputs = argparse.ArgumentParser(add_help=False, parents=[frame])
     inputs.add_argument("--channel", help="channel file (JSON)")
     inputs.add_argument("--builtin", help="builtin channel name "
@@ -461,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[out], help="run verification suites")
     p.add_argument("--suite", default="all", choices=[*vf.SUITES, "all"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     sub.add_parser("compare", parents=[recovery],
@@ -472,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bubbles", help="vector file for node bubbles")
     p.add_argument("--direction", choices=["forward", "retro"],
                    default="forward")
-    p.add_argument("--cutoff", type=float, default=gr.DEFAULT_CUTOFF)
-    p.add_argument("--bounds", type=float, default=None)
+    p.add_argument("--cutoff", type=nonnegative, default=gr.DEFAULT_CUTOFF)
+    p.add_argument("--bounds", type=positive, default=None)
     p.add_argument("--label-style", dest="label_style",
                    choices=["name", "index"], default="name")
     p.add_argument("--format", choices=["dot", "svg"], default="dot")

@@ -4,7 +4,9 @@ A frame is a set of d^2 Hermitian operators {F_j} summing to the identity
 with Tr F_j = 1/d; its dual {G_j} satisfies Tr[F_j G_k] = delta_jk and the
 sum-trace reconstruction property.  Built-in constructors cover the
 discrete-Wigner qubit frame (and tensor powers of it) and the canonical
-SIC-POVM tetrahedron; anything else enters through `load_frame`.
+SIC-POVM tetrahedron, each under the name `builtin_frame` takes (the one
+table of built-in names, BUILTIN_FRAMES); anything else enters through
+`load_frame`.
 """
 
 from __future__ import annotations
@@ -202,6 +204,36 @@ def build_dw_qubits(n_qubits: int) -> tuple[Frame, DualFrame]:
     return frame, dual
 
 
+# The built-in frames by name; a name ending in ":N" stands for the names
+# with a count N >= 1 in its place, and its builder takes that count.
+BUILTIN_FRAMES = {
+    "dw-qubit": build_dw_qubit,
+    "sic-qubit": build_sic_qubit,
+    "dw-qubits:N": build_dw_qubits,
+}
+
+
+def builtin_frame(name: str) -> tuple[Frame, DualFrame]:
+    """The built-in frame pair called `name`, a key of BUILTIN_FRAMES with
+    any ":N" written as a count (dw-qubits:2).  ParseError for any other
+    name; a builder's own errors pass through (TooLarge from
+    `build_dw_qubits`)."""
+    stem, colon, count = name.partition(":")
+    build = BUILTIN_FRAMES.get(f"{stem}:N" if colon else name)
+    if build is None:
+        raise ParseError(f"unknown frame kind {name!r}; expected one of "
+                         + ", ".join(BUILTIN_FRAMES))
+    if not colon:
+        return build()
+    try:
+        n = int(count)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ParseError(f"frame kind {name!r} needs a count N >= 1")
+    return build(n)
+
+
 def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (a + dagger(a)) / 2
@@ -303,6 +335,12 @@ def frame_to_dict(frame: Frame, dual: DualFrame) -> dict:
     }
 
 
+def _tuples(x):
+    """A document's nested lists as nested tuples, all the way down, as
+    `tensor_frames` builds composite labels."""
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
 def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
     """Build a validated frame pair from a frame document (dict or JSON text).
 
@@ -331,7 +369,7 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
     labels = document.get("labels", list(range(d * d)))
     if not isinstance(labels, list) or len(labels) != d * d:
         raise ParseError(f"labels must be a list of {d * d} entries for d={d}")
-    labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
+    labels = _tuples(labels)
     frame = Frame(name=document.get("name", "custom"), d=d, labels=labels,
                   ops=f_ops, kind=kind)
     dual = DualFrame(name=frame.name, ops=g_ops)

@@ -40,26 +40,28 @@ class CheckResult:
                f"tol={self.tol:8.1e}  {status}{extra}"
 
 
-def _canonical_pairs():
-    return (("dw", *fr.build_dw_qubit()), ("sp", *fr.build_sic_qubit()))
+# The built-in frames the sweeps run over, as (label in the check names,
+# `frames.builtin_frame` name).  Each state, effect and dilation a sweep
+# draws for a frame is drawn at that frame's d; the qubit closed forms (the
+# counterexamples, the K correction, the builtin gates, erasure) stay on
+# the qubit frames.
+_QUBITS = (("dw", "dw-qubit"), ("sp", "sic-qubit"))
+_SWEPT = _QUBITS + (("dw-qubits:2", "dw-qubits:2"),)
 
 
-def _random_states(rng, count, min_eig=0.0):
-    return [hb.random_density(rng, 2, min_eig=min_eig) for _ in range(count)]
+def _pairs(table) -> list:
+    """(label, frame, dual) for each (label, name) of `table`."""
+    return [(label, *fr.builtin_frame(name)) for label, name in table]
 
 
 # --- suite: frames -----------------------------------------------------------
 
 def suite_frames(seed: int = 0) -> list[CheckResult]:
     out = []
-    dw_f, dw_g = fr.build_dw_qubit()
-    sp_f, sp_g = fr.build_sic_qubit()
-    dw2_f, dw2_g = fr.build_dw_qubits(2)
-    for name, f, g in (("dw-qubit", dw_f, dw_g), ("sic-qubit", sp_f, sp_g),
-                       ("dw-qubits:2", dw2_f, dw2_g)):
+    for _, f, g in _pairs(_SWEPT):
         # the kind check (G = dF for nq, G = d(d+1)F - 1 for sp) is among them
         rep = fr.validate_frame(f, g, tol=1e-12, seed=seed)
-        out.append(CheckResult(f"frame-invariants-{name}",
+        out.append(CheckResult(f"frame-invariants-{f.name}",
                                max(rep.checks.values()), 1e-12))
     # delta tensor of the diagonal-projector representation, by direct trace
     pf, pg = fr.classical_projectors(3)
@@ -67,17 +69,16 @@ def suite_frames(seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("classical-coeffs-are-deltas", max_abs(
         eta_direct - fr.classical_structure_coeffs(3).factors[0]), 0.0))
     # sum_i xi[i,q,r,s] against the three-operator trace, for the 4-index
-    # Re xi[i,x,j,y] = Re Tr[F_i G_x G_j G_y] = Re sum_k eta[x,i,k] conj(eta[y,k,j])
+    # Re xi[i,x,j,y] = Re Tr[F_i G_x G_j G_y] = Re sum_k eta[x,i,k] conj(eta[y,k,j]),
+    # on single-factor frames
     rng = np.random.default_rng(seed)
-    for name, f, g in (("dw", dw_f, dw_g), ("sp", sp_f, sp_g)):
+    for name, f, g in _pairs(_QUBITS):
         eta = fr.structure_coeffs(f, g).factors[0]
-        worst = 0.0
-        for _ in range(10):
-            q, r, s = rng.integers(0, f.n, size=3)
-            direct = np.trace(g.ops[q] @ g.ops[r] @ g.ops[s]).real
-            summed = (eta[q] @ eta[s].conj()).real[:, r].sum()
-            worst = max(worst, abs(summed - direct))
-        out.append(CheckResult(f"coeff-sum-consistency-{name}", worst, 1e-10))
+        q, r, s = np.array([rng.integers(0, f.n, size=3) for _ in range(10)]).T
+        direct = np.einsum("mab,mbc,mca->m", g.ops[q], g.ops[r], g.ops[s]).real
+        summed = np.einsum("mik,mk->m", eta[q], eta[s, :, r].conj()).real
+        out.append(CheckResult(f"coeff-sum-consistency-{name}",
+                               max_abs(summed - direct), 1e-10))
     return out
 
 
@@ -85,30 +86,25 @@ def suite_frames(seed: int = 0) -> list[CheckResult]:
 
 def suite_mmatrix(seed: int = 0) -> list[CheckResult]:
     out = []
-    for name, f, g in _canonical_pairs():
-        xi = fr.structure_coeffs(f, g)
+    for name, f, g in _pairs(_QUBITS):
         rng = np.random.default_rng(seed)
-        worst_imag = worst_eig = worst_trace = worst_sym = 0.0
-        for rho in _random_states(rng, 200):
-            v = qp.state_to_qpr(rho, f)
-            # pre-discard reality check straight from the operator traces
-            m_direct = np.einsum("iab,bc,jcd,da->ij", f.ops, rho, g.ops, rho,
-                                 optimize=True)
-            worst_imag = max(worst_imag, max_abs(m_direct.imag))
-            m = qp.x_matrix(v, xi)
-            w = np.linalg.eigvals(m)
-            worst_eig = max(worst_eig, -float(w.real.min()))
-            worst_trace = max(worst_trace, abs(np.trace(m) - 1.0))
-            if name == "dw":
-                worst_sym = max(worst_sym, max_abs(m - m.T))
-        out.append(CheckResult(f"m-entries-real-{name}", worst_imag, 1e-10))
+        rho = np.array([hb.random_density(rng, f.d) for _ in range(200)])
+        # pre-discard reality check straight from the operator traces
+        m_direct = np.einsum("iab,mbc,jcd,mda->mij", f.ops, rho, g.ops, rho,
+                             optimize=True)
+        m = qp.x_matrix(qp.state_to_qpr(rho, f).T, fr.structure_coeffs(f, g))
+        worst_eig = max(0.0, -float(np.linalg.eigvals(m).real.min()))
+        out.append(CheckResult(f"m-entries-real-{name}", max_abs(m_direct.imag),
+                               1e-10))
         out.append(CheckResult(f"m-spectrum-nonneg-{name}", worst_eig, 1e-9))
-        out.append(CheckResult(f"m-unit-trace-{name}", worst_trace, 1e-10))
-        if name == "dw":
-            out.append(CheckResult("m-symmetric-nqpr", worst_sym, 1e-10))
+        out.append(CheckResult(f"m-unit-trace-{name}",
+                               max_abs(np.einsum("mii->m", m) - 1.0), 1e-10))
+        if f.kind == fr.KIND_NQ:
+            out.append(CheckResult("m-symmetric-nqpr",
+                                   max_abs(m - m.transpose(0, 2, 1)), 1e-10))
     # K correction: vanishes for every unital builtin, matches the derived
     # row pattern for the half-SWAP with a |1> ancilla in the SIC frame
-    sp_f, sp_g = fr.build_sic_qubit()
+    sp_f, sp_g = fr.builtin_frame("sic-qubit")
     worst_k = 0.0
     for gate in ("identity", "pauli_x", "pauli_y", "pauli_z", "hadamard", "u_eg"):
         s = qp.channel_to_qpr(hb.builtin_channel(gate), sp_f, sp_g)
@@ -126,27 +122,28 @@ def suite_mmatrix(seed: int = 0) -> list[CheckResult]:
 
 def suite_powers(seed: int = 0) -> list[CheckResult]:
     out = []
-    for name, f, g in (*_canonical_pairs(), ("dw-qubits:2", *fr.build_dw_qubits(2))):
+    for name, f, g in _pairs(_SWEPT):
         xi = fr.structure_coeffs(f, g)
         rng = np.random.default_rng(seed)
-        states = [hb.random_density(rng, f.d, min_eig=0.05) for _ in range(50)]
-        vectors = [qp.state_to_qpr(rho, f) for rho in states]
+        states = np.array([hb.random_density(rng, f.d, min_eig=0.05)
+                           for _ in range(50)])
+        vectors = qp.state_to_qpr(states, f).T
         for r in (2.0, 0.5, -0.5, -1.0):
             worst = max(qp.m_power_check(v, r, f, g, xi).max_dev for v in vectors)
             out.append(CheckResult(f"power-identity-{name}-r={r:g}", worst, 1e-8))
         # rho -> a rho a has trace (Tr a)^2, so Tr[M^(1/2)] = (Tr alpha^(1/2))^2
-        worst = 0.0
-        for rho, v in zip(states, vectors):
-            tr_half = np.trace(qp.x_matrix(qp.state_power(v, 0.5, xi)[0], xi))
-            root_trace = np.sqrt(np.linalg.eigvalsh(rho)).sum()
-            worst = max(worst, abs(tr_half - root_trace ** 2))
-        out.append(CheckResult(f"trace-of-root-{name}", worst, 1e-12))
+        roots = qp.state_powers(vectors, (0.5,) * len(vectors), xi)[0]
+        tr_half = np.einsum("mii->m", qp.x_matrix(roots, xi))
+        root_trace = np.sqrt(np.linalg.eigvalsh(states)).sum(axis=1)
+        out.append(CheckResult(f"trace-of-root-{name}",
+                               max_abs(tr_half - root_trace ** 2), 1e-12))
     return out
 
 
 # --- suite: commute ----------------------------------------------------------
 
-def _random_channel(rng, d: int = 2) -> hb.KrausChannel:
+def _random_channel(rng, d: int) -> hb.KrausChannel:
+    """The channel of a Haar 2d x 2d dilation with a random qubit ancilla."""
     u = hb.random_unitary(rng, 2 * d)
     beta = hb.random_density(rng, 2)
     return hb.channel_from_dilation(u, beta)
@@ -158,8 +155,8 @@ def _retrodiction_axioms(seed: int) -> list[CheckResult]:
     gives the channel back, the recovery of a composite is the composite
     of the recoveries in reverse order, and it factors over products."""
     out = []
-    dw2 = ("dw-qubits:2", *fr.build_dw_qubits(2))
-    for name, f, g in (*_canonical_pairs(), dw2):
+    pairs = _pairs(_SWEPT)
+    for name, f, g in pairs:
         coeffs = fr.structure_coeffs(f, g)
         rng = np.random.default_rng(seed + 4)
         worst_inv = worst_comp = 0.0
@@ -177,14 +174,15 @@ def _retrodiction_axioms(seed: int) -> list[CheckResult]:
         out.append(CheckResult(f"compositionality-{name}", worst_comp, 1e-10))
 
     # dw-qubits:2 is the tensor square of dw-qubit, labels last-factor fastest
-    f, g = fr.build_dw_qubit()
-    coeffs, coeffs2 = fr.structure_coeffs(f, g), fr.structure_coeffs(*dw2[1:])
+    (_, f, g), _, (_, f2, g2) = pairs
+    coeffs, coeffs2 = fr.structure_coeffs(f, g), fr.structure_coeffs(f2, g2)
     rng = np.random.default_rng(seed + 5)
     worst = 0.0
     for _ in range(20):
-        s1, s2 = (qp.channel_to_qpr(_random_channel(rng), f, g) for _ in range(2))
-        v1, v2 = (qp.state_to_qpr(hb.random_density(rng, 2, min_eig=0.05), f)
+        s1, s2 = (qp.channel_to_qpr(_random_channel(rng, f.d), f, g)
                   for _ in range(2))
+        v1, v2 = qp.state_to_qpr(np.array(
+            [hb.random_density(rng, f.d, min_eig=0.05) for _ in range(2)]), f).T
         product = qp.petz_qpr(np.kron(s1, s2), np.kron(v1, v2), coeffs2).matrix
         worst = max(worst, max_abs(product - np.kron(
             qp.petz_qpr(s1, v1, coeffs).matrix, qp.petz_qpr(s2, v2, coeffs).matrix)))
@@ -194,30 +192,29 @@ def _retrodiction_axioms(seed: int) -> list[CheckResult]:
 
 def suite_commute(seed: int = 0) -> list[CheckResult]:
     out = []
-    for name, f, g in _canonical_pairs():
+    for name, f, g in _pairs(_QUBITS):
         xi = fr.structure_coeffs(f, g)
         rng = np.random.default_rng(seed)
+        channels, priors = zip(*[(_random_channel(rng, f.d),
+                                  hb.random_density(rng, f.d, min_eig=0.05))
+                                 for _ in range(200)])
+        vectors = qp.state_to_qpr(np.array(priors), f).T
         worst = 0.0
-        for _ in range(200):
-            channel = _random_channel(rng)
-            prior = hb.random_density(rng, 2, min_eig=0.05)
-            s = qp.channel_to_qpr(channel, f, g)
-            v = qp.state_to_qpr(prior, f)
-            lhs = qp.petz_qpr(s, v, xi).matrix
+        for channel, prior, v in zip(channels, priors, vectors):
+            lhs = qp.petz_qpr(qp.channel_to_qpr(channel, f, g), v, xi).matrix
             rhs = qp.channel_to_qpr(hb.petz_hilbert(channel, prior), f, g)
             worst = max(worst, max_abs(lhs - rhs))
         out.append(CheckResult(f"petz-commutes-{name}", worst, 1e-9))
 
         # unitary channels retrodict to the transpose, prior-independently
         rng2 = np.random.default_rng(seed + 1)
-        priors = [hb.random_density(rng2, 2, min_eig=0.05) for _ in range(5)]
+        vectors = qp.state_to_qpr(np.array(
+            [hb.random_density(rng2, f.d, min_eig=0.05) for _ in range(5)]), f).T
         worst = 0.0
         for gate in ("pauli_x", "pauli_y", "pauli_z", "hadamard", "u_eg"):
             s = qp.channel_to_qpr(hb.builtin_channel(gate), f, g)
-            for prior in priors:
-                v = qp.state_to_qpr(prior, f)
-                worst = max(worst, max_abs(qp.petz_qpr(s, v, xi).matrix
-                                           - s.T))
+            for v in vectors:
+                worst = max(worst, max_abs(qp.petz_qpr(s, v, xi).matrix - s.T))
         out.append(CheckResult(f"unitary-retrodiction-{name}", worst, 1e-9))
 
         # total erasure retrodicts every observation to the prior
@@ -232,13 +229,13 @@ def suite_commute(seed: int = 0) -> list[CheckResult]:
         # the reference prior is a fixed point of retrodiction-after-forward,
         # for the half-SWAP at the pure |+> prior and for random channels
         rng3 = np.random.default_rng(seed + 2)
-        pairs = [(hb.builtin_channel("half_swap"), hb.projector(hb.KET_PLUS))]
-        pairs += [(_random_channel(rng3), hb.random_density(rng3, 2, min_eig=0.05))
-                  for _ in range(20)]
+        cases = [(hb.builtin_channel("half_swap"), hb.projector(hb.KET_PLUS))]
+        cases += [(_random_channel(rng3, f.d),
+                   hb.random_density(rng3, f.d, min_eig=0.05)) for _ in range(20)]
+        channels, priors = zip(*cases)
         worst_fix = worst_cols = 0.0
-        for channel, prior in pairs:
+        for channel, v in zip(channels, qp.state_to_qpr(np.array(priors), f).T):
             s = qp.channel_to_qpr(channel, f, g)
-            v = qp.state_to_qpr(prior, f)
             shat = qp.petz_qpr(s, v, xi).matrix
             worst_fix = max(worst_fix, max_abs(shat @ (s @ v) - v))
             worst_cols = max(worst_cols, max_abs(shat.sum(axis=0) - 1.0))
@@ -249,9 +246,9 @@ def suite_commute(seed: int = 0) -> list[CheckResult]:
         rng4 = np.random.default_rng(seed + 3)
         worst_born = 0.0
         for _ in range(20):
-            channel = _random_channel(rng4)
-            rho = hb.random_density(rng4, 2)
-            h = rng4.normal(size=(2, 2)) + 1j * rng4.normal(size=(2, 2))
+            channel = _random_channel(rng4, f.d)
+            rho = hb.random_density(rng4, f.d)
+            h = rng4.normal(size=(f.d, f.d)) + 1j * rng4.normal(size=(f.d, f.d))
             h = (h + h.conj().T) / 2
             w, vec = np.linalg.eigh(h)
             effect = (vec * ((w - w.min()) / (w.max() - w.min()))) @ vec.conj().T
@@ -266,15 +263,13 @@ def suite_commute(seed: int = 0) -> list[CheckResult]:
 # --- suite: classical --------------------------------------------------------
 
 def _diagonal_embedding(t: np.ndarray) -> hb.KrausChannel:
-    """Channel sum T(a'|a) |a'><a| rho |a><a'| of a column-stochastic T."""
+    """Channel sum T(a'|a) |a'><a| rho |a><a'| of a column-stochastic T:
+    one Kraus operator sqrt(T(a'|a)) |a'><a| per pair, a' slowest."""
     n = t.shape[0]
-    kraus = []
-    for a_out in range(n):
-        for a_in in range(n):
-            k = np.zeros((n, n), dtype=complex)
-            k[a_out, a_in] = np.sqrt(t[a_out, a_in])
-            kraus.append(k)
-    return hb.KrausChannel.from_kraus(kraus)
+    a_out, a_in = np.indices((n, n))
+    kraus = np.zeros((n, n, n, n), dtype=complex)
+    kraus[a_out, a_in, a_out, a_in] = np.sqrt(t)
+    return hb.KrausChannel.from_kraus(kraus.reshape(n * n, n, n))
 
 
 def suite_classical(seed: int = 0) -> list[CheckResult]:
@@ -290,12 +285,10 @@ def suite_classical(seed: int = 0) -> list[CheckResult]:
             p = rng.random(n) + 0.1
             p /= p.sum()
             recovery = hb.petz_hilbert(_diagonal_embedding(t), np.diag(p).astype(complex))
-            bayes = qp.classical_bayes(t, p)
-            for a_out in range(n):
-                basis = np.zeros((n, n), dtype=complex)
-                basis[a_out, a_out] = 1.0
-                back = recovery.apply(basis)
-                worst = max(worst, max_abs(np.diag(back).real - bayes[:, a_out]))
+            # back[a_out, a, a] is the retrodicted distribution of |a_out><a_out|
+            back = recovery.apply(fr.classical_projectors(n)[0])
+            worst = max(worst, max_abs(np.einsum("kaa->ak", back).real
+                                       - qp.classical_bayes(t, p)))
     out.append(CheckResult("classical-reduction-diagonal", worst, 1e-8))
 
     # the generalized pipeline with delta coefficients is the same map
@@ -340,8 +333,7 @@ def suite_classical(seed: int = 0) -> list[CheckResult]:
 
 def suite_counterexamples(seed: int = 0) -> list[CheckResult]:
     out = []
-    dw_f, dw_g = fr.build_dw_qubit()
-    sp_f, sp_g = fr.build_sic_qubit()
+    pairs = _pairs(_QUBITS)
     half_swap = hb.builtin_channel("half_swap")
     plus = hb.projector(hb.KET_PLUS)
 
@@ -363,7 +355,7 @@ def suite_counterexamples(seed: int = 0) -> list[CheckResult]:
         [-0.0191, 0.0491, 0.915, 0.0947],
         [0.0199, 0.0233, 0.0737, 0.384]])
 
-    for name, f, g in (("dw", dw_f, dw_g), ("sp", sp_f, sp_g)):
+    for name, f, g in pairs:
         xi = fr.structure_coeffs(f, g)
         s = qp.channel_to_qpr(half_swap, f, g)
         v = qp.state_to_qpr(plus, f)
@@ -398,7 +390,7 @@ def suite_counterexamples(seed: int = 0) -> list[CheckResult]:
             [3 * _SQ3 + 4, 9 - 2 * _SQ3, 9, -_SQ3 - 6],
             [2 * _SQ3 + 9, 4 - 3 * _SQ3, _SQ3 - 6, 9]]) / 16,
     }
-    for name, f, g in (("dw", dw_f, dw_g), ("sp", sp_f, sp_g)):
+    for name, f, g in pairs:
         s = qp.channel_to_qpr(hb.builtin_channel("hadamard"), f, g)
         out.append(CheckResult(f"hadamard-matrix-{name}",
                                max_abs(s - hadamard), 1e-14))
@@ -411,21 +403,17 @@ def suite_counterexamples(seed: int = 0) -> list[CheckResult]:
     u_rot = 0.5j * np.array([[_SQ3, -1], [1, _SQ3]], dtype=complex)
     rot = hb.KrausChannel.from_unitary(u_rot)
     ket0 = hb.projector(hb.KET0)
-
-    def violation(name, val, closed_form):
+    # at the |+> prior: the observed state, the effect and the closed form
+    observations = {"dw": (plus, ket0, (1 + _SQ3) / 2),
+                    "sp": (ket0, plus, (2 - 5 * _SQ3) / 13)}
+    for name, f, g in pairs:
+        observed, effect, closed_form = observations[name]
+        scl = qp.classical_bayes(qp.channel_to_qpr(rot, f, g),
+                                 qp.state_to_qpr(plus, f))
+        val = qp.born(scl @ qp.state_to_qpr(observed, f), qp.povm_to_qpr(effect, g))
         dev = abs(val - closed_form) if not 0.0 <= val <= 1.0 else np.inf
-        return CheckResult(f"born-violation-{name}", dev, 1e-12,
-                           note=f"value {val:.9f}, must lie outside [0, 1]")
-
-    s = qp.channel_to_qpr(rot, dw_f, dw_g)
-    scl = qp.classical_bayes(s, qp.state_to_qpr(plus, dw_f))
-    val = qp.born(scl @ qp.state_to_qpr(plus, dw_f), qp.povm_to_qpr(ket0, dw_g))
-    out.append(violation("dw", val, (1 + _SQ3) / 2))
-
-    s = qp.channel_to_qpr(rot, sp_f, sp_g)
-    scl = qp.classical_bayes(s, qp.state_to_qpr(plus, sp_f))
-    val = qp.born(scl @ qp.state_to_qpr(ket0, sp_f), qp.povm_to_qpr(plus, sp_g))
-    out.append(violation("sp", val, (2 - 5 * _SQ3) / 13))
+        out.append(CheckResult(f"born-violation-{name}", dev, 1e-12,
+                               note=f"value {val:.9f}, must lie outside [0, 1]"))
     return out
 
 

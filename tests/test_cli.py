@@ -94,8 +94,17 @@ class TestFrameCommand:
         bad.write_text(json.dumps(doc))
         assert main(["frame", "--frame", str(bad)]) == 1
 
-    def test_unknown_kind_exits_2(self):
+    def test_unknown_kind_exits_2(self, capsys):
         assert main(["frame", "--kind", "heptagon"]) == 2
+        # the message lists the one table of built-in names
+        err = capsys.readouterr().err
+        assert all(name in err for name in qbret.frames.BUILTIN_FRAMES)
+
+    def test_kind_help_lists_the_builtin_table(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["frame", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ", ".join(qbret.frames.BUILTIN_FRAMES) in help_text
 
     @pytest.mark.parametrize("count", ["abc", "0", "-1", ""])
     def test_bad_qubit_count_exits_2(self, count, capsys):
@@ -766,6 +775,41 @@ class TestImportCost:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("option, value", [
+        ("--bounds", "-1"), ("--bounds", "0"), ("--bounds", "nan"),
+        ("--bounds", "inf"), ("--bounds", "abc"), ("--cutoff", "-1e-3"),
+        ("--cutoff", "nan"), ("--cutoff", "inf"), ("--cutoff", "-inf")])
+    @pytest.mark.parametrize("fmt", ["dot", "svg"])
+    def test_graph_scale_must_be_finite(self, option, value, fmt, tmp_path, capsys):
+        # a negative bound drew negative stroke widths, a NaN one NaN widths
+        # and legend labels, and a NaN cutoff dropped every edge
+        out = tmp_path / f"g.{fmt}"
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "--builtin", "half_swap", "--ancilla", "1",
+                  "--kind", "dw-qubit", f"{option}={value}", "--format", fmt,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err and not out.exists()
+
+    def test_graph_scale_edges(self, tmp_path):
+        # a zero cutoff keeps every nonzero edge; a tiny bound saturates the
+        # colors but is still a scale
+        out = tmp_path / "g.dot"
+        assert main(["graph", "--builtin", "identity", "--kind", "dw-qubit",
+                     "--cutoff", "0", "--bounds", "1e-300", "--out", str(out)]) == 0
+        assert out.read_text().count("->") == 4
+
+    @pytest.mark.parametrize("seed", ["-1", "-20240", "1.5", "abc"])
+    def test_verify_seed_must_be_a_nonnegative_integer(self, seed, tmp_path, capsys):
+        # a negative seed reached np.random.default_rng, whose ValueError
+        # escaped as a traceback
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "classical", f"--seed={seed}",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err and not out.exists()
+
     def test_unknown_builtin(self):
         assert main(["repr", "--builtin", "teleport", "--kind", "dw-qubit"]) == 2
 

@@ -15,6 +15,7 @@ from qbret.frames import (
     build_dw_qubit,
     build_dw_qubits,
     build_sic_qubit,
+    builtin_frame,
     classical_projectors,
     classical_structure_coeffs,
     decode_complex_matrix,
@@ -104,6 +105,33 @@ def test_builtin_frames_validate(builder):
     report = validate_frame(f, g, tol=1e-10)
     assert report.passed
     assert max(report.checks.values()) < 1e-12
+
+
+@pytest.mark.parametrize("name, builder", [
+    ("dw-qubit", build_dw_qubit), ("sic-qubit", build_sic_qubit),
+    ("dw-qubits:1", lambda: build_dw_qubits(1)),
+    ("dw-qubits:2", lambda: build_dw_qubits(2)),
+    ("dw-qubits: 3", lambda: build_dw_qubits(3))])
+def test_builtin_frame_is_its_builder(name, builder):
+    f, g = builtin_frame(name)
+    f0, g0 = builder()
+    assert (f.name, f.kind, f.labels) == (f0.name, f0.kind, f0.labels)
+    assert np.array_equal(f.ops, f0.ops) and np.array_equal(g.ops, g0.ops)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("heptagon", "unknown"), ("dw-qubits", "unknown"), ("dw-qubit:2", "unknown"),
+    ("sic-qubit:1", "unknown"), ("", "unknown"), ("dw-qubits:", "N >= 1"),
+    ("dw-qubits:0", "N >= 1"), ("dw-qubits:-2", "N >= 1"),
+    ("dw-qubits:2.0", "N >= 1"), ("dw-qubits:2:3", "N >= 1")])
+def test_builtin_frame_refuses_other_names(name, message):
+    with pytest.raises(errors.ParseError, match=message):
+        builtin_frame(name)
+
+
+def test_builtin_frame_size_bound_is_the_builders():
+    with pytest.raises(errors.TooLarge, match="dw-qubits:7"):
+        builtin_frame("dw-qubits:7")
 
 
 def test_nqpr_dual_is_scaled_frame():
@@ -235,6 +263,16 @@ class TestLoadFrame:
         np.testing.assert_allclose(g2.ops, g.ops, atol=1e-15)
         assert f2.kind == "nq" and "c" not in frame_to_dict(f2, g2)
         assert f2.labels == f.labels
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_composite_labels_round_trip(self, count):
+        # nested label lists come back as nested tuples, as built, so a
+        # saved frame labels its graph nodes as the built one does
+        f, g = build_dw_qubits(count)
+        f2, _ = load_frame(json.dumps(frame_to_dict(f, g)))
+        assert f2.labels == f.labels
+        assert f2.labels[1] == ((0, 0),) * (count - 1) + ((0, 1),)
+        assert [str(l) for l in f2.labels] == [str(l) for l in f.labels]
 
     @pytest.mark.parametrize("c", [2.0, None, 7.5])
     def test_c_field_is_ignored(self, c):
