@@ -191,11 +191,16 @@ def load_qpr_object(doc: dict) -> tuple[np.ndarray, str]:
 # --- frame selection ----------------------------------------------------------
 
 def resolve_frame(args, tol: float) -> tuple[fr.Frame, fr.DualFrame]:
-    if args.frame:
-        return fr.load_frame(_read_json(args.frame), tol)
-    if not args.kind:
+    """The frame of --frame or --kind; the qubit-only shorthand --angles,
+    --builtin and --ancilla on a frame with d != 2 is a usage error."""
+    if not (args.frame or args.kind):
         raise ParseError("need --frame PATH or --kind NAME")
-    return fr.builtin_frame(args.kind)
+    frame, dual = (fr.load_frame(_read_json(args.frame), tol) if args.frame
+                   else fr.builtin_frame(args.kind))
+    for flag in ("angles", "builtin", "ancilla"):
+        if frame.d != 2 and getattr(args, flag, None):
+            raise ParseError(f"--{flag} is qubit-only; frame {frame.name} has d = {frame.d}")
+    return frame, dual
 
 
 def resolve_channel(args, tol: float) -> tuple[hb.KrausChannel, str]:
@@ -308,8 +313,6 @@ def cmd_petz(args, tol: float) -> int:
         "root_routes": list(result.root_routes),
         **gate,
     }
-    if result.support_dev is not None:
-        meta["support_route_dev"] = result.support_dev
     doc = qpr_object_dict(result.matrix, frame.name, "retrodiction-matrix", meta)
     _write_output(_dump(doc), args.out)
     return 0

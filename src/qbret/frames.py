@@ -295,14 +295,18 @@ def decode_array(data, shape: tuple, what: str) -> np.ndarray:
 
     The nested lists are read by one `np.array` call; ParseError, naming
     `what`, unless the entries are numbers and the lists are rectangular
-    with that shape.  A string, a null or an array of bools alone is
-    refused; numpy reads a bool among numbers as 0 or 1.
+    with that shape.  A string, a null or a bool is refused: numpy reads a
+    bool among numbers as 0 or 1, so the entry types of a numeric array
+    are taken by one `map` over its lists, chained `ndim` deep.
     """
     try:
         arr = np.array(data)
     except ValueError as exc:
         raise ParseError(f"{what}: nested lists are not rectangular") from exc
-    if arr.dtype.kind not in "iuf":
+    entries = [data]
+    for _ in range(arr.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if arr.dtype.kind not in "iuf" or bool in set(map(type, entries)):
         raise ParseError(f"{what} must be nested lists of numbers")
     if arr.ndim != len(shape) or any(w not in (None, k) for w, k in zip(shape, arr.shape)):
         raise ParseError(f"{what}: shape {arr.shape}, expected {shape} (None: any length)")

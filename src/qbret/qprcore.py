@@ -347,49 +347,29 @@ def adjoint_qpr(s: np.ndarray, kind: str,
 
 @dataclass(frozen=True, eq=False)
 class PetzQprResult:
-    """Retrodiction matrix plus how a rank-deficient posterior was handled.
+    """Retrodiction matrix plus how a rank-deficient posterior was handled,
+    as the Hilbert-side `PetzMap` reports it.
 
-    For a full-rank posterior only `matrix` is meaningful (eps_used = 0).
-    Otherwise `matrix` is the Petz map of the prior mixed with the uniform
-    vector at `eps_used`, the map the Hilbert-side oracle regularizes to,
-    and `support_matrix` carries the alternative pseudo-inverse-root
-    evaluation on the posterior support with `support_dev`, its deviation
-    from the regularized route.  The two routes are not guaranteed to
-    agree; disagreement is reported, not resolved.  `support_projected`
-    marks, as on `PetzMap`, a posterior that keeps a kernel after
-    regularization.  `root_routes` names the `state_powers` route of each
-    root, "lanczos" or "eigh", in the order taken: the prior and its
-    support posterior, then, if regularized, the mixed prior and its
-    posterior.
+    For a full-rank posterior eps_used = 0.  Otherwise `matrix` is the
+    Petz map of the prior mixed with the uniform vector at `eps_used`, the
+    map the Hilbert-side oracle regularizes to, and `support_projected`
+    marks a posterior that keeps a kernel after regularization.
+    `root_routes` names the `state_powers` route of each root, "lanczos"
+    or "eigh", in the order taken: the prior and its support posterior,
+    then, if regularized, the mixed prior and its posterior.
     """
 
     matrix: np.ndarray
     eps_used: float = 0.0
-    support_matrix: np.ndarray | None = None
-    support_dev: float | None = None
     support_projected: bool = False
     root_routes: tuple = ()
-
-
-def _petz_sandwich(s: np.ndarray, v: np.ndarray, adjoint: np.ndarray,
-                   coeffs: StructureCoefficients, tol: float
-                   ) -> tuple[np.ndarray, bool, tuple]:
-    """(X(v^{1/2}) adjoint X((S v)^{-1/2}), deficient, routes): the
-    recovery for the prior v, its inverse root taken on the support of a
-    rank-deficient posterior, which the same factorization flags, and the
-    routes of the two roots.  The prior and its posterior are one
-    `state_powers` stack and one `x_matrix` call."""
-    roots, (_, deficient), routes = state_powers(
-        np.array([v, s @ v]), ROOT_AND_INVERSE, coeffs, tol)
-    x = x_matrix(roots, coeffs)
-    return x[0] @ adjoint @ x[1], deficient, routes
 
 
 def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
              kind: str | None = None, eps: float = 1e-8, *,
              tol: float = DEFAULT_TOL) -> PetzQprResult:
     """Recovery matrix M_prior^{1/2} S_adj M_post^{-1/2} from
-    quasiprobability data alone.
+    quasiprobability data alone, X(v^{1/2}) S_adj X((S v)^{-1/2}).
 
     `coeffs` holds the structure coefficients of the representation (the
     classical delta tensor reduces this to the classical Bayes inverse for
@@ -397,14 +377,13 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
     and the Gram roots `coeffs` carries; a `kind` that contradicts
     `coeffs.kind` raises RepMismatch.
 
-    A rank-deficient posterior matrix with eps = 0 raises
+    The roots of the prior and its posterior are one `state_powers` stack,
+    which flags a rank-deficient posterior.  With eps = 0 that raises
     SingularPosterior; otherwise the prior is mixed with the uniform vector
     at weight eps_used = max(eps, QPR_EPS_FLOOR), eps in [0, 1] (ValueError
-    outside), and the matrix is the same evaluation of that mixed prior,
-    with the support-restricted one of the prior reported beside it.
-
-    Each evaluation factors its prior and posterior as one stack, by one
-    `state_powers` call: a full-rank recovery is one eigh call on the eigh
+    outside), and the roots are taken again of that mixed prior and its
+    posterior.  The roots settled on then go through one `x_matrix` call
+    and one sandwich: a full-rank recovery is one eigh call on the eigh
     route, a regularized one two.
     """
     s = np.asarray(s, dtype=float)
@@ -417,17 +396,21 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
                           f"{coeffs.frame_name!r}, whose kind is {coeffs.kind!r}")
     adjoint = adjoint_qpr(s, coeffs.kind, coeffs.gram_roots)
     eps_used = max(mixing_weight(eps), QPR_EPS_FLOOR)
-    support, deficient, routes = _petz_sandwich(s, v_prior, adjoint, coeffs, tol)
-    if not deficient:
-        return PetzQprResult(matrix=support, root_routes=routes)
-    if eps <= 0.0:
-        raise SingularPosterior(
-            "posterior matrix is rank-deficient and regularization is disabled")
-    mixed = (1 - eps_used) * v_prior + eps_used * uniform_vector(n)
-    matrix, projected, mixed_routes = _petz_sandwich(s, mixed, adjoint, coeffs, tol)
-    return PetzQprResult(matrix=matrix, eps_used=eps_used, support_matrix=support,
-                         support_dev=max_abs(support - matrix),
-                         support_projected=projected, root_routes=routes + mixed_routes)
+    roots, (_, deficient), routes = state_powers(
+        np.array([v_prior, s @ v_prior]), ROOT_AND_INVERSE, coeffs, tol)
+    projected = False
+    if deficient:
+        if eps <= 0.0:
+            raise SingularPosterior(
+                "posterior matrix is rank-deficient and regularization is disabled")
+        mixed = (1 - eps_used) * v_prior + eps_used * uniform_vector(n)
+        roots, (_, projected), mixed_routes = state_powers(
+            np.array([mixed, s @ mixed]), ROOT_AND_INVERSE, coeffs, tol)
+        routes += mixed_routes
+    x = x_matrix(roots, coeffs)
+    return PetzQprResult(matrix=x[0] @ adjoint @ x[1],
+                         eps_used=eps_used if deficient else 0.0,
+                         support_projected=projected, root_routes=routes)
 
 
 def classical_bayes(s: np.ndarray, v_prior: np.ndarray,

@@ -301,7 +301,7 @@ class TestPetzCommand:
                      "--out", str(out)]) == 0
         meta = read_json(out)["meta"]
         assert meta["eps_used"] > 0
-        assert len(meta["root_routes"]) == 4 and "support_route_dev" in meta
+        assert len(meta["root_routes"]) == 4 and "support_route_dev" not in meta
 
     def test_replacement_channel_projects_on_the_support(self, tmp_path):
         # a full swap replaces every state by the pure ancilla, so the
@@ -888,6 +888,28 @@ class TestExitCodes:
         assert main(["frame", "--frame", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--angles", ["--channel", "{ch}", "--angles", "0.4,1.1,0.3"]),
+        ("--builtin", ["--builtin", "hadamard", "--prior", "{prior}"]),
+        ("--ancilla", ["--channel", "{ch}", "--prior", "{prior}", "--ancilla", "plus"]),
+    ], ids=["angles", "builtin", "ancilla"])
+    @pytest.mark.parametrize("command", ["repr", "petz", "compare", "graph"])
+    def test_qubit_shorthand_on_a_wider_frame(self, command, flag, argv, tmp_path,
+                                              capsys):
+        # the channel and prior documents fit d = 4, so the qubit-only flag
+        # is the one fault; it exited 1 as a dimension mismatch, or was
+        # ignored
+        files = {"ch": tmp_path / "ch.json", "prior": tmp_path / "prior.json"}
+        files["ch"].write_text(json.dumps(
+            {"kind": "kraus", "kraus": [encode_complex_matrix(np.eye(4))]}))
+        files["prior"].write_text(json.dumps(
+            {"kind": "matrix", "matrix": encode_complex_matrix(np.eye(4) / 4)}))
+        out = tmp_path / "out.json"
+        assert main([command, "--kind", "dw-qubits:2",
+                     *(a.format(**files) for a in argv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "qubit-only" in err and not out.exists()
+
     @pytest.mark.parametrize("kraus", [5, {"a": 1}, []],
                              ids=["number", "object", "empty"])
     def test_malformed_kraus_document(self, kraus, tmp_path, capsys):
@@ -944,6 +966,21 @@ class TestMalformedNumbers:
     def test_frame_operator_with_a_triple(self, tmp_path, capsys):
         doc = frame_to_dict(*build_dw_qubit())
         doc["F"] = _with_entry(doc["F"], [0.5, 0.0, 7.0])
+        self._exits_2(tmp_path, capsys, ["frame", "--frame", str(tmp_path / "f.json")],
+                      f=doc)
+
+    def test_state_matrix_with_a_bool(self, tmp_path, capsys):
+        # numpy reads [true, 0] among numbers as [1, 0]: this was |0><0|
+        matrix = [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]
+        self._exits_2(tmp_path, capsys,
+                      ["repr", "--kind", "dw-qubit", "--prior", str(tmp_path / "prior.json")],
+                      prior={"kind": "matrix", "matrix": matrix})
+
+    def test_frame_operator_with_a_bool(self, tmp_path, capsys):
+        # false as the zero imaginary part of a diagonal entry: the frame
+        # was read unchanged and validated
+        doc = frame_to_dict(*build_dw_qubit())
+        doc["F"][0][0][0][1] = False
         self._exits_2(tmp_path, capsys, ["frame", "--frame", str(tmp_path / "f.json")],
                       f=doc)
 
