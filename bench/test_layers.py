@@ -3,11 +3,13 @@
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest bench -q \\
         --benchmark-json BENCH_$(git rev-parse --short HEAD).json
 
-Each layer runs alone, on inputs built outside the timed call: the
-morphism of the channel (`channel_to_qpr`), the morphism of the oracle
-back into the frame, `x_matrix` of the prior root and the posterior
-inverse root, `state_powers` of the prior and its posterior, the whole
-`petz_qpr` and the Hilbert-space oracle `petz_hilbert`.  Every frame takes
+Each layer runs alone, on inputs built outside the timed call: a cold
+`structure_coeffs` (factor tensors and Gram roots) of a frame pair built
+afresh for every round, the morphism of the channel (`channel_to_qpr`),
+the morphism of the oracle back into the frame, `x_matrix` of the prior
+root and the posterior inverse root, `state_powers` of the prior and its
+posterior, the whole `petz_qpr` and the Hilbert-space oracle
+`petz_hilbert`.  Every frame takes
 one seeded case: a full-rank prior through a Haar 2d x 2d dilation with
 ancilla diag(0.7, 0.3).  `petz_qpr` also takes a regularized case: a pure
 prior through a Haar d x d unitary, whose posterior is pure.  The tier-1
@@ -24,6 +26,7 @@ from qbret.frames import (
     build_dw_qubit,
     build_dw_qubits,
     build_sic_qubit,
+    builtin_frame,
     structure_coeffs,
 )
 from qbret.hilbert import (
@@ -79,6 +82,14 @@ class Case:
 @pytest.fixture(scope="module", params=list(FRAMES))
 def case(request):
     return Case(request.param)
+
+
+def test_structure_coeffs_cold(benchmark, case):
+    # a fresh pair every round, built untimed, so the per-pair cache is empty
+    coeffs = benchmark.pedantic(
+        structure_coeffs, setup=lambda: (builtin_frame(case.frame.name), {}),
+        rounds=100, warmup_rounds=1)
+    assert coeffs.n == case.frame.n and coeffs is not case.coeffs
 
 
 def test_channel_to_qpr(benchmark, case):

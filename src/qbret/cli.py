@@ -25,7 +25,7 @@ from . import graphs as gr
 from . import hilbert as hb
 from . import qprcore as qp
 from . import verify as vf
-from .errors import OracleMismatch, ParseError, QbretError, TooLarge
+from .errors import OracleMismatch, ParseError, QbretError, RepMismatch, TooLarge
 from .matcore import DEFAULT_TOL, ORACLE_TOL, max_abs, mixing_weight
 
 _NAMED_KETS = {
@@ -253,13 +253,13 @@ def _gated_recovery(args, tol: float, frame: fr.Frame, dual: fr.DualFrame):
 
 def cmd_frame(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
-    # F and G as [re, im] pairs: 4 n d^2 floats, refused before any is written
-    cost = 4 * frame.n * frame.d ** 2 * fr.ENCODED_FLOAT_BYTES
+    # F as [re, im] pairs: 2 n d^2 floats, refused before any is written
+    cost = 2 * frame.n * frame.d ** 2 * fr.ENCODED_FLOAT_BYTES
     if cost > fr.MAX_TENSOR_BYTES:
         raise TooLarge(f"the document of frame {frame.name} would take about "
                        f"{cost} bytes to write, over {fr.MAX_TENSOR_BYTES}")
     report = fr.validate_frame(frame, dual, tol)
-    doc = fr.frame_to_dict(frame, dual)
+    doc = fr.frame_to_dict(frame)
     doc["validation"] = {
         "tol": tol,
         "passed": report.passed,
@@ -404,6 +404,8 @@ def cmd_graph(args, tol: float) -> int:
     bubbles = None
     if args.matrix:
         s, _rep = load_qpr_object(_read_json(args.matrix))
+        if s.ndim != 2 or not s.size or s.shape[0] != s.shape[1]:
+            raise RepMismatch(f"expected a non-empty square matrix, got shape {s.shape}")
         labels = None
         if args.bubbles:
             bubbles, _ = load_qpr_object(_read_json(args.bubbles))

@@ -2,7 +2,9 @@
 
 A frame is a set of d^2 Hermitian operators {F_j} summing to the identity
 with Tr F_j = 1/d; its dual {G_j} satisfies Tr[F_j G_k] = delta_jk and the
-sum-trace reconstruction property.  Built-in constructors cover the
+sum-trace reconstruction property.  With d^2 operators that dual is
+unique, and `Frame.dual` derives it from F and the frame's kind, the one
+home of that rule.  Built-in constructors cover the
 discrete-Wigner qubit frame (and tensor powers of it) and the canonical
 SIC-POVM tetrahedron, each under the name `builtin_frame` takes (the one
 table of built-in names, BUILTIN_FRAMES); anything else enters through
@@ -16,6 +18,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -48,12 +51,13 @@ KNOWN_KINDS = (KIND_NQ, KIND_SP, KIND_CUSTOM)
 # of n operators (n^3 entries) is 4.2 MB at n = 64 and 268 MB at n = 256; the
 # (n, d, d) operator stack of dw-qubits:N is 268 MB at N = 6, 4.3 GB at 7.
 MAX_TENSOR_BYTES = 1 << 30
-# Peak memory per float of a frame document, which holds F and G as 4 n d^2
+# Peak memory per float of a frame document, which holds F as 2 n d^2
 # floats.  `qbret frame --kind dw-qubits:N` (x86-64 Linux, CPython 3.11,
-# numpy 2.4) peaked at 65 MB RSS at N = 4 and 438 MB at N = 5, whose
-# documents hold 4 * 16^4 and 4 * 32^4 floats: (438 - 65) MiB / 3.93e6 floats
-# = 99.5 bytes each, as Python lists and JSON text.  `qbret frame` refuses a
-# document over MAX_TENSOR_BYTES at this rate: N = 5 takes 419 MB, N = 6 6.7 GB.
+# numpy 2.4) peaked at 53 MB RSS at N = 4 and 257 MB at N = 5, whose
+# documents hold 2 * 16^4 and 2 * 32^4 floats: (257 - 53) MiB / 2.10e6 floats
+# = 102 bytes each, as Python lists and JSON text.  `qbret frame` refuses a
+# document over MAX_TENSOR_BYTES at 100 bytes a float: N = 5 takes 210 MB,
+# N = 6 3.4 GB.
 ENCODED_FLOAT_BYTES = 100
 # Largest frame-Gram condition number `structure_coeffs` accepts.  Over 300
 # seeded full-rank recoveries each on shrunk tetrahedra, none missed the
@@ -67,7 +71,7 @@ class Frame:
     complex array, which `qprcore` views as floats for its traces.
 
     Tuple labels are kept for display; all matrix indexing uses their
-    flattened order 0..d^2-1.  `parts` holds the (frame, dual) pairs that
+    flattened order 0..d^2-1.  `parts` holds the single frames that
     `tensor_frames` composed this frame from, so that `structure_coeffs`
     can keep one factor per part; it is empty for every other frame.
     """
@@ -90,6 +94,25 @@ class Frame:
     def n(self) -> int:
         return self.d * self.d
 
+    @cached_property
+    def dual(self) -> DualFrame:
+        """The dual of this minimal frame, the one rule from F and the kind:
+        G = dF for nq, G = d(d+1)F - 1 for sp, and G = Q^{-1}F, for the
+        Gram Q[i,j] = Tr[F_i F_j], for custom (Ferrie and Emerson 2008).
+        `validate_frame` checks the kind against Q through it: with G = dF,
+        Tr[F_i G_j] = delta_ij needs Q = 1/d.  IllConditioned if Q is
+        singular."""
+        f, d = self.ops, self.d
+        if self.kind == KIND_NQ:
+            return DualFrame(name=self.name, ops=d * f)
+        if self.kind == KIND_SP:
+            return DualFrame(name=self.name, ops=d * (d + 1) * f - np.eye(d))
+        try:
+            g = np.linalg.solve(_gram(f), f.reshape(len(f), -1))
+        except np.linalg.LinAlgError as exc:
+            raise IllConditioned(f"frame {self.name!r} has a singular Gram") from exc
+        return DualFrame(name=self.name, ops=g.reshape(f.shape))
+
 
 @dataclass(eq=False)
 class DualFrame:
@@ -106,10 +129,11 @@ class DualFrame:
 class FrameReport:
     """Max violation per frame invariant; `passed` is the overall verdict.
 
-    `checks` holds the invariants of every frame/dual pair in a fixed
-    order, then the dual relation the frame's kind claims (G = dF for nq,
-    G = d(d+1)F - 1 for sp; none for custom).  The kind selects the
-    adjoint rule, so a false claim would give a wrong recovery matrix.
+    `checks` holds the invariants in a fixed order: those of F, then
+    `dual_relation`, the distance of G from `Frame.dual`, then those of the
+    pair.  The kind selects the dual rule and the adjoint rule, so a false
+    claim fails `orthogonality` on the derived dual, or `dual_relation` on
+    a given one, rather than give a wrong recovery matrix.
     """
 
     checks: dict
@@ -126,27 +150,25 @@ class FrameReport:
 
 def build_dw_qubit() -> tuple[Frame, DualFrame]:
     """Discrete-Wigner qubit frame, phase-point labels (r,s) in row-major
-    order (0,0),(0,1),(1,0),(1,1); the dual is G = 2F."""
+    order (0,0),(0,1),(1,0),(1,1), and its dual."""
     labels = ((0, 0), (0, 1), (1, 0), (1, 1))
     ops = np.array([
         (EYE2 + (-1) ** r * PAULI_X + (-1) ** s * PAULI_Z
          + (-1) ** (r + s) * PAULI_Y) / 4
         for (r, s) in labels])
     frame = Frame(name="dw-qubit", d=2, labels=labels, ops=ops, kind=KIND_NQ)
-    dual = DualFrame(name="dw-qubit", ops=2 * ops)
-    return frame, dual
+    return frame, frame.dual
 
 
 def build_sic_qubit() -> tuple[Frame, DualFrame]:
-    """Canonical qubit SIC frame (tetrahedron) with dual G = d(d+1)F - 1."""
+    """Canonical qubit SIC frame (tetrahedron) and its dual."""
     axes = ((1, -1, 1), (1, 1, -1), (-1, 1, 1), (-1, -1, -1))
     ops = np.array([
         (EYE2 + (nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z) / np.sqrt(3)) / 4
         for (nx, ny, nz) in axes])
     frame = Frame(name="sic-qubit", d=2, labels=(0, 1, 2, 3), ops=ops,
                   kind=KIND_SP)
-    dual = DualFrame(name="sic-qubit", ops=6 * ops - EYE2[None, :, :])
-    return frame, dual
+    return frame, frame.dual
 
 
 def _kron_stack(stacks: list[np.ndarray]) -> np.ndarray:
@@ -159,32 +181,31 @@ def _kron_stack(stacks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def tensor_frames(parts: list[tuple[Frame, DualFrame]]) -> tuple[Frame, DualFrame]:
-    """Tensor-compose NQPR frame pairs; composite labels run lexicographically
-    with the last factor fastest.  Only the NQPR kind composes this way.
+def tensor_frames(parts: list[Frame]) -> Frame:
+    """Tensor-compose NQPR frames; composite labels run lexicographically
+    with the last factor fastest.  Only the NQPR kind composes this way,
+    and the composite's dual dF is the product of the parts' duals.
 
-    The composite records its single-factor pairs in `parts` (a composite
-    part contributes its own parts).  Raises TooLarge, before allocating,
-    if its operator stack would exceed MAX_TENSOR_BYTES.
+    The composite records its single frames in `parts` (a composite part
+    contributes its own parts).  Raises TooLarge, before allocating, if its
+    operator stack would exceed MAX_TENSOR_BYTES.
     """
     if not parts:
-        raise ValueError("need at least one frame pair")
-    for f, _ in parts:
+        raise ValueError("need at least one frame")
+    for f in parts:
         if f.kind != KIND_NQ:
             raise NotNQPR(f"frame {f.name!r} has kind {f.kind!r}; "
                           "only NQPR frames tensor-compose")
     if len(parts) == 1:
         return parts[0]
-    d = math.prod(f.d for f, _ in parts)
+    d = math.prod(f.d for f in parts)
     if 16 * d ** 4 > MAX_TENSOR_BYTES:  # n = d^2 complex128 d x d operators
         raise TooLarge(f"a product of {len(parts)} frames has an operator stack "
                        f"over {MAX_TENSOR_BYTES} bytes")
-    labels = tuple(itertools.product(*(f.labels for f, _ in parts)))
-    name = "*".join(f.name for f, _ in parts)
-    frame = Frame(name=name, d=d, labels=labels,
-                  ops=_kron_stack([f.ops for f, _ in parts]), kind=KIND_NQ,
-                  parts=tuple(q for f, g in parts for q in (f.parts or ((f, g),))))
-    return frame, DualFrame(name=name, ops=_kron_stack([g.ops for _, g in parts]))
+    return Frame(name="*".join(f.name for f in parts), d=d,
+                 labels=tuple(itertools.product(*(f.labels for f in parts))),
+                 ops=_kron_stack([f.ops for f in parts]), kind=KIND_NQ,
+                 parts=tuple(q for f in parts for q in (f.parts or (f,))))
 
 
 def build_dw_qubits(n_qubits: int) -> tuple[Frame, DualFrame]:
@@ -196,12 +217,10 @@ def build_dw_qubits(n_qubits: int) -> tuple[Frame, DualFrame]:
     if 4 * n_qubits + 4 >= MAX_TENSOR_BYTES.bit_length():
         raise TooLarge(f"dw-qubits:{n_qubits} has an operator stack of "
                        f"16^{n_qubits + 1} bytes, over {MAX_TENSOR_BYTES}")
-    pair = build_dw_qubit()
-    frame, dual = tensor_frames([pair] * n_qubits)
+    frame = tensor_frames([build_dw_qubit()[0]] * n_qubits)
     if n_qubits > 1:
         frame.name = f"dw-qubits:{n_qubits}"
-        dual.name = frame.name
-    return frame, dual
+    return frame, frame.dual
 
 
 # The built-in frames by name; a name ending in ":N" stands for the names
@@ -254,9 +273,10 @@ def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
     The sum-trace reconstruction property is probed on the pair (1, 1) and
     on 20 seeded random Hermitian pairs: all n^2 traces Tr[F_j G_k] are one
     product, and so are the traces of the 21 probes against F and against G.
+    `dual_relation` compares G with the dual `frame.dual` derives, for
+    every kind; it raises IllConditioned where that needs a singular Gram.
     """
-    f, g = frame.ops, dual.ops
-    d, n = frame.d, frame.n
+    f, g, d, n = frame.ops, dual.ops, frame.d, frame.n
     checks = {}
     if f.shape != (n, d, d) or g.shape != (n, d, d):
         raise ValidationFailed("shape", float("inf"), tol)
@@ -264,6 +284,7 @@ def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
                                 max_abs(g - np.conj(np.transpose(g, (0, 2, 1)))))
     checks["normalization"] = max_abs(f.sum(axis=0) - np.eye(d))
     checks["frame_trace"] = max_abs(np.einsum("jaa->j", f) - 1.0 / d)
+    checks["dual_relation"] = max_abs(g - frame.dual.ops)
     checks["dual_trace"] = max_abs(np.einsum("jaa->j", g) - 1.0)
     checks["orthogonality"] = max_abs(_complex_traces(f, g) - np.eye(n))
     rng = np.random.default_rng(seed)
@@ -273,11 +294,6 @@ def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
     a, b = (np.array(x) for x in zip(*pairs))
     lhs = np.einsum("jp,jp->p", _complex_traces(f, a), _complex_traces(g, b))
     checks["sum_trace"] = max_abs(lhs - np.einsum("pab,pba->p", a, b))
-    if frame.kind == KIND_NQ:
-        # the traces 1/d of F and 1 of G leave d as the only consistent scale
-        checks["nq_dual_scaling"] = max_abs(g - d * f)
-    elif frame.kind == KIND_SP:
-        checks["sp_dual_affine"] = max_abs(g - (d * (d + 1) * f - np.eye(d)))
     return FrameReport(checks=checks, tol=tol)
 
 
@@ -286,9 +302,10 @@ def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
 # Every numeric array in a document is nested lists of JSON numbers, read by
 # `decode_array`; a complex array's innermost lists are [re, im] pairs.
 # Frame file (JSON): {"d": int, "kind": "nq"|"sp"|"custom", "labels": [...],
-#   "F": stack, "G": stack} where a stack is the (d^2, d, d) complex array
-# of operators, each matrix a row-major list of rows.  A "c" field (the nq
-# dual scale, always d) is ignored.
+#   "F": stack} where a stack is the (d^2, d, d) complex array of operators,
+# each matrix a row-major list of rows.  An optional "G" stack is a claim
+# about the dual, checked against `Frame.dual`.  A "c" field (the nq dual
+# scale, always d) is ignored.
 
 def decode_array(data, shape: tuple, what: str) -> np.ndarray:
     """`data` as one array of `shape`, where None leaves an axis free.
@@ -328,14 +345,14 @@ def decode_complex_matrix(data, shape: tuple = (None, None),
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
-def frame_to_dict(frame: Frame, dual: DualFrame) -> dict:
+def frame_to_dict(frame: Frame) -> dict:
+    """The frame document of `frame`: F alone, since the kind gives G."""
     return {
         "d": frame.d,
         "kind": frame.kind,
         "name": frame.name,
         "labels": [list(l) if isinstance(l, tuple) else l for l in frame.labels],
         "F": encode_complex_matrix(frame.ops),
-        "G": encode_complex_matrix(dual.ops),
     }
 
 
@@ -346,11 +363,14 @@ def _tuples(x):
 
 
 def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
-    """Build a validated frame pair from a frame document (dict or JSON text).
+    """The validated frame of a frame document (dict or JSON text), and its
+    derived dual.
 
     Fails loudly: ParseError for structural problems, ValidationFailed
-    naming the first violated invariant otherwise.  `F` and `G` are each
-    decoded as one (d^2, d, d) stack, before `labels` is read.
+    naming the first violated invariant otherwise.  `F`, and `G` if the
+    document holds one, are each decoded as one (d^2, d, d) stack, before
+    `labels` is read; a given G is the dual validated, so a G off
+    `Frame.dual` fails `dual_relation`.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -360,7 +380,7 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
     if not isinstance(document, dict):
         raise ParseError("frame document must be a JSON object")
     try:
-        d, f_ops, g_ops = document["d"], document["F"], document["G"]
+        d, f_ops = document["d"], document["F"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from exc
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
@@ -369,22 +389,23 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
     if kind not in KNOWN_KINDS:
         raise ParseError(f"unknown kind {kind!r}; expected one of {KNOWN_KINDS}")
     f_ops = decode_complex_matrix(f_ops, (d * d, d, d), "F")
-    g_ops = decode_complex_matrix(g_ops, (d * d, d, d), "G")
+    g_ops = (decode_complex_matrix(document["G"], (d * d, d, d), "G")
+             if "G" in document else None)
     labels = document.get("labels", list(range(d * d)))
     if not isinstance(labels, list) or len(labels) != d * d:
         raise ParseError(f"labels must be a list of {d * d} entries for d={d}")
     labels = _tuples(labels)
     frame = Frame(name=document.get("name", "custom"), d=d, labels=labels,
                   ops=f_ops, kind=kind)
-    dual = DualFrame(name=frame.name, ops=g_ops)
-    report = validate_frame(frame, dual, tol)
+    report = validate_frame(
+        frame, frame.dual if g_ops is None else DualFrame(name=frame.name, ops=g_ops), tol)
     if not report.passed:
         # name the first violated invariant, in the report's order; a NaN
         # violates, as in `passed`
         check = next(name for name, v in report.checks.items()
                      if not v <= tol)
         raise ValidationFailed(check, report.checks[check], tol)
-    return frame, dual
+    return frame, frame.dual
 
 
 # --- structure coefficients -------------------------------------------------
@@ -450,11 +471,6 @@ class StructureCoefficients:
             + tuple(range(b + 1, b + 2 * k, 2))).reshape(batch + (n, n))
 
 
-def _is_kron(ops: np.ndarray, stacks: list[np.ndarray], tol: float) -> bool:
-    kron = _kron_stack(stacks)
-    return ops.shape == kron.shape and max_abs(ops - kron) <= tol
-
-
 def _factor_tensor(f_ops: np.ndarray, g_ops: np.ndarray, tol: float) -> np.ndarray:
     """eta[x,i,j] = Tr[F_i G_x G_j], one x at a time so that no
     intermediate is bigger than the n^3 result."""
@@ -471,23 +487,24 @@ def _factor_tensor(f_ops: np.ndarray, g_ops: np.ndarray, tol: float) -> np.ndarr
     return eta
 
 
+def _gram(ops: np.ndarray) -> np.ndarray:
+    """The symmetric real Gram Q[i,j] = Tr[F_i F_j] of Hermitian operators."""
+    q = np.einsum("iab,jba->ij", ops, ops, optimize=True).real
+    return (q + q.T) / 2
+
+
 def _gram_roots(stacks: list[np.ndarray], tol: float) -> tuple | None:
     """(Q^{1/2}, Q^{-1/2}) of the Gram Q[i,j] = Tr[F_i F_j] of the frame
     whose operators are the Kronecker products of `stacks`; None only where
     every factor's Gram is a multiple of the identity (the similarity would
     be a scaling, and the adjoint is the transpose).  Raises IllConditioned
     past GRAM_COND_MAX, a rank-deficient Q included."""
-    grams = []
-    for ops in stacks:
-        q = np.einsum("iab,jba->ij", ops, ops, optimize=True).real
-        grams.append((q + q.T) / 2)
+    grams = [_gram(ops) for ops in stacks]
     if all(max_abs(q - q[0, 0] * np.eye(len(q))) <= tol * max_abs(q)
            for q in grams):
         return None
-    q = grams[0]
-    for g in grams[1:]:
-        q = np.kron(q, g)
-    spec = eigh_spectrum(q, tol)  # a Kronecker product of symmetric grams
+    # the Kronecker product of symmetric grams is the frame's symmetric Gram
+    spec = eigh_spectrum(reduce(np.kron, grams), tol)
     w = spec.values
     if w[-1] > GRAM_COND_MAX * w[0]:
         raise IllConditioned(f"frame Gram eigenvalues span [{w[0]:.3e}, "
@@ -500,11 +517,13 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
                      tol: float = DEFAULT_TOL) -> StructureCoefficients:
     """Compute (and cache per frame/dual pair) the structure coefficients.
 
-    A frame from `tensor_frames` whose operators and dual are still the
-    Kronecker products of its recorded parts gets one factor per part, so
-    memory and work grow with the number of parts, not with n^3; any other
-    pair is a single factor.  The roots of the frame Gram are computed here
-    too, once per pair (see `StructureCoefficients`).  Raises IllConditioned
+    A frame from `tensor_frames` whose operators are still the Kronecker
+    products of its recorded parts, given its own dual `frame.dual`, gets
+    one factor per part, each from the part and its dual, so memory and
+    work grow with the number of parts, not with n^3; any other pair, a
+    foreign dual included, is a single factor.  The roots of the frame
+    Gram are computed here too, once per pair (see
+    `StructureCoefficients`).  Raises IllConditioned
     if cond(Q) exceeds GRAM_COND_MAX, TooLarge, before allocating, if a
     factor would exceed MAX_TENSOR_BYTES, and ComplexResidue if a factor
     breaks conj(eta[x,i,j]) = eta[j,i,x] by more than tol.
@@ -512,17 +531,20 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
     cached = frame._coeffs.get(dual)
     if cached is not None:
         return cached
-    parts = frame.parts
-    if not (parts and _is_kron(frame.ops, [f.ops for f, _ in parts], tol)
-            and _is_kron(dual.ops, [g.ops for _, g in parts], tol)):
-        parts = ((frame, dual),)
-    for f, _ in parts:
-        if 16 * f.n ** 3 > MAX_TENSOR_BYTES:  # complex128
-            raise TooLarge(f"a structure-coefficient factor of {f.n} operators "
+    # a product frame with its own dual is factored by its parts while its
+    # operators are still their Kronecker products
+    parts = frame.parts if frame.parts and dual is frame.dual else ()
+    kron = _kron_stack([p.ops for p in parts]) if parts else None
+    own = (kron is not None and kron.shape == frame.ops.shape
+           and max_abs(frame.ops - kron) <= tol)
+    pairs = [(p.ops, p.dual.ops) for p in parts] if own else [(frame.ops, dual.ops)]
+    for f, _ in pairs:
+        if 16 * len(f) ** 3 > MAX_TENSOR_BYTES:  # complex128
+            raise TooLarge(f"a structure-coefficient factor of {len(f)} operators "
                            f"exceeds {MAX_TENSOR_BYTES} bytes")
     coeffs = StructureCoefficients(  # an ill-conditioned Gram raises first
-        gram_roots=_gram_roots([f.ops for f, _ in parts], tol),
-        factors=tuple(_factor_tensor(f.ops, g.ops, tol) for f, g in parts),
+        gram_roots=_gram_roots([f for f, _ in pairs], tol),
+        factors=tuple(_factor_tensor(f, g, tol) for f, g in pairs),
         frame_name=frame.name, e=np.einsum("jaa->j", frame.ops).real,
         kind=frame.kind)
     frame._coeffs[dual] = coeffs

@@ -59,7 +59,7 @@ def _pairs(table) -> list:
 def suite_frames(seed: int = 0) -> list[CheckResult]:
     out = []
     for _, f, g in _pairs(_SWEPT):
-        # the kind check (G = dF for nq, G = d(d+1)F - 1 for sp) is among them
+        # dual_relation, G against the dual rule of the frame's kind, is among them
         rep = fr.validate_frame(f, g, tol=1e-12, seed=seed)
         out.append(CheckResult(f"frame-invariants-{f.name}",
                                max(rep.checks.values()), 1e-12))

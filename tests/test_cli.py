@@ -48,7 +48,7 @@ def half_swap_plus_dw():
 def custom_sic_file(tmp_path):
     """The SIC tetrahedron saved as a custom frame: its adjoint then comes
     from the frame Gram, not from the closed form of its kind."""
-    doc = frame_to_dict(*build_sic_qubit())
+    doc = frame_to_dict(build_sic_qubit()[0])
     doc["kind"] = "custom"
     path = tmp_path / "custom_sic.json"
     path.write_text(json.dumps(doc))
@@ -87,7 +87,7 @@ class TestFrameCommand:
 
     def test_invalid_frame_file_exits_1(self, tmp_path):
         f, g = build_dw_qubit()
-        doc = frame_to_dict(f, g)
+        doc = frame_to_dict(f)
         doc["F"] = [[[[1.05 * z[0], 1.05 * z[1]] for z in row] for row in m]
                     for m in doc["F"]]
         bad = tmp_path / "bad.json"
@@ -165,7 +165,7 @@ class TestFrameCommand:
 
     def test_tolerance_option(self, tmp_path):
         f, g = build_dw_qubit()
-        doc = frame_to_dict(f, g)
+        doc = frame_to_dict(f)
         doc["F"] = [[[[(1 + 1e-6) * z[0], (1 + 1e-6) * z[1]] for z in row]
                      for row in m] for m in doc["F"]]
         path = tmp_path / "near.json"
@@ -347,7 +347,7 @@ class TestPetzCommand:
 
     def test_custom_rep_uses_morphed_adjoint(self, tmp_path):
         f, g = build_dw_qubit()
-        doc = frame_to_dict(f, g)
+        doc = frame_to_dict(f)
         doc["kind"] = "custom"
         path = tmp_path / "custom.json"
         path.write_text(json.dumps(doc))
@@ -357,10 +357,10 @@ class TestPetzCommand:
         assert read_json(out)["meta"]["oracle_deviation"] < 1e-8
 
     def test_noncanonical_frame_file_with_nonunital_channel(self, tmp_path):
-        # a blend of the two canonical frames, saved as a custom frame file;
-        # the recovery of a non-unital channel then takes the Gram-rule
-        # adjoint and must still agree with the oracle
-        from qbret.frames import Frame, DualFrame
+        # a blend of the two canonical frames, saved as a custom frame file
+        # with its Gram-inverse dual; the recovery of a non-unital channel
+        # then takes the Gram-rule adjoint and must still agree with the oracle
+        from qbret.frames import Frame
         dw_f, _ = build_dw_qubit()
         sp_f, _ = build_sic_qubit()
         ops = 0.6 * dw_f.ops + 0.4 * sp_f.ops
@@ -368,8 +368,8 @@ class TestPetzCommand:
         dual_ops = np.einsum("jk,kab->jab", np.linalg.inv(gram), ops)
         doc = frame_to_dict(
             Frame(name="blend", d=2, labels=tuple(range(4)), ops=ops,
-                  kind="custom"),
-            DualFrame(name="blend", ops=dual_ops))
+                  kind="custom"))
+        doc["G"] = encode_complex_matrix(dual_ops)
         path = tmp_path / "blend.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "petz.json"
@@ -585,6 +585,23 @@ class TestGraphCommand:
         out = tmp_path / "g.dot"
         assert main(["graph", "--matrix", str(s_out), "--bubbles", str(v_out),
                      "--direction", "retro", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("command", ["graph", "petz"])
+    @pytest.mark.parametrize("shape", [[], [0, 0], [2, 2, 1], [2, 3]],
+                             ids=["scalar", "empty", "three-axes", "rectangular"])
+    def test_matrix_that_is_not_a_nonempty_square_exits_1(self, command, shape,
+                                                          tmp_path, capsys):
+        # graph formed its default bubbles S @ uniform from these first, and
+        # ended in an IndexError, ZeroDivisionError or ValueError traceback;
+        # it now refuses them as petz does
+        path, out = tmp_path / "s.json", tmp_path / "out"
+        path.write_text(json.dumps(qpr_object_dict(
+            np.full(shape, 0.5), "unknown", "channel-matrix", {})))
+        argv = {"graph": [], "petz": ["--kind", "dw-qubit", "--angles", "0.4,1.1,0.3"]}
+        assert main([command, "--matrix", str(path), *argv[command],
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        assert not out.exists()
 
 
     def test_retro_custom_rep_morphs_the_adjoint(self, tmp_path):
@@ -877,9 +894,9 @@ class TestExitCodes:
         {"d": "two", "F": [], "G": []},
         {"d": 2, "F": 5, "G": []},
         {"d": 0, "F": [], "G": []},
-        {**frame_to_dict(*build_dw_qubit()), "d": 2.0},
-        {**frame_to_dict(*build_dw_qubit()), "labels": 5},
-        {**frame_to_dict(*build_dw_qubit()), "labels": [0, 1]},
+        {**frame_to_dict(build_dw_qubit()[0]), "d": 2.0},
+        {**frame_to_dict(build_dw_qubit()[0]), "labels": 5},
+        {**frame_to_dict(build_dw_qubit()[0]), "labels": [0, 1]},
     ], ids=["d-string", "F-number", "d-zero", "d-float", "labels-number",
             "labels-short"])
     def test_malformed_frame_document(self, doc, tmp_path, capsys):
@@ -964,7 +981,7 @@ class TestMalformedNumbers:
                              "phi": 0.3})
 
     def test_frame_operator_with_a_triple(self, tmp_path, capsys):
-        doc = frame_to_dict(*build_dw_qubit())
+        doc = frame_to_dict(build_dw_qubit()[0])
         doc["F"] = _with_entry(doc["F"], [0.5, 0.0, 7.0])
         self._exits_2(tmp_path, capsys, ["frame", "--frame", str(tmp_path / "f.json")],
                       f=doc)
@@ -979,7 +996,7 @@ class TestMalformedNumbers:
     def test_frame_operator_with_a_bool(self, tmp_path, capsys):
         # false as the zero imaginary part of a diagonal entry: the frame
         # was read unchanged and validated
-        doc = frame_to_dict(*build_dw_qubit())
+        doc = frame_to_dict(build_dw_qubit()[0])
         doc["F"][0][0][0][1] = False
         self._exits_2(tmp_path, capsys, ["frame", "--frame", str(tmp_path / "f.json")],
                       f=doc)

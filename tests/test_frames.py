@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qbret import errors
+from qbret.cli import main
 from qbret.frames import (
     Frame,
     DualFrame,
@@ -169,7 +170,85 @@ class TestTensorFrames:
 
     def test_rejects_sic_parts(self):
         with pytest.raises(errors.NotNQPR):
-            tensor_frames([build_sic_qubit(), build_dw_qubit()])
+            tensor_frames([build_sic_qubit()[0], build_dw_qubit()[0]])
+
+
+def kron_powers(ops, count):
+    """The Kronecker products of `count` copies of a stack, last factor
+    fastest, by direct index arithmetic."""
+    out = ops
+    for _ in range(count - 1):
+        n, d = len(out) * len(ops), out.shape[1] * ops.shape[1]
+        out = np.einsum("iab,jcd->ijacbd", out, ops).reshape(n, d, d)
+    return out
+
+
+_BUILTIN_NAMES = ["dw-qubit", "sic-qubit", "dw-qubits:1", "dw-qubits:2",
+                  "dw-qubits:3", "dw-qubits:4"]
+
+
+class TestDerivedDual:
+    """`Frame.dual`, derived from F and the kind, against the closed forms
+    the builders and `tensor_frames` carried: 2F, 6F - 1, and the Kronecker
+    products of 2F; and Q^{-1}F against the Gram-inverse construction."""
+
+    @pytest.mark.parametrize("name", _BUILTIN_NAMES)
+    def test_builtin_dual_is_the_closed_form(self, name):
+        f, g = builtin_frame(name)
+        assert g is f.dual
+        dw = build_dw_qubit()[0].ops
+        closed = (6 * f.ops - EYE2[None, :, :] if name == "sic-qubit"
+                  else kron_powers(2 * dw, int(name.partition(":")[2] or 1)))
+        assert np.array_equal(g.ops, closed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_custom_dual_is_the_gram_inverse(self, seed, custom_tetra):
+        f, g = custom_tetra(np.random.default_rng(seed))
+        gram = np.einsum("jab,kba->jk", f.ops, f.ops).real
+        inverse = np.einsum("jk,kab->jab", np.linalg.inv(gram), f.ops)
+        assert max_abs(g.ops - inverse) < 1e-14
+
+    @pytest.mark.parametrize("name", _BUILTIN_NAMES[:5] + ["custom"])
+    def test_document_without_g_loads_the_same_operators(self, name, custom_tetra):
+        f, g = (custom_tetra(np.random.default_rng(6)) if name == "custom"
+                else builtin_frame(name))
+        doc = frame_to_dict(f)
+        assert "G" not in doc
+        for document in (doc, {**doc, "G": encode_complex_matrix(g.ops)}):
+            f2, g2 = load_frame(json.dumps(document))
+            assert g2 is f2.dual
+            assert np.array_equal(f2.ops, f.ops) and np.array_equal(g2.ops, g.ops)
+
+    @pytest.mark.parametrize("name", ["dw-qubit", "sic-qubit", "custom"])
+    def test_perturbed_g_exits_1_naming_dual_relation(self, name, custom_tetra,
+                                                      tmp_path, capsys):
+        f, g = (custom_tetra(np.random.default_rng(7)) if name == "custom"
+                else builtin_frame(name))
+        doc = frame_to_dict(f)
+        # Hermitian, so the first check it breaks is the dual relation
+        nudge = 1e-6 * _random_hermitian(np.random.default_rng(8), f.d)
+        doc["G"] = encode_complex_matrix(g.ops + nudge)
+        path, out = tmp_path / "frame.json", tmp_path / "out.json"
+        path.write_text(json.dumps(doc))
+        assert main(["frame", "--frame", str(path), "--out", str(out)]) == 1
+        assert "dual_relation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_operator_without_g_raises_a_typed_error(self):
+        f, _ = build_dw_qubit()
+        repeated = Frame(name="repeated", d=2, labels=f.labels,
+                         ops=f.ops[[0, 0, 2, 3]], kind="custom")
+        with pytest.raises(errors.IllConditioned, match="singular Gram"):
+            load_frame(frame_to_dict(repeated))
+
+    def test_product_frame_builds_one_kronecker_stack(self, monkeypatch):
+        # the operators of dw-qubits:3; its dual is 8F, not a second product
+        import qbret.frames
+        calls, kron = [], qbret.frames._kron_stack
+        monkeypatch.setattr(qbret.frames, "_kron_stack",
+                            lambda stacks: calls.append(len(stacks)) or kron(stacks))
+        f, g = build_dw_qubits(3)
+        assert calls == [3] and np.array_equal(g.ops, 8 * f.ops)
 
 
 class TestValidateFrame:
@@ -191,9 +270,9 @@ class TestValidateFrame:
         report = validate_frame(f, g)
         # the first violated entry is the one load_frame names
         assert list(report.checks) == ["hermiticity", "normalization",
-                                       "frame_trace", "dual_trace",
-                                       "orthogonality", "sum_trace",
-                                       "nq_dual_scaling"]
+                                       "frame_trace", "dual_relation",
+                                       "dual_trace", "orthogonality",
+                                       "sum_trace"]
 
     def test_nan_operator_reads_nan_in_every_check_of_f(self):
         # a NaN probe trace once read as a sum_trace of 0.0
@@ -210,9 +289,13 @@ class TestValidateFrame:
         (lambda: build_dw_qubits(2), "nq_dual_scaling"),
         (build_sic_qubit, "sp_dual_affine")])
     def test_kind_claim_checked(self, builder, kind_check):
-        report = validate_frame(*builder())
-        assert list(report.checks)[6:] == [kind_check]
-        assert report.checks[kind_check] < 1e-14
+        # `kind_check` names the closed form the kind claims, G = dF or
+        # G = d(d+1)F - 1; one check, dual_relation, holds G to it
+        f, g = builder()
+        closed_form = {"nq_dual_scaling": f.d * f.ops,
+                       "sp_dual_affine": f.d * (f.d + 1) * f.ops - np.eye(f.d)}
+        report = validate_frame(f, DualFrame(name=f.name, ops=closed_form[kind_check]))
+        assert report.checks["dual_relation"] == 0.0 and report.passed
 
 
 class TestSumTrace:
@@ -257,11 +340,11 @@ class TestSumTrace:
 class TestLoadFrame:
     def test_round_trip(self):
         f, g = build_dw_qubit()
-        doc = json.dumps(frame_to_dict(f, g))
+        doc = json.dumps(frame_to_dict(f))
         f2, g2 = load_frame(doc)
         np.testing.assert_allclose(f2.ops, f.ops, atol=1e-15)
         np.testing.assert_allclose(g2.ops, g.ops, atol=1e-15)
-        assert f2.kind == "nq" and "c" not in frame_to_dict(f2, g2)
+        assert f2.kind == "nq" and "c" not in frame_to_dict(f2)
         assert f2.labels == f.labels
 
     @pytest.mark.parametrize("count", [2, 3])
@@ -269,7 +352,7 @@ class TestLoadFrame:
         # nested label lists come back as nested tuples, as built, so a
         # saved frame labels its graph nodes as the built one does
         f, g = build_dw_qubits(count)
-        f2, _ = load_frame(json.dumps(frame_to_dict(f, g)))
+        f2, _ = load_frame(json.dumps(frame_to_dict(f)))
         assert f2.labels == f.labels
         assert f2.labels[1] == ((0, 0),) * (count - 1) + ((0, 1),)
         assert [str(l) for l in f2.labels] == [str(l) for l in f.labels]
@@ -279,7 +362,7 @@ class TestLoadFrame:
         # files written with the former nq scale field still load; the
         # scale is d whatever the field says
         f, g = build_dw_qubit()
-        doc = {**frame_to_dict(f, g), "c": c}
+        doc = {**frame_to_dict(f), "c": c}
         f2, g2 = load_frame(json.dumps(doc))
         assert f2.kind == "nq" and not hasattr(f2, "c")
         np.testing.assert_allclose(g2.ops, 2 * f2.ops, atol=1e-15)
@@ -294,7 +377,7 @@ class TestLoadFrame:
 
     def test_normalization_failure_named(self):
         f, g = build_dw_qubit()
-        doc = frame_to_dict(f, g)
+        doc = frame_to_dict(f)
         doc["F"] = [[[[1.02 * z[0], 1.02 * z[1]] for z in row] for row in m]
                     for m in doc["F"]]
         with pytest.raises(errors.ValidationFailed) as exc:
@@ -306,31 +389,45 @@ class TestLoadFrame:
         # duplicating a dual operator keeps the sum and trace constraints
         # intact but breaks duality: Tr[F_0 G_1] = 0 != 1
         assert abs(np.trace(f.ops[0] @ g.ops[1])) < 1e-14
-        doc = frame_to_dict(f, g)
+        report = validate_frame(f, DualFrame(name="duplicate", ops=g.ops[[1, 1, 2, 3]]))
+        assert report.checks["dual_trace"] < 1e-14
+        assert abs(report.checks["orthogonality"] - 1.0) < 1e-14
+        # a document holding that G is off the derived dual, the check
+        # before orthogonality that load_frame names
+        doc = frame_to_dict(f)
+        doc["G"] = encode_complex_matrix(g.ops)
         doc["G"][0] = doc["G"][1]
         with pytest.raises(errors.ValidationFailed) as exc:
             load_frame(doc)
-        assert exc.value.check == "orthogonality"
+        assert exc.value.check == "dual_relation"
 
     def test_nan_entry_is_named(self):
         # a NaN passes no check, so the first check it reaches is named
-        doc = frame_to_dict(*build_dw_qubit())
+        doc = frame_to_dict(build_dw_qubit()[0])
         doc["F"][0][0][0] = [float("nan"), 0.0]
         with pytest.raises(errors.ValidationFailed) as exc:
             load_frame(doc)
         assert exc.value.check == "hermiticity"
 
-    @pytest.mark.parametrize("builder, claim, check", [
-        # a SIC pair claiming nq would get the bare-transpose adjoint and a
-        # wrong recovery matrix for every non-unital channel
+    @pytest.mark.parametrize("builder, claim, rule", [
+        # a SIC frame claiming nq would get the bare-transpose adjoint and a
+        # wrong recovery matrix for every non-unital channel; `rule` names
+        # the closed-form dual the false claim selects
         (build_sic_qubit, "nq", "nq_dual_scaling"),
         (build_dw_qubit, "sp", "sp_dual_affine")])
-    def test_false_kind_claim_fails(self, builder, claim, check):
-        doc = frame_to_dict(*builder())
+    def test_false_kind_claim_fails(self, builder, claim, rule):
+        f, g = builder()
+        doc = frame_to_dict(f)
         doc["kind"] = claim
+        # without G the claimed rule derives a dual that is no dual of F
         with pytest.raises(errors.ValidationFailed) as exc:
             load_frame(doc)
-        assert exc.value.check == check
+        assert exc.value.check == "orthogonality"
+        # with the true G, that G is off the dual the claim derives
+        doc["G"] = encode_complex_matrix(g.ops)
+        with pytest.raises(errors.ValidationFailed) as exc:
+            load_frame(doc)
+        assert exc.value.check == "dual_relation"
 
 
 _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1.0])
@@ -367,10 +464,10 @@ class TestCodec:
                 "dw-qubits:2": lambda: build_dw_qubits(2),
                 "dw-qubits:3": lambda: build_dw_qubits(3),
                 "custom": lambda: custom_tetra(np.random.default_rng(5))}[name]()
-        text = json.dumps(frame_to_dict(f, g))
+        text = json.dumps(frame_to_dict(f))
         f2, g2 = load_frame(text)
         assert np.array_equal(f2.ops, f.ops) and np.array_equal(g2.ops, g.ops)
-        assert json.dumps(frame_to_dict(f2, g2)) == text
+        assert json.dumps(frame_to_dict(f2)) == text
 
     @pytest.mark.parametrize("data, shape", [
         ([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], (None, None)),
@@ -463,12 +560,12 @@ class TestStructureCoeffs:
                                    direct_xi(f.ops, g.ops), atol=1e-14)
 
     @pytest.mark.parametrize("builder", [
-        lambda: build_dw_qubits(3),
-        lambda: tensor_frames([build_dw_qubits(2), build_dw_qubit()])])
+        lambda: build_dw_qubits(3)[0],
+        lambda: tensor_frames([build_dw_qubits(2)[0], build_dw_qubit()[0]])])
     def test_product_frame_keeps_one_factor_per_qubit(self, builder):
-        f, g = builder()
+        f = builder()
         np.testing.assert_array_equal(f.ops, build_dw_qubits(3)[0].ops)
-        coeffs = structure_coeffs(f, g)
+        coeffs = structure_coeffs(f, f.dual)
         assert [t.shape for t in coeffs.factors] == [(4, 4, 4)] * 3
         assert max(np.abs(t.imag).max() for t in coeffs.factors) == pytest.approx(0.5)
         np.testing.assert_allclose(coeffs.e, np.full(64, 1 / 8), atol=1e-15)
@@ -513,25 +610,25 @@ class TestStructureCoeffs:
             structure_coeffs(broken, g)
 
     def test_complex_residue_on_invalid_tensor_factor(self):
-        f, g = build_dw_qubit()
+        f, _ = build_dw_qubit()
         broken = Frame(name="broken", d=2, labels=f.labels,
                        ops=f.ops + 0.1j * np.eye(2), kind="nq")
-        composite = tensor_frames([build_dw_qubit(), (broken, g)])
-        assert len(composite[0].parts) == 2
+        composite = tensor_frames([build_dw_qubit()[0], broken])
+        assert len(composite.parts) == 2
         with pytest.raises(errors.ComplexResidue):
-            structure_coeffs(*composite)
+            structure_coeffs(composite, composite.dual)
 
     def test_refuses_a_factor_over_the_size_limit(self, monkeypatch):
         # a dense 16-operator factor takes 64 KiB, a one-qubit factor 1 KiB;
         # the limit is lowered so that no test allocates a large tensor
         import qbret.frames
         monkeypatch.setattr(qbret.frames, "MAX_TENSOR_BYTES", 2 ** 15)
-        loaded = load_frame(json.dumps(frame_to_dict(*build_dw_qubits(2))))
+        loaded = load_frame(json.dumps(frame_to_dict(build_dw_qubits(2)[0])))
         assert not loaded[0].parts
         with pytest.raises(errors.TooLarge):
             structure_coeffs(*loaded)
-        f, g = tensor_frames([build_dw_qubit(), build_dw_qubit()])
-        assert len(structure_coeffs(f, g).factors) == 2
+        f = tensor_frames([build_dw_qubit()[0], build_dw_qubit()[0]])
+        assert len(structure_coeffs(f, f.dual).factors) == 2
 
     def test_refuses_an_operator_stack_over_the_size_limit(self, monkeypatch):
         # dw-qubits:3 stacks 64 operators of 8 x 8 complex entries in 64 KiB;
@@ -544,7 +641,7 @@ class TestStructureCoeffs:
         with pytest.raises(errors.TooLarge):
             build_dw_qubits(3)
         with pytest.raises(errors.TooLarge):
-            tensor_frames([build_dw_qubit()] * 3)
+            tensor_frames([build_dw_qubit()[0]] * 3)
         assert calls == []
         # a huge N is refused from N alone, before its N parts or its
         # 2^N-digit d are formed
