@@ -21,7 +21,6 @@ from .frames import (
     validate_frame,
 )
 from .graphs import (
-    GraphOptions,
     TransitionGraph,
     emit_dot,
     emit_svg,
@@ -67,7 +66,7 @@ __all__ = [
     "build_dw_qubit", "build_dw_qubits", "build_sic_qubit",
     "classical_structure_coeffs", "load_frame", "structure_coeffs",
     "tensor_frames", "validate_frame",
-    "GraphOptions", "TransitionGraph", "emit_dot", "emit_svg",
+    "TransitionGraph", "emit_dot", "emit_svg",
     "forward_graph", "retro_graph",
     "KrausChannel", "PetzMap", "builtin_channel", "builtin_gates",
     "channel_from_dilation", "petz_hilbert", "qubit_state",

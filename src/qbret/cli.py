@@ -25,7 +25,7 @@ from . import graphs as gr
 from . import hilbert as hb
 from . import qprcore as qp
 from . import verify as vf
-from .errors import OracleMismatch, ParseError, QbretError, RepMismatch, TooLarge
+from .errors import OracleMismatch, ParseError, QbretError, TooLarge
 from .matcore import DEFAULT_TOL, ORACLE_TOL, max_abs, mixing_weight
 
 _NAMED_KETS = {
@@ -401,12 +401,9 @@ def cmd_compare(args, tol: float) -> int:
 
 
 def cmd_graph(args, tol: float) -> int:
-    bubbles = None
+    bubbles = labels = None
     if args.matrix:
         s, _rep = load_qpr_object(_read_json(args.matrix))
-        if s.ndim != 2 or not s.size or s.shape[0] != s.shape[1]:
-            raise RepMismatch(f"expected a non-empty square matrix, got shape {s.shape}")
-        labels = None
         if args.bubbles:
             bubbles, _ = load_qpr_object(_read_json(args.bubbles))
         elif args.direction == "retro":
@@ -414,20 +411,17 @@ def cmd_graph(args, tol: float) -> int:
                              "--bubbles (the prior vector file)")
     else:
         frame, dual = resolve_frame(args, tol)
-        labels = tuple(str(l) for l in frame.labels)
+        if args.label_style == "name":
+            labels = tuple(str(l) for l in frame.labels)
         if args.direction == "retro":
             _, prior, result, _, _ = _gated_recovery(args, tol, frame, dual)
             s, bubbles = result.matrix, qp.state_to_qpr(prior, frame)
         else:
             s = qp.channel_to_qpr(resolve_channel(args, tol)[0], frame, dual)
-    if bubbles is None:
-        bubbles = s @ qp.uniform_vector(s.shape[0])
     build = gr.retro_graph if args.direction == "retro" else gr.forward_graph
     graph = build(s, bubbles, labels, args.cutoff)
-    opts = gr.GraphOptions(bounds=args.bounds, label_style=args.label_style)
-    text = gr.emit_svg(graph, opts) if args.format == "svg" \
-        else gr.emit_dot(graph, opts)
-    _write_output(text, args.out)
+    emit = gr.emit_svg if args.format == "svg" else gr.emit_dot
+    _write_output(emit(graph, args.bounds), args.out)
     return 0
 
 

@@ -4,17 +4,21 @@ Positive transition weights draw warm and solid, negative ones cool and
 dashed, and the optional node "bubbles" carry a quasiprobability
 distribution (the image of the maximally mixed state on the output side of
 a forward graph, the reference prior on the input side of a retrodictive
-graph).  Rendering is done by this module itself on a fixed bipartite
-layout so that identical inputs produce byte-identical text.
+graph).  Rendering is done by this module itself: `_layout` places a
+graph once on a fixed bipartite layout, with its labels, fills, colors and
+arrow directions, and `emit_dot` and `emit_svg` only format that drawing,
+so identical inputs produce byte-identical text in either format.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RepMismatch
+from .qprcore import uniform_vector
 
 DEFAULT_CUTOFF = 1e-6
 
@@ -47,16 +51,6 @@ class TransitionGraph:
     out_bubbles: tuple | None = None
 
 
-@dataclass(frozen=True)
-class GraphOptions:
-    """Emission options: a symmetric colormap half-range (auto-scaled to
-    the largest |weight| when None) and the node label style ("name" keeps
-    the provided labels, "index" numbers them)."""
-
-    bounds: float | None = None
-    label_style: str = "name"
-
-
 def _as_labels(labels, n: int, prefix: str) -> tuple:
     if labels is None:
         return tuple(f"{prefix}{j}" for j in range(n))
@@ -65,14 +59,20 @@ def _as_labels(labels, n: int, prefix: str) -> tuple:
     return tuple(str(l) for l in labels)
 
 
-def _graph(s: np.ndarray, bubbles: np.ndarray, labels, cutoff: float,
+def _graph(s: np.ndarray, bubbles, labels, cutoff: float,
            direction: str) -> TransitionGraph:
-    # s[right, left] is the weight of the edge between input `left` and
-    # output `right`; the bubbles sit on the side the arrows point to
+    # s[right, left], or s_hat[left, right] for a retro graph, is the weight
+    # of the edge between input `left` and output `right`; the bubbles sit
+    # on the side the arrows point to, and a forward graph's default to the
+    # image S @ uniform of the maximally mixed state
     s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or not s.size or s.shape[0] != s.shape[1]:
+        raise RepMismatch(f"expected a non-empty square matrix, got shape {s.shape}")
     n = s.shape[0]
-    if s.shape != (n, n):
-        raise RepMismatch(f"expected a square matrix, got {s.shape}")
+    if bubbles is None and direction == FORWARD:
+        bubbles = s @ uniform_vector(n)
+    if direction == RETRODICTIVE:
+        s = s.T
     bubbles = np.asarray(bubbles, dtype=float)
     if bubbles.shape != (n,):
         raise RepMismatch(
@@ -91,10 +91,11 @@ def _graph(s: np.ndarray, bubbles: np.ndarray, labels, cutoff: float,
     )
 
 
-def forward_graph(s: np.ndarray, v_unif_image: np.ndarray, labels=None,
-                  cutoff: float = DEFAULT_CUTOFF) -> TransitionGraph:
+def forward_graph(s: np.ndarray, v_unif_image: np.ndarray | None = None,
+                  labels=None, cutoff: float = DEFAULT_CUTOFF) -> TransitionGraph:
     """Graph of a forward channel matrix with output bubbles carrying the
-    image of the maximally mixed state (callers pass S @ uniform)."""
+    image of the maximally mixed state, S @ uniform unless given.  Nodes
+    are numbered a0.../a'0... when `labels` is None."""
     return _graph(s, v_unif_image, labels, cutoff, FORWARD)
 
 
@@ -104,8 +105,7 @@ def retro_graph(s_hat: np.ndarray, v_prior: np.ndarray, labels=None,
     to the input side and the input bubbles carry the reference prior.
     s_hat[a, a'] is the retrodicted input a (left) given the observed
     output a' (right)."""
-    return _graph(np.asarray(s_hat, dtype=float).T, v_prior, labels, cutoff,
-                  RETRODICTIVE)
+    return _graph(s_hat, v_prior, labels, cutoff, RETRODICTIVE)
 
 
 def _lerp(a, b, t: float) -> tuple:
@@ -133,69 +133,68 @@ def _fmt(w: float) -> str:
     return f"{w:.9g}"
 
 
-def _node_name(side: str, idx: int) -> str:
-    return f"{side}{idx}"
-
-
-def _label(g: TransitionGraph, side: str, idx: int, opts: GraphOptions) -> str:
-    if opts.label_style == "index":
-        return f"a{idx}" if side == "in" else f"a'{idx}"
-    return g.in_labels[idx] if side == "in" else g.out_labels[idx]
-
-
-def emit_dot(g: TransitionGraph, opts: GraphOptions = GraphOptions()) -> str:
-    """Deterministic DOT text: two same-rank columns, dashed negative edges,
-    diverging edge colors, bubble-tinted nodes."""
-    edges = sorted(g.edges, key=lambda e: (e[0], e[1]))
-    w_max = _half_range([e[2] for e in edges], opts.bounds)
-    bubbles = {"in": g.in_bubbles, "out": g.out_bubbles}
-    b_vals = [v for side in bubbles.values() if side is not None for v in side]
-    b_max = _half_range(b_vals, None)
-    lines = ["digraph transitions {", "    rankdir=LR;",
-             "    node [shape=circle, style=filled, fontname=\"Helvetica\"];"]
-    n = len(g.in_labels)
-    for side in ("in", "out"):
-        members = []
-        for j in range(n):
-            fill = "#ffffff"
-            if bubbles[side] is not None:
-                fill = diverging_color(bubbles[side][j], b_max)
-            members.append(
-                f"    {_node_name(side, j)} [label=\"{_label(g, side, j, opts)}\","
-                f" fillcolor=\"{fill}\"];")
-        lines.append(f"    {{ rank=same; " + " ".join(
-            _node_name(side, j) + ";" for j in range(n)) + " }")
-        lines.extend(members)
-    for left, right, w in edges:
-        style = "solid" if w >= 0 else "dashed"
-        color = diverging_color(w, w_max)
-        src, dst = _node_name("in", left), _node_name("out", right)
-        if g.direction == RETRODICTIVE:
-            src, dst = dst, src
-        lines.append(
-            f"    {src} -> {dst} [style={style}, color=\"{color}\","
-            f" label=\"{_fmt(w)}\"];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-# fixed SVG geometry
+# fixed bipartite geometry, which the SVG writer draws
 _X_IN, _X_OUT = 110.0, 370.0
 _Y_TOP, _Y_STEP = 60.0, 70.0
 _R_NODE = 16.0
 _LEGEND_STEPS = 32
 
+_Node = namedtuple("_Node", "name label fill x y")
 
-def emit_svg(g: TransitionGraph, opts: GraphOptions = GraphOptions()) -> str:
+
+def _layout(g: TransitionGraph, bounds: float | None) -> tuple:
+    """(columns, edges, w_max): the one drawing both writers format.  The
+    two columns hold the input and the output nodes, each with its label
+    and bubble fill; the edges, sorted by (input, output), run from source
+    to target node in the graph's direction with their weight and color;
+    w_max is the edge colormap's half-range, `bounds` or the largest
+    |weight|."""
+    sides = ((g.in_labels, g.in_bubbles, "in", _X_IN),
+             (g.out_labels, g.out_bubbles, "out", _X_OUT))
+    b_max = _half_range([v for _, bubbles, _, _ in sides if bubbles is not None
+                         for v in bubbles], None)
+    columns = tuple(
+        [_Node(f"{side}{j}", label,
+               "#ffffff" if bubbles is None else diverging_color(bubbles[j], b_max),
+               x, _Y_TOP + _Y_STEP * j) for j, label in enumerate(labels)]
+        for labels, bubbles, side, x in sides)
+    edges = sorted(g.edges, key=lambda e: (e[0], e[1]))
+    w_max = _half_range([e[2] for e in edges], bounds)
+    drawn = []
+    for left, right, w in edges:
+        ends = (columns[0][left], columns[1][right])
+        if g.direction == RETRODICTIVE:
+            ends = ends[::-1]
+        drawn.append((*ends, w, diverging_color(w, w_max)))
+    return columns, drawn, w_max
+
+
+def emit_dot(g: TransitionGraph, bounds: float | None = None) -> str:
+    """Deterministic DOT text: two same-rank columns, dashed negative edges,
+    diverging edge colors on [-bounds, +bounds] (the largest |weight| when
+    None), bubble-tinted nodes."""
+    columns, edges, _ = _layout(g, bounds)
+    lines = ["digraph transitions {", "    rankdir=LR;",
+             "    node [shape=circle, style=filled, fontname=\"Helvetica\"];"]
+    for column in columns:
+        lines.append("    { rank=same; "
+                     + " ".join(node.name + ";" for node in column) + " }")
+        lines.extend(f"    {node.name} [label=\"{node.label}\","
+                     f" fillcolor=\"{node.fill}\"];" for node in column)
+    for src, dst, w, color in edges:
+        style = "solid" if w >= 0 else "dashed"
+        lines.append(
+            f"    {src.name} -> {dst.name} [style={style}, color=\"{color}\","
+            f" label=\"{_fmt(w)}\"];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def emit_svg(g: TransitionGraph, bounds: float | None = None) -> str:
     """Self-contained SVG with the same semantics as the DOT output plus a
     diverging color legend spanning [-w_max, +w_max]."""
-    edges = sorted(g.edges, key=lambda e: (e[0], e[1]))
-    w_max = _half_range([e[2] for e in edges], opts.bounds)
-    bubbles = {"in": g.in_bubbles, "out": g.out_bubbles}
-    b_vals = [v for side in bubbles.values() if side is not None for v in side]
-    b_max = _half_range(b_vals, None)
-    n = len(g.in_labels)
-    height = _Y_TOP + _Y_STEP * n + 70
+    columns, edges, w_max = _layout(g, bounds)
+    height = _Y_TOP + _Y_STEP * len(columns[0]) + 70
     width = _X_OUT + 110
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}"'
            f' height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
@@ -206,36 +205,27 @@ def emit_svg(g: TransitionGraph, opts: GraphOptions = GraphOptions()) -> str:
            '  </defs>',
            '  <rect width="100%" height="100%" fill="#ffffff"/>']
     # edges first so nodes draw on top
-    for left, right, w in edges:
-        x1, y1 = _X_IN, _Y_TOP + _Y_STEP * left
-        x2, y2 = _X_OUT, _Y_TOP + _Y_STEP * right
-        if g.direction == RETRODICTIVE:
-            x1, y1, x2, y2 = x2, y2, x1, y1
+    for src, dst, w, color in edges:
         # trim the segment to the node boundaries so arrowheads stay visible
-        dist = np.hypot(x2 - x1, y2 - y1)
-        ux, uy = (x2 - x1) / dist, (y2 - y1) / dist
+        dist = np.hypot(dst.x - src.x, dst.y - src.y)
+        ux, uy = (dst.x - src.x) / dist, (dst.y - src.y) / dist
         trim = _R_NODE + 2.0
-        x1, y1 = x1 + trim * ux, y1 + trim * uy
-        x2, y2 = x2 - trim * ux, y2 - trim * uy
+        x1, y1 = src.x + trim * ux, src.y + trim * uy
+        x2, y2 = dst.x - trim * ux, dst.y - trim * uy
         style = ' stroke-dasharray="6,4"' if w < 0 else ""
-        color = diverging_color(w, w_max)
         sw = 1.0 + 2.5 * min(abs(w) / w_max if w_max else 0.0, 1.0)
         out.append(f'  <path d="M {x1:.1f} {y1:.1f} L {x2:.1f} {y2:.1f}"'
                    f' stroke="{color}" stroke-width="{sw:.2f}" fill="none"'
                    f' marker-end="url(#arrow)"{style}/>')
-    for side, x in (("in", _X_IN), ("out", _X_OUT)):
-        for j in range(n):
-            y = _Y_TOP + _Y_STEP * j
-            fill = "#ffffff"
-            if bubbles[side] is not None:
-                fill = diverging_color(bubbles[side][j], b_max)
-            out.append(f'  <circle cx="{x:.1f}" cy="{y:.1f}" r="{_R_NODE:.1f}"'
-                       f' fill="{fill}" stroke="#333333"/>')
-            anchor = "end" if side == "in" else "start"
-            tx = x - _R_NODE - 6 if side == "in" else x + _R_NODE + 6
-            out.append(f'  <text x="{tx:.1f}" y="{y + 4:.1f}" font-size="12"'
+    # labels outside the columns: left of the inputs, right of the outputs
+    for column, anchor, shift in zip(columns, ("end", "start"), (-1, 1)):
+        for node in column:
+            out.append(f'  <circle cx="{node.x:.1f}" cy="{node.y:.1f}"'
+                       f' r="{_R_NODE:.1f}" fill="{node.fill}" stroke="#333333"/>')
+            out.append(f'  <text x="{node.x + shift * (_R_NODE + 6):.1f}"'
+                       f' y="{node.y + 4:.1f}" font-size="12"'
                        f' font-family="Helvetica" text-anchor="{anchor}">'
-                       f'{_label(g, side, j, opts)}</text>')
+                       f'{node.label}</text>')
     # color legend strip, symmetric about zero
     ly = height - 38
     lx0, lx1 = _X_IN, _X_OUT
@@ -245,10 +235,10 @@ def emit_svg(g: TransitionGraph, opts: GraphOptions = GraphOptions()) -> str:
         out.append(f'  <rect x="{lx0 + i * step:.2f}" y="{ly:.1f}"'
                    f' width="{step + 0.5:.2f}" height="12"'
                    f' fill="{diverging_color(t, 1.0)}"/>')
-    for t, anchor in ((-1.0, "middle"), (0.0, "middle"), (1.0, "middle")):
+    for t in (-1.0, 0.0, 1.0):
         x = lx0 + (t + 1.0) / 2.0 * (lx1 - lx0)
         out.append(f'  <text x="{x:.1f}" y="{ly + 26:.1f}" font-size="11"'
-                   f' font-family="Helvetica" text-anchor="{anchor}">'
+                   ' font-family="Helvetica" text-anchor="middle">'
                    f'{_fmt(t * w_max)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -58,7 +58,7 @@ QPR_EPS_FLOOR = 1e-5
 # Frames with fewer operators take state powers from one eigh of the state
 # matrix, larger ones from a certified Lanczos run (`lanczos`).  A Lanczos
 # run costs a fixed dozen small numpy calls per step, an eigh grows as n^3:
-# `state_power` of a random full-rank state (one BLAS thread, best of 5 x
+# `state_powers` of one random full-rank state (one BLAS thread, best of 5 x
 # 300-2000 calls), eigh vs Lanczos, took 0.075 vs 0.135 ms at n = 4 (dw),
 # 0.067 vs 0.119 (sic), 0.146 vs 0.239 at n = 16, 0.80 vs 0.38 at n = 64 and
 # 15.3 vs 3.3 ms at n = 256.  qubit-sweep (n = 4) and dw3-product (n = 64)
@@ -110,12 +110,13 @@ def povm_to_qpr(effect: np.ndarray, dual: DualFrame) -> np.ndarray:
 
 
 def reconstruct_state(v: np.ndarray, dual: DualFrame) -> np.ndarray:
-    """alpha = sum_x v_x G_x; left inverse of state_to_qpr on valid vectors."""
+    """alpha = sum_x v_x G_x; left inverse of state_to_qpr on valid vectors.
+    A (k, n) stack of vectors gives the (k, d, d) stack of their states."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (dual.ops.shape[0],):
+    if v.ndim not in (1, 2) or v.shape[-1] != dual.ops.shape[0]:
         raise RepMismatch(
-            f"vector length {v.shape} does not match frame size {dual.ops.shape[0]}")
-    return np.einsum("j,jab->ab", v, dual.ops)
+            f"vector shape {v.shape} does not match frame size {dual.ops.shape[0]}")
+    return np.einsum("...j,jab->...ab", v, dual.ops)
 
 
 def channel_to_qpr(channel, frame: Frame, dual: DualFrame) -> np.ndarray:
@@ -304,14 +305,6 @@ def state_powers(v: np.ndarray, r: tuple | np.ndarray,
     return np.array(rows), list(deficient), routes
 
 
-def state_power(v: np.ndarray, r: float, coeffs: StructureCoefficients,
-                tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
-    """(vector of alpha^r on the support, deficient): row 0 of the
-    `state_powers` of the one-row stack of v."""
-    rows, deficient, _ = state_powers(np.asarray(v)[None], (r,), coeffs, tol)
-    return rows[0], deficient[0]
-
-
 def k_matrix(s: np.ndarray) -> np.ndarray:
     """Rank-one correction K[i, j] = (sum_a S[j, a] - 1) / sqrt(n), identical
     rows.
@@ -454,7 +447,7 @@ class MPowerReport:
     r: float
     lhs: np.ndarray  # matrix of the state power, entries Tr[F_i a^r G_j a^r]
     rhs: np.ndarray  # matrix power of the state matrix
-    max_dev: float
+    max_dev: float  # over every matrix of a stack
 
 
 def m_power_check(v: np.ndarray, r: float, frame: Frame, dual: DualFrame,
@@ -466,11 +459,15 @@ def m_power_check(v: np.ndarray, r: float, frame: Frame, dual: DualFrame,
     state and takes traces directly; the right side raises the
     quasiprobability-side matrix to the r-th power.  Both sides follow the
     rank policy of `power_values`, so they agree on deficient states at every r.
+    A (k, n) stack of vectors is checked at once, one eigh and one
+    `state_powers` call for all of them, and gives (k, n, n) sides.
     """
     if coeffs is None:
         coeffs = structure_coeffs(frame, dual, tol)
     alpha_r, _ = hermitian_eig(reconstruct_state(v, dual), tol).power(r, tol)
-    lhs = np.einsum("iab,bc,jcd,da->ij", frame.ops, alpha_r, dual.ops,
+    lhs = np.einsum("iab,...bc,jcd,...da->...ij", frame.ops, alpha_r, dual.ops,
                     alpha_r, optimize=True).real
-    rhs = x_matrix(state_power(v, r, coeffs, tol)[0], coeffs)
+    stack = np.asarray(v, dtype=float).reshape(-1, coeffs.n)
+    rows = state_powers(stack, (r,) * len(stack), coeffs, tol)[0]
+    rhs = x_matrix(rows, coeffs).reshape(lhs.shape)
     return MPowerReport(r=r, lhs=lhs, rhs=rhs, max_dev=max_abs(lhs - rhs))

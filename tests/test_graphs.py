@@ -1,10 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qbret import errors
 from qbret.frames import build_dw_qubit, structure_coeffs
 from qbret.graphs import (
-    GraphOptions,
     diverging_color,
     emit_dot,
     emit_svg,
@@ -100,6 +101,17 @@ class TestGraphBuild:
         with pytest.raises(errors.RepMismatch):
             forward_graph(np.eye(4), np.ones(3))
 
+    @pytest.mark.parametrize("build", [forward_graph, retro_graph])
+    @pytest.mark.parametrize("s, bubbles", [
+        (np.float64(1.0), np.ones(1)),
+        (np.zeros((0, 0)), np.zeros(0)),
+        (np.ones((2, 3)), np.ones(2)),
+    ], ids=["scalar", "empty", "rectangular"])
+    def test_matrix_that_is_not_a_nonempty_square(self, build, s, bubbles):
+        # a 0-d matrix raised IndexError and a 0 x 0 one drew an empty graph
+        with pytest.raises(errors.RepMismatch, match="non-empty square"):
+            build(s, bubbles)
+
 
 class TestEmitDot:
     def test_identity_all_solid(self):
@@ -134,10 +146,8 @@ class TestEmitDot:
 
     def test_label_styles(self, dw, half_swap_s):
         f, _ = dw
-        graph = forward_graph(half_swap_s, half_swap_s @ uniform_vector(4),
-                              labels=labels_of(f))
-        named = emit_dot(graph)
-        indexed = emit_dot(graph, GraphOptions(label_style="index"))
+        named = emit_dot(forward_graph(half_swap_s, labels=labels_of(f)))
+        indexed = emit_dot(forward_graph(half_swap_s))
         assert "(0, 0)" in named
         assert "a0" in indexed and "(0, 0)" not in indexed
 
@@ -165,6 +175,37 @@ class TestEmitSvg:
         graph = forward_graph(half_swap_s, half_swap_s @ uniform_vector(4))
         text = emit_svg(graph)
         assert "stroke-dasharray" in text
+
+
+GOLDEN = Path(__file__).parent / "data" / "graphs"
+DW_LABELS = ("(0, 0)", "(0, 1)", "(1, 0)", "(1, 1)")
+# the Hadamard pattern (the same in the dw and sic frames) and the closed-form
+# half-SWAP recovery at the |+> prior in dw, as `verify --suite
+# counterexamples` states them, with the dw vector of |+>
+HADAMARD = 0.5 * np.array([[1, 1, 1, -1], [1, -1, 1, 1],
+                           [1, 1, -1, 1], [-1, 1, 1, 1]])
+HALF_SWAP_RECOVERY = 0.5 * np.array([[1, 1, 1, 1], [1, 1, 1, 1],
+                                     [0, 0, 0, 0], [0, 0, 0, 0]])
+PLUS_DW = np.array([0.5, 0.5, 0.0, 0.0])
+GOLDEN_CASES = {
+    "hadamard": (lambda: forward_graph(HADAMARD, labels=DW_LABELS), None),
+    "hadamard-bounds": (lambda: forward_graph(HADAMARD, labels=DW_LABELS), 0.8),
+    "half-swap-retro": (
+        lambda: retro_graph(HALF_SWAP_RECOVERY, PLUS_DW, DW_LABELS), None),
+    "half-swap-retro-numbered": (
+        lambda: retro_graph(HALF_SWAP_RECOVERY, PLUS_DW), None),
+}
+
+
+@pytest.mark.parametrize("emit, suffix", [(emit_dot, "dot"), (emit_svg, "svg")],
+                         ids=["dot", "svg"])
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_writers_match_their_reference_bytes(name, emit, suffix):
+    # the files were written by the writers before they shared one layout;
+    # the text must not move by a byte
+    build, bounds = GOLDEN_CASES[name]
+    text = emit(build(), bounds)
+    assert text.encode("utf-8") == (GOLDEN / f"{name}.{suffix}").read_bytes()
 
 
 class TestColors:

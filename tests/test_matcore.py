@@ -200,7 +200,7 @@ class TestPrincipalPower:
         # prior matrix; the matrix of the root state must square back
         # entrywise
         from qbret.frames import build_dw_qubit, build_sic_qubit, structure_coeffs
-        from qbret.qprcore import state_power, state_to_qpr, x_matrix
+        from qbret.qprcore import state_powers, state_to_qpr, x_matrix
         rng = np.random.default_rng(42)
         for f, g in (build_dw_qubit(), build_sic_qubit()):
             xi = structure_coeffs(f, g)
@@ -209,7 +209,7 @@ class TestPrincipalPower:
                 rho = a @ a.conj().T
                 rho /= np.trace(rho).real
                 v = state_to_qpr(rho, f)
-                root = x_matrix(state_power(v, 0.5, xi, TOL)[0], xi)
+                root = x_matrix(state_powers(v[None], (0.5,), xi, TOL)[0][0], xi)
                 assert max_abs(root @ root - x_matrix(v, xi)) < 1e-9
 
     def test_root_of_nonsymmetric_rank_deficient_matrix(self):
@@ -217,7 +217,7 @@ class TestPrincipalPower:
         # symmetric, so the root goes through the frame-Gram similarity
         # and the kernel route
         from qbret.frames import build_sic_qubit, structure_coeffs
-        from qbret.qprcore import state_power, state_to_qpr, x_matrix
+        from qbret.qprcore import state_powers, state_to_qpr, x_matrix
         f, g = build_sic_qubit()
         xi = structure_coeffs(f, g)
         rho = np.array([[1, 1], [1, 1]], dtype=complex) / 2
@@ -226,7 +226,7 @@ class TestPrincipalPower:
         assert max_abs(m - m.T) > 1e-3
         w = np.sort(np.linalg.eigvals(m).real)
         np.testing.assert_allclose(w, [0, 0, 0, 1], atol=1e-12)
-        root_v, deficient = state_power(v, 0.5, xi, TOL)
+        (root_v,), (deficient,), _ = state_powers(v[None], (0.5,), xi, TOL)
         assert deficient
         root = x_matrix(root_v, xi)
         assert not np.iscomplexobj(root)
@@ -328,14 +328,14 @@ def sic_prior_and_posterior(seed):
 
 
 class TestNonsymmetricRoots:
-    """Matrices of state roots (`state_power`, through the frame Gram) are
+    """Matrices of state roots (`state_powers`, through the frame Gram) are
     the roots of the non-symmetric SIC matrices: checked against scipy's
     roots of the raw matrix."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_half_powers_match_schur_pade(self, seed):
-        from qbret.qprcore import state_power, x_matrix
+        from qbret.qprcore import state_powers, x_matrix
         vectors, xi = sic_prior_and_posterior(seed)
         for v in vectors:
             m = x_matrix(v, xi)
@@ -343,7 +343,7 @@ class TestNonsymmetricRoots:
             ref = scipy.linalg.sqrtm(m)
             for r in (0.5, -0.5):
                 expected = scipy.linalg.fractional_matrix_power(m, r)
-                power_v, deficient = state_power(v, r, xi, TOL)
+                (power_v,), (deficient,), _ = state_powers(v[None], (r,), xi, TOL)
                 power = x_matrix(power_v, xi)
                 assert not deficient
                 assert not np.iscomplexobj(power)
@@ -355,13 +355,13 @@ class TestNonsymmetricRoots:
 
     def test_deficient_flag_on_the_kernel_route(self):
         from qbret.frames import build_sic_qubit, structure_coeffs
-        from qbret.qprcore import state_power, state_to_qpr, x_matrix
+        from qbret.qprcore import state_powers, state_to_qpr, x_matrix
         f, g = build_sic_qubit()
         xi = structure_coeffs(f, g)
         rho = np.array([[1, 1], [1, 1]], dtype=complex) / 2
         v = state_to_qpr(rho, f)
         m = x_matrix(v, xi)
-        inv_v, deficient = state_power(v, -0.5, xi, TOL)
+        (inv_v,), (deficient,), _ = state_powers(v[None], (-0.5,), xi, TOL)
         inv = x_matrix(inv_v, xi)
         assert deficient
         # rank one with eigenvalue 1: the support inverse root is the

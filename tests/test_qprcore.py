@@ -52,7 +52,6 @@ from qbret.qprcore import (
     povm_to_qpr,
     reconstruct_state,
     state_matrix,
-    state_power,
     state_powers,
     state_to_qpr,
     uniform_vector,
@@ -829,11 +828,11 @@ class TestGramRoute:
             for r in (0.5, -0.5):
                 expected = (hilbert_power_matrix(alpha, r, f, g) if rank_one
                             else scipy.linalg.fractional_matrix_power(m, r))
-                power, deficient = state_power(vec, r, coeffs)
+                (power,), (deficient,), _ = state_powers(vec[None], (r,), coeffs)
                 assert deficient == rank_one
                 power = x_matrix(power, coeffs)
                 assert max_abs(power - expected) <= 1e-12 * grow * max_abs(expected)
-        assert state_power(v, 0.5, coeffs)[1] == pure
+        assert state_powers(v[None], (0.5,), coeffs)[1][0] == pure
 
         try:
             result = petz_qpr(s, v, coeffs, kind=f.kind)
@@ -989,10 +988,11 @@ class TestLanczos:
         import qbret.qprcore as qc
         coeffs, v, exact = _lanczos_case(frame, spectrum, custom_tetra)
         for r in (0.5, -0.5):
-            power, deficient = state_power(v, r, coeffs)
+            (power,), (deficient,), _ = state_powers(v[None], (r,), coeffs)
             with monkeypatch.context() as patch:
                 patch.setattr(qc, "LANCZOS_MIN_N", np.inf)
-                reference, reference_deficient = state_power(v, r, coeffs)
+                (reference,), (reference_deficient,), _ = state_powers(
+                    v[None], (r,), coeffs)
             matrix_power, matrix_deficient = _eigh_route(v, r, coeffs)
             assert max_abs(reference - matrix_power) <= 1e-14 * max_abs(matrix_power)
             assert deficient == reference_deficient == matrix_deficient
@@ -1072,10 +1072,11 @@ class TestLanczos:
         assert len(powers) == len(deficient) == len(routes) == len(rows)
         for vec, r, power, flag, route in zip(v, exponents, powers, deficient,
                                               routes):
-            want, want_flag = state_power(vec, r, coeffs)
+            (want,), (want_flag,), (want_route,) = state_powers(vec[None], (r,),
+                                                                coeffs)
             assert max_abs(power - want) <= 1e-13 * max_abs(want)
             assert flag == want_flag
-            assert (route,) == state_powers(vec[None], (r,), coeffs)[2]
+            assert route == want_route
 
     @pytest.mark.parametrize("frame", ["dw", "sic", "dw3"])
     def test_stack_gives_each_row_its_route_and_power(self, frame):
@@ -1094,16 +1095,17 @@ class TestLanczos:
         stack = np.array([v, channel_to_qpr(channel, f, g) @ mixed])
         exponents = (0.5, -0.5)
         powers, deficient, routes = state_powers(stack, exponents, coeffs)
-        assert routes == tuple(state_powers(x[None], (r,), coeffs)[2][0]
-                               for x, r in zip(stack, exponents))
         if frame == "dw3":
             assert routes == ("lanczos", "eigh")
         else:
             assert routes == ("eigh", "eigh")
-        for x, r, power, flag in zip(stack, exponents, powers, deficient):
-            want, want_flag = state_power(x, r, coeffs)
+        for x, r, power, flag, route in zip(stack, exponents, powers, deficient,
+                                            routes):
+            (want,), (want_flag,), (want_route,) = state_powers(x[None], (r,),
+                                                                coeffs)
             assert max_abs(power - want) <= 1e-13 * max_abs(want)
             assert flag == want_flag
+            assert route == want_route
 
     def test_uncertified_posterior_falls_back_to_eigh(self):
         result, deviation = self._failing_case()
@@ -1196,20 +1198,19 @@ class TestLanczos:
         # power on the support, flagged deficient
         import qbret.qprcore as qc
         coeffs, v, _ = _lanczos_case(frame, "pure", custom_tetra)
-        power, deficient = state_power(v, -0.5, coeffs)
+        (power,), (deficient,), _ = state_powers(v[None], (-0.5,), coeffs)
         with monkeypatch.context() as patch:
             patch.setattr(qc, "LANCZOS_MIN_N", np.inf)
-            reference, reference_deficient = state_power(v, -0.5, coeffs)
+            (reference,), (reference_deficient,), _ = state_powers(
+                v[None], (-0.5,), coeffs)
         assert deficient and reference_deficient
         assert max_abs(power - reference) <= 1e-12 * max_abs(reference)
         # 1.3 |psi><psi| - 0.3 (1/d) has the eigenvalue -0.3/d
         bad = 1.3 * v - 0.3 * uniform_vector(coeffs.n)
         with pytest.raises(errors.NotPSD):
-            state_power(bad, 0.5, coeffs)
+            state_powers(bad[None], (0.5,), coeffs)
         nan = v.copy()
         nan[0] = np.nan
-        with pytest.raises(errors.NotHermitian):
-            state_power(nan, 0.5, coeffs)
         with pytest.raises(errors.NotHermitian):
             state_powers(nan[None], (0.5,), coeffs)
 
@@ -1334,6 +1335,28 @@ class TestMPowerCheck:
         with pytest.raises(errors.NotPSD):
             m_power_check(bad, 0.5, f, g)
 
+    def test_stack_checks_each_row(self, dw, sic):
+        # a (k, n) stack, a pure state among full-rank ones, gives (k, n, n)
+        # sides, each the report of its row alone
+        rng = np.random.default_rng(10)
+        states = np.array([random_density(rng, 2, min_eig=0.05) for _ in range(5)]
+                          + [projector(KET_PLUS)])
+        for f, g in (dw, sic):
+            vectors = state_to_qpr(states, f).T
+            np.testing.assert_allclose(reconstruct_state(vectors, g), states,
+                                       atol=1e-12)
+            with pytest.raises(errors.RepMismatch):
+                reconstruct_state(vectors[None], g)
+            for r in (0.5, -1.0):
+                report = m_power_check(vectors, r, f, g)
+                rows = [m_power_check(v, r, f, g) for v in vectors]
+                assert report.lhs.shape == report.rhs.shape == (6, 4, 4)
+                for side in ("lhs", "rhs"):
+                    np.testing.assert_allclose(
+                        getattr(report, side),
+                        [getattr(row, side) for row in rows], atol=1e-12)
+                assert report.max_dev < 1e-10
+
     @given(st.floats(min_value=0.1, max_value=1.5),
            st.floats(min_value=-1.0, max_value=1.0))
     @settings(max_examples=25, deadline=None)
@@ -1345,5 +1368,5 @@ class TestMPowerCheck:
         v = state_to_qpr(rho, f)
 
         def power(r):
-            return x_matrix(state_power(v, r, xi)[0], xi)
+            return x_matrix(state_powers(v[None], (r,), xi)[0][0], xi)
         assert max_abs(power(a) @ power(b) - power(a + b)) < 1e-9
