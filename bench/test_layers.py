@@ -9,7 +9,9 @@ afresh for every round, the morphism of the channel (`channel_to_qpr`),
 the morphism of the oracle back into the frame, `x_matrix` of the prior
 root and the posterior inverse root, `state_powers` of the prior and its
 posterior, the whole `petz_qpr` and the Hilbert-space oracle
-`petz_hilbert`.  Every frame takes
+`petz_hilbert`, and the whole operation the benchmark times
+(`test_operation`: both morphisms, `petz_qpr`, the oracle, its morphism
+and the deviation).  Every frame takes
 one seeded case: a full-rank prior through a Haar 2d x 2d dilation with
 ancilla diag(0.7, 0.3).  `petz_qpr` also takes a regularized case: a pure
 prior through a Haar d x d unitary, whose posterior is pure.  The tier-1
@@ -130,3 +132,18 @@ def test_petz_qpr_regularized(benchmark, case):
 def test_petz_hilbert(benchmark, case):
     recovery = benchmark(petz_hilbert, case.channel, case.prior)
     assert recovery.eps_used == 0.0
+
+
+def _operation(case):
+    """The benchmark's operation on the case: morph the prior and the
+    channel, recover, build the oracle, morph it back, take the deviation."""
+    v = state_to_qpr(case.prior, case.frame)
+    s = channel_to_qpr(case.channel, case.frame, case.dual)
+    result = petz_qpr(s, v, structure_coeffs(case.frame, case.dual),
+                      kind=case.frame.kind, eps=1e-8)
+    oracle = petz_hilbert(case.channel, case.prior, eps=result.eps_used or 1e-8)
+    return max_abs(result.matrix - channel_to_qpr(oracle, case.frame, case.dual))
+
+
+def test_operation(benchmark, case):
+    assert benchmark(_operation, case) <= ORACLE_TOL

@@ -251,13 +251,21 @@ def _gated_recovery(args, tol: float, frame: fr.Frame, dual: fr.DualFrame):
 
 # --- commands ------------------------------------------------------------------
 
-def cmd_frame(args, tol: float) -> int:
-    frame, dual = resolve_frame(args, tol)
-    # F as [re, im] pairs: 2 n d^2 floats, refused before any is written
-    cost = 2 * frame.n * frame.d ** 2 * fr.ENCODED_FLOAT_BYTES
+def _document_bound(d: int, name: str) -> None:
+    """TooLarge if the document of a frame of dimension d, F as [re, im]
+    pairs (2 n d^2 = 2 d^4 floats), would exceed MAX_TENSOR_BYTES."""
+    cost = 2 * d ** 4 * fr.ENCODED_FLOAT_BYTES
     if cost > fr.MAX_TENSOR_BYTES:
-        raise TooLarge(f"the document of frame {frame.name} would take about "
+        raise TooLarge(f"the document of frame {name} would take about "
                        f"{cost} bytes to write, over {fr.MAX_TENSOR_BYTES}")
+
+
+def cmd_frame(args, tol: float) -> int:
+    # a built-in frame is refused by its name, before it is built
+    if args.kind and not args.frame:
+        _document_bound(fr.builtin_dimension(args.kind), args.kind)
+    frame, dual = resolve_frame(args, tol)
+    _document_bound(frame.d, frame.name)
     report = fr.validate_frame(frame, dual, tol)
     doc = fr.frame_to_dict(frame)
     doc["validation"] = {
@@ -368,7 +376,7 @@ def _born_scan(matrix: np.ndarray, frame: fr.Frame, dual: fr.DualFrame) -> list:
     states = qp.state_to_qpr(projectors, frame)
     effects = qp.povm_to_qpr(
         np.concatenate([projectors, np.eye(frame.d)[None]]), dual)
-    values = (effects.T @ (matrix @ states)).T.tolist()  # [state][effect]
+    values = (effects @ (matrix @ states.T)).T.tolist()  # [state][effect]
     return [{"state": sname, "effect": ename, "value": value,
              "valid": -1e-9 <= value <= 1.0 + 1e-9}
             for sname, row in zip(names, values)

@@ -208,49 +208,68 @@ def tensor_frames(parts: list[Frame]) -> Frame:
                  parts=tuple(q for f in parts for q in (f.parts or (f,))))
 
 
-def build_dw_qubits(n_qubits: int) -> tuple[Frame, DualFrame]:
-    """The N-fold `tensor_frames` of dw-qubit.  Its operator stack takes
-    16^(N+1) = 2^(4N+4) bytes, over MAX_TENSOR_BYTES exactly when 4N+4
-    reaches the bound's bit length; such an N raises TooLarge at once."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
+def _qubits_dimension(n_qubits: int) -> int:
+    """d = 2^N of dw-qubits:N.  Its operator stack takes 16^(N+1) =
+    2^(4N+4) bytes, over MAX_TENSOR_BYTES exactly when 4N+4 reaches the
+    bound's bit length; such an N raises TooLarge before d is formed."""
     if 4 * n_qubits + 4 >= MAX_TENSOR_BYTES.bit_length():
         raise TooLarge(f"dw-qubits:{n_qubits} has an operator stack of "
                        f"16^{n_qubits + 1} bytes, over {MAX_TENSOR_BYTES}")
+    return 2 ** n_qubits
+
+
+def build_dw_qubits(n_qubits: int) -> tuple[Frame, DualFrame]:
+    """The N-fold `tensor_frames` of dw-qubit, N >= 1 (ValueError from
+    `tensor_frames` otherwise); the TooLarge of `_qubits_dimension` is
+    raised before any part is built."""
+    _qubits_dimension(n_qubits)
     frame = tensor_frames([build_dw_qubit()[0]] * n_qubits)
     if n_qubits > 1:
         frame.name = f"dw-qubits:{n_qubits}"
     return frame, frame.dual
 
 
-# The built-in frames by name; a name ending in ":N" stands for the names
-# with a count N >= 1 in its place, and its builder takes that count.
+# The built-in frames by name, each with its builder and the dimension d
+# of the frame it builds; a name ending in ":N" stands for the names with a
+# count N >= 1 in its place, and its builder and d take that count.
 BUILTIN_FRAMES = {
-    "dw-qubit": build_dw_qubit,
-    "sic-qubit": build_sic_qubit,
-    "dw-qubits:N": build_dw_qubits,
+    "dw-qubit": (build_dw_qubit, lambda: 2),
+    "sic-qubit": (build_sic_qubit, lambda: 2),
+    "dw-qubits:N": (build_dw_qubits, _qubits_dimension),
 }
 
 
-def builtin_frame(name: str) -> tuple[Frame, DualFrame]:
-    """The built-in frame pair called `name`, a key of BUILTIN_FRAMES with
-    any ":N" written as a count (dw-qubits:2).  ParseError for any other
-    name; a builder's own errors pass through (TooLarge from
-    `build_dw_qubits`)."""
+def _builtin(name: str) -> tuple:
+    """(builder, d, arguments) of the BUILTIN_FRAMES entry `name` names,
+    with any ":N" written as a count (dw-qubits:2); ParseError for any
+    other name."""
     stem, colon, count = name.partition(":")
-    build = BUILTIN_FRAMES.get(f"{stem}:N" if colon else name)
-    if build is None:
+    entry = BUILTIN_FRAMES.get(f"{stem}:N" if colon else name)
+    if entry is None:
         raise ParseError(f"unknown frame kind {name!r}; expected one of "
                          + ", ".join(BUILTIN_FRAMES))
-    if not colon:
-        return build()
     try:
-        n = int(count)
+        args = (int(count),) if colon else ()
     except ValueError:
-        n = 0
-    if n < 1:
+        args = (0,)
+    if args and args[0] < 1:
         raise ParseError(f"frame kind {name!r} needs a count N >= 1")
-    return build(n)
+    return (*entry, args)
+
+
+def builtin_frame(name: str) -> tuple[Frame, DualFrame]:
+    """The built-in frame pair called `name`; ParseError for a name
+    `_builtin` refuses, and a builder's own errors pass through (TooLarge
+    from `build_dw_qubits`)."""
+    build, _, args = _builtin(name)
+    return build(*args)
+
+
+def builtin_dimension(name: str) -> int:
+    """The d of `builtin_frame(name)`, read from the name without building
+    anything; ParseError as there."""
+    _, d, args = _builtin(name)
+    return d(*args)
 
 
 def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -441,7 +460,8 @@ class StructureCoefficients:
 
     @property
     def n(self) -> int:
-        return math.prod(f.shape[0] for f in self.factors)
+        """The number of operators, the product of the factors' sizes."""
+        return len(self.e)
 
     def left(self, v: np.ndarray) -> np.ndarray:
         """L[i, j] = sum_x v_x eta[x, i, j] for a real vector v, or the
@@ -453,10 +473,8 @@ class StructureCoefficients:
         leading index by the trailing pair (i_k, j_k), as one matrix
         product; the batch index then comes out in front.
         """
-        dims = tuple(f.shape[0] for f in self.factors)
-        n, k = math.prod(dims), len(dims)
         t = np.asarray(v, dtype=float)
-        batch = t.shape[:-1]
+        batch, n, k = t.shape[:-1], len(self.e), len(self.factors)
         if t.ndim not in (1, 2) or t.shape[-1] != n:
             raise RepMismatch(
                 f"vector length {t.shape} does not match coefficients ({n})")
@@ -466,7 +484,8 @@ class StructureCoefficients:
         for f in self.factors:
             t = t.reshape(f.shape[0], -1).T @ f.reshape(f.shape[0], -1)
         b = len(batch)
-        return t.reshape(batch + tuple(d for d in dims for _ in (0, 1))).transpose(
+        return t.reshape(batch + tuple(f.shape[0] for f in self.factors
+                                       for _ in (0, 1))).transpose(
             tuple(range(b)) + tuple(range(b, b + 2 * k, 2))
             + tuple(range(b + 1, b + 2 * k, 2))).reshape(batch + (n, n))
 

@@ -68,8 +68,8 @@ def assert_density(rho: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
 def _density_checks(rho: np.ndarray, values: np.ndarray, tol: float) -> None:
     """NotPSD unless the Hermitian rho has unit trace and none of its
     ascending eigenvalues `values` lies below -tol."""
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise NotPSD(f"trace {np.trace(rho).real:.12f} != 1")
+    if abs(rho.trace() - 1.0) > tol:
+        raise NotPSD(f"trace {rho.trace().real:.12f} != 1")
     if values[0] < -tol:
         raise NotPSD(f"negative eigenvalue {values[0]:.3e}")
 
@@ -157,8 +157,7 @@ class KrausChannel:
         """sum_l k x k^dag, elementwise on a (..., d, d) stack: one product
         with the superoperator."""
         x = operator_stack(x, self.d)
-        flat = x.reshape(-1, self.d * self.d)
-        return (flat @ self.superop.T).reshape(x.shape)
+        return (x.reshape(-1, self.d * self.d) @ self.superop.T).reshape(x.shape)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """Heisenberg-picture adjoint sum_l k^dag x k, elementwise on a
@@ -166,8 +165,7 @@ class KrausChannel:
         unital by construction and tied to `apply` by
         Tr[E[rho] s] = Tr[E^dag[s] rho]."""
         x = operator_stack(x, self.d)
-        flat = x.reshape(-1, self.d * self.d)
-        return (flat @ self.superop.conj()).reshape(x.shape)
+        return (x.reshape(-1, self.d * self.d) @ self.superop.conj()).reshape(x.shape)
 
 
 def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
@@ -218,14 +216,10 @@ class PetzMap:
     eps_used: float = 0.0
     support_projected: bool = False
 
-    @property
-    def d(self) -> int:
-        return self.base.d
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The recovery map, elementwise on a (..., d, d) stack, each
         sandwich two products for the whole stack (`_sandwich`)."""
-        x = operator_stack(x, self.d)
+        x = operator_stack(x, self.base.d)
         inner = self.base.adjoint(_sandwich(self.inv_sqrt_post, x))
         return _sandwich(self.sqrt_prior, inner)
 

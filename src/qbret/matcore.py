@@ -72,17 +72,17 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def _max_abs_each(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """max(`max_abs`, floor) of each matrix of a (..., m, m) stack, NaN
-    where the matrix holds one."""
-    return np.maximum.reduce(np.abs(a), axis=(-2, -1), initial=floor)
-
-
-def _within(dev: np.ndarray, bound: np.ndarray) -> bool:
-    """Whether dev <= bound everywhere, False on NaN: one reduction of
-    bound - dev, exact because a float difference is zero only between
-    equal floats."""
-    return bool(np.minimum.reduce(bound - dev, axis=None) >= 0.0)
+def _within_each(dev: np.ndarray, a: np.ndarray, rtol: float) -> bool:
+    """Whether `max_abs` of each matrix of the (..., m, m) stack `dev` is
+    at most rtol * max(`max_abs`, 1) of the same matrix of `a`, False on
+    NaN.  Every bound is at least rtol, so a stack whose largest deviation
+    is within rtol passes without its scales; otherwise one reduction of
+    bound - deviation decides, exact because a float difference is zero
+    only between equal floats."""
+    dev = np.abs(dev)
+    return bool(np.maximum.reduce(dev, axis=None) <= rtol or np.minimum.reduce(
+        rtol * np.maximum.reduce(np.abs(a), axis=(-2, -1), initial=1.0)
+        - np.maximum.reduce(dev, axis=(-2, -1)), axis=None) >= 0.0)
 
 
 def rank_threshold(scale: float | np.ndarray) -> float | np.ndarray:
@@ -99,9 +99,10 @@ def mixing_weight(eps: float) -> float:
     return float(eps)
 
 
-def _require_square(a: np.ndarray) -> np.ndarray:
-    """a as an array of shape (..., m, m); DimensionMismatch otherwise."""
-    a = np.asarray(a)
+def _require_square(a: np.ndarray, dtype=None) -> np.ndarray:
+    """a as an array of `dtype` and shape (..., m, m); DimensionMismatch
+    otherwise."""
+    a = np.asarray(a, dtype=dtype)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -165,7 +166,9 @@ def support_powers(w: np.ndarray, r: float | np.ndarray
     cut value is raised to r, so a zero spectrum cannot overflow."""
     keep = w >= rank_threshold(w[-1])
     safe = np.where(keep, w, 1.0)
-    return keep, safe, np.where(keep, safe ** r, 0.0)
+    # times the mask, not a second where: x * 1.0 is x, and 1.0 ** r * 0.0
+    # is 0.0
+    return keep, safe, safe ** r * keep
 
 
 def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
@@ -189,10 +192,10 @@ def eigh_spectrum(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    resid = _max_abs_each((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - h)
-    bound = 10 * tol * _max_abs_each(h, 1.0)
-    if not _within(resid, bound):
-        raise NoConvergence(f"reconstruction residual {resid} > {bound}")
+    resid = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - h
+    if not _within_each(resid, h, 10 * tol):
+        raise NoConvergence(
+            f"reconstruction residual {max_abs(resid):.3e} over its bound")
     return Spectrum(values=w, vectors=v)
 
 
@@ -211,11 +214,10 @@ def symmetrized(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     Raises NotHermitian unless ||m - m^T||_max <= tol * max(||m||_max, 1)
     for each matrix, so also on NaN entries.
     """
-    m = _require_square(np.asarray(m, dtype=float))
+    m = _require_square(m, float)
     t = m.swapaxes(-1, -2)
-    dev = _max_abs_each(m - t)
-    if not _within(dev, tol * _max_abs_each(m, 1.0)):
-        raise NotHermitian(f"||M - M^T||_max = {dev} exceeds tol")
+    if not _within_each(m - t, m, tol):
+        raise NotHermitian(f"||M - M^T||_max = {max_abs(m - t):.3e} exceeds tol")
     return (m + t) * 0.5
 
 

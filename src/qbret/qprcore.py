@@ -87,26 +87,29 @@ def uniform_vector(n: int) -> np.ndarray:
 
 
 def _traces(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Re Tr[ops_j x] for every j, indexed [j, ...] over a (..., d, d)
-    stack x.  The operators are Hermitian (`validate_frame` checks them to
-    tol), so Re Tr[F x] = Re sum conj(F)_ab x_ab for any x: one real
-    product of the flattened operators and matrices, each viewed as its
-    interleaved real and imaginary parts."""
+    """Re Tr[ops_j x_p] as the (n, m) matrix [j, p] over the m matrices of
+    a (..., d, d) stack x, in its C order.  The operators are Hermitian
+    (`validate_frame` checks them to tol), so Re Tr[F x] = Re sum
+    conj(F)_ab x_ab for any x: one real product of the flattened operators
+    and matrices, each viewed as its interleaved real and imaginary parts."""
     n, d = ops.shape[0], ops.shape[-1]
     flat = np.ascontiguousarray(x, dtype=complex).reshape(-1, d * d).view(float)
-    return (ops.reshape(n, d * d).view(float) @ flat.T).reshape(n, *x.shape[:-2])
+    return ops.reshape(n, d * d).view(float) @ flat.T
 
 
 def state_to_qpr(rho: np.ndarray, frame: Frame) -> np.ndarray:
-    """v_a = Tr[rho F_a]; a stack (m, d, d) of states gives the (n, m)
-    matrix whose columns are their vectors."""
-    return _traces(frame.ops, operator_stack(rho, frame.d, "state"))
+    """v_a = Tr[rho F_a]; a stack (m, d, d) of states gives the (m, n)
+    stack of their vectors, one row each, as `state_powers` and
+    `x_matrix` take them."""
+    rho = operator_stack(rho, frame.d, "state")
+    return _traces(frame.ops, rho).T.reshape(rho.shape[:-2] + (-1,))
 
 
 def povm_to_qpr(effect: np.ndarray, dual: DualFrame) -> np.ndarray:
     """Effect vector vbar_a = Tr[E G_a]; a stack (m, d, d) of effects gives
-    the (n, m) matrix whose columns are their vectors."""
-    return _traces(dual.ops, operator_stack(effect, dual.ops.shape[1], "effect"))
+    the (m, n) stack of their vectors, one row each."""
+    effect = operator_stack(effect, dual.ops.shape[1], "effect")
+    return _traces(dual.ops, effect).T.reshape(effect.shape[:-2] + (-1,))
 
 
 def reconstruct_state(v: np.ndarray, dual: DualFrame) -> np.ndarray:
@@ -126,13 +129,10 @@ def channel_to_qpr(channel, frame: Frame, dual: DualFrame) -> np.ndarray:
     map) or a bare callable such as a Kraus channel's adjoint.  Either is
     called once, on the whole (n, d, d) stack of dual operators, and must
     return the (n, d, d) stack of their images; any other shape raises
-    DimensionMismatch.  Every trace is then one matrix product.
+    DimensionMismatch, as the `apply` of a Kraus channel or recovery map
+    of another dimension does.  Every trace is then one matrix product.
     """
     apply = channel.apply if hasattr(channel, "apply") else channel
-    d = getattr(channel, "d", None)
-    if d is not None and d != frame.d:
-        raise DimensionMismatch(
-            f"channel dimension {d} does not match frame dimension {frame.d}")
     images = np.asarray(apply(dual.ops))
     if images.shape != dual.ops.shape:
         raise DimensionMismatch(
@@ -171,10 +171,8 @@ def state_matrix(v: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
     conditioning, which X(v) squares.  A (k, n) stack of vectors gives the
     (k, n, n) stack of their matrices."""
     j = coeffs.left(v).real
-    if coeffs.gram_roots is None:
-        return j
-    half, inv_half = coeffs.gram_roots
-    return inv_half @ j @ half
+    roots = coeffs.gram_roots
+    return j if roots is None else roots[1] @ j @ roots[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,14 +305,17 @@ def state_powers(v: np.ndarray, r: tuple | np.ndarray,
 
 def k_matrix(s: np.ndarray) -> np.ndarray:
     """Rank-one correction K[i, j] = (sum_a S[j, a] - 1) / sqrt(n), identical
-    rows.
+    rows: `_k_row` repeated n times.
 
     Vanishes exactly when S is quasi-bistochastic (unital channel).
     """
     s = np.asarray(s, dtype=float)
-    n = s.shape[0]
-    row = (s.sum(axis=1) - 1.0) / int(round(np.sqrt(n)))
-    return row[None, :].repeat(n, axis=0)
+    return _k_row(s)[None, :].repeat(s.shape[0], axis=0)
+
+
+def _k_row(s: np.ndarray) -> np.ndarray:
+    """The row (sum_a S[j, a] - 1) / sqrt(n) of K, for a float matrix s."""
+    return (s.sum(axis=1) - 1.0) / math.isqrt(s.shape[0])
 
 
 def adjoint_qpr(s: np.ndarray, kind: str,
@@ -324,14 +325,15 @@ def adjoint_qpr(s: np.ndarray, kind: str,
 
     With d^2 frame operators the dual is G = Q^{-1} F for the frame Gram
     Q[i,j] = Tr[F_i F_j], so S_adj = Q S^T Q^{-1} for every frame.  NQPR
-    frames (Q a multiple of 1) transpose and SIC frames add the K
-    correction to the transpose; any other frame takes the Gram rule
+    frames (Q a multiple of 1) transpose and SIC frames add the one row of
+    the K correction to the transpose; any other frame takes the Gram rule
     through `gram_roots` = (Q^{1/2}, Q^{-1/2}) of its
     `StructureCoefficients`, where None means Q is a multiple of 1.
     """
     s = np.asarray(s, dtype=float)
     if kind == KIND_SP:
-        return s.T + k_matrix(s)
+        # every row of K is the one row, so it broadcasts
+        return s.T + _k_row(s)
     if kind == KIND_NQ or gram_roots is None:
         return s.T.copy()
     half, inv_half = gram_roots

@@ -92,7 +92,7 @@ def suite_mmatrix(seed: int = 0) -> list[CheckResult]:
         # pre-discard reality check straight from the operator traces
         m_direct = np.einsum("iab,mbc,jcd,mda->mij", f.ops, rho, g.ops, rho,
                              optimize=True)
-        m = qp.x_matrix(qp.state_to_qpr(rho, f).T, fr.structure_coeffs(f, g))
+        m = qp.x_matrix(qp.state_to_qpr(rho, f), fr.structure_coeffs(f, g))
         worst_eig = max(0.0, -float(np.linalg.eigvals(m).real.min()))
         out.append(CheckResult(f"m-entries-real-{name}", max_abs(m_direct.imag),
                                1e-10))
@@ -127,7 +127,7 @@ def suite_powers(seed: int = 0) -> list[CheckResult]:
         rng = np.random.default_rng(seed)
         states = np.array([hb.random_density(rng, f.d, min_eig=0.05)
                            for _ in range(50)])
-        vectors = qp.state_to_qpr(states, f).T
+        vectors = qp.state_to_qpr(states, f)
         for r in (2.0, 0.5, -0.5, -1.0):
             worst = qp.m_power_check(vectors, r, f, g, xi).max_dev
             out.append(CheckResult(f"power-identity-{name}-r={r:g}", worst, 1e-8))
@@ -182,7 +182,7 @@ def _retrodiction_axioms(seed: int) -> list[CheckResult]:
         s1, s2 = (qp.channel_to_qpr(_random_channel(rng, f.d), f, g)
                   for _ in range(2))
         v1, v2 = qp.state_to_qpr(np.array(
-            [hb.random_density(rng, f.d, min_eig=0.05) for _ in range(2)]), f).T
+            [hb.random_density(rng, f.d, min_eig=0.05) for _ in range(2)]), f)
         product = qp.petz_qpr(np.kron(s1, s2), np.kron(v1, v2), coeffs2).matrix
         worst = max(worst, max_abs(product - np.kron(
             qp.petz_qpr(s1, v1, coeffs).matrix, qp.petz_qpr(s2, v2, coeffs).matrix)))
@@ -198,7 +198,7 @@ def suite_commute(seed: int = 0) -> list[CheckResult]:
         channels, priors = zip(*[(_random_channel(rng, f.d),
                                   hb.random_density(rng, f.d, min_eig=0.05))
                                  for _ in range(200)])
-        vectors = qp.state_to_qpr(np.array(priors), f).T
+        vectors = qp.state_to_qpr(np.array(priors), f)
         worst = 0.0
         for channel, prior, v in zip(channels, priors, vectors):
             lhs = qp.petz_qpr(qp.channel_to_qpr(channel, f, g), v, xi).matrix
@@ -209,7 +209,7 @@ def suite_commute(seed: int = 0) -> list[CheckResult]:
         # unitary channels retrodict to the transpose, prior-independently
         rng2 = np.random.default_rng(seed + 1)
         vectors = qp.state_to_qpr(np.array(
-            [hb.random_density(rng2, f.d, min_eig=0.05) for _ in range(5)]), f).T
+            [hb.random_density(rng2, f.d, min_eig=0.05) for _ in range(5)]), f)
         worst = 0.0
         for gate in ("pauli_x", "pauli_y", "pauli_z", "hadamard", "u_eg"):
             s = qp.channel_to_qpr(hb.builtin_channel(gate), f, g)
@@ -234,7 +234,7 @@ def suite_commute(seed: int = 0) -> list[CheckResult]:
                    hb.random_density(rng3, f.d, min_eig=0.05)) for _ in range(20)]
         channels, priors = zip(*cases)
         worst_fix = worst_cols = 0.0
-        for channel, v in zip(channels, qp.state_to_qpr(np.array(priors), f).T):
+        for channel, v in zip(channels, qp.state_to_qpr(np.array(priors), f)):
             s = qp.channel_to_qpr(channel, f, g)
             shat = qp.petz_qpr(s, v, xi).matrix
             worst_fix = max(worst_fix, max_abs(shat @ (s @ v) - v))

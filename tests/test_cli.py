@@ -106,6 +106,20 @@ class TestFrameCommand:
         help_text = " ".join(capsys.readouterr().out.split())
         assert ", ".join(qbret.frames.BUILTIN_FRAMES) in help_text
 
+    def test_oversized_document_is_refused_before_the_build(self, tmp_path,
+                                                           monkeypatch, capsys):
+        # dw-qubits:6 would build a 268 MB stack and its dual only to refuse them
+        def build(*_):
+            raise AssertionError("a builder ran")
+        monkeypatch.setitem(qbret.frames.BUILTIN_FRAMES, "dw-qubits:N",
+                            (build, qbret.frames._qubits_dimension))
+        out = tmp_path / "frame.json"
+        assert main(["frame", "--kind", "dw-qubits:6", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "document of frame dw-qubits:6" in err
+        assert f"over {qbret.frames.MAX_TENSOR_BYTES}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["abc", "0", "-1", ""])
     def test_bad_qubit_count_exits_2(self, count, capsys):
         assert main(["frame", "--kind", f"dw-qubits:{count}"]) == 2
@@ -121,8 +135,9 @@ class TestFrameCommand:
 
     def test_frame_document_over_the_size_limit_exits_1(self, monkeypatch, capsys,
                                                        tmp_path):
-        # at the lowered limit dw-qubits:2 builds its 4 KiB operator stacks,
-        # but its document of 4 n d^2 = 1024 floats would take 102400 bytes
+        # at the lowered limit dw-qubits:2 would build its 4 KiB operator
+        # stacks, but its document of 4 n d^2 = 1024 floats would take 102400
+        # bytes
         import qbret.frames
         monkeypatch.setattr(qbret.frames, "MAX_TENSOR_BYTES", 2 ** 15)
         checked = []

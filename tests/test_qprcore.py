@@ -196,10 +196,10 @@ class TestBatchedMorphism:
         rng = np.random.default_rng(13)
         stack = np.array([random_density(rng, f.d) for _ in range(5)])
         states, effects = state_to_qpr(stack, f), povm_to_qpr(stack, g)
-        assert states.shape == effects.shape == (f.n, 5)
+        assert states.shape == effects.shape == (5, f.n)
         for a, rho in enumerate(stack):
-            assert max_abs(states[:, a] - state_to_qpr(rho, f)) < 1e-15
-            assert max_abs(effects[:, a] - povm_to_qpr(rho, g)) < 1e-15
+            assert max_abs(states[a] - state_to_qpr(rho, f)) < 1e-15
+            assert max_abs(effects[a] - povm_to_qpr(rho, g)) < 1e-15
 
     @pytest.mark.parametrize("hermitian", [True, False],
                              ids=["hermitian", "non-hermitian"])
@@ -218,8 +218,8 @@ class TestBatchedMorphism:
                  + 1j * rng.normal(size=(*shape, f.d, f.d)))
             return (x + np.swapaxes(x, -1, -2).conj()) / 2 if hermitian else x
 
-        def reference(ops, x):
-            return np.einsum("jab,...ba->j...", ops, x).real
+        def reference(ops, x, out="...j"):
+            return np.einsum(f"jab,...ba->{out}", ops, x).real
 
         def close(got, want):
             assert got.shape == want.shape
@@ -230,7 +230,7 @@ class TestBatchedMorphism:
             assert close(povm_to_qpr(x, g), reference(g.ops, x))
         images = stack(f.n)
         assert close(channel_to_qpr(lambda _: images, f, g),
-                     reference(f.ops, images))
+                     reference(f.ops, images, "j..."))
 
     def test_frame_from_a_strided_view(self, dw):
         # operators taken from a strided view are stored C-contiguous, so
@@ -1342,7 +1342,7 @@ class TestMPowerCheck:
         states = np.array([random_density(rng, 2, min_eig=0.05) for _ in range(5)]
                           + [projector(KET_PLUS)])
         for f, g in (dw, sic):
-            vectors = state_to_qpr(states, f).T
+            vectors = state_to_qpr(states, f)
             np.testing.assert_allclose(reconstruct_state(vectors, g), states,
                                        atol=1e-12)
             with pytest.raises(errors.RepMismatch):
