@@ -25,7 +25,7 @@ from . import graphs as gr
 from . import hilbert as hb
 from . import qprcore as qp
 from . import verify as vf
-from .errors import OracleMismatch, ParseError, QbretError, TooLarge
+from .errors import OracleMismatch, ParseError, QbretError, RepMismatch, TooLarge
 from .matcore import DEFAULT_TOL, ORACLE_TOL, max_abs, mixing_weight
 
 _NAMED_KETS = {
@@ -190,6 +190,14 @@ def load_qpr_object(doc: dict) -> tuple[np.ndarray, str]:
 
 # --- frame selection ----------------------------------------------------------
 
+def _refuse(args, flags: tuple, context: str) -> None:
+    """ParseError (exit 2) naming the first of the input `flags` given,
+    which the command ignores `context`: no flag is dropped silently."""
+    for flag in flags:
+        if getattr(args, flag, None):
+            raise ParseError(f"--{flag} is not used {context}")
+
+
 def resolve_frame(args, tol: float) -> tuple[fr.Frame, fr.DualFrame]:
     """The frame of --frame or --kind; the qubit-only shorthand --angles,
     --builtin and --ancilla on a frame with d != 2 is a usage error."""
@@ -205,6 +213,7 @@ def resolve_frame(args, tol: float) -> tuple[fr.Frame, fr.DualFrame]:
 
 def resolve_channel(args, tol: float) -> tuple[hb.KrausChannel, str]:
     if args.channel:
+        _refuse(args, ("ancilla",), "with --channel")
         return load_channel_doc(_read_json(args.channel), tol)
     if args.builtin:
         return load_channel_doc({"kind": "builtin", "name": args.builtin,
@@ -286,12 +295,14 @@ def cmd_repr(args, tol: float) -> int:
     meta = {"convention": "columns index inputs; entry [a_out, a_in]",
             "frame_kind": frame.kind}
     if args.channel or args.builtin:
+        _refuse(args, ("prior", "angles"), "with a channel")
         channel, desc = resolve_channel(args, tol)
         s = qp.channel_to_qpr(channel, frame, dual)
         meta["source"] = desc
         meta["column_sums"] = s.sum(axis=0).tolist()
         doc = qpr_object_dict(s, frame.name, "channel-matrix", meta)
     else:
+        _refuse(args, ("ancilla",), "without a channel")
         v = qp.state_to_qpr(resolve_prior(args, tol), frame)
         meta["source"] = "state"
         meta["sum"] = float(v.sum())
@@ -303,11 +314,17 @@ def cmd_repr(args, tol: float) -> int:
 def cmd_petz(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
     if args.matrix:
+        _refuse(args, ("channel", "builtin", "ancilla"), "with --matrix")
         prior = resolve_prior(args, tol)
         s, rep = load_qpr_object(_read_json(args.matrix))
         if rep not in ("unknown", frame.name):
             raise QbretError(f"matrix file is in representation {rep!r}, "
                              f"frame is {frame.name!r}")
+        # sum_a S[a, j] = Tr G_j = 1 for every channel matrix in every frame
+        sums = s.sum(axis=0)
+        if not max_abs(sums - 1.0) <= tol:
+            raise RepMismatch(f"--matrix is not a channel matrix: the columns "
+                              f"of entry [a_out, a_in] sum to {sums.tolist()}, not 1")
         print("warning: channel given as a bare matrix; "
               "the Hilbert-side cross-check is disabled", file=sys.stderr)
         result = _recover(s, prior, frame, dual, args.eps, tol)
@@ -411,6 +428,8 @@ def cmd_compare(args, tol: float) -> int:
 def cmd_graph(args, tol: float) -> int:
     bubbles = labels = None
     if args.matrix:
+        _refuse(args, ("frame", "kind", "channel", "builtin", "ancilla", "prior",
+                       "angles"), "with --matrix")
         s, _rep = load_qpr_object(_read_json(args.matrix))
         if args.bubbles:
             bubbles, _ = load_qpr_object(_read_json(args.bubbles))
@@ -418,6 +437,7 @@ def cmd_graph(args, tol: float) -> int:
             raise ParseError("retro graphs from a matrix file need "
                              "--bubbles (the prior vector file)")
     else:
+        _refuse(args, ("bubbles",), "without --matrix")
         frame, dual = resolve_frame(args, tol)
         if args.label_style == "name":
             labels = tuple(str(l) for l in frame.labels)
@@ -447,18 +467,22 @@ def build_parser() -> argparse.ArgumentParser:
     # option groups, each one extending the last
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out")
+    # each exclusive group is one choice of frame, channel or prior
     frame = argparse.ArgumentParser(add_help=False, parents=[out])
-    frame.add_argument("--frame", help="frame file (JSON)")
-    frame.add_argument("--kind", help="builtin frame: "
-                                      + ", ".join(fr.BUILTIN_FRAMES))
+    choice = frame.add_mutually_exclusive_group()
+    choice.add_argument("--frame", help="frame file (JSON)")
+    choice.add_argument("--kind", help="builtin frame: "
+                                       + ", ".join(fr.BUILTIN_FRAMES))
     inputs = argparse.ArgumentParser(add_help=False, parents=[frame])
-    inputs.add_argument("--channel", help="channel file (JSON)")
-    inputs.add_argument("--builtin", help="builtin channel name "
+    choice = inputs.add_mutually_exclusive_group()
+    choice.add_argument("--channel", help="channel file (JSON)")
+    choice.add_argument("--builtin", help="builtin channel name "
                                           f"({', '.join(hb.BUILTIN_NAMES)})")
     inputs.add_argument("--ancilla", help="ancilla for dilation builtins: "
                                           "0|1|plus|minus or omega,theta,phi")
-    inputs.add_argument("--prior", help="state file (JSON)")
-    inputs.add_argument("--angles", help="qubit state angles omega,theta,phi")
+    choice = inputs.add_mutually_exclusive_group()
+    choice.add_argument("--prior", help="state file (JSON)")
+    choice.add_argument("--angles", help="qubit state angles omega,theta,phi")
     recovery = argparse.ArgumentParser(add_help=False, parents=[inputs])
     recovery.add_argument("--eps", type=mixing_weight, default=1e-8)
 

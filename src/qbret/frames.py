@@ -4,11 +4,12 @@ A frame is a set of d^2 Hermitian operators {F_j} summing to the identity
 with Tr F_j = 1/d; its dual {G_j} satisfies Tr[F_j G_k] = delta_jk and the
 sum-trace reconstruction property.  With d^2 operators that dual is
 unique, and `Frame.dual` derives it from F and the frame's kind, the one
-home of that rule.  Built-in constructors cover the
-discrete-Wigner qubit frame (and tensor powers of it) and the canonical
-SIC-POVM tetrahedron, each under the name `builtin_frame` takes (the one
-table of built-in names, BUILTIN_FRAMES); anything else enters through
-`load_frame`.
+home of that rule.  A frame is fixed once built: its operators and
+the coefficients cached from them are read-only.  Built-in constructors
+cover the discrete-Wigner qubit frame (and tensor powers of it) and the
+canonical SIC-POVM tetrahedron, both Pauli orbits of one fiducial, each
+under the name `builtin_frame` takes (the one table of built-in names,
+BUILTIN_FRAMES); anything else enters through `load_frame`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 import json
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -40,6 +41,7 @@ from .matcore import (
     dagger,
     eigh_spectrum,
     max_abs,
+    read_only,
 )
 
 KIND_NQ = "nq"
@@ -65,15 +67,20 @@ ENCODED_FLOAT_BYTES = 100
 GRAM_COND_MAX = 1e4
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """d^2 Hermitian frame operators, stacked as a C-contiguous (n, d, d)
     complex array, which `qprcore` views as floats for its traces.
 
-    Tuple labels are kept for display; all matrix indexing uses their
-    flattened order 0..d^2-1.  `parts` holds the single frames that
-    `tensor_frames` composed this frame from, so that `structure_coeffs`
-    can keep one factor per part; it is empty for every other frame.
+    A frame is fixed at construction: the stack is made read-only in place,
+    uncopied, so the dual and the structure coefficients cached from it
+    stay its own.  Tuple labels are kept for display; all matrix indexing
+    uses their flattened order 0..d^2-1.  `parts` holds the single frames
+    that `tensor_frames` composed this frame from, so that
+    `structure_coeffs` keeps one factor per part without checking them
+    against `ops`; it is empty for every other frame.  A frame whose parts
+    disagree with its operators can only be made on purpose, with
+    `Frame(..., parts=...)` or `replace(frame, ops=...)`.
     """
 
     name: str
@@ -87,8 +94,9 @@ class Frame:
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     def __post_init__(self):
-        self.ops = np.ascontiguousarray(self.ops, dtype=complex)
-        self.labels = tuple(self.labels)
+        ops = np.ascontiguousarray(self.ops, dtype=complex)
+        object.__setattr__(self, "ops", read_only(ops))
+        object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def n(self) -> int:
@@ -114,7 +122,7 @@ class Frame:
         return DualFrame(name=self.name, ops=g.reshape(f.shape))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DualFrame:
     """The dual operators G_j of a frame, stored as `Frame.ops` is."""
 
@@ -122,7 +130,8 @@ class DualFrame:
     ops: np.ndarray
 
     def __post_init__(self):
-        self.ops = np.ascontiguousarray(self.ops, dtype=complex)
+        ops = np.ascontiguousarray(self.ops, dtype=complex)
+        object.__setattr__(self, "ops", read_only(ops))
 
 
 @dataclass(frozen=True)
@@ -148,27 +157,29 @@ class FrameReport:
         return name, self.checks[name]
 
 
-def build_dw_qubit() -> tuple[Frame, DualFrame]:
-    """Discrete-Wigner qubit frame, phase-point labels (r,s) in row-major
-    order (0,0),(0,1),(1,0),(1,1), and its dual."""
-    labels = ((0, 0), (0, 1), (1, 0), (1, 1))
-    ops = np.array([
-        (EYE2 + (-1) ** r * PAULI_X + (-1) ** s * PAULI_Z
-         + (-1) ** (r + s) * PAULI_Y) / 4
-        for (r, s) in labels])
-    frame = Frame(name="dw-qubit", d=2, labels=labels, ops=ops, kind=KIND_NQ)
+def _pauli_orbit(name: str, bloch, kind: str, labels) -> tuple[Frame, DualFrame]:
+    """The qubit frame P F0 P over P = 1, X, Z, Y, in label order, of the
+    fiducial F0 = (1 + b.sigma)/4 with Bloch vector b = (b_x, b_y, b_z),
+    and its dual: the Pauli (Weyl-Heisenberg) orbit of F0."""
+    f0 = (EYE2 + np.tensordot(bloch, [PAULI_X, PAULI_Y, PAULI_Z], 1)) / 4
+    paulis = np.array([EYE2, PAULI_X, PAULI_Z, PAULI_Y])
+    frame = Frame(name=name, d=2, labels=labels, ops=paulis @ f0 @ paulis, kind=kind)
     return frame, frame.dual
+
+
+def build_dw_qubit() -> tuple[Frame, DualFrame]:
+    """Discrete-Wigner qubit frame (Wootters 1987), phase-point labels
+    (r,s) in row-major order (0,0),(0,1),(1,0),(1,1), and its dual: the
+    phase point (r,s) is (1 + (-1)^r X + (-1)^s Z + (-1)^(r+s) Y)/4."""
+    return _pauli_orbit("dw-qubit", (1, 1, 1), KIND_NQ,
+                        ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
 def build_sic_qubit() -> tuple[Frame, DualFrame]:
-    """Canonical qubit SIC frame (tetrahedron) and its dual."""
-    axes = ((1, -1, 1), (1, 1, -1), (-1, 1, 1), (-1, -1, -1))
-    ops = np.array([
-        (EYE2 + (nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z) / np.sqrt(3)) / 4
-        for (nx, ny, nz) in axes])
-    frame = Frame(name="sic-qubit", d=2, labels=(0, 1, 2, 3), ops=ops,
-                  kind=KIND_SP)
-    return frame, frame.dual
+    """Canonical qubit SIC frame (tetrahedron) and its dual: Bloch vectors
+    (1,-1,1), (1,1,-1), (-1,1,1), (-1,-1,-1) over sqrt 3."""
+    return _pauli_orbit("sic-qubit", np.array((1, -1, 1)) / np.sqrt(3), KIND_SP,
+                        (0, 1, 2, 3))
 
 
 def _kron_stack(stacks: list[np.ndarray]) -> np.ndarray:
@@ -225,7 +236,7 @@ def build_dw_qubits(n_qubits: int) -> tuple[Frame, DualFrame]:
     _qubits_dimension(n_qubits)
     frame = tensor_frames([build_dw_qubit()[0]] * n_qubits)
     if n_qubits > 1:
-        frame.name = f"dw-qubits:{n_qubits}"
+        frame = replace(frame, name=f"dw-qubits:{n_qubits}")
     return frame, frame.dual
 
 
@@ -529,42 +540,38 @@ def _gram_roots(stacks: list[np.ndarray], tol: float) -> tuple | None:
         raise IllConditioned(f"frame Gram eigenvalues span [{w[0]:.3e}, "
                              f"{w[-1]:.3e}]: condition number over "
                              f"GRAM_COND_MAX = {GRAM_COND_MAX:.0e}")
-    return spec.power(0.5, tol)[0], spec.power(-0.5, tol)[0]
+    return tuple(read_only(spec.power(r, tol)[0]) for r in (0.5, -0.5))
 
 
 def structure_coeffs(frame: Frame, dual: DualFrame,
                      tol: float = DEFAULT_TOL) -> StructureCoefficients:
     """Compute (and cache per frame/dual pair) the structure coefficients.
 
-    A frame from `tensor_frames` whose operators are still the Kronecker
-    products of its recorded parts, given its own dual `frame.dual`, gets
-    one factor per part, each from the part and its dual, so memory and
-    work grow with the number of parts, not with n^3; any other pair, a
-    foreign dual included, is a single factor.  The roots of the frame
-    Gram are computed here too, once per pair (see
-    `StructureCoefficients`).  Raises IllConditioned
-    if cond(Q) exceeds GRAM_COND_MAX, TooLarge, before allocating, if a
-    factor would exceed MAX_TENSOR_BYTES, and ComplexResidue if a factor
-    breaks conj(eta[x,i,j]) = eta[j,i,x] by more than tol.
+    A frame from `tensor_frames`, given its own dual `frame.dual`, gets one
+    factor per recorded part, each from the part and its dual, so memory
+    and work grow with the number of parts, not with n^3; any other pair,
+    a foreign dual included, is a single factor.  The cached arrays are
+    read-only, as the frame's are.  The roots of the frame Gram are
+    computed here too, once per pair (see `StructureCoefficients`).
+    Raises IllConditioned if cond(Q) exceeds GRAM_COND_MAX, TooLarge,
+    before allocating, if a factor would exceed MAX_TENSOR_BYTES, and
+    ComplexResidue if a factor breaks conj(eta[x,i,j]) = eta[j,i,x] by
+    more than tol.
     """
     cached = frame._coeffs.get(dual)
     if cached is not None:
         return cached
-    # a product frame with its own dual is factored by its parts while its
-    # operators are still their Kronecker products
+    # a product frame with its own dual is factored by its recorded parts
     parts = frame.parts if frame.parts and dual is frame.dual else ()
-    kron = _kron_stack([p.ops for p in parts]) if parts else None
-    own = (kron is not None and kron.shape == frame.ops.shape
-           and max_abs(frame.ops - kron) <= tol)
-    pairs = [(p.ops, p.dual.ops) for p in parts] if own else [(frame.ops, dual.ops)]
+    pairs = [(p.ops, p.dual.ops) for p in parts] or [(frame.ops, dual.ops)]
     for f, _ in pairs:
         if 16 * len(f) ** 3 > MAX_TENSOR_BYTES:  # complex128
             raise TooLarge(f"a structure-coefficient factor of {len(f)} operators "
                            f"exceeds {MAX_TENSOR_BYTES} bytes")
     coeffs = StructureCoefficients(  # an ill-conditioned Gram raises first
         gram_roots=_gram_roots([f for f, _ in pairs], tol),
-        factors=tuple(_factor_tensor(f, g, tol) for f, g in pairs),
-        frame_name=frame.name, e=np.einsum("jaa->j", frame.ops).real,
+        factors=tuple(read_only(_factor_tensor(f, g, tol)) for f, g in pairs),
+        frame_name=frame.name, e=read_only(np.einsum("jaa->j", frame.ops).real),
         kind=frame.kind)
     frame._coeffs[dual] = coeffs
     return coeffs

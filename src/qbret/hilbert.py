@@ -40,6 +40,7 @@ from .matcore import (
     mixing_weight,
     operator_stack,
     power_values,
+    read_only,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -120,14 +121,19 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """CPTP map given by Kraus operators; completeness is checked on build."""
+    """CPTP map given by Kraus operators; completeness is checked on build.
+
+    A channel is fixed at construction: its constructors keep read-only
+    copies of the caller's operators, and the cached superoperator is
+    read-only too.
+    """
 
     kraus: tuple
     d: int
 
     @classmethod
     def from_kraus(cls, kraus, tol: float = DEFAULT_TOL) -> "KrausChannel":
-        ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
+        ops = tuple(read_only(np.array(k, dtype=complex)) for k in kraus)
         d = ops[0].shape[0]
         for k in ops:
             if k.shape != (d, d):
@@ -143,15 +149,15 @@ class KrausChannel:
     @classmethod
     def from_unitary(cls, u, tol: float = DEFAULT_TOL) -> "KrausChannel":
         u = assert_unitary(u, tol)
-        return cls(kraus=(u,), d=u.shape[0])
+        return cls(kraus=(read_only(u.copy()),), d=u.shape[0])
 
     @cached_property
     def superop(self) -> np.ndarray:
         """sum_l k (x) conj(k): the d^2 x d^2 matrix of the channel on
         row-major vectorized operators, vec(k x k^dag) = (k (x) conj k) vec x."""
         k = np.array(self.kraus)
-        return np.einsum("lab,lcd->acbd", k, k.conj()).reshape(
-            self.d * self.d, self.d * self.d)
+        return read_only(np.einsum("lab,lcd->acbd", k, k.conj()).reshape(
+            self.d * self.d, self.d * self.d))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """sum_l k x k^dag, elementwise on a (..., d, d) stack: one product
@@ -304,8 +310,8 @@ _U_EG = np.array([
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 # The two-qubit entries (half_swap, full_swap, u_eg) act on system (x)
-# ancilla with the ancilla index fastest.  Read-only: the channels built
-# from them hold them uncopied, and the channel constructors check them.
+# ancilla with the ancilla index fastest.  Read-only, and checked by the
+# channel constructors.
 _GATES = {
     "identity": EYE2.copy(),
     "pauli_x": PAULI_X.copy(),

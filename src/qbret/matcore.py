@@ -72,6 +72,12 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a` itself, made read-only in place."""
+    a.setflags(write=False)
+    return a
+
+
 def _within_each(dev: np.ndarray, a: np.ndarray, rtol: float) -> bool:
     """Whether `max_abs` of each matrix of the (..., m, m) stack `dev` is
     at most rtol * max(`max_abs`, 1) of the same matrix of `a`, False on

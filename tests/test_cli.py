@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import qbret
-from qbret.cli import build_parser, main, qpr_object_dict
+from qbret import errors
+from qbret.cli import _COMMANDS, build_parser, main, qpr_object_dict
 from qbret import graphs as gr
 from qbret import hilbert as hb
 from qbret import qprcore as qp
@@ -1131,3 +1132,143 @@ class TestInvalidNumbers:
     def test_matrix_prior_repr(self, matrix, tmp_path):
         doc = {"kind": "matrix", "matrix": matrix}
         assert self._run(tmp_path, "--prior", doc) == (1, False)
+
+
+ANGLES = "0.4,1.1,0.3"
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    """Paths of one file of each input kind, as {name: str(path)}: the
+    dw-qubit matrix of the Hadamard channel (s), a dw-qubit state vector
+    (v), a dw-qubit frame (frame), a qubit Kraus channel (ch) and a qubit
+    state (prior)."""
+    files = {name: str(tmp_path / f"{name}.json")
+             for name in ("s", "v", "frame", "ch", "prior")}
+    assert main(["repr", "--builtin", "hadamard", "--kind", "dw-qubit",
+                 "--out", files["s"]]) == 0
+    assert main(["repr", "--angles", ANGLES, "--kind", "dw-qubit",
+                 "--out", files["v"]]) == 0
+    assert main(["frame", "--kind", "dw-qubit", "--out", files["frame"]]) == 0
+    with open(files["ch"], "w", encoding="utf-8") as fh:
+        json.dump({"kind": "kraus", "kraus": [encode_complex_matrix(np.eye(2))]}, fh)
+    with open(files["prior"], "w", encoding="utf-8") as fh:
+        json.dump({"kind": "matrix", "matrix": encode_complex_matrix(np.eye(2) / 2)}, fh)
+    return files
+
+
+def _exit_code(argv):
+    """main's exit code, argparse's usage errors (SystemExit) included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _command(argv):
+    """The subcommand of argv run without main's error handling, so that
+    its typed errors propagate."""
+    args = build_parser().parse_args(argv)
+    return _COMMANDS[args.command](args, args.tol)
+
+
+_MATRIX_GRAPH = ["graph", "--matrix", "{s}"]
+_MATRIX_PETZ = ["petz", "--matrix", "{s}", "--kind", "dw-qubit", "--angles", ANGLES]
+_GATED = ["--kind", "dw-qubit", "--builtin", "hadamard"]
+
+
+class TestIgnoredFlags:
+    """Every input flag the command would ignore is a usage error (exit 2)
+    that names it and writes nothing."""
+
+    CASES = {
+        "graph-bubbles-forward": ("--bubbles", ["graph", *_GATED, "--bubbles", "{v}"]),
+        "graph-bubbles-retro": ("--bubbles", ["graph", *_GATED, "--angles", ANGLES,
+                                              "--direction", "retro", "--bubbles", "{v}"]),
+        "petz-matrix-channel": ("--channel", [*_MATRIX_PETZ, "--channel", "{ch}"]),
+        "petz-matrix-builtin": ("--builtin", [*_MATRIX_PETZ, "--builtin", "hadamard"]),
+        "petz-matrix-ancilla": ("--ancilla", [*_MATRIX_PETZ, "--ancilla", "1"]),
+        "graph-matrix-frame": ("--frame", [*_MATRIX_GRAPH, "--frame", "{frame}"]),
+        "graph-matrix-kind": ("--kind", [*_MATRIX_GRAPH, "--kind", "dw-qubit"]),
+        "graph-matrix-channel": ("--channel", [*_MATRIX_GRAPH, "--channel", "{ch}"]),
+        "graph-matrix-builtin": ("--builtin", [*_MATRIX_GRAPH, "--builtin", "hadamard"]),
+        "graph-matrix-ancilla": ("--ancilla", [*_MATRIX_GRAPH, "--ancilla", "1"]),
+        "graph-matrix-prior": ("--prior", [*_MATRIX_GRAPH, "--prior", "{prior}"]),
+        "graph-matrix-angles": ("--angles", [*_MATRIX_GRAPH, "--angles", ANGLES]),
+        "repr-channel-prior": ("--prior", ["repr", *_GATED, "--prior", "{prior}"]),
+        "repr-channel-angles": ("--angles", ["repr", *_GATED, "--angles", ANGLES]),
+        "kind-beside-frame": ("--kind", ["frame", "--frame", "{frame}",
+                                         "--kind", "dw-qubit"]),
+        "builtin-beside-channel": ("--builtin", ["repr", *_GATED, "--channel", "{ch}"]),
+        "angles-beside-prior": ("--angles", ["repr", "--kind", "dw-qubit",
+                                             "--prior", "{prior}", "--angles", ANGLES]),
+        "ancilla-beside-channel": ("--ancilla", ["repr", "--kind", "dw-qubit",
+                                                 "--channel", "{ch}", "--ancilla", "1"]),
+        "ancilla-without-a-channel": ("--ancilla", ["repr", "--kind", "dw-qubit",
+                                                    "--angles", ANGLES, "--ancilla", "1"]),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_exits_2_naming_the_flag(self, name, input_files, tmp_path, capsys):
+        flag, argv = self.CASES[name]
+        out = tmp_path / "out.txt"
+        capsys.readouterr()
+        code = _exit_code([a.format(**input_files) for a in argv] + ["--out", str(out)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPetzMatrixIsAChannelMatrix:
+    @pytest.mark.parametrize("bad", ["zero", "transposed"])
+    def test_column_sums_off_one_exit_1(self, bad, tmp_path, capsys):
+        s_path, bad_path = tmp_path / "s.json", tmp_path / "bad.json"
+        assert main(["repr", "--builtin", "half_swap", "--ancilla", "1",
+                     "--kind", "dw-qubit", "--out", str(s_path)]) == 0
+        doc = read_json(s_path)
+        s = matrix_of(doc)
+        assert max_abs(s.sum(axis=0) - 1) < 1e-12
+        # the transpose's columns sum to 0.5 and 1.5
+        doc["entries"] = (np.zeros_like(s) if bad == "zero" else s.T).reshape(-1).tolist()
+        bad_path.write_text(json.dumps(doc))
+        out = tmp_path / "petz.json"
+        argv = ["petz", "--matrix", str(bad_path), "--kind", "dw-qubit",
+                "--angles", ANGLES, "--out", str(out)]
+        with pytest.raises(errors.RepMismatch, match=r"\[a_out, a_in\]"):
+            _command(argv)
+        assert main(argv) == 1
+        assert "[a_out, a_in]" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestTypedErrors:
+    """Typed errors of the command line that the commands above do not
+    reach, each with its exit code."""
+
+    CASES = {
+        "non-numeric-angle": (["repr", "--kind", "dw-qubit", "--angles", "a,b,c"],
+                              None, errors.ParseError, 2),
+        "state-missing-field": (["repr", "--kind", "dw-qubit", "--prior", "{doc}"],
+                                {"kind": "matrix"}, errors.ParseError, 2),
+        "state-unknown-kind": (["repr", "--kind", "dw-qubit", "--prior", "{doc}"],
+                               {"kind": "ket", "ket": [1, 0]}, errors.ParseError, 2),
+        "channel-unknown-kind": (["repr", "--kind", "dw-qubit", "--channel", "{doc}"],
+                                 {"kind": "teleport"}, errors.ParseError, 2),
+        "no-frame": (["repr", "--builtin", "hadamard"], None, errors.ParseError, 2),
+        "no-channel": (["petz", "--kind", "dw-qubit", "--angles", ANGLES],
+                       None, errors.ParseError, 2),
+        "matrix-of-another-frame": (["petz", "--matrix", "{s}", "--kind", "sic-qubit",
+                                     "--angles", ANGLES], None, errors.QbretError, 1),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_error_and_exit_code(self, name, input_files, tmp_path):
+        argv, doc, error, code = self.CASES[name]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [a.format(doc=str(path), **input_files) for a in argv]
+        with pytest.raises(error) as info:
+            _command(argv)
+        # the plain QbretError of a mismatched representation, no subclass
+        assert error is not errors.QbretError or type(info.value) is error
+        assert main(argv) == code

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -12,6 +13,7 @@ from qbret.cli import main
 from qbret.frames import (
     Frame,
     DualFrame,
+    _pauli_orbit,
     _random_hermitian,
     build_dw_qubit,
     build_dw_qubits,
@@ -650,6 +652,57 @@ class TestStructureCoeffs:
             with pytest.raises(errors.TooLarge, match=f"dw-qubits:{count} .* "
                                f"{qbret.frames.MAX_TENSOR_BYTES}"):
                 build_dw_qubits(count)
+
+
+class TestFixedFrames:
+    def test_qubit_frames_are_the_closed_forms(self):
+        # the reference closed forms, term by term: the phase points
+        # (1 +- X +- Z +- Y)/4 and the tetrahedron's Bloch vectors over sqrt 3
+        labels = ((0, 0), (0, 1), (1, 0), (1, 1))
+        dw = np.array([
+            (EYE2 + (-1) ** r * PAULI_X + (-1) ** s * PAULI_Z
+             + (-1) ** (r + s) * PAULI_Y) / 4
+            for (r, s) in labels])
+        axes = ((1, -1, 1), (1, 1, -1), (-1, 1, 1), (-1, -1, -1))
+        sic = np.array([
+            (EYE2 + (nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z) / np.sqrt(3)) / 4
+            for (nx, ny, nz) in axes])
+        f, g = build_dw_qubit()
+        assert f.labels == labels and np.array_equal(f.ops, dw)
+        assert np.array_equal(g.ops, 2 * dw)
+        f, g = build_sic_qubit()
+        assert f.labels == (0, 1, 2, 3) and np.array_equal(f.ops, sic)
+        assert np.array_equal(g.ops, 6 * sic - np.eye(2))
+        orbit, _ = _pauli_orbit("orbit", np.array((1, -1, 1)) / np.sqrt(3), "sp",
+                                range(4))
+        assert np.array_equal(orbit.ops, sic)
+
+    @pytest.mark.parametrize("name", ["sic-qubit", "dw-qubits:2"])
+    def test_built_frames_and_their_coefficients_are_read_only(self, name):
+        f, g = builtin_frame(name)
+        c = structure_coeffs(f, g)
+        # relabeling the operators after the coefficients are cached would
+        # give a recovery matrix in one frame from the coefficients of another
+        with pytest.raises(ValueError, match="read-only"):
+            f.ops[:] = np.roll(f.ops, 1, axis=0)
+        arrays = [g.ops, c.factors[0], c.e] + list(c.gram_roots or ())
+        assert (c.gram_roots is not None) == (name == "sic-qubit")
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.name = "relabeled"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.ops = g.ops.copy()
+
+    def test_product_frame_is_factored_without_a_kronecker_rebuild(self, monkeypatch):
+        import qbret.frames
+        f, g = build_dw_qubits(2)
+
+        def rebuild(_):
+            raise AssertionError("structure_coeffs rebuilt the Kronecker stack")
+        monkeypatch.setattr(qbret.frames, "_kron_stack", rebuild)
+        assert [t.shape for t in structure_coeffs(f, g).factors] == [(4, 4, 4)] * 2
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["dw-qubits:2", "dw-qubits:3"])

@@ -461,3 +461,20 @@ class TestBuiltins:
             calls.clear()
             builtin_channel(name)
             assert len(calls) == 1, name
+
+
+class TestFixedChannels:
+    @pytest.mark.parametrize("build", [
+        lambda ops: KrausChannel.from_unitary(ops[0]),
+        lambda ops: KrausChannel.from_kraus(ops)], ids=["from_unitary", "from_kraus"])
+    def test_a_channel_keeps_its_own_read_only_operators(self, build):
+        u = random_unitary(np.random.default_rng(3), 2)
+        original, rho = u.copy(), qubit_state(0.4, 1.1, 0.3)
+        ch = build([u])
+        before = ch.apply(rho)  # caches the superoperator
+        u[:] = np.eye(2)
+        assert np.array_equal(ch.kraus[0], original)
+        assert np.array_equal(ch.apply(rho), before)
+        for a in (ch.kraus[0], ch.superop):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0
