@@ -1,4 +1,6 @@
-"""Per-layer timings of one recovery, at n = 4 (dw and sic), 16 and 64.
+"""Per-layer timings of one recovery, at n = 4, 16 and 64, dw and sic each.
+The n = 16 and 64 sic frames, `sic-qubits:2` and `:3`, are custom frames,
+whose state powers and adjoint go through the frame Gram.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest bench -q \\
         --benchmark-json BENCH_$(git rev-parse --short HEAD).json
@@ -54,6 +56,8 @@ FRAMES = {
     "sic-4": build_sic_qubit,
     "dw-16": lambda: build_dw_qubits(2),
     "dw-64": lambda: build_dw_qubits(3),
+    "sic-16": lambda: builtin_frame("sic-qubits:2"),
+    "sic-64": lambda: builtin_frame("sic-qubits:3"),
 }
 
 

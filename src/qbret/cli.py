@@ -191,11 +191,12 @@ def load_qpr_object(doc: dict) -> tuple[np.ndarray, str]:
 # --- frame selection ----------------------------------------------------------
 
 def _refuse(args, flags: tuple, context: str) -> None:
-    """ParseError (exit 2) naming the first of the input `flags` given,
-    which the command ignores `context`: no flag is dropped silently."""
+    """ParseError (exit 2) naming the first of `flags` given on the command
+    line (`args.given`), which the command ignores `context`, whatever its
+    value: no flag is dropped silently."""
     for flag in flags:
-        if getattr(args, flag, None):
-            raise ParseError(f"--{flag} is not used {context}")
+        if flag in args.given:
+            raise ParseError(f"{flag} is not used {context}")
 
 
 def resolve_frame(args, tol: float) -> tuple[fr.Frame, fr.DualFrame]:
@@ -213,7 +214,7 @@ def resolve_frame(args, tol: float) -> tuple[fr.Frame, fr.DualFrame]:
 
 def resolve_channel(args, tol: float) -> tuple[hb.KrausChannel, str]:
     if args.channel:
-        _refuse(args, ("ancilla",), "with --channel")
+        _refuse(args, ("--ancilla",), "with --channel")
         return load_channel_doc(_read_json(args.channel), tol)
     if args.builtin:
         return load_channel_doc({"kind": "builtin", "name": args.builtin,
@@ -295,14 +296,14 @@ def cmd_repr(args, tol: float) -> int:
     meta = {"convention": "columns index inputs; entry [a_out, a_in]",
             "frame_kind": frame.kind}
     if args.channel or args.builtin:
-        _refuse(args, ("prior", "angles"), "with a channel")
+        _refuse(args, ("--prior", "--angles"), "with a channel")
         channel, desc = resolve_channel(args, tol)
         s = qp.channel_to_qpr(channel, frame, dual)
         meta["source"] = desc
         meta["column_sums"] = s.sum(axis=0).tolist()
         doc = qpr_object_dict(s, frame.name, "channel-matrix", meta)
     else:
-        _refuse(args, ("ancilla",), "without a channel")
+        _refuse(args, ("--ancilla",), "without a channel")
         v = qp.state_to_qpr(resolve_prior(args, tol), frame)
         meta["source"] = "state"
         meta["sum"] = float(v.sum())
@@ -314,7 +315,7 @@ def cmd_repr(args, tol: float) -> int:
 def cmd_petz(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
     if args.matrix:
-        _refuse(args, ("channel", "builtin", "ancilla"), "with --matrix")
+        _refuse(args, ("--channel", "--builtin", "--ancilla"), "with --matrix")
         prior = resolve_prior(args, tol)
         s, rep = load_qpr_object(_read_json(args.matrix))
         if rep not in ("unknown", frame.name):
@@ -344,6 +345,7 @@ def cmd_petz(args, tol: float) -> int:
 
 
 def cmd_verify(args, tol: float) -> int:
+    _refuse(args, ("--tol",), "by verify, whose tolerances are fixed")
     results = vf.run_suites([args.suite], seed=args.seed)
     passed = all(r.passed for r in results)
     if args.format == "json":
@@ -428,8 +430,9 @@ def cmd_compare(args, tol: float) -> int:
 def cmd_graph(args, tol: float) -> int:
     bubbles = labels = None
     if args.matrix:
-        _refuse(args, ("frame", "kind", "channel", "builtin", "ancilla", "prior",
-                       "angles"), "with --matrix")
+        _refuse(args, ("--frame", "--kind", "--channel", "--builtin", "--ancilla",
+                       "--prior", "--angles", "--eps", "--label-style", "--tol"),
+                "with --matrix")
         s, _rep = load_qpr_object(_read_json(args.matrix))
         if args.bubbles:
             bubbles, _ = load_qpr_object(_read_json(args.bubbles))
@@ -437,8 +440,10 @@ def cmd_graph(args, tol: float) -> int:
             raise ParseError("retro graphs from a matrix file need "
                              "--bubbles (the prior vector file)")
     else:
-        _refuse(args, ("bubbles",), "without --matrix")
+        _refuse(args, ("--bubbles",), "without --matrix")
         frame, dual = resolve_frame(args, tol)
+        if args.direction == "forward":
+            _refuse(args, ("--prior", "--angles", "--eps"), "by a forward graph")
         if args.label_style == "name":
             labels = tuple(str(l) for l in frame.labels)
         if args.direction == "retro":
@@ -455,8 +460,40 @@ def cmd_graph(args, tol: float) -> int:
 
 # --- parser --------------------------------------------------------------------
 
+class _Store(argparse._StoreAction):
+    """The action of every option: store the value and add the flag to
+    `args.given`, the flags given on the command line, which `_refuse`
+    reads."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        super().__call__(parser, namespace, values, option_string)
+        namespace.given = namespace.given | {self.option_strings[0]}
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """The subcommand action, which keeps the flags given before the
+    subcommand (--tol) in `args.given`: argparse parses the subcommand into
+    a namespace of its own and copies it over."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.given
+        super().__call__(parser, namespace, values, option_string)
+        namespace.given = namespace.given | given
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose options record in `args.given` that they
+    were given (`_Store`)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Store)
+        self.register("action", "parsers", _Subcommands)
+        self.set_defaults(given=frozenset())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbret",
         description="Quantum Bayesian retrodiction in quasiprobability "
                     "representations")
@@ -465,15 +502,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # option groups, each one extending the last
-    out = argparse.ArgumentParser(add_help=False)
+    out = _Parser(add_help=False)
     out.add_argument("--out")
     # each exclusive group is one choice of frame, channel or prior
-    frame = argparse.ArgumentParser(add_help=False, parents=[out])
+    frame = _Parser(add_help=False, parents=[out])
     choice = frame.add_mutually_exclusive_group()
     choice.add_argument("--frame", help="frame file (JSON)")
     choice.add_argument("--kind", help="builtin frame: "
                                        + ", ".join(fr.BUILTIN_FRAMES))
-    inputs = argparse.ArgumentParser(add_help=False, parents=[frame])
+    inputs = _Parser(add_help=False, parents=[frame])
     choice = inputs.add_mutually_exclusive_group()
     choice.add_argument("--channel", help="channel file (JSON)")
     choice.add_argument("--builtin", help="builtin channel name "
@@ -483,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     choice = inputs.add_mutually_exclusive_group()
     choice.add_argument("--prior", help="state file (JSON)")
     choice.add_argument("--angles", help="qubit state angles omega,theta,phi")
-    recovery = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    recovery = _Parser(add_help=False, parents=[inputs])
     recovery.add_argument("--eps", type=mixing_weight, default=1e-8)
 
     sub.add_parser("frame", parents=[frame], help="build or validate a frame")

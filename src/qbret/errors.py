@@ -29,10 +29,6 @@ class ComplexResidue(QbretError):
 
 # --- frames ---
 
-class NotNQPR(QbretError):
-    pass
-
-
 class ParseError(QbretError):
     pass
 

@@ -6,10 +6,11 @@ sum-trace reconstruction property.  With d^2 operators that dual is
 unique, and `Frame.dual` derives it from F and the frame's kind, the one
 home of that rule.  A frame is fixed once built: its operators and
 the coefficients cached from them are read-only.  Built-in constructors
-cover the discrete-Wigner qubit frame (and tensor powers of it) and the
-canonical SIC-POVM tetrahedron, both Pauli orbits of one fiducial, each
-under the name `builtin_frame` takes (the one table of built-in names,
-BUILTIN_FRAMES); anything else enters through `load_frame`.
+cover the discrete-Wigner qubit frame and the canonical SIC-POVM
+tetrahedron, both Pauli orbits of one fiducial, and the tensor powers of
+each, every one under the name `builtin_frame` takes (the one table of
+built-in names, BUILTIN_FRAMES); anything else enters through
+`load_frame`.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ import json
 import math
 import weakref
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
 from .errors import (
     ComplexResidue,
     IllConditioned,
-    NotNQPR,
     ParseError,
     RepMismatch,
     TooLarge,
@@ -193,9 +193,10 @@ def _kron_stack(stacks: list[np.ndarray]) -> np.ndarray:
 
 
 def tensor_frames(parts: list[Frame]) -> Frame:
-    """Tensor-compose NQPR frames; composite labels run lexicographically
-    with the last factor fastest.  Only the NQPR kind composes this way,
-    and the composite's dual dF is the product of the parts' duals.
+    """Tensor-compose frames of any kinds; composite labels run
+    lexicographically with the last factor fastest.  The composite is nq
+    when every part is nq (its Gram is then 1/d), and custom otherwise, so
+    that `Frame.dual` gives it Q^{-1} F: a product of SICs is no SIC.
 
     The composite records its single frames in `parts` (a composite part
     contributes its own parts).  Raises TooLarge, before allocating, if its
@@ -203,64 +204,70 @@ def tensor_frames(parts: list[Frame]) -> Frame:
     """
     if not parts:
         raise ValueError("need at least one frame")
-    for f in parts:
-        if f.kind != KIND_NQ:
-            raise NotNQPR(f"frame {f.name!r} has kind {f.kind!r}; "
-                          "only NQPR frames tensor-compose")
     if len(parts) == 1:
         return parts[0]
     d = math.prod(f.d for f in parts)
     if 16 * d ** 4 > MAX_TENSOR_BYTES:  # n = d^2 complex128 d x d operators
         raise TooLarge(f"a product of {len(parts)} frames has an operator stack "
                        f"over {MAX_TENSOR_BYTES} bytes")
+    kind = KIND_NQ if all(f.kind == KIND_NQ for f in parts) else KIND_CUSTOM
     return Frame(name="*".join(f.name for f in parts), d=d,
                  labels=tuple(itertools.product(*(f.labels for f in parts))),
-                 ops=_kron_stack([f.ops for f in parts]), kind=KIND_NQ,
+                 ops=_kron_stack([f.ops for f in parts]), kind=kind,
                  parts=tuple(q for f in parts for q in (f.parts or (f,))))
 
 
-def _qubits_dimension(n_qubits: int) -> int:
-    """d = 2^N of dw-qubits:N.  Its operator stack takes 16^(N+1) =
-    2^(4N+4) bytes, over MAX_TENSOR_BYTES exactly when 4N+4 reaches the
-    bound's bit length; such an N raises TooLarge before d is formed."""
+def _qubits_dimension(n_qubits: int, stem: str) -> int:
+    """d = 2^N of `stem:N`, the N-qubit power of a qubit frame.  Its
+    operator stack takes 16^(N+1) = 2^(4N+4) bytes, over MAX_TENSOR_BYTES
+    exactly when 4N+4 reaches the bound's bit length; such an N raises
+    TooLarge, naming `stem:N`, before d is formed."""
     if 4 * n_qubits + 4 >= MAX_TENSOR_BYTES.bit_length():
-        raise TooLarge(f"dw-qubits:{n_qubits} has an operator stack of "
+        raise TooLarge(f"{stem}:{n_qubits} has an operator stack of "
                        f"16^{n_qubits + 1} bytes, over {MAX_TENSOR_BYTES}")
     return 2 ** n_qubits
 
 
-def build_dw_qubits(n_qubits: int) -> tuple[Frame, DualFrame]:
-    """The N-fold `tensor_frames` of dw-qubit, N >= 1 (ValueError from
-    `tensor_frames` otherwise); the TooLarge of `_qubits_dimension` is
-    raised before any part is built."""
-    _qubits_dimension(n_qubits)
-    frame = tensor_frames([build_dw_qubit()[0]] * n_qubits)
+def _qubit_power(n_qubits: int, stem: str, build) -> tuple[Frame, DualFrame]:
+    """`stem:N`, the N-fold `tensor_frames` of the qubit frame `build`
+    builds, N >= 1 (ValueError from `tensor_frames` otherwise), and its
+    dual; the TooLarge of `_qubits_dimension` is raised before any part is
+    built."""
+    _qubits_dimension(n_qubits, stem)
+    frame = tensor_frames([build()[0]] * n_qubits)
     if n_qubits > 1:
-        frame = replace(frame, name=f"dw-qubits:{n_qubits}")
+        frame = replace(frame, name=f"{stem}:{n_qubits}")
     return frame, frame.dual
+
+
+def build_dw_qubits(n_qubits: int) -> tuple[Frame, DualFrame]:
+    """dw-qubits:N, the N-fold `tensor_frames` of dw-qubit, and its dual."""
+    return _qubit_power(n_qubits, "dw-qubits", build_dw_qubit)
 
 
 # The built-in frames by name, each with its builder and the dimension d
 # of the frame it builds; a name ending in ":N" stands for the names with a
-# count N >= 1 in its place, and its builder and d take that count.
+# count N >= 1 in its place, and its builder and d take that count and the
+# name's stem (dw-qubits), which the power of a qubit frame is named by.
 BUILTIN_FRAMES = {
     "dw-qubit": (build_dw_qubit, lambda: 2),
     "sic-qubit": (build_sic_qubit, lambda: 2),
-    "dw-qubits:N": (build_dw_qubits, _qubits_dimension),
+    "dw-qubits:N": (partial(_qubit_power, build=build_dw_qubit), _qubits_dimension),
+    "sic-qubits:N": (partial(_qubit_power, build=build_sic_qubit), _qubits_dimension),
 }
 
 
 def _builtin(name: str) -> tuple:
     """(builder, d, arguments) of the BUILTIN_FRAMES entry `name` names,
-    with any ":N" written as a count (dw-qubits:2); ParseError for any
-    other name."""
+    with any ":N" written as a count (dw-qubits:2), whose arguments are the
+    count and the stem; ParseError for any other name."""
     stem, colon, count = name.partition(":")
     entry = BUILTIN_FRAMES.get(f"{stem}:N" if colon else name)
     if entry is None:
         raise ParseError(f"unknown frame kind {name!r}; expected one of "
                          + ", ".join(BUILTIN_FRAMES))
     try:
-        args = (int(count),) if colon else ()
+        args = (int(count), stem) if colon else ()
     except ValueError:
         args = (0,)
     if args and args[0] < 1:
@@ -271,7 +278,7 @@ def _builtin(name: str) -> tuple:
 def builtin_frame(name: str) -> tuple[Frame, DualFrame]:
     """The built-in frame pair called `name`; ParseError for a name
     `_builtin` refuses, and a builder's own errors pass through (TooLarge
-    from `build_dw_qubits`)."""
+    from `_qubits_dimension`)."""
     build, _, args = _builtin(name)
     return build(*args)
 

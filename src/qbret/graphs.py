@@ -77,6 +77,10 @@ def _graph(s: np.ndarray, bubbles, labels, cutoff: float,
     if bubbles.shape != (n,):
         raise RepMismatch(
             f"bubble vector of length {bubbles.shape} for matrix of size {n}")
+    # a NaN edge would be dropped by the cutoff, and an infinite one would
+    # stretch the colormap to infinity
+    if not (np.isfinite(s).all() and np.isfinite(bubbles).all()):
+        raise RepMismatch("a graph's weights and bubbles must be finite")
     edges = tuple((left, right, float(s[right, left]))
                   for left in range(n) for right in range(n)
                   if abs(s[right, left]) > cutoff)

@@ -44,9 +44,10 @@ class CheckResult:
 # `frames.builtin_frame` name).  Each state, effect and dilation a sweep
 # draws for a frame is drawn at that frame's d; the qubit closed forms (the
 # counterexamples, the K correction, the builtin gates, erasure) stay on
-# the qubit frames.
+# the qubit frames.  `_SWEPT` adds the tensor square of each qubit frame,
+# in the order of `_QUBITS`.
 _QUBITS = (("dw", "dw-qubit"), ("sp", "sic-qubit"))
-_SWEPT = _QUBITS + (("dw-qubits:2", "dw-qubits:2"),)
+_SWEPT = _QUBITS + (("dw-qubits:2", "dw-qubits:2"), ("sic-qubits:2", "sic-qubits:2"))
 
 
 def _pairs(table) -> list:
@@ -173,20 +174,20 @@ def _retrodiction_axioms(seed: int) -> list[CheckResult]:
         out.append(CheckResult(f"involutivity-{name}", worst_inv, 1e-10))
         out.append(CheckResult(f"compositionality-{name}", worst_comp, 1e-10))
 
-    # dw-qubits:2 is the tensor square of dw-qubit, labels last-factor fastest
-    (_, f, g), _, (_, f2, g2) = pairs
-    coeffs, coeffs2 = fr.structure_coeffs(f, g), fr.structure_coeffs(f2, g2)
-    rng = np.random.default_rng(seed + 5)
-    worst = 0.0
-    for _ in range(20):
-        s1, s2 = (qp.channel_to_qpr(_random_channel(rng, f.d), f, g)
-                  for _ in range(2))
-        v1, v2 = qp.state_to_qpr(np.array(
-            [hb.random_density(rng, f.d, min_eig=0.05) for _ in range(2)]), f)
-        product = qp.petz_qpr(np.kron(s1, s2), np.kron(v1, v2), coeffs2).matrix
-        worst = max(worst, max_abs(product - np.kron(
-            qp.petz_qpr(s1, v1, coeffs).matrix, qp.petz_qpr(s2, v2, coeffs).matrix)))
-    out.append(CheckResult("tensor-product-dw-qubits:2", worst, 1e-10))
+    # each qubit frame with its tensor square, labels last-factor fastest
+    for (_, f, g), (name, f2, g2) in zip(pairs, pairs[len(_QUBITS):]):
+        coeffs, coeffs2 = fr.structure_coeffs(f, g), fr.structure_coeffs(f2, g2)
+        rng = np.random.default_rng(seed + 5)
+        worst = 0.0
+        for _ in range(20):
+            s1, s2 = (qp.channel_to_qpr(_random_channel(rng, f.d), f, g)
+                      for _ in range(2))
+            v1, v2 = qp.state_to_qpr(np.array(
+                [hb.random_density(rng, f.d, min_eig=0.05) for _ in range(2)]), f)
+            product = qp.petz_qpr(np.kron(s1, s2), np.kron(v1, v2), coeffs2).matrix
+            worst = max(worst, max_abs(product - np.kron(
+                qp.petz_qpr(s1, v1, coeffs).matrix, qp.petz_qpr(s2, v2, coeffs).matrix)))
+        out.append(CheckResult(f"tensor-product-{name}", worst, 1e-10))
     return out
 
 

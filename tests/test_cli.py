@@ -69,6 +69,36 @@ class TestFrameCommand:
         assert main(["frame", "--kind", "dw-qubits:2", "--out", str(out)]) == 0
         assert len(read_json(out)["F"]) == 16
 
+    def test_sic_square_document_recovers_through_the_gate(self, tmp_path):
+        # the document of sic-qubits:2 loads as a custom single-factor frame
+        out, petz = tmp_path / "frame.json", tmp_path / "petz.json"
+        assert main(["frame", "--kind", "sic-qubits:2", "--out", str(out)]) == 0
+        doc = read_json(out)
+        assert (doc["kind"], doc["name"], len(doc["F"])) == ("custom", "sic-qubits:2", 16)
+        ch, prior = tmp_path / "ch.json", tmp_path / "prior.json"
+        ch.write_text(json.dumps({"kind": "kraus", "kraus": [
+            encode_complex_matrix(np.kron(hb.builtin_gates()["hadamard"], np.eye(2)))]}))
+        prior.write_text(json.dumps({"kind": "matrix", "matrix": encode_complex_matrix(
+            hb.random_density(np.random.default_rng(0), 4))}))
+        assert main(["petz", "--channel", str(ch), "--frame", str(out),
+                     "--prior", str(prior), "--out", str(petz)]) == 0
+        meta = read_json(petz)["meta"]
+        assert meta["oracle_deviation"] <= meta["oracle_tol"]
+
+    def test_sic_qubit_powers_are_refused_by_name(self, tmp_path, monkeypatch, capsys):
+        # sic-qubits:6 by its document, and a huge count by its operator
+        # stack, both before the build
+        def build(*_):
+            raise AssertionError("a builder ran")
+        monkeypatch.setitem(qbret.frames.BUILTIN_FRAMES, "sic-qubits:N",
+                            (build, qbret.frames._qubits_dimension))
+        out = tmp_path / "frame.json"
+        for count, message in ((6, "document of frame sic-qubits:6"),
+                               (10 ** 5, "sic-qubits:100000 has an operator stack")):
+            assert main(["frame", "--kind", f"sic-qubits:{count}", "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sic_tetrahedron(self, tmp_path):
         out = tmp_path / "frame.json"
         assert main(["frame", "--kind", "sic-qubit", "--out", str(out)]) == 0
@@ -617,6 +647,25 @@ class TestGraphCommand:
         assert main([command, "--matrix", str(path), *argv[command],
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, bubbles, fmt", [
+        (float("nan"), None, "dot"), (float("inf"), None, "svg"),
+        (0.5, [0.5, float("nan")], "dot")], ids=["nan-weight", "inf-weight", "nan-bubble"])
+    def test_non_finite_weight_or_bubble_exits_1(self, entry, bubbles, fmt, tmp_path,
+                                                 capsys):
+        # a NaN edge was dropped silently, an infinite one drew every finite
+        # edge in the colour of zero, and a NaN bubble the full positive colour
+        s_path, v_path, out = tmp_path / "s.json", tmp_path / "v.json", tmp_path / "out"
+        s_path.write_text(json.dumps(qpr_object_dict(
+            np.array([[0.5, entry], [0.5, 1.0]]), "dw-qubit", "channel-matrix", {})))
+        argv = ["graph", "--matrix", str(s_path), "--format", fmt, "--out", str(out)]
+        if bubbles:
+            v_path.write_text(json.dumps(qpr_object_dict(
+                np.array(bubbles), "dw-qubit", "state-vector", {})))
+            argv += ["--bubbles", str(v_path)]
+        assert main(argv) == 1
+        assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1206,6 +1255,22 @@ class TestIgnoredFlags:
                                                  "--channel", "{ch}", "--ancilla", "1"]),
         "ancilla-without-a-channel": ("--ancilla", ["repr", "--kind", "dw-qubit",
                                                     "--angles", ANGLES, "--ancilla", "1"]),
+        # a flag is refused whatever its value: zero, or the default
+        "graph-matrix-eps": ("--eps", [*_MATRIX_GRAPH, "--eps", "0"]),
+        "graph-matrix-eps-default": ("--eps", [*_MATRIX_GRAPH, "--eps", "1e-8"]),
+        "graph-matrix-label-style": ("--label-style", [*_MATRIX_GRAPH,
+                                                       "--label-style", "name"]),
+        "graph-matrix-tol": ("--tol", ["--tol", "1e-3", *_MATRIX_GRAPH]),
+        "graph-forward-angles-eps": ("--angles", ["graph", *_GATED, "--angles",
+                                                  "0.3,0.2,0.1", "--eps", "0.5"]),
+        "graph-forward-eps": ("--eps", ["graph", *_GATED, "--eps", "0.5"]),
+        "graph-forward-prior": ("--prior", ["graph", *_GATED, "--prior", "{prior}"]),
+        # refused before the path is opened
+        "graph-forward-missing-prior": ("--prior", ["graph", *_GATED, "--prior",
+                                                    "{prior}.missing"]),
+        "verify-tol": ("--tol", ["--tol", "1e-30", "verify", "--suite", "frames"]),
+        "verify-tol-default": ("--tol", ["--tol", "1e-10", "verify", "--suite",
+                                         "classical"]),
     }
 
     @pytest.mark.parametrize("name", list(CASES))

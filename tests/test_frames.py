@@ -29,7 +29,16 @@ from qbret.frames import (
     tensor_frames,
     validate_frame,
 )
-from qbret.matcore import EYE2, PAULI_X, PAULI_Y, PAULI_Z, max_abs
+from qbret.hilbert import (
+    KrausChannel,
+    channel_from_dilation,
+    petz_hilbert,
+    projector,
+    random_density,
+    random_unitary,
+)
+from qbret.matcore import EYE2, ORACLE_TOL, PAULI_X, PAULI_Y, PAULI_Z, max_abs
+from qbret.qprcore import QPR_EPS_FLOOR, channel_to_qpr, petz_qpr, state_to_qpr
 
 SIGMA = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
@@ -126,7 +135,8 @@ def test_builtin_frame_is_its_builder(name, builder):
     ("heptagon", "unknown"), ("dw-qubits", "unknown"), ("dw-qubit:2", "unknown"),
     ("sic-qubit:1", "unknown"), ("", "unknown"), ("dw-qubits:", "N >= 1"),
     ("dw-qubits:0", "N >= 1"), ("dw-qubits:-2", "N >= 1"),
-    ("dw-qubits:2.0", "N >= 1"), ("dw-qubits:2:3", "N >= 1")])
+    ("dw-qubits:2.0", "N >= 1"), ("dw-qubits:2:3", "N >= 1"),
+    ("sic-qubits", "unknown"), ("sic-qubits:0", "N >= 1")])
 def test_builtin_frame_refuses_other_names(name, message):
     with pytest.raises(errors.ParseError, match=message):
         builtin_frame(name)
@@ -135,6 +145,28 @@ def test_builtin_frame_refuses_other_names(name, message):
 def test_builtin_frame_size_bound_is_the_builders():
     with pytest.raises(errors.TooLarge, match="dw-qubits:7"):
         builtin_frame("dw-qubits:7")
+
+
+@pytest.mark.parametrize("stem", ["dw-qubits", "sic-qubits"])
+def test_qubit_power_is_refused_from_its_count(stem, monkeypatch):
+    # from N alone: composing the parts would call the missing
+    # tensor_frames, and forming d = 2^N would not end
+    import qbret.frames
+    monkeypatch.setattr(qbret.frames, "tensor_frames", None)
+    with pytest.raises(errors.TooLarge, match=f"^{stem}:1000000000 "):
+        builtin_frame(f"{stem}:1000000000")
+    with pytest.raises(errors.TooLarge, match="^dw-qubits:1000000000 "):
+        build_dw_qubits(10 ** 9)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_sic_qubits_is_the_tensor_power_of_sic_qubit(count):
+    f, g = builtin_frame(f"sic-qubits:{count}")
+    power = tensor_frames([build_sic_qubit()[0]] * count)
+    assert f.name == ("sic-qubit" if count == 1 else f"sic-qubits:{count}")
+    assert (f.kind, f.labels) == (power.kind, power.labels)
+    assert f.kind == ("sp" if count == 1 else "custom")
+    assert np.array_equal(f.ops, power.ops) and g is f.dual
 
 
 def test_nqpr_dual_is_scaled_frame():
@@ -170,9 +202,74 @@ class TestTensorFrames:
         assert f.labels[1] == ((0, 0), (0, 1))
         assert f.labels[4] == ((0, 1), (0, 0))
 
-    def test_rejects_sic_parts(self):
-        with pytest.raises(errors.NotNQPR):
-            tensor_frames([build_sic_qubit()[0], build_dw_qubit()[0]])
+
+def _parts(spec, custom_tetra):
+    """The single frames of a product written like `dw*custom-3`: dw-qubit,
+    sic-qubit, or `custom_tetra` drawn at the seed after the dash."""
+    builders = {"dw": build_dw_qubit, "sic": build_sic_qubit}
+    return [builders[p]()[0] if p in builders
+            else custom_tetra(np.random.default_rng(int(p.partition("-")[2])))[0]
+            for p in spec.split("*")]
+
+
+_PRODUCTS = ["sic*sic", "dw*sic", "sic*sic*sic",
+             *(f"dw*custom-{seed}" for seed in range(5))]
+
+
+class TestProductsOfAnyKinds:
+    """`tensor_frames` composes frames of every kind.  The product is nq
+    when every part is, custom otherwise; a custom product takes its dual
+    from the Gram rule, keeps one structure-coefficient factor per part
+    with the Gram roots set, and recovers as the oracle does."""
+
+    @pytest.mark.parametrize("spec", ["dw*dw", *_PRODUCTS])
+    def test_kind_validation_and_factors(self, spec, custom_tetra):
+        parts = _parts(spec, custom_tetra)
+        f = tensor_frames(parts)
+        assert f.kind == ("nq" if spec == "dw*dw" else "custom")
+        report = validate_frame(f, f.dual, tol=1e-12)
+        assert report.passed, report.worst()
+        coeffs = structure_coeffs(f, f.dual)
+        assert [len(x) for x in coeffs.factors] == [4] * len(parts)
+        assert (coeffs.gram_roots is None) == (spec == "dw*dw")
+
+    @pytest.mark.parametrize("spec", _PRODUCTS)
+    def test_recovery_meets_the_oracle(self, spec, custom_tetra):
+        f = tensor_frames(_parts(spec, custom_tetra))
+        g, coeffs = f.dual, structure_coeffs(f, f.dual)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            # full rank: a Haar 2d x 2d dilation with a mixed qubit ancilla;
+            # then a pure prior through a Haar unitary, regularized
+            cases = [(channel_from_dilation(random_unitary(rng, 2 * f.d),
+                                            random_density(rng, 2)),
+                      random_density(rng, f.d, min_eig=0.01), 1e-10),
+                     (KrausChannel.from_unitary(random_unitary(rng, f.d)),
+                      projector(random_unitary(rng, f.d)[:, 0]), ORACLE_TOL)]
+            for channel, prior, tol in cases:
+                result = petz_qpr(channel_to_qpr(channel, f, g),
+                                  state_to_qpr(prior, f), coeffs)
+                assert result.eps_used == (0.0 if tol == 1e-10 else QPR_EPS_FLOOR)
+                oracle = petz_hilbert(channel, prior, eps=result.eps_used or 1e-8)
+                assert max_abs(result.matrix - channel_to_qpr(oracle, f, g)) < tol
+
+    @pytest.mark.parametrize("spec", ["sic*sic", "dw*sic"])
+    def test_recovery_factors_over_the_parts(self, spec, custom_tetra):
+        # petz(S1 x S2, v1 x v2) = petz(S1, v1) x petz(S2, v2), the product
+        # axiom of Bayesian retrodiction
+        parts = _parts(spec, custom_tetra)
+        f = tensor_frames(parts)
+        coeffs = structure_coeffs(f, f.dual)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            s, v, shat = [], [], []
+            for p in parts:
+                s.append(channel_to_qpr(channel_from_dilation(
+                    random_unitary(rng, 4), random_density(rng, 2)), p, p.dual))
+                v.append(state_to_qpr(random_density(rng, 2, min_eig=0.01), p))
+                shat.append(petz_qpr(s[-1], v[-1], structure_coeffs(p, p.dual)).matrix)
+            product = petz_qpr(np.kron(*s), np.kron(*v), coeffs).matrix
+            assert max_abs(product - np.kron(*shat)) < 1e-10
 
 
 def kron_powers(ops, count):

@@ -15,6 +15,7 @@ INVENTORY = {
         ("frame-invariants-dw-qubit", 1e-12),
         ("frame-invariants-sic-qubit", 1e-12),
         ("frame-invariants-dw-qubits:2", 1e-12),
+        ("frame-invariants-sic-qubits:2", 1e-12),
         ("classical-coeffs-are-deltas", 0.0),
         ("coeff-sum-consistency-dw", 1e-10),
         ("coeff-sum-consistency-sp", 1e-10),
@@ -46,6 +47,11 @@ INVENTORY = {
         ("power-identity-dw-qubits:2-r=-0.5", 1e-08),
         ("power-identity-dw-qubits:2-r=-1", 1e-08),
         ("trace-of-root-dw-qubits:2", 1e-12),
+        ("power-identity-sic-qubits:2-r=2", 1e-08),
+        ("power-identity-sic-qubits:2-r=0.5", 1e-08),
+        ("power-identity-sic-qubits:2-r=-0.5", 1e-08),
+        ("power-identity-sic-qubits:2-r=-1", 1e-08),
+        ("trace-of-root-sic-qubits:2", 1e-12),
     ],
     "commute": [
         ("petz-commutes-dw", 1e-09),
@@ -66,7 +72,10 @@ INVENTORY = {
         ("compositionality-sp", 1e-10),
         ("involutivity-dw-qubits:2", 1e-10),
         ("compositionality-dw-qubits:2", 1e-10),
+        ("involutivity-sic-qubits:2", 1e-10),
+        ("compositionality-sic-qubits:2", 1e-10),
         ("tensor-product-dw-qubits:2", 1e-10),
+        ("tensor-product-sic-qubits:2", 1e-10),
     ],
     "classical": [
         ("classical-reduction-diagonal", 1e-08),
