@@ -8,13 +8,14 @@ whose state powers and adjoint go through the frame Gram.
 Each layer runs alone, on inputs built outside the timed call: a cold
 `structure_coeffs` (factor tensors and Gram roots) of a frame pair built
 afresh for every round, the morphism of the channel (`channel_to_qpr`),
-the morphism of the oracle back into the frame, `x_matrix` of the prior
-root and the posterior inverse root, `state_powers` of the prior and its
-posterior, the whole `petz_qpr` and the Hilbert-space oracle
-`petz_hilbert`, and the whole operation the benchmark times
-(`test_operation`: both morphisms, `petz_qpr`, the oracle, its morphism
-and the deviation).  Every frame takes
-one seeded case: a full-rank prior through a Haar 2d x 2d dilation with
+the morphism of the oracle back into the frame, the inverse morphism
+of the channel matrix (`channel_from_qpr`: its Choi matrix and Kraus
+operators), `x_matrix` of the prior root and the posterior inverse root,
+`state_powers` of the prior and its posterior, the whole `petz_qpr` and
+the Hilbert-space oracle `petz_hilbert`, and the whole operation the
+benchmark times (`test_operation`: both morphisms, `petz_qpr`, the
+oracle, its morphism and the deviation).  Every frame takes one seeded
+case: a full-rank prior through a Haar 2d x 2d dilation with
 ancilla diag(0.7, 0.3).  `petz_qpr` also takes a regularized case: a pure
 prior through a Haar d x d unitary, whose posterior is pure.  The tier-1
 run does not collect this directory (`testpaths`); `--benchmark-disable`
@@ -44,6 +45,7 @@ from qbret.hilbert import (
 from qbret.matcore import ORACLE_TOL, ROOT_AND_INVERSE, max_abs
 from qbret.qprcore import (
     QPR_EPS_FLOOR,
+    channel_from_qpr,
     channel_to_qpr,
     petz_qpr,
     state_powers,
@@ -106,6 +108,12 @@ def test_channel_to_qpr(benchmark, case):
 def test_oracle_morph(benchmark, case):
     m = benchmark(channel_to_qpr, case.oracle, case.frame, case.dual)
     assert m.shape == (case.frame.n,) * 2
+
+
+def test_channel_from_qpr(benchmark, case):
+    kraus = benchmark(channel_from_qpr, case.s, case.frame, case.dual)
+    rebuilt = KrausChannel.from_kraus(kraus)
+    assert max_abs(channel_to_qpr(rebuilt, case.frame, case.dual) - case.s) <= 1e-14
 
 
 def test_x_matrix(benchmark, case):

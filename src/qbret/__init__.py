@@ -46,6 +46,7 @@ from .qprcore import (
     PetzQprResult,
     adjoint_qpr,
     born,
+    channel_from_qpr,
     channel_to_qpr,
     classical_bayes,
     k_matrix,
@@ -71,7 +72,7 @@ __all__ = [
     "KrausChannel", "PetzMap", "builtin_channel", "builtin_gates",
     "channel_from_dilation", "petz_hilbert", "qubit_state",
     "hermitian_eig", "partial_trace_b", "principal_power", "psd_sqrt",
-    "PetzQprResult", "adjoint_qpr", "born", "channel_to_qpr",
+    "PetzQprResult", "adjoint_qpr", "born", "channel_from_qpr", "channel_to_qpr",
     "classical_bayes", "k_matrix", "m_power_check", "petz_qpr",
     "povm_to_qpr", "reconstruct_state", "state_to_qpr", "uniform_vector",
     "x_matrix",

@@ -2,7 +2,8 @@
 
 Subcommands: frame (build/validate/save frames), repr (morph channels or
 states into a representation), petz (recovery matrix with an always-on
-Hilbert-side cross-check), verify (seeded identity sweeps), compare
+Hilbert-side cross-check, for a bare channel matrix too, whose channel is
+rebuilt from its Choi matrix), verify (seeded identity sweeps), compare
 (recovery vs classical Bayes with an outcome-validity scan), graph
 (DOT/SVG transition graphs).
 
@@ -25,7 +26,7 @@ from . import graphs as gr
 from . import hilbert as hb
 from . import qprcore as qp
 from . import verify as vf
-from .errors import OracleMismatch, ParseError, QbretError, RepMismatch, TooLarge
+from .errors import OracleMismatch, ParseError, QbretError, TooLarge
 from .matcore import DEFAULT_TOL, ORACLE_TOL, max_abs, mixing_weight
 
 _NAMED_KETS = {
@@ -202,40 +203,32 @@ def _refuse(args, flags: tuple, context: str) -> None:
 def resolve_frame(args, tol: float) -> tuple[fr.Frame, fr.DualFrame]:
     """The frame of --frame or --kind; the qubit-only shorthand --angles,
     --builtin and --ancilla on a frame with d != 2 is a usage error."""
-    if not (args.frame or args.kind):
+    if args.frame is None and args.kind is None:
         raise ParseError("need --frame PATH or --kind NAME")
-    frame, dual = (fr.load_frame(_read_json(args.frame), tol) if args.frame
+    frame, dual = (fr.load_frame(_read_json(args.frame), tol) if args.frame is not None
                    else fr.builtin_frame(args.kind))
     for flag in ("angles", "builtin", "ancilla"):
-        if frame.d != 2 and getattr(args, flag, None):
+        if frame.d != 2 and getattr(args, flag, None) is not None:
             raise ParseError(f"--{flag} is qubit-only; frame {frame.name} has d = {frame.d}")
     return frame, dual
 
 
 def resolve_channel(args, tol: float) -> tuple[hb.KrausChannel, str]:
-    if args.channel:
+    if args.channel is not None:
         _refuse(args, ("--ancilla",), "with --channel")
         return load_channel_doc(_read_json(args.channel), tol)
-    if args.builtin:
+    if args.builtin is not None:
         return load_channel_doc({"kind": "builtin", "name": args.builtin,
-                                 "ancilla": args.ancilla or None}, tol)
+                                 "ancilla": args.ancilla}, tol)
     raise ParseError("need --channel PATH or --builtin NAME")
 
 
 def resolve_prior(args, tol: float) -> np.ndarray:
-    if args.prior:
+    if args.prior is not None:
         return load_state_doc(_read_json(args.prior), tol)
-    if args.angles:
+    if args.angles is not None:
         return hb.qubit_state(*_parse_angles(args.angles))
     raise ParseError("need --prior PATH or --angles w,t,p")
-
-
-def _recover(s: np.ndarray, prior: np.ndarray, frame: fr.Frame,
-             dual: fr.DualFrame, eps: float, tol: float) -> qp.PetzQprResult:
-    """petz_qpr in the frame's own representation, whose validated kind
-    the structure coefficients carry and which selects the adjoint rule."""
-    return qp.petz_qpr(s, qp.state_to_qpr(prior, frame),
-                       fr.structure_coeffs(frame, dual, tol), eps=eps, tol=tol)
 
 
 def _gated_recovery(args, tol: float, frame: fr.Frame, dual: fr.DualFrame):
@@ -243,13 +236,30 @@ def _gated_recovery(args, tol: float, frame: fr.Frame, dual: fr.DualFrame):
     Hilbert-space oracle.  Returns (channel matrix, prior, result, channel
     description, gate); the gate is the deviation, its bound and
     `oracle_checked` as output metadata.  Raises OracleMismatch (exit 1)
-    over the bound."""
-    channel, desc = resolve_channel(args, tol)
+    over the bound.
+
+    petz's `--matrix` is one more channel source: the recovery is taken of
+    the given matrix, once its `rep` is checked, and the oracle of the
+    channel it stands for (`channel_from_qpr`), which refuses (exit 1) a
+    matrix whose columns do not sum to 1 (RepMismatch) or whose Choi
+    matrix is not PSD (NotPSD), a map that is positive but not completely
+    positive included."""
+    if getattr(args, "matrix", None) is None:
+        channel, desc = resolve_channel(args, tol)
+        s = qp.channel_to_qpr(channel, frame, dual)
+    else:
+        _refuse(args, ("--channel", "--builtin", "--ancilla"), "with --matrix")
+        s, rep = load_qpr_object(_read_json(args.matrix))
+        if rep not in ("unknown", frame.name):
+            raise QbretError(f"matrix file is in representation {rep!r}, frame is {frame.name!r}")
+        channel = hb.KrausChannel.from_kraus(qp.channel_from_qpr(s, frame, dual, tol), tol)
+        desc = "matrix"
     prior = resolve_prior(args, tol)
-    s = qp.channel_to_qpr(channel, frame, dual)
-    result = _recover(s, prior, frame, dual, args.eps, tol)
-    oracle = hb.petz_hilbert(channel, prior, eps=result.eps_used or args.eps,
-                             tol=tol)
+    # the frame's own representation, whose validated kind the structure
+    # coefficients carry and which selects the adjoint rule
+    result = qp.petz_qpr(s, qp.state_to_qpr(prior, frame),
+                         fr.structure_coeffs(frame, dual, tol), eps=args.eps, tol=tol)
+    oracle = hb.petz_hilbert(channel, prior, eps=result.eps_used or args.eps, tol=tol)
     deviation = max_abs(result.matrix - qp.channel_to_qpr(oracle, frame, dual))
     if deviation > ORACLE_TOL:
         raise OracleMismatch(f"deviation from the Hilbert-side oracle "
@@ -272,7 +282,7 @@ def _document_bound(d: int, name: str) -> None:
 
 def cmd_frame(args, tol: float) -> int:
     # a built-in frame is refused by its name, before it is built
-    if args.kind and not args.frame:
+    if args.kind is not None:
         _document_bound(fr.builtin_dimension(args.kind), args.kind)
     frame, dual = resolve_frame(args, tol)
     _document_bound(frame.d, frame.name)
@@ -295,7 +305,7 @@ def cmd_repr(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
     meta = {"convention": "columns index inputs; entry [a_out, a_in]",
             "frame_kind": frame.kind}
-    if args.channel or args.builtin:
+    if args.channel is not None or args.builtin is not None:
         _refuse(args, ("--prior", "--angles"), "with a channel")
         channel, desc = resolve_channel(args, tol)
         s = qp.channel_to_qpr(channel, frame, dual)
@@ -314,24 +324,7 @@ def cmd_repr(args, tol: float) -> int:
 
 def cmd_petz(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
-    if args.matrix:
-        _refuse(args, ("--channel", "--builtin", "--ancilla"), "with --matrix")
-        prior = resolve_prior(args, tol)
-        s, rep = load_qpr_object(_read_json(args.matrix))
-        if rep not in ("unknown", frame.name):
-            raise QbretError(f"matrix file is in representation {rep!r}, "
-                             f"frame is {frame.name!r}")
-        # sum_a S[a, j] = Tr G_j = 1 for every channel matrix in every frame
-        sums = s.sum(axis=0)
-        if not max_abs(sums - 1.0) <= tol:
-            raise RepMismatch(f"--matrix is not a channel matrix: the columns "
-                              f"of entry [a_out, a_in] sum to {sums.tolist()}, not 1")
-        print("warning: channel given as a bare matrix; "
-              "the Hilbert-side cross-check is disabled", file=sys.stderr)
-        result = _recover(s, prior, frame, dual, args.eps, tol)
-        gate = {"oracle_checked": False}
-    else:
-        _, _, result, _, gate = _gated_recovery(args, tol, frame, dual)
+    _, _, result, _, gate = _gated_recovery(args, tol, frame, dual)
     meta = {
         "eps_used": result.eps_used,
         "prior_kind": frame.kind,
@@ -429,12 +422,12 @@ def cmd_compare(args, tol: float) -> int:
 
 def cmd_graph(args, tol: float) -> int:
     bubbles = labels = None
-    if args.matrix:
+    if args.matrix is not None:
         _refuse(args, ("--frame", "--kind", "--channel", "--builtin", "--ancilla",
                        "--prior", "--angles", "--eps", "--label-style", "--tol"),
                 "with --matrix")
         s, _rep = load_qpr_object(_read_json(args.matrix))
-        if args.bubbles:
+        if args.bubbles is not None:
             bubbles, _ = load_qpr_object(_read_json(args.bubbles))
         elif args.direction == "retro":
             raise ParseError("retro graphs from a matrix file need "
@@ -529,8 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("petz", parents=[recovery],
                        help="recovery matrix with oracle cross-check")
-    p.add_argument("--matrix", help="precomputed channel matrix file "
-                                    "(disables the oracle check)")
+    p.add_argument("--matrix", help="channel matrix file; the oracle runs on the "
+                                    "channel it stands for, and exit 1 if it is none")
 
     p = sub.add_parser("verify", parents=[out], help="run verification suites")
     p.add_argument("--suite", default="all", choices=[*vf.SUITES, "all"])

@@ -89,7 +89,7 @@ class Frame:
     ops: np.ndarray
     kind: str = KIND_CUSTOM
     parts: tuple = ()
-    # structure coefficients per dual frame, filled by structure_coeffs
+    # structure coefficients per dual frame and tol, filled by structure_coeffs
     _coeffs: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
@@ -552,20 +552,22 @@ def _gram_roots(stacks: list[np.ndarray], tol: float) -> tuple | None:
 
 def structure_coeffs(frame: Frame, dual: DualFrame,
                      tol: float = DEFAULT_TOL) -> StructureCoefficients:
-    """Compute (and cache per frame/dual pair) the structure coefficients.
+    """Compute (and cache per frame/dual pair and tol) the structure
+    coefficients.
 
     A frame from `tensor_frames`, given its own dual `frame.dual`, gets one
     factor per recorded part, each from the part and its dual, so memory
     and work grow with the number of parts, not with n^3; any other pair,
     a foreign dual included, is a single factor.  The cached arrays are
     read-only, as the frame's are.  The roots of the frame Gram are
-    computed here too, once per pair (see `StructureCoefficients`).
+    computed here too, once per pair and tol (see `StructureCoefficients`).
     Raises IllConditioned if cond(Q) exceeds GRAM_COND_MAX, TooLarge,
     before allocating, if a factor would exceed MAX_TENSOR_BYTES, and
     ComplexResidue if a factor breaks conj(eta[x,i,j]) = eta[j,i,x] by
     more than tol.
     """
-    cached = frame._coeffs.get(dual)
+    # an entry serves only calls at the tol its factors were checked at
+    cached = frame._coeffs.get(dual, {}).get(tol)
     if cached is not None:
         return cached
     # a product frame with its own dual is factored by its recorded parts
@@ -580,7 +582,7 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
         factors=tuple(read_only(_factor_tensor(f, g, tol)) for f, g in pairs),
         frame_name=frame.name, e=read_only(np.einsum("jaa->j", frame.ops).real),
         kind=frame.kind)
-    frame._coeffs[dual] = coeffs
+    frame._coeffs.setdefault(dual, {})[tol] = coeffs
     return coeffs
 
 

@@ -1,10 +1,11 @@
 """Quasiprobability-side objects and the retrodiction algorithms.
 
-Morphisms between the Hilbert picture and a representation, the
-prior/posterior matrices built from structure coefficients, the adjoint
-rule Q S^T Q^{-1} with its NQPR and SIC closed forms, the recovery map
-assembled purely from quasiprobability data (no Hilbert-space channel),
-and the classical Bayes inverse it is contrasted with.
+Morphisms between the Hilbert picture and a representation, both ways
+for states and channels, the prior/posterior matrices built from
+structure coefficients, the adjoint rule Q S^T Q^{-1} with its NQPR and
+SIC closed forms, the recovery map assembled purely from
+quasiprobability data (no Hilbert-space channel), and the classical
+Bayes inverse it is contrasted with.
 
 Every trace Tr[F_i X] against the Hermitian frame is taken as one real
 product (`_traces`).  A state power, the vector of alpha^r, comes from
@@ -138,6 +139,40 @@ def channel_to_qpr(channel, frame: Frame, dual: DualFrame) -> np.ndarray:
         raise DimensionMismatch(
             f"channel maps the {dual.ops.shape} dual stack to shape {images.shape}")
     return _traces(frame.ops, images)
+
+
+def channel_from_qpr(s: np.ndarray, frame: Frame, dual: DualFrame,
+                     tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The (n, d, d) stack of Kraus operators of the channel
+    E(X) = sum_{a,b} S[a,b] Tr[F_b X] G_a whose matrix in the frame is s:
+    the inverse of `channel_to_qpr`, as `reconstruct_state` is of
+    `state_to_qpr`.  `hilbert.KrausChannel.from_kraus` makes it a channel.
+
+    s must be n x n with unit column sums, sum_a S[a, j] = Tr G_j = 1, as
+    every channel matrix has in every frame (RepMismatch otherwise).  That
+    is not enough: in a QPR such a matrix is the matrix of a channel only
+    if its Choi matrix C[(i,k),(j,l)] = E(|i><j|)[k,l] = sum_a T_a[j,i]
+    G_a[k,l], T_a = sum_b S[a,b] F_b, is PSD (Choi 1975).  C is two
+    products and a reshape, and its eigenvalues go through `power_values`,
+    which raises NotPSD below -tol: so the transpose map, positive but not
+    completely positive, is refused.  The Kraus operators are C's
+    eigenvectors, reshaped and weighted by the roots of their eigenvalues,
+    as in `hilbert.channel_from_dilation`; those of eigenvalues under the
+    rank cut are zero.
+    """
+    s = np.asarray(s, dtype=float)
+    n, d = frame.n, frame.d
+    sums = s.sum(axis=0)
+    if s.shape != (n, n) or not max_abs(sums - 1.0) <= tol:
+        raise RepMismatch(f"not an {n} x {n} matrix [a_out, a_in] whose columns sum to 1: "
+                          f"shape {s.shape}, column sums {sums.tolist()}")
+    # the rows of S F are the T_a flattened as [j, i], so (S F)^T G is C as
+    # [(j, i), (k, l)]
+    choi = ((s @ frame.ops.reshape(n, n)).T @ dual.ops.reshape(n, n)).reshape(d, d, d, d)
+    spec = hermitian_eig(choi.transpose(1, 2, 0, 3).reshape(n, n), tol)
+    roots, _ = power_values(spec.values, 0.5, tol)
+    # eigenvector k of C is vec(K_k^T), the input index first
+    return (spec.vectors * roots).T.reshape(n, d, d).swapaxes(1, 2)
 
 
 def born(v: np.ndarray, vbar: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from qbret.frames import (
     frame_to_dict,
     structure_coeffs,
 )
-from qbret.matcore import max_abs
+from qbret.matcore import ORACLE_TOL, max_abs
 
 SQ3 = np.sqrt(3.0)
 
@@ -327,18 +327,26 @@ class TestPetzCommand:
         v = matrix_of(read_json(v_out))
         np.testing.assert_allclose(shat, np.tile(v, (4, 1)).T, atol=1e-8)
 
-    def test_matrix_only_mode_skips_oracle(self, tmp_path, capsys):
+    def test_matrix_mode_is_gated(self, tmp_path, capsys):
+        # the recovery of the given matrix, held to the oracle of the
+        # channel the matrix stands for
         s_out = tmp_path / "s.json"
         main(["repr", "--builtin", "hadamard", "--kind", "dw-qubit",
               "--out", str(s_out)])
         p_out = tmp_path / "petz.json"
+        capsys.readouterr()
         assert main(["petz", "--matrix", str(s_out), "--kind", "dw-qubit",
                      "--angles", "0.4,1.1,0.3", "--out", str(p_out)]) == 0
-        captured = capsys.readouterr()
-        assert "cross-check is disabled" in captured.err
-        meta = read_json(p_out)["meta"]
-        assert "oracle_deviation" not in meta
-        assert meta["oracle_checked"] is False
+        assert capsys.readouterr().err == ""
+        doc = read_json(p_out)
+        meta = doc["meta"]
+        assert meta["oracle_checked"] is True
+        assert meta["oracle_deviation"] <= meta["oracle_tol"] == ORACLE_TOL
+        assert meta["eps_used"] == 0.0 and meta["root_routes"] == ["eigh", "eigh"]
+        f, g = build_dw_qubit()
+        s = matrix_of(read_json(s_out))
+        v = qp.state_to_qpr(hb.qubit_state(0.4, 1.1, 0.3), f)
+        assert np.array_equal(matrix_of(doc), qp.petz_qpr(s, v, structure_coeffs(f, g)).matrix)
 
     def test_singular_posterior_reports_regularization(self, tmp_path):
         out = tmp_path / "petz.json"
@@ -1303,6 +1311,88 @@ class TestPetzMatrixIsAChannelMatrix:
             _command(argv)
         assert main(argv) == 1
         assert "[a_out, a_in]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["dw-qubit", "sic-qubit"])
+    @pytest.mark.parametrize("name", ["transpose", "shear"])
+    def test_not_completely_positive_exits_1(self, name, kind, tmp_path, capsys):
+        # unit column sums, but a Choi matrix with a negative eigenvalue:
+        # the matrix of no channel, which was recovered without the oracle
+        s = {"transpose": 0.5 * np.array([[1, 1, 1, -1], [1, 1, -1, 1],
+                                          [1, -1, 1, 1], [-1, 1, 1, 1]]),
+             "shear": np.array([[1.2, 0, 0, 0], [-0.2, 1, 0, 0],
+                                [0, 0, 1, 0], [0, 0, 0, 1]])}[name]
+        path, out = tmp_path / "s.json", tmp_path / "petz.json"
+        path.write_text(json.dumps(qpr_object_dict(s, kind, "channel-matrix", {})))
+        argv = ["petz", "--matrix", str(path), "--kind", kind,
+                "--angles", "0.8,1.1,0.3", "--out", str(out)]
+        with pytest.raises(errors.NotPSD):
+            _command(argv)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, channel", [
+        *((kind, builtin) for builtin in ("hadamard", "half_swap", "u_eg")
+          for kind in ("dw-qubit", "sic-qubit")),
+        ("dw-qubits:2", "dilation")])
+    def test_repr_then_matrix_meets_the_channel(self, kind, channel, tmp_path):
+        if channel == "dilation":
+            # --builtin and --angles are qubit-only: a dilation and a prior file
+            rng = np.random.default_rng(5)
+            (tmp_path / "ch.json").write_text(json.dumps({
+                "kind": "dilation", "U": encode_complex_matrix(hb.random_unitary(rng, 8)),
+                "beta": encode_complex_matrix(np.diag([0.7, 0.3]))}))
+            (tmp_path / "prior.json").write_text(json.dumps({
+                "kind": "matrix",
+                "matrix": encode_complex_matrix(hb.random_density(rng, 4))}))
+            channel = ["--channel", str(tmp_path / "ch.json")]
+            prior = ["--prior", str(tmp_path / "prior.json")]
+        else:
+            channel = ["--builtin", channel] + ([] if channel == "hadamard"
+                                                else ["--ancilla", "plus"])
+            prior = ["--angles", ANGLES]
+        s_path = tmp_path / "s.json"
+        outs = {name: tmp_path / f"{name}.json" for name in ("matrix", "channel")}
+        assert main(["repr", *channel, "--kind", kind, "--out", str(s_path)]) == 0
+        assert main(["petz", "--matrix", str(s_path), "--kind", kind, *prior,
+                     "--out", str(outs["matrix"])]) == 0
+        assert main(["petz", *channel, "--kind", kind, *prior,
+                     "--out", str(outs["channel"])]) == 0
+        docs = {name: read_json(path) for name, path in outs.items()}
+        assert max_abs(matrix_of(docs["matrix"]) - matrix_of(docs["channel"])) <= ORACLE_TOL
+        for doc in docs.values():
+            assert doc["meta"]["oracle_checked"] is True
+            assert doc["meta"]["oracle_deviation"] <= doc["meta"]["oracle_tol"]
+
+
+class TestEmptyFlagValues:
+    """A flag given an empty string is given: each flag was read by its
+    value's truth, so each of these ran as if it were absent and exited 0.
+    Now each is a usage error (exit 2) that writes nothing."""
+
+    CASES = {
+        # the gated recovery of the builtin
+        "petz-matrix": ["petz", "--matrix", "", "--builtin", "hadamard",
+                        "--kind", "dw-qubit", "--angles", ANGLES],
+        # the forward graph of the builtin
+        "graph-matrix": ["graph", "--matrix", "", "--builtin", "hadamard",
+                         "--kind", "dw-qubit"],
+        # the same bytes as without --bubbles
+        "graph-bubbles": ["graph", "--matrix", "{s}", "--bubbles", ""],
+        # an ancilla on a single-qubit gate, which any other value refuses
+        "repr-ancilla": ["repr", "--builtin", "hadamard", "--kind", "dw-qubit",
+                         "--ancilla", ""],
+        # the state vector of --angles
+        "repr-channel": ["repr", "--channel", "", "--angles", ANGLES,
+                         "--kind", "dw-qubit"],
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_exits_2_and_writes_nothing(self, name, input_files, tmp_path):
+        out = tmp_path / "out.txt"
+        argv = [a.format(**input_files) for a in self.CASES[name]]
+        assert _exit_code(argv + ["--out", str(out)]) == 2
         assert not out.exists()
 
 

@@ -650,6 +650,17 @@ class TestStructureCoeffs:
                                    atol=1e-14)
         assert structure_coeffs(f, dw_g) is dw_xi
 
+    def test_cached_per_tol(self):
+        # an entry checked at a loose tol served a later default-tol call,
+        # which then skipped the ComplexResidue it raises on its own
+        f, g = build_dw_qubit()
+        skewed = Frame(name="skewed", d=2, labels=f.labels,
+                       ops=f.ops + 1e-6j * PAULI_X, kind="custom")
+        loose = structure_coeffs(skewed, g, tol=1e-3)
+        with pytest.raises(errors.ComplexResidue):
+            structure_coeffs(skewed, g)
+        assert structure_coeffs(skewed, g, tol=1e-3) is loose
+
     @pytest.mark.parametrize("builder", [build_dw_qubit, build_sic_qubit,
                                          lambda: build_dw_qubits(2)])
     def test_dense_xi_matches_direct_traces(self, builder):

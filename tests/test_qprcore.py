@@ -11,6 +11,7 @@ from qbret.frames import (
     build_dw_qubit,
     build_dw_qubits,
     build_sic_qubit,
+    builtin_frame,
     classical_structure_coeffs,
     structure_coeffs,
 )
@@ -43,6 +44,7 @@ from qbret.qprcore import (
     PetzQprResult,
     adjoint_qpr,
     born,
+    channel_from_qpr,
     channel_to_qpr,
     classical_bayes,
     k_matrix,
@@ -265,6 +267,70 @@ class TestBatchedMorphism:
             state_to_qpr(np.zeros((3, 3, 3)), f)
         with pytest.raises(errors.DimensionMismatch):
             povm_to_qpr(np.zeros((4, 3, 3)), g)
+
+
+# two matrices with unit column sums that are no channel matrix: the
+# transpose map X -> X^T in the dw-qubit frame, positive but not completely
+# positive, whose Choi matrix has eigenvalues (-1, 1, 1, 1), and one whose
+# Choi matrix has negative eigenvalues too, -0.18 and -0.045 in that frame
+NOT_CP = {
+    "transpose": 0.5 * np.array([[1, 1, 1, -1], [1, 1, -1, 1],
+                                 [1, -1, 1, 1], [-1, 1, 1, 1]]),
+    "shear": np.array([[1.2, 0, 0, 0], [-0.2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+}
+
+
+class TestChannelFromQpr:
+    """The channel behind a channel matrix, the inverse of `channel_to_qpr`."""
+
+    FRAMES = {"dw-qubit": build_dw_qubit, "sic-qubit": build_sic_qubit,
+              "dw-qubits:2": lambda: build_dw_qubits(2),
+              "sic-qubits:2": lambda: builtin_frame("sic-qubits:2")}
+
+    @pytest.mark.parametrize("name", [*FRAMES, "custom-tetra"])
+    def test_round_trip_and_oracle(self, name, custom_tetra):
+        rng = np.random.default_rng(21)
+        f, g = (custom_tetra(rng) if name == "custom-tetra" else self.FRAMES[name]())
+        coeffs = structure_coeffs(f, g)
+        for _ in range(5):
+            s = channel_to_qpr(channel_from_dilation(random_unitary(rng, 2 * f.d),
+                                                     random_density(rng, 2)), f, g)
+            kraus = channel_from_qpr(s, f, g)
+            assert kraus.shape == (f.n, f.d, f.d)
+            rebuilt = KrausChannel.from_kraus(kraus)
+            assert max_abs(channel_to_qpr(rebuilt, f, g) - s) <= 1e-14
+            prior = random_density(rng, f.d, min_eig=0.01)
+            result = petz_qpr(s, state_to_qpr(prior, f), coeffs)
+            oracle = channel_to_qpr(petz_hilbert(rebuilt, prior), f, g)
+            assert max_abs(result.matrix - oracle) <= ORACLE_TOL
+
+    def test_unitary_channel_has_one_kraus_operator(self, dw):
+        # every other eigenvalue of the rank-one Choi matrix is cut to zero
+        f, g = dw
+        u = random_unitary(np.random.default_rng(22), 2)
+        kraus = channel_from_qpr(channel_to_qpr(KrausChannel.from_unitary(u), f, g), f, g)
+        nonzero = kraus[np.abs(kraus).max(axis=(1, 2)) > 0]
+        assert len(nonzero) == 1
+        # a Kraus operator is fixed up to a phase
+        k = nonzero[0]
+        phase = np.vdot(k, u) / abs(np.vdot(k, u))
+        assert max_abs(k * phase - u) <= 1e-14
+
+    @pytest.mark.parametrize("name", list(NOT_CP))
+    @pytest.mark.parametrize("frame", ["dw", "sic"])
+    def test_not_completely_positive_raises_not_psd(self, name, frame, dw, sic):
+        f, g = {"dw": dw, "sic": sic}[frame]
+        s = NOT_CP[name]
+        assert max_abs(s.sum(axis=0) - 1) == 0.0
+        with pytest.raises(errors.NotPSD):
+            channel_from_qpr(s, f, g)
+
+    @pytest.mark.parametrize("s", [np.eye(4)[:, :3], np.eye(2), 0.5 * np.eye(4),
+                                   np.full((4, 4), np.nan)],
+                             ids=["rectangular", "other-size", "column-sums", "nan"])
+    def test_not_a_channel_matrix_raises_rep_mismatch(self, s, dw):
+        with pytest.raises(errors.RepMismatch, match=r"\[a_out, a_in\]"):
+            channel_from_qpr(s, *dw)
 
 
 class TestBorn:
