@@ -453,6 +453,9 @@ class StructureCoefficients:
     held as complex (n_k, n_k, n_k) factor tensors whose Kronecker product
     is eta, the vector e[i] = Tr F_i of the identity, and the kind of the
     frame, which selects the adjoint rule (`qprcore.adjoint_qpr`).
+    `e_sym` is the vector the state powers start from, e in the
+    coordinates of the symmetric state matrix: e itself, or Q^{-1/2} e
+    through the Gram roots, formed once here.
 
     A frame built by `tensor_frames` has one factor per part, because the
     trace of a Kronecker product is the product of the traces; every other
@@ -473,6 +476,7 @@ class StructureCoefficients:
     factors: tuple
     frame_name: str
     e: np.ndarray
+    e_sym: np.ndarray
     kind: str
     gram_roots: tuple | None = None
 
@@ -577,11 +581,14 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
         if 16 * len(f) ** 3 > MAX_TENSOR_BYTES:  # complex128
             raise TooLarge(f"a structure-coefficient factor of {len(f)} operators "
                            f"exceeds {MAX_TENSOR_BYTES} bytes")
-    coeffs = StructureCoefficients(  # an ill-conditioned Gram raises first
-        gram_roots=_gram_roots([f for f, _ in pairs], tol),
+    # an ill-conditioned Gram raises before the factors are built
+    roots = _gram_roots([f for f, _ in pairs], tol)
+    e = read_only(np.einsum("jaa->j", frame.ops).real)
+    coeffs = StructureCoefficients(
+        gram_roots=roots,
         factors=tuple(read_only(_factor_tensor(f, g, tol)) for f, g in pairs),
-        frame_name=frame.name, e=read_only(np.einsum("jaa->j", frame.ops).real),
-        kind=frame.kind)
+        frame_name=frame.name, e=e,
+        e_sym=e if roots is None else read_only(roots[1] @ e), kind=frame.kind)
     frame._coeffs.setdefault(dual, {})[tol] = coeffs
     return coeffs
 
@@ -590,9 +597,10 @@ def classical_structure_coeffs(n: int) -> StructureCoefficients:
     """Delta tensor eta[x,i,j] = [x = i = j] of the classical (diagonal
     projector) representation on n outcomes, whose identity vector is all
     ones; it is the stack of `classical_projectors`."""
+    e = np.ones(n)
     return StructureCoefficients(factors=(classical_projectors(n)[0],),
                                  frame_name=f"classical:{n}",
-                                 e=np.ones(n), kind=KIND_NQ)
+                                 e=e, e_sym=e, kind=KIND_NQ)
 
 
 def classical_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:

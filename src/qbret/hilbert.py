@@ -1,7 +1,9 @@
 """Hilbert-space side: states, channels, adjoints and the recovery-map oracle.
 
-States and effects are plain complex numpy arrays; channels carry their
-Kraus operators and the d^2 x d^2 superoperator built from them once.
+States and effects are plain complex numpy arrays; a channel is one
+(l, d, d) stack of Kraus operators and the d^2 x d^2 superoperator built
+from it by one product, and every map is one product with that
+superoperator.  The recovery-map oracle is such a channel, in Kraus form.
 This module is the ground truth that the quasiprobability computations
 are cross-checked against.  Its roots follow the rank policy of
 `matcore.power_values`: the dilation's ancilla roots decide which Kraus
@@ -121,43 +123,56 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """CPTP map given by Kraus operators; completeness is checked on build.
+    """CPTP map given by its Kraus stack; completeness is checked on build.
 
-    A channel is fixed at construction: its constructors keep read-only
-    copies of the caller's operators, and the cached superoperator is
+    `kraus` is one read-only C-contiguous complex (l, d, d) array, and
+    every map is one product with the superoperator built from it.  A
+    channel is fixed at construction: its constructors keep a read-only
+    copy of the caller's operators, and the cached superoperator is
     read-only too.
     """
 
-    kraus: tuple
+    kraus: np.ndarray
     d: int
 
     @classmethod
     def from_kraus(cls, kraus, tol: float = DEFAULT_TOL) -> "KrausChannel":
-        ops = tuple(read_only(np.array(k, dtype=complex)) for k in kraus)
-        d = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (d, d):
-                raise DimensionMismatch("Kraus operators must share one square shape")
-        total = sum(dagger(k) @ k for k in ops)
-        dev = max_abs(total - np.eye(d))
+        """The channel of a sequence or stack of Kraus operators:
+        DimensionMismatch unless they stack to one (l, d, d) array, and
+        NotUnitary unless ||sum k^dag k - 1||_max <= tol, so also for an
+        empty stack, whose sum is 0."""
+        try:  # numpy refuses ragged input with a ValueError too
+            ops = np.array(kraus, dtype=complex, order="C")
+            if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+                raise ValueError(f"a stack of shape {ops.shape}")
+        except ValueError as exc:
+            raise DimensionMismatch(
+                "Kraus operators must share one square shape") from exc
+        d = ops.shape[1]
+        # sum_l k_l^dag k_l as one product of the stacked rows
+        flat = ops.reshape(-1, d)
+        dev = max_abs(dagger(flat) @ flat - np.eye(d))
         # a NaN deviation fails too
         if not dev <= tol:
             raise NotUnitary(
                 f"Kraus completeness violated: ||sum k^dag k - 1||_max = {dev:.3e}")
-        return cls(kraus=ops, d=d)
+        return cls(kraus=read_only(ops), d=d)
 
     @classmethod
     def from_unitary(cls, u, tol: float = DEFAULT_TOL) -> "KrausChannel":
         u = assert_unitary(u, tol)
-        return cls(kraus=(read_only(u.copy()),), d=u.shape[0])
+        return cls(kraus=read_only(u[None].copy()), d=u.shape[0])
 
     @cached_property
     def superop(self) -> np.ndarray:
         """sum_l k (x) conj(k): the d^2 x d^2 matrix of the channel on
-        row-major vectorized operators, vec(k x k^dag) = (k (x) conj k) vec x."""
-        k = np.array(self.kraus)
-        return read_only(np.einsum("lab,lcd->acbd", k, k.conj()).reshape(
-            self.d * self.d, self.d * self.d))
+        row-major vectorized operators, vec(k x k^dag) = (k (x) conj k) vec x.
+        One product of the flattened stack, M^T conj(M) with M[l, (a, b)] =
+        k_l[a, b], gives [(a, b), (c, d)], reordered to [(a, c), (b, d)]."""
+        d = self.d
+        flat = self.kraus.reshape(len(self.kraus), d * d)
+        return read_only((flat.T @ flat.conj()).reshape(d, d, d, d).transpose(
+            0, 2, 1, 3).reshape(d * d, d * d))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """sum_l k x k^dag, elementwise on a (..., d, d) stack: one product
@@ -180,7 +195,8 @@ def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
 
     Each ancilla eigenvector is weighted by the root `power_values` gives
     its eigenvalue, and those with root zero are dropped, so pure ancillas
-    yield a minimal Kraus set.  Composite ordering is ancilla-fastest.
+    yield a minimal Kraus set.  The stack is one product, ordered with the
+    eigenvector slowest and the ancilla basis index fastest.
     """
     u = assert_unitary(u, tol)
     n = u.shape[0]
@@ -194,50 +210,34 @@ def channel_from_dilation(u: np.ndarray, beta: np.ndarray,
     except Exception as exc:
         raise BadAncilla(f"ancilla is not a density operator: {exc}") from exc
     roots, _ = power_values(spec.values, 0.5, tol)
-    u4 = u.reshape(d_a, d_b, d_a, d_b)
-    kraus = []
-    for root, b in zip(roots, spec.vectors.T):
-        if root == 0.0:
-            continue
-        for i in range(d_b):
-            # (1 (x) <i|) U (1 (x) |b_j>), weighted by sqrt(lambda_j)
-            kraus.append(root * np.einsum("asb,b->as", u4[:, i, :, :], b))
-    return KrausChannel.from_kraus(kraus, tol)
+    keep = roots != 0.0
+    # (1 (x) <i|) U (1 (x) |b_j>), weighted by sqrt(lambda_j)
+    kraus = np.einsum("aisb,bj,j->jias", u.reshape(d_a, d_b, d_a, d_b),
+                      spec.vectors[:, keep], roots[keep])
+    return KrausChannel.from_kraus(kraus.reshape(-1, d_a, d_a), tol)
 
 
 @dataclass(frozen=True, eq=False)
-class PetzMap:
+class PetzMap(KrausChannel):
     """Recovery map sqrt(g) E^dag[P^{-1/2} . P^{-1/2}] sqrt(g) for prior g
-    and posterior P = E[g], kept as the composition of its three factors.
+    and posterior P = E[g], in Kraus form: for the channel's operators k_l
+    its own are sqrt(g) k_l^dag P^{-1/2} (Barnum and Knill, J. Math.
+    Phys. 43, 2097, 2002), so `apply`, `adjoint` and `superop` are the
+    channel's.  The superoperator (64 KB at d = 8) is built on the first
+    map and freed with the recovery.
 
     `support_projected` marks the replacement-channel corner where the
     posterior keeps a kernel no matter how the prior is regularized; the
     inverse root is then Moore-Penrose on the posterior support and the
-    map is trace-preserving only on states reaching that support.
+    map is trace-preserving only on states reaching that support:
+    sum R^dag R is the projector onto that support, not 1.  `petz_hilbert`
+    therefore builds the recovery directly; `from_kraus` would refuse it.
     """
 
-    base: KrausChannel
     sqrt_prior: np.ndarray
     inv_sqrt_post: np.ndarray
     eps_used: float = 0.0
     support_projected: bool = False
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The recovery map, elementwise on a (..., d, d) stack, each
-        sandwich two products for the whole stack (`_sandwich`)."""
-        x = operator_stack(x, self.base.d)
-        inner = self.base.adjoint(_sandwich(self.inv_sqrt_post, x))
-        return _sandwich(self.sqrt_prior, inner)
-
-
-def _sandwich(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a x_j a for every matrix x_j of a (..., d, d) stack: a times the
-    matrices side by side, [a x_1 ... a x_m], then their stacked rows
-    times a."""
-    d = a.shape[0]
-    m = x.size // (d * d)
-    side = a @ x.reshape(m, d, d).swapaxes(0, 1).reshape(d, m * d)
-    return (side.reshape(d, m, d).swapaxes(0, 1).reshape(m * d, d) @ a).reshape(x.shape)
 
 
 def petz_hilbert(channel: KrausChannel, prior: np.ndarray,
@@ -276,7 +276,9 @@ def petz_hilbert(channel: KrausChannel, prior: np.ndarray,
                         np.array([spec.vectors[0], post.vectors]))
         roots, deficient = spec.power(ROOT_AND_INVERSE, tol)
         eps_used = eps
-    return PetzMap(base=channel,
+    # sqrt(g) k_l^dag P^{-1/2}, broadcast over the channel's stack
+    kraus = roots[0] @ channel.kraus.conj().swapaxes(1, 2) @ roots[1]
+    return PetzMap(kraus=read_only(kraus), d=d,
                    sqrt_prior=roots[0],
                    inv_sqrt_post=roots[1],
                    eps_used=eps_used,

@@ -213,13 +213,13 @@ def state_matrix(v: np.ndarray, coeffs: StructureCoefficients) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StateSpectrum:
     """The powers J^r b = Y diag(values^r) c of the symmetric `state_matrix`
-    A, b = e (Q^{-1/2} e through the Gram roots): `vectors` Y has
-    orthonormal columns and `weights` c = Y^T b.  On the "eigh" `route`
-    they are A's eigenpairs, of one matrix or of a stack ((k, m) values
-    and weights, (k, n, m) vectors); on the "lanczos" route the Ritz pairs
-    of one run whose basis is invariant under A less a symmetric
-    perturbation of norm `residual`, and `last` holds the Ritz vectors'
-    last components."""
+    A, b = `StructureCoefficients.e_sym` (e, or Q^{-1/2} e through the
+    Gram roots): `vectors` Y has orthonormal columns and `weights`
+    c = Y^T b.  On the "eigh" `route` they are A's eigenpairs, of one
+    matrix or of a stack ((k, m) values and weights, (k, n, m) vectors);
+    on the "lanczos" route the Ritz pairs of one run whose basis is
+    invariant under A less a symmetric perturbation of norm `residual`,
+    and `last` holds the Ritz vectors' last components."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -323,9 +323,9 @@ def state_powers(v: np.ndarray, r: tuple | np.ndarray,
     `error_estimate` of the power r_i is within LANCZOS_RTOL, so each
     power is certified at the matrix and exponent it is taken at;
     otherwise the row takes the eigh spectrum of the same matrix."""
-    b = coeffs.e if coeffs.gram_roots is None else coeffs.gram_roots[1] @ coeffs.e
+    b = coeffs.e_sym
     matrices = symmetrized(state_matrix(v, coeffs), tol)
-    if coeffs.e.size < LANCZOS_MIN_N:
+    if b.size < LANCZOS_MIN_N:
         rows, deficient = _eigh_spectrum_of(matrices, b, tol).power(r, coeffs, tol)
         return rows, deficient, ("eigh",) * len(rows)
     out = []

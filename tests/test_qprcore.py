@@ -610,10 +610,10 @@ def test_product_frame_recovery_stays_factored(n_qubits):
     oracle = channel_to_qpr(petz_hilbert(channel, prior), f, g)
     assert result.eps_used == 0.0
     assert max_abs(result.matrix - oracle) < ORACLE_TOL
-    assert set(vars(coeffs)) == {"factors", "frame_name", "e", "kind",
+    assert set(vars(coeffs)) == {"factors", "frame_name", "e", "e_sym", "kind",
                                  "gram_roots"}
     assert coeffs.gram_roots is None  # the dw Gram is a multiple of 1
-    stored = [*coeffs.factors, coeffs.e, *(coeffs.gram_roots or ())]
+    stored = [*coeffs.factors, coeffs.e, coeffs.e_sym, *(coeffs.gram_roots or ())]
     assert sum(t.nbytes for t in stored) < 2 ** 20
 
 
@@ -982,8 +982,7 @@ def _lanczos_case(frame, spectrum, custom_tetra):
 
 def _lanczos_run(v, coeffs):
     """The `lanczos` run `state_powers` takes of v, certified or not."""
-    b = coeffs.e if coeffs.gram_roots is None else coeffs.gram_roots[1] @ coeffs.e
-    return lanczos(symmetrized(state_matrix(v, coeffs)), b,
+    return lanczos(symmetrized(state_matrix(v, coeffs)), coeffs.e_sym,
                    round(coeffs.e.sum()))
 
 

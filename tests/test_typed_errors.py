@@ -56,6 +56,10 @@ CASES = {
                            errors.DimensionMismatch, "is a matrix"),
     "kraus-of-mixed-shapes": (lambda: KrausChannel.from_kraus([np.eye(2), np.eye(3)]),
                               errors.DimensionMismatch, "one square shape"),
+    "kraus-of-no-operators": (lambda: KrausChannel.from_kraus([]),
+                              errors.DimensionMismatch, "one square shape"),
+    "kraus-of-an-empty-stack": (lambda: KrausChannel.from_kraus(np.zeros((0, 2, 2))),
+                                errors.NotUnitary, "completeness"),
     "ancilla-not-dividing": (lambda: channel_from_dilation(np.eye(4), np.eye(3) / 3),
                              errors.BadAncilla, "does not divide"),
     "prior-of-another-dimension": (
