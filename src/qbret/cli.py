@@ -29,6 +29,9 @@ from . import verify as vf
 from .errors import OracleMismatch, ParseError, QbretError, TooLarge
 from .matcore import DEFAULT_TOL, ORACLE_TOL, max_abs, mixing_weight
 
+# --eps when it is absent
+DEFAULT_EPS = 1e-8
+
 _NAMED_KETS = {
     "0": hb.KET0, "ket0": hb.KET0,
     "1": hb.KET1, "ket1": hb.KET1,
@@ -192,11 +195,13 @@ def load_qpr_object(doc: dict) -> tuple[np.ndarray, str]:
 # --- frame selection ----------------------------------------------------------
 
 def _refuse(args, flags: tuple, context: str) -> None:
-    """ParseError (exit 2) naming the first of `flags` given on the command
-    line (`args.given`), which the command ignores `context`, whatever its
-    value: no flag is dropped silently."""
+    """ParseError (exit 2) naming the first of `flags` on the command line,
+    which the command ignores `context`, whatever its value: no flag is
+    dropped silently.  A flag is on the command line when its value is not
+    None: no refusable option has a parser default, and those of --tol,
+    --eps and --label-style are applied where they are read."""
     for flag in flags:
-        if flag in args.given:
+        if getattr(args, flag[2:].replace("-", "_"), None) is not None:
             raise ParseError(f"{flag} is not used {context}")
 
 
@@ -207,9 +212,9 @@ def resolve_frame(args, tol: float) -> tuple[fr.Frame, fr.DualFrame]:
         raise ParseError("need --frame PATH or --kind NAME")
     frame, dual = (fr.load_frame(_read_json(args.frame), tol) if args.frame is not None
                    else fr.builtin_frame(args.kind))
-    for flag in ("angles", "builtin", "ancilla"):
-        if frame.d != 2 and getattr(args, flag, None) is not None:
-            raise ParseError(f"--{flag} is qubit-only; frame {frame.name} has d = {frame.d}")
+    if frame.d != 2:
+        _refuse(args, ("--angles", "--builtin", "--ancilla"),
+                f"with frame {frame.name} of d = {frame.d}: it is qubit-only")
     return frame, dual
 
 
@@ -239,7 +244,7 @@ def _gated_recovery(args, tol: float, frame: fr.Frame, dual: fr.DualFrame):
     over the bound.
 
     petz's `--matrix` is one more channel source: the recovery is taken of
-    the given matrix, once its `rep` is checked, and the oracle of the
+    the file's matrix, once its `rep` is checked, and the oracle of the
     channel it stands for (`channel_from_qpr`), which refuses (exit 1) a
     matrix whose columns do not sum to 1 (RepMismatch) or whose Choi
     matrix is not PSD (NotPSD), a map that is positive but not completely
@@ -255,11 +260,12 @@ def _gated_recovery(args, tol: float, frame: fr.Frame, dual: fr.DualFrame):
         channel = hb.KrausChannel.from_kraus(qp.channel_from_qpr(s, frame, dual, tol), tol)
         desc = "matrix"
     prior = resolve_prior(args, tol)
+    eps = DEFAULT_EPS if args.eps is None else args.eps
     # the frame's own representation, whose validated kind the structure
     # coefficients carry and which selects the adjoint rule
     result = qp.petz_qpr(s, qp.state_to_qpr(prior, frame),
-                         fr.structure_coeffs(frame, dual, tol), eps=args.eps, tol=tol)
-    oracle = hb.petz_hilbert(channel, prior, eps=result.eps_used or args.eps, tol=tol)
+                         fr.structure_coeffs(frame, dual, tol), eps=eps, tol=tol)
+    oracle = hb.petz_hilbert(channel, prior, eps=result.eps_used or eps, tol=tol)
     deviation = max_abs(result.matrix - qp.channel_to_qpr(oracle, frame, dual))
     if deviation > ORACLE_TOL:
         raise OracleMismatch(f"deviation from the Hilbert-side oracle "
@@ -399,7 +405,8 @@ def cmd_compare(args, tol: float) -> int:
     frame, dual = resolve_frame(args, tol)
     s, prior, result, desc, gate = _gated_recovery(args, tol, frame, dual)
     recovery = result.matrix
-    classical = qp.classical_bayes(s, qp.state_to_qpr(prior, frame), eps=args.eps)
+    classical = qp.classical_bayes(s, qp.state_to_qpr(prior, frame),
+                                   eps=DEFAULT_EPS if args.eps is None else args.eps)
     scan = _born_scan(classical, frame, dual)
     # indices into the scan, whose rows carry the values
     flagged = [i for i, row in enumerate(scan) if not row["valid"]]
@@ -437,7 +444,7 @@ def cmd_graph(args, tol: float) -> int:
         frame, dual = resolve_frame(args, tol)
         if args.direction == "forward":
             _refuse(args, ("--prior", "--angles", "--eps"), "by a forward graph")
-        if args.label_style == "name":
+        if args.label_style != "index":
             labels = tuple(str(l) for l in frame.labels)
         if args.direction == "retro":
             _, prior, result, _, _ = _gated_recovery(args, tol, frame, dual)
@@ -453,57 +460,24 @@ def cmd_graph(args, tol: float) -> int:
 
 # --- parser --------------------------------------------------------------------
 
-class _Store(argparse._StoreAction):
-    """The action of every option: store the value and add the flag to
-    `args.given`, the flags given on the command line, which `_refuse`
-    reads."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        super().__call__(parser, namespace, values, option_string)
-        namespace.given = namespace.given | {self.option_strings[0]}
-
-
-class _Subcommands(argparse._SubParsersAction):
-    """The subcommand action, which keeps the flags given before the
-    subcommand (--tol) in `args.given`: argparse parses the subcommand into
-    a namespace of its own and copies it over."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        given = namespace.given
-        super().__call__(parser, namespace, values, option_string)
-        namespace.given = namespace.given | given
-
-
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose options record in `args.given` that they
-    were given (`_Store`)."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.register("action", None, _Store)
-        self.register("action", "parsers", _Subcommands)
-        self.set_defaults(given=frozenset())
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="qbret",
         description="Quantum Bayesian retrodiction in quasiprobability "
                     "representations")
-    parser.add_argument("--tol", type=positive, default=DEFAULT_TOL,
-                        help="numerical tolerance (default 1e-10)")
+    parser.add_argument("--tol", type=positive, help="numerical tolerance (default 1e-10)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # option groups, each one extending the last
-    out = _Parser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out")
     # each exclusive group is one choice of frame, channel or prior
-    frame = _Parser(add_help=False, parents=[out])
+    frame = argparse.ArgumentParser(add_help=False, parents=[out])
     choice = frame.add_mutually_exclusive_group()
     choice.add_argument("--frame", help="frame file (JSON)")
     choice.add_argument("--kind", help="builtin frame: "
                                        + ", ".join(fr.BUILTIN_FRAMES))
-    inputs = _Parser(add_help=False, parents=[frame])
+    inputs = argparse.ArgumentParser(add_help=False, parents=[frame])
     choice = inputs.add_mutually_exclusive_group()
     choice.add_argument("--channel", help="channel file (JSON)")
     choice.add_argument("--builtin", help="builtin channel name "
@@ -513,8 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     choice = inputs.add_mutually_exclusive_group()
     choice.add_argument("--prior", help="state file (JSON)")
     choice.add_argument("--angles", help="qubit state angles omega,theta,phi")
-    recovery = _Parser(add_help=False, parents=[inputs])
-    recovery.add_argument("--eps", type=mixing_weight, default=1e-8)
+    recovery = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    recovery.add_argument("--eps", type=mixing_weight, help=(
+        "regularization weight in [0, 1] (default 1e-8); the recovery raises a weight below "
+        "QPR_EPS_FLOOR = 1e-5 to 1e-5, and 0 turns regularization off, so a rank-deficient "
+        "posterior exits 1 (SingularPosterior); compare's classical inversion uses the value "
+        "as it is"))
 
     sub.add_parser("frame", parents=[frame], help="build or validate a frame")
     sub.add_parser("repr", parents=[inputs],
@@ -539,9 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=["forward", "retro"],
                    default="forward")
     p.add_argument("--cutoff", type=nonnegative, default=gr.DEFAULT_CUTOFF)
-    p.add_argument("--bounds", type=positive, default=None)
-    p.add_argument("--label-style", dest="label_style",
-                   choices=["name", "index"], default="name")
+    p.add_argument("--bounds", type=positive)
+    p.add_argument("--label-style", choices=["name", "index"])
     p.add_argument("--format", choices=["dot", "svg"], default="dot")
 
     return parser
@@ -558,10 +535,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, args.tol)
+        return _COMMANDS[args.command](args, DEFAULT_TOL if args.tol is None else args.tol)
     except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

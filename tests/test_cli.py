@@ -22,7 +22,7 @@ from qbret.frames import (
     frame_to_dict,
     structure_coeffs,
 )
-from qbret.matcore import ORACLE_TOL, max_abs
+from qbret.matcore import DEFAULT_TOL, ORACLE_TOL, max_abs
 
 SQ3 = np.sqrt(3.0)
 
@@ -806,9 +806,29 @@ class TestParser:
             name: sorted(["-h", "--help", *opts.split()])
             for name, opts in self.OPTIONS.items()}
 
-    def test_recovery_defaults(self):
-        for command in ("petz", "compare", "graph"):
-            assert build_parser().parse_args([command]).eps == 1e-8
+    def test_recovery_defaults(self, tmp_path):
+        # --tol, --eps and --label-style have no parser default (a flag is
+        # refused when its value is not None), so their defaults are pinned
+        # by what a run without them writes
+        def output(*argv):
+            out = tmp_path / "out.txt"
+            assert main([*argv, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        # |0> through the Hadamard: the prior and its posterior are pure, so
+        # both recoveries regularize and the classical one at eps itself
+        pure = ["--builtin", "hadamard", "--kind", "dw-qubit",
+                "--angles", f"{np.pi / 2},0,0"]
+        for command in ("petz", "compare"):
+            assert output(command, *pure) == output(command, *pure, "--eps", "1e-8")
+        assert output("compare", *pure) != output("compare", *pure, "--eps", "1e-6")
+        frame = ["frame", "--kind", "dw-qubit"]
+        assert output(*frame) == output("--tol", "1e-10", *frame)
+        assert output(*frame) != output("--tol", "1e-9", *frame)
+        retro = ["graph", "--direction", "retro", "--builtin", "hadamard",
+                 "--kind", "dw-qubit", "--angles", ANGLES]
+        assert output(*retro) == output(*retro, "--label-style", "name")
+        assert output(*retro) != output(*retro, "--label-style", "index")
         args = build_parser().parse_args(["graph"])
         assert args.cutoff == gr.DEFAULT_CUTOFF and args.bounds is None
 
@@ -826,6 +846,15 @@ def imported_modules(path):
             yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
+def private_argparse_names(path):
+    """The attributes of the argparse module whose names start with "_"
+    that a source file reads."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id == "argparse"):
+            yield node.attr
+
+
 class TestImportCost:
     def test_no_module_imports_scipy(self):
         # scipy is a test-only dependency: the package runs on numpy alone
@@ -834,6 +863,16 @@ class TestImportCost:
         for path in modules:
             names = list(imported_modules(path))
             assert not any(n.split(".")[0] == "scipy" for n in names), path.name
+
+    def test_cli_uses_no_private_argparse_name(self):
+        # the parser is plain argparse: an option is on the command line
+        # when its value is not None, with no action subclassing argparse's
+        # private classes, whose behaviour a Python release may change
+        path = pathlib.Path(qbret.__file__).parent / "cli.py"
+        names = list(imported_modules(path))
+        assert "argparse" in names
+        assert not [n for n in names if n.startswith("argparse._")]
+        assert list(private_argparse_names(path)) == []
 
     def test_qprcore_imports_nothing_from_hilbert(self):
         # the recovery and its adjoint are computed from quasiprobability
@@ -1226,7 +1265,7 @@ def _command(argv):
     """The subcommand of argv run without main's error handling, so that
     its typed errors propagate."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, args.tol)
+    return _COMMANDS[args.command](args, DEFAULT_TOL if args.tol is None else args.tol)
 
 
 _MATRIX_GRAPH = ["graph", "--matrix", "{s}"]
