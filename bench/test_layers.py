@@ -10,7 +10,9 @@ Each layer runs alone, on inputs built outside the timed call: a cold
 afresh for every round, the morphism of the channel (`channel_to_qpr`),
 the morphism of the oracle back into the frame, the inverse morphism
 of the channel matrix (`channel_from_qpr`: its Choi matrix and Kraus
-operators), `x_matrix` of the prior root and the posterior inverse root,
+operators), the adjoint of the channel matrix (`adjoint_qpr`: the
+transpose on dw frames, the Gram rule on sic ones), `x_matrix` of the
+prior root and the posterior inverse root,
 `state_powers` of the prior and its posterior, the whole `petz_qpr` and
 the Hilbert-space oracle `petz_hilbert`, and the whole operation the
 benchmark times (`test_operation`: both morphisms, `petz_qpr`, the
@@ -45,6 +47,7 @@ from qbret.hilbert import (
 from qbret.matcore import ORACLE_TOL, ROOT_AND_INVERSE, max_abs
 from qbret.qprcore import (
     QPR_EPS_FLOOR,
+    adjoint_qpr,
     channel_from_qpr,
     channel_to_qpr,
     petz_qpr,
@@ -119,6 +122,12 @@ def test_channel_from_qpr(benchmark, case):
     kraus = benchmark(channel_from_qpr, case.s, case.frame, case.dual)
     rebuilt = KrausChannel.from_kraus(kraus)
     assert max_abs(channel_to_qpr(rebuilt, case.frame, case.dual) - case.s) <= 1e-14
+
+
+def test_adjoint_qpr(benchmark, case):
+    adjoint = benchmark(adjoint_qpr, case.s, case.coeffs.gram_roots)
+    reference = channel_to_qpr(case.channel.adjoint, case.frame, case.dual)
+    assert max_abs(adjoint - reference) <= 1e-12
 
 
 def test_x_matrix(benchmark, case):

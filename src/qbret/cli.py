@@ -261,8 +261,8 @@ def _gated_recovery(args, tol: float, frame: fr.Frame, dual: fr.DualFrame):
         desc = "matrix"
     prior = resolve_prior(args, tol)
     eps = DEFAULT_EPS if args.eps is None else args.eps
-    # the frame's own representation, whose validated kind the structure
-    # coefficients carry and which selects the adjoint rule
+    # the frame's own representation, whose Gram roots the structure
+    # coefficients carry and which select the adjoint rule
     result = qp.petz_qpr(s, qp.state_to_qpr(prior, frame),
                          fr.structure_coeffs(frame, dual, tol), eps=eps, tol=tol)
     oracle = hb.petz_hilbert(channel, prior, eps=result.eps_used or eps, tol=tol)

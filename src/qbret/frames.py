@@ -4,7 +4,9 @@ A frame is a set of d^2 Hermitian operators {F_j} summing to the identity
 with Tr F_j = 1/d; its dual {G_j} satisfies Tr[F_j G_k] = delta_jk and the
 sum-trace reconstruction property.  With d^2 operators that dual is
 unique, and `Frame.dual` derives it from F and the frame's kind, the one
-home of that rule.  A frame is fixed once built: its operators and
+home of that rule.  The kind is read from the Gram Q[i,j] = Tr[F_i F_j],
+never given: a frame claims nothing, and a document's kind is a claim
+checked against it.  A frame is fixed once built: its operators and
 the coefficients cached from them are read-only.  Built-in constructors
 cover the discrete-Wigner qubit frame and the canonical SIC-POVM
 tetrahedron, both Pauli orbits of one fiducial, and the tensor powers of
@@ -77,17 +79,17 @@ class Frame:
     stay its own.  Tuple labels are kept for display; all matrix indexing
     uses their flattened order 0..d^2-1.  `parts` holds the single frames
     that `tensor_frames` composed this frame from, so that
-    `structure_coeffs` keeps one factor per part without checking them
-    against `ops`; it is empty for every other frame.  A frame whose parts
-    disagree with its operators can only be made on purpose, with
-    `Frame(..., parts=...)` or `replace(frame, ops=...)`.
+    `structure_coeffs` keeps one factor per part and `kind` reads the
+    parts' kinds, without checking them against `ops`; it is empty for
+    every other frame.  A frame whose parts disagree with its operators
+    can only be made on purpose, with `Frame(..., parts=...)` or
+    `replace(frame, ops=...)`.
     """
 
     name: str
     d: int
     labels: tuple
     ops: np.ndarray
-    kind: str = KIND_CUSTOM
     parts: tuple = ()
     # structure coefficients per dual frame and tol, filled by structure_coeffs
     _coeffs: weakref.WeakKeyDictionary = field(
@@ -103,20 +105,40 @@ class Frame:
         return self.d * self.d
 
     @cached_property
+    def gram(self) -> np.ndarray:
+        """The symmetric real Gram Q[i,j] = Tr[F_i F_j], read-only, formed
+        once for `kind`, `dual` and the Gram roots of `structure_coeffs`."""
+        q = np.einsum("iab,jba->ij", self.ops, self.ops, optimize=True).real
+        return read_only((q + q.T) / 2)
+
+    @cached_property
+    def kind(self) -> str:
+        """The family the Gram Q[i,j] = Tr[F_i F_j] puts this frame in: nq
+        where Q is a multiple of 1 (normal QPRs, discrete Wigner among
+        them), sp where Q = (d 1 + J)/(d^2(d+1)), J the all-ones matrix
+        (SIC QPRs), custom otherwise, each form to DEFAULT_TOL max|Q|.  A
+        frame with `parts` is nq when every part is and custom otherwise,
+        the answer of its Kronecker Gram, which is then not formed: a
+        product of SICs is no SIC."""
+        if self.parts:
+            return KIND_NQ if all(p.kind == KIND_NQ for p in self.parts) else KIND_CUSTOM
+        return next((k for k in (KIND_NQ, KIND_SP) if _has_form(self.gram, k, DEFAULT_TOL)),
+                    KIND_CUSTOM)
+
+    @cached_property
     def dual(self) -> DualFrame:
-        """The dual of this minimal frame, the one rule from F and the kind:
-        G = dF for nq, G = d(d+1)F - 1 for sp, and G = Q^{-1}F, for the
-        Gram Q[i,j] = Tr[F_i F_j], for custom (Ferrie and Emerson 2008).
-        `validate_frame` checks the kind against Q through it: with G = dF,
-        Tr[F_i G_j] = delta_ij needs Q = 1/d.  IllConditioned if Q is
-        singular."""
+        """The dual of this minimal frame, the one rule from F and its
+        derived kind: G = dF for nq, G = d(d+1)F - 1 for sp, and G = Q^{-1}F
+        for custom (Ferrie and Emerson 2008), which holds for every frame;
+        the closed forms keep their bits (Q^{-1}F misses 6F - 1 by 6.7e-16
+        on sic-qubit).  IllConditioned if Q is singular."""
         f, d = self.ops, self.d
         if self.kind == KIND_NQ:
             return DualFrame(name=self.name, ops=d * f)
         if self.kind == KIND_SP:
             return DualFrame(name=self.name, ops=d * (d + 1) * f - np.eye(d))
         try:
-            g = np.linalg.solve(_gram(f), f.reshape(len(f), -1))
+            g = np.linalg.solve(self.gram, f.reshape(len(f), -1))
         except np.linalg.LinAlgError as exc:
             raise IllConditioned(f"frame {self.name!r} has a singular Gram") from exc
         return DualFrame(name=self.name, ops=g.reshape(f.shape))
@@ -140,9 +162,8 @@ class FrameReport:
 
     `checks` holds the invariants in a fixed order: those of F, then
     `dual_relation`, the distance of G from `Frame.dual`, then those of the
-    pair.  The kind selects the dual rule and the adjoint rule, so a false
-    claim fails `orthogonality` on the derived dual, or `dual_relation` on
-    a given one, rather than give a wrong recovery matrix.
+    pair.  The frame's kind is read from its Gram, so it needs no check
+    here; a kind a document claims is checked by `load_frame`.
     """
 
     checks: dict
@@ -157,13 +178,13 @@ class FrameReport:
         return name, self.checks[name]
 
 
-def _pauli_orbit(name: str, bloch, kind: str, labels) -> tuple[Frame, DualFrame]:
+def _pauli_orbit(name: str, bloch, labels) -> tuple[Frame, DualFrame]:
     """The qubit frame P F0 P over P = 1, X, Z, Y, in label order, of the
     fiducial F0 = (1 + b.sigma)/4 with Bloch vector b = (b_x, b_y, b_z),
     and its dual: the Pauli (Weyl-Heisenberg) orbit of F0."""
     f0 = (EYE2 + np.tensordot(bloch, [PAULI_X, PAULI_Y, PAULI_Z], 1)) / 4
     paulis = np.array([EYE2, PAULI_X, PAULI_Z, PAULI_Y])
-    frame = Frame(name=name, d=2, labels=labels, ops=paulis @ f0 @ paulis, kind=kind)
+    frame = Frame(name=name, d=2, labels=labels, ops=paulis @ f0 @ paulis)
     return frame, frame.dual
 
 
@@ -171,15 +192,13 @@ def build_dw_qubit() -> tuple[Frame, DualFrame]:
     """Discrete-Wigner qubit frame (Wootters 1987), phase-point labels
     (r,s) in row-major order (0,0),(0,1),(1,0),(1,1), and its dual: the
     phase point (r,s) is (1 + (-1)^r X + (-1)^s Z + (-1)^(r+s) Y)/4."""
-    return _pauli_orbit("dw-qubit", (1, 1, 1), KIND_NQ,
-                        ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return _pauli_orbit("dw-qubit", (1, 1, 1), ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
 def build_sic_qubit() -> tuple[Frame, DualFrame]:
     """Canonical qubit SIC frame (tetrahedron) and its dual: Bloch vectors
     (1,-1,1), (1,1,-1), (-1,1,1), (-1,-1,-1) over sqrt 3."""
-    return _pauli_orbit("sic-qubit", np.array((1, -1, 1)) / np.sqrt(3), KIND_SP,
-                        (0, 1, 2, 3))
+    return _pauli_orbit("sic-qubit", np.array((1, -1, 1)) / np.sqrt(3), (0, 1, 2, 3))
 
 
 def _kron_stack(stacks: list[np.ndarray]) -> np.ndarray:
@@ -194,9 +213,9 @@ def _kron_stack(stacks: list[np.ndarray]) -> np.ndarray:
 
 def tensor_frames(parts: list[Frame]) -> Frame:
     """Tensor-compose frames of any kinds; composite labels run
-    lexicographically with the last factor fastest.  The composite is nq
-    when every part is nq (its Gram is then 1/d), and custom otherwise, so
-    that `Frame.dual` gives it Q^{-1} F: a product of SICs is no SIC.
+    lexicographically with the last factor fastest.  The composite's kind
+    is read from its parts (`Frame.kind`): nq when every part is nq, and
+    custom otherwise, so that `Frame.dual` gives it Q^{-1} F.
 
     The composite records its single frames in `parts` (a composite part
     contributes its own parts).  Raises TooLarge, before allocating, if its
@@ -210,10 +229,9 @@ def tensor_frames(parts: list[Frame]) -> Frame:
     if 16 * d ** 4 > MAX_TENSOR_BYTES:  # n = d^2 complex128 d x d operators
         raise TooLarge(f"a product of {len(parts)} frames has an operator stack "
                        f"over {MAX_TENSOR_BYTES} bytes")
-    kind = KIND_NQ if all(f.kind == KIND_NQ for f in parts) else KIND_CUSTOM
     return Frame(name="*".join(f.name for f in parts), d=d,
                  labels=tuple(itertools.product(*(f.labels for f in parts))),
-                 ops=_kron_stack([f.ops for f in parts]), kind=kind,
+                 ops=_kron_stack([f.ops for f in parts]),
                  parts=tuple(q for f in parts for q in (f.parts or (f,))))
 
 
@@ -340,9 +358,12 @@ def validate_frame(frame: Frame, dual: DualFrame, tol: float = DEFAULT_TOL,
 # `decode_array`; a complex array's innermost lists are [re, im] pairs.
 # Frame file (JSON): {"d": int, "kind": "nq"|"sp"|"custom", "labels": [...],
 #   "F": stack} where a stack is the (d^2, d, d) complex array of operators,
-# each matrix a row-major list of rows.  An optional "G" stack is a claim
-# about the dual, checked against `Frame.dual`.  A "c" field (the nq dual
-# scale, always d) is ignored.
+# each matrix a row-major list of rows.  The optional "kind" is a claim
+# about the Gram of F: "nq" and "sp" are checked against `Frame.kind`, and
+# "custom" names the general rules, which hold for every frame, so it is
+# never false; the frame takes its derived kind either way.  An optional
+# "G" stack is a claim about the dual, checked against `Frame.dual`.  A
+# "c" field (the nq dual scale, always d) is ignored.
 
 def decode_array(data, shape: tuple, what: str) -> np.ndarray:
     """`data` as one array of `shape`, where None leaves an axis free.
@@ -383,7 +404,8 @@ def decode_complex_matrix(data, shape: tuple = (None, None),
 
 
 def frame_to_dict(frame: Frame) -> dict:
-    """The frame document of `frame`: F alone, since the kind gives G."""
+    """The frame document of `frame`: F alone, since the kind gives G, and
+    the kind derived from F."""
     return {
         "d": frame.d,
         "kind": frame.kind,
@@ -407,7 +429,10 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
     naming the first violated invariant otherwise.  `F`, and `G` if the
     document holds one, are each decoded as one (d^2, d, d) stack, before
     `labels` is read; a given G is the dual validated, so a G off
-    `Frame.dual` fails `dual_relation`.
+    `Frame.dual` fails `dual_relation`.  A claimed kind nq or sp is checked
+    once the frame has passed, so that a NaN frame is named by its first
+    failing invariant: a claim the Gram does not bear out fails `kind`,
+    with the Gram's relative distance from the claimed form.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -422,9 +447,9 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
         raise ParseError(f"missing field {exc}") from exc
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ParseError(f"d must be a positive integer, got {d!r}")
-    kind = document.get("kind", KIND_CUSTOM)
-    if kind not in KNOWN_KINDS:
-        raise ParseError(f"unknown kind {kind!r}; expected one of {KNOWN_KINDS}")
+    claim = document.get("kind", KIND_CUSTOM)
+    if claim not in KNOWN_KINDS:
+        raise ParseError(f"unknown kind {claim!r}; expected one of {KNOWN_KINDS}")
     f_ops = decode_complex_matrix(f_ops, (d * d, d, d), "F")
     g_ops = (decode_complex_matrix(document["G"], (d * d, d, d), "G")
              if "G" in document else None)
@@ -432,8 +457,7 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
     if not isinstance(labels, list) or len(labels) != d * d:
         raise ParseError(f"labels must be a list of {d * d} entries for d={d}")
     labels = _tuples(labels)
-    frame = Frame(name=document.get("name", "custom"), d=d, labels=labels,
-                  ops=f_ops, kind=kind)
+    frame = Frame(name=document.get("name", "custom"), d=d, labels=labels, ops=f_ops)
     report = validate_frame(
         frame, frame.dual if g_ops is None else DualFrame(name=frame.name, ops=g_ops), tol)
     if not report.passed:
@@ -442,6 +466,10 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
         check = next(name for name, v in report.checks.items()
                      if not v <= tol)
         raise ValidationFailed(check, report.checks[check], tol)
+    if claim not in (KIND_CUSTOM, frame.kind):
+        q = frame.gram
+        raise ValidationFailed("kind", max_abs(q - _gram_form(q, claim)) / max_abs(q),
+                               DEFAULT_TOL)
     return frame, frame.dual
 
 
@@ -451,8 +479,8 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
 class StructureCoefficients:
     """Structure coefficients eta[x,i,j] = Tr[F_i G_x G_j] of a frame pair,
     held as complex (n_k, n_k, n_k) factor tensors whose Kronecker product
-    is eta, the vector e[i] = Tr F_i of the identity, and the kind of the
-    frame, which selects the adjoint rule (`qprcore.adjoint_qpr`).
+    is eta, the vector e[i] = Tr F_i of the identity, and the derived kind
+    of the frame, against which `qprcore.petz_qpr` checks a claimed one.
     `e_sym` is the vector the state powers start from, e in the
     coordinates of the symmetric state matrix: e itself, or Q^{-1/2} e
     through the Gram roots, formed once here.
@@ -470,7 +498,7 @@ class StructureCoefficients:
     P[i,k] = Re Tr[F_i alpha F_k] symmetric, so Q^{-1/2} (Re L) Q^{1/2} is
     symmetric, and its powers come from one `eigh` or Lanczos run
     (`qprcore.state_powers`).  The same roots give the adjoint Q S^T Q^{-1}
-    (`qprcore.adjoint_qpr`).
+    (`qprcore.adjoint_qpr`), the transpose where they are None.
     """
 
     factors: tuple
@@ -528,21 +556,26 @@ def _factor_tensor(f_ops: np.ndarray, g_ops: np.ndarray, tol: float) -> np.ndarr
     return eta
 
 
-def _gram(ops: np.ndarray) -> np.ndarray:
-    """The symmetric real Gram Q[i,j] = Tr[F_i F_j] of Hermitian operators."""
-    q = np.einsum("iab,jba->ij", ops, ops, optimize=True).real
-    return (q + q.T) / 2
+def _gram_form(q: np.ndarray, kind: str) -> np.ndarray:
+    """The Gram of n = d^2 operators that `kind` names: Q[0,0] 1 for nq,
+    (d 1 + J)/(d^2(d+1)) for sp."""
+    n, d = len(q), math.isqrt(len(q))
+    return q[0, 0] * np.eye(n) if kind == KIND_NQ else (d * np.eye(n) + 1) / (n * (d + 1))
 
 
-def _gram_roots(stacks: list[np.ndarray], tol: float) -> tuple | None:
-    """(Q^{1/2}, Q^{-1/2}) of the Gram Q[i,j] = Tr[F_i F_j] of the frame
-    whose operators are the Kronecker products of `stacks`; None only where
-    every factor's Gram is a multiple of the identity (the similarity would
-    be a scaling, and the adjoint is the transpose).  Raises IllConditioned
-    past GRAM_COND_MAX, a rank-deficient Q included."""
-    grams = [_gram(ops) for ops in stacks]
-    if all(max_abs(q - q[0, 0] * np.eye(len(q))) <= tol * max_abs(q)
-           for q in grams):
+def _has_form(q: np.ndarray, kind: str, tol: float) -> bool:
+    """Whether the Gram q is `_gram_form(q, kind)` to tol max|Q|; the one
+    test of a Gram's form, for `Frame.kind` and `_gram_roots`."""
+    return max_abs(q - _gram_form(q, kind)) <= tol * max_abs(q)
+
+
+def _gram_roots(grams: list[np.ndarray], tol: float) -> tuple | None:
+    """(Q^{1/2}, Q^{-1/2}) of the Gram Q, the Kronecker product of the
+    factors' `grams`; None only where every factor's Gram is a multiple of
+    the identity (`_has_form` nq: the similarity would be a scaling, and
+    the adjoint is the transpose).  Raises IllConditioned past
+    GRAM_COND_MAX, a rank-deficient Q included."""
+    if all(_has_form(q, KIND_NQ, tol) for q in grams):
         return None
     # the Kronecker product of symmetric grams is the frame's symmetric Gram
     spec = eigh_spectrum(reduce(np.kron, grams), tol)
@@ -582,7 +615,7 @@ def structure_coeffs(frame: Frame, dual: DualFrame,
             raise TooLarge(f"a structure-coefficient factor of {len(f)} operators "
                            f"exceeds {MAX_TENSOR_BYTES} bytes")
     # an ill-conditioned Gram raises before the factors are built
-    roots = _gram_roots([f for f, _ in pairs], tol)
+    roots = _gram_roots([p.gram for p in parts] or [frame.gram], tol)
     e = read_only(np.einsum("jaa->j", frame.ops).real)
     coeffs = StructureCoefficients(
         gram_roots=roots,

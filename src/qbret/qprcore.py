@@ -2,8 +2,8 @@
 
 Morphisms between the Hilbert picture and a representation, both ways
 for states and channels, the prior/posterior matrices built from
-structure coefficients, the adjoint rule Q S^T Q^{-1} with its NQPR and
-SIC closed forms, the recovery map assembled purely from
+structure coefficients, the adjoint rule Q S^T Q^{-1} (the transpose
+where Q is a multiple of 1), the recovery map assembled purely from
 quasiprobability data (no Hilbert-space channel), and the classical
 Bayes inverse it is contrasted with.
 
@@ -28,14 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RepMismatch, SingularPosterior
-from .frames import (
-    KIND_NQ,
-    KIND_SP,
-    DualFrame,
-    Frame,
-    StructureCoefficients,
-    structure_coeffs,
-)
+from .frames import DualFrame, Frame, StructureCoefficients, structure_coeffs
 from .matcore import (
     DEFAULT_TOL,
     ROOT_AND_INVERSE,
@@ -339,37 +332,30 @@ def state_powers(v: np.ndarray, r: tuple | np.ndarray,
 
 
 def k_matrix(s: np.ndarray) -> np.ndarray:
-    """Rank-one correction K[i, j] = (sum_a S[j, a] - 1) / sqrt(n), identical
-    rows: `_k_row` repeated n times.
+    """Rank-one correction K[i, j] = (sum_a S[j, a] - 1) / sqrt(n), n
+    identical rows: the paper's SIC adjoint is S^T + K, which `verify`
+    holds to the morphed Hilbert adjoint (`adjoint-rule-sp`).
 
     Vanishes exactly when S is quasi-bistochastic (unital channel).
     """
     s = np.asarray(s, dtype=float)
-    return _k_row(s)[None, :].repeat(s.shape[0], axis=0)
+    row = (s.sum(axis=1) - 1.0) / math.isqrt(s.shape[0])
+    return row[None, :].repeat(s.shape[0], axis=0)
 
 
-def _k_row(s: np.ndarray) -> np.ndarray:
-    """The row (sum_a S[j, a] - 1) / sqrt(n) of K, for a float matrix s."""
-    return (s.sum(axis=1) - 1.0) / math.isqrt(s.shape[0])
-
-
-def adjoint_qpr(s: np.ndarray, kind: str,
-                gram_roots: tuple | None) -> np.ndarray:
+def adjoint_qpr(s: np.ndarray, gram_roots: tuple | None) -> np.ndarray:
     """Representation S_adj[i, j] = Tr[F_i E^dag[G_j]] of the adjoint map,
     from the channel matrix alone.
 
     With d^2 frame operators the dual is G = Q^{-1} F for the frame Gram
-    Q[i,j] = Tr[F_i F_j], so S_adj = Q S^T Q^{-1} for every frame.  NQPR
-    frames (Q a multiple of 1) transpose and SIC frames add the one row of
-    the K correction to the transpose; any other frame takes the Gram rule
+    Q[i,j] = Tr[F_i F_j], so S_adj = Q S^T Q^{-1} for every frame, taken
     through `gram_roots` = (Q^{1/2}, Q^{-1/2}) of its
-    `StructureCoefficients`, where None means Q is a multiple of 1.
+    `StructureCoefficients`.  None means Q is a multiple of 1 (every nq
+    frame), whose rule is a copy of the transpose.  The paper's SIC closed
+    form S^T + K is no faster, and lives in `verify` as a check.
     """
     s = np.asarray(s, dtype=float)
-    if kind == KIND_SP:
-        # every row of K is the one row, so it broadcasts
-        return s.T + _k_row(s)
-    if kind == KIND_NQ or gram_roots is None:
+    if gram_roots is None:
         return s.T.copy()
     half, inv_half = gram_roots
     return half @ (half @ s.T @ inv_half) @ inv_half
@@ -403,9 +389,9 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
 
     `coeffs` holds the structure coefficients of the representation (the
     classical delta tensor reduces this to the classical Bayes inverse for
-    nonnegative priors).  The adjoint S_adj is `adjoint_qpr` of the kind
-    and the Gram roots `coeffs` carries; a `kind` that contradicts
-    `coeffs.kind` raises RepMismatch.
+    nonnegative priors).  The adjoint S_adj is `adjoint_qpr` of the Gram
+    roots `coeffs` carries; `kind` is a claim, and one that contradicts the
+    derived `coeffs.kind` raises RepMismatch.
 
     The roots of the prior and its posterior are one `state_powers` stack,
     which flags a rank-deficient posterior.  With eps = 0 that raises
@@ -424,7 +410,7 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
     if kind not in (None, coeffs.kind):
         raise RepMismatch(f"kind {kind!r} contradicts the coefficients of "
                           f"{coeffs.frame_name!r}, whose kind is {coeffs.kind!r}")
-    adjoint = adjoint_qpr(s, coeffs.kind, coeffs.gram_roots)
+    adjoint = adjoint_qpr(s, coeffs.gram_roots)
     eps_used = max(mixing_weight(eps), QPR_EPS_FLOOR)
     roots, (_, deficient), routes = state_powers(
         np.array([v_prior, s @ v_prior]), ROOT_AND_INVERSE, coeffs, tol)

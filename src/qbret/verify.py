@@ -60,7 +60,8 @@ def _pairs(table) -> list:
 def suite_frames(seed: int = 0) -> list[CheckResult]:
     out = []
     for _, f, g in _pairs(_SWEPT):
-        # dual_relation, G against the dual rule of the frame's kind, is among them
+        # dual_relation, G against the dual rule of the frame's derived kind,
+        # is among them
         rep = fr.validate_frame(f, g, tol=1e-12, seed=seed)
         out.append(CheckResult(f"frame-invariants-{f.name}",
                                max(rep.checks.values()), 1e-12))
@@ -106,16 +107,28 @@ def suite_mmatrix(seed: int = 0) -> list[CheckResult]:
     # K correction: vanishes for every unital builtin, matches the derived
     # row pattern for the half-SWAP with a |1> ancilla in the SIC frame
     sp_f, sp_g = fr.builtin_frame("sic-qubit")
-    worst_k = 0.0
-    for gate in ("identity", "pauli_x", "pauli_y", "pauli_z", "hadamard", "u_eg"):
-        s = qp.channel_to_qpr(hb.builtin_channel(gate), sp_f, sp_g)
-        worst_k = max(worst_k, max_abs(qp.k_matrix(s)))
+    unital = [hb.builtin_channel(gate) for gate in
+              ("identity", "pauli_x", "pauli_y", "pauli_z", "hadamard", "u_eg")]
+    worst_k = max(max_abs(qp.k_matrix(qp.channel_to_qpr(ch, sp_f, sp_g)))
+                  for ch in unital)
     out.append(CheckResult("k-vanishes-unital", worst_k, 1e-12))
-    s_hs = qp.channel_to_qpr(hb.builtin_channel("half_swap"), sp_f, sp_g)
+    half_swap = hb.builtin_channel("half_swap")
+    s_hs = qp.channel_to_qpr(half_swap, sp_f, sp_g)
     expected_row = np.array([-1, 1, -1, 1]) / (4 * _SQ3)
     out.append(CheckResult(
         "k-half-swap-row", max_abs(qp.k_matrix(s_hs) - expected_row[None, :]),
         1e-12))
+    # the paper's SIC adjoint S^T + K, a closed form the library does not
+    # take (`adjoint_qpr` is the Gram rule there), against the morphism of
+    # the Hilbert adjoint, on the unital gates, the half-SWAP and seeded
+    # Haar dilations
+    rng = np.random.default_rng(seed)
+    worst_adj = 0.0
+    for ch in unital + [half_swap] + [_random_channel(rng, 2) for _ in range(20)]:
+        s = qp.channel_to_qpr(ch, sp_f, sp_g)
+        worst_adj = max(worst_adj, max_abs(
+            s.T + qp.k_matrix(s) - qp.channel_to_qpr(ch.adjoint, sp_f, sp_g)))
+    out.append(CheckResult("adjoint-rule-sp", worst_adj, 1e-12))
     return out
 
 

@@ -21,8 +21,7 @@ def custom_tetra_pair(rng: np.random.Generator,
     paulis = np.array([PAULI_X, PAULI_Y, PAULI_Z])
     ops = np.array([(np.eye(2) + np.einsum("k,kab->ab", b, paulis)) / 4
                     for b in bloch])
-    frame = Frame(name="custom-tetra", d=2, labels=(0, 1, 2, 3), ops=ops,
-                  kind="custom")
+    frame = Frame(name="custom-tetra", d=2, labels=(0, 1, 2, 3), ops=ops)
     return frame, frame.dual
 
 

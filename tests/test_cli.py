@@ -47,8 +47,9 @@ def half_swap_plus_dw():
 
 
 def custom_sic_file(tmp_path):
-    """The SIC tetrahedron saved as a custom frame: its adjoint then comes
-    from the frame Gram, not from the closed form of its kind."""
+    """The SIC tetrahedron saved with the claim `custom`, which names the
+    general rules and is never false: it loads with its derived kind sp,
+    whose adjoint comes from the frame Gram as every non-nq frame's does."""
     doc = frame_to_dict(build_sic_qubit()[0])
     doc["kind"] = "custom"
     path = tmp_path / "custom_sic.json"
@@ -421,8 +422,7 @@ class TestPetzCommand:
         gram = np.einsum("jab,kba->jk", ops, ops).real
         dual_ops = np.einsum("jk,kab->jab", np.linalg.inv(gram), ops)
         doc = frame_to_dict(
-            Frame(name="blend", d=2, labels=tuple(range(4)), ops=ops,
-                  kind="custom"))
+            Frame(name="blend", d=2, labels=tuple(range(4)), ops=ops))
         doc["G"] = encode_complex_matrix(dual_ops)
         path = tmp_path / "blend.json"
         path.write_text(json.dumps(doc))

@@ -336,7 +336,7 @@ class TestDerivedDual:
     def test_repeated_operator_without_g_raises_a_typed_error(self):
         f, _ = build_dw_qubit()
         repeated = Frame(name="repeated", d=2, labels=f.labels,
-                         ops=f.ops[[0, 0, 2, 3]], kind="custom")
+                         ops=f.ops[[0, 0, 2, 3]])
         with pytest.raises(errors.IllConditioned, match="singular Gram"):
             load_frame(frame_to_dict(repeated))
 
@@ -350,11 +350,53 @@ class TestDerivedDual:
         assert calls == [3] and np.array_equal(g.ops, 8 * f.ops)
 
 
+def haar_rotated(builder, seed):
+    """The operators U F U^dag of the frame `builder` builds, for a Haar U
+    drawn at `seed`, as a plain `Frame`: no builder vouches for them."""
+    f = builder()[0]
+    u = random_unitary(np.random.default_rng(seed), f.d)
+    return Frame(name=f"rotated-{f.name}", d=f.d, labels=f.labels,
+                 ops=u @ f.ops @ u.conj().T)
+
+
+class TestDerivedKind:
+    """`Frame.kind` is read from the Gram Q of F: nq where Q is a multiple
+    of 1, sp where it has the SIC form, custom otherwise; a product reads
+    its parts' kinds."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("builder, kind", [(build_dw_qubit, "nq"),
+                                               (build_sic_qubit, "sp")])
+    def test_rotated_frames_derive_their_family(self, builder, kind, seed):
+        # the Gram is unitarily invariant; the dual is the family's closed form
+        f = haar_rotated(builder, seed)
+        assert f.kind == kind
+        closed = 2 * f.ops if kind == "nq" else 6 * f.ops - EYE2
+        assert np.array_equal(f.dual.ops, closed)
+        assert validate_frame(f, f.dual, tol=1e-12).passed
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_custom_tetra_derives_custom(self, seed, custom_tetra):
+        assert custom_tetra(np.random.default_rng(seed))[0].kind == "custom"
+
+    @pytest.mark.parametrize("spec, kind", [("dw*dw", "nq"), ("dw*sic", "custom"),
+                                            ("sic*sic", "custom")])
+    def test_products_read_their_parts(self, spec, kind, custom_tetra):
+        # the parts' 4 x 4 Grams decide; the product's 16 x 16 one is not formed
+        f = tensor_frames(_parts(spec, custom_tetra))
+        assert f.kind == kind
+        assert "gram" not in vars(f) and all("gram" in vars(p) for p in f.parts)
+
+    def test_kind_is_no_argument(self):
+        f, _ = build_dw_qubit()
+        with pytest.raises(TypeError):
+            Frame(name="dw", d=2, labels=f.labels, ops=f.ops, kind="nq")
+
+
 class TestValidateFrame:
     def test_scaled_frame_fails(self):
         f, g = build_dw_qubit()
-        bad_f = Frame(name="scaled", d=2, labels=f.labels, ops=1.01 * f.ops,
-                      kind="nq")
+        bad_f = Frame(name="scaled", d=2, labels=f.labels, ops=1.01 * f.ops)
         bad_g = DualFrame(name="scaled", ops=1.01 * g.ops)
         report = validate_frame(bad_f, bad_g, tol=1e-10)
         assert not report.passed
@@ -378,8 +420,7 @@ class TestValidateFrame:
         f, g = build_dw_qubit()
         ops = f.ops.copy()
         ops[1, 0, 0] = np.nan
-        report = validate_frame(Frame(name="nan", d=2, labels=f.labels, ops=ops,
-                                      kind="nq"), g)
+        report = validate_frame(Frame(name="nan", d=2, labels=f.labels, ops=ops), g)
         assert report.checks.pop("dual_trace") == 0.0
         assert all(np.isnan(v) for v in report.checks.values())
 
@@ -509,24 +550,45 @@ class TestLoadFrame:
         assert exc.value.check == "hermiticity"
 
     @pytest.mark.parametrize("builder, claim, rule", [
-        # a SIC frame claiming nq would get the bare-transpose adjoint and a
+        # a SIC frame taken for nq would get the bare-transpose adjoint and a
         # wrong recovery matrix for every non-unital channel; `rule` names
-        # the closed-form dual the false claim selects
+        # the closed-form dual the false claim stands for
         (build_sic_qubit, "nq", "nq_dual_scaling"),
         (build_dw_qubit, "sp", "sp_dual_affine")])
     def test_false_kind_claim_fails(self, builder, claim, rule):
         f, g = builder()
+        closed_form = {"nq_dual_scaling": f.d * f.ops,
+                       "sp_dual_affine": f.d * (f.d + 1) * f.ops - np.eye(f.d)}
+        assert not validate_frame(f, DualFrame(name=f.name, ops=closed_form[rule])).passed
         doc = frame_to_dict(f)
         doc["kind"] = claim
-        # without G the claimed rule derives a dual that is no dual of F
+        # the frame derives its own kind and dual and passes; the claim,
+        # with or without the true G, then fails `kind`
+        for document in (doc, {**doc, "G": encode_complex_matrix(g.ops)}):
+            with pytest.raises(errors.ValidationFailed) as exc:
+                load_frame(document)
+            assert exc.value.check == "kind"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rotated_sic_claiming_nq_fails_kind(self, seed):
+        doc = frame_to_dict(haar_rotated(build_sic_qubit, seed))
+        assert doc["kind"] == "sp"
         with pytest.raises(errors.ValidationFailed) as exc:
-            load_frame(doc)
-        assert exc.value.check == "orthogonality"
-        # with the true G, that G is off the dual the claim derives
-        doc["G"] = encode_complex_matrix(g.ops)
-        with pytest.raises(errors.ValidationFailed) as exc:
-            load_frame(doc)
-        assert exc.value.check == "dual_relation"
+            load_frame({**doc, "kind": "nq"})
+        # Q = (2 1 + J)/12 is 1/12 off Q[0,0] 1 at every off-diagonal entry
+        assert exc.value.check == "kind"
+        assert exc.value.violation == pytest.approx(1 / 3, abs=1e-14)
+
+    def test_dw_claiming_sp_reports_the_gram_distance(self):
+        # Q = 1/2 is 1/4 off the SIC form's diagonal of 1/4
+        with pytest.raises(errors.ValidationFailed, match="kind") as exc:
+            load_frame({**frame_to_dict(build_dw_qubit()[0]), "kind": "sp"})
+        assert exc.value.violation == 0.5
+
+    def test_custom_claim_loads_with_the_derived_kind(self):
+        # custom names the general rules, which hold for every frame
+        f, g = load_frame({**frame_to_dict(build_dw_qubit()[0]), "kind": "custom"})
+        assert f.kind == "nq" and np.array_equal(g.ops, 2 * f.ops)
 
 
 _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1.0])
@@ -655,7 +717,7 @@ class TestStructureCoeffs:
         # which then skipped the ComplexResidue it raises on its own
         f, g = build_dw_qubit()
         skewed = Frame(name="skewed", d=2, labels=f.labels,
-                       ops=f.ops + 1e-6j * PAULI_X, kind="custom")
+                       ops=f.ops + 1e-6j * PAULI_X)
         loose = structure_coeffs(skewed, g, tol=1e-3)
         with pytest.raises(errors.ComplexResidue):
             structure_coeffs(skewed, g)
@@ -706,7 +768,7 @@ class TestStructureCoeffs:
         # exists, and the message divides by no zero eigenvalue
         dw_f, dw_g = build_dw_qubit()
         repeated = Frame(name="repeated", d=2, labels=dw_f.labels,
-                         ops=dw_f.ops[[0, 0, 2, 3]], kind="custom")
+                         ops=dw_f.ops[[0, 0, 2, 3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(errors.IllConditioned, match="GRAM_COND_MAX"):
@@ -715,14 +777,14 @@ class TestStructureCoeffs:
     def test_complex_residue_on_invalid_operators(self):
         f, g = build_dw_qubit()
         broken = Frame(name="broken", d=2, labels=f.labels,
-                       ops=f.ops + 0.1j * np.eye(2), kind="custom")
+                       ops=f.ops + 0.1j * np.eye(2))
         with pytest.raises(errors.ComplexResidue):
             structure_coeffs(broken, g)
 
     def test_complex_residue_on_invalid_tensor_factor(self):
         f, _ = build_dw_qubit()
         broken = Frame(name="broken", d=2, labels=f.labels,
-                       ops=f.ops + 0.1j * np.eye(2), kind="nq")
+                       ops=f.ops + 0.1j * np.eye(2))
         composite = tensor_frames([build_dw_qubit()[0], broken])
         assert len(composite.parts) == 2
         with pytest.raises(errors.ComplexResidue):
@@ -781,8 +843,7 @@ class TestFixedFrames:
         f, g = build_sic_qubit()
         assert f.labels == (0, 1, 2, 3) and np.array_equal(f.ops, sic)
         assert np.array_equal(g.ops, 6 * sic - np.eye(2))
-        orbit, _ = _pauli_orbit("orbit", np.array((1, -1, 1)) / np.sqrt(3), "sp",
-                                range(4))
+        orbit, _ = _pauli_orbit("orbit", np.array((1, -1, 1)) / np.sqrt(3), range(4))
         assert np.array_equal(orbit.ops, sic)
 
     @pytest.mark.parametrize("name", ["sic-qubit", "dw-qubits:2"])

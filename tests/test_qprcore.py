@@ -239,8 +239,7 @@ class TestBatchedMorphism:
         # the traces can view them as floats
         f, g = dw
         big = np.stack([f.ops, g.ops], axis=-1)  # (n, d, d, 2)
-        frame = Frame(name="strided", d=2, labels=f.labels, ops=big[..., 0],
-                      kind=f.kind)
+        frame = Frame(name="strided", d=2, labels=f.labels, ops=big[..., 0])
         dual = DualFrame(name="strided", ops=big[..., 1])
         assert frame.ops.flags.c_contiguous and dual.ops.flags.c_contiguous
         rng = np.random.default_rng(15)
@@ -386,16 +385,17 @@ class TestAdjoint:
         ch = builtin_channel("half_swap")
         s = channel_to_qpr(ch, f, g)
         reference = channel_to_qpr(ch.adjoint, f, g)
-        np.testing.assert_allclose(adjoint_qpr(s, "nq", None), reference,
-                                   atol=1e-12)
+        np.testing.assert_allclose(adjoint_qpr(s, None), reference, atol=1e-12)
 
     def test_sic_correction_matches_hilbert_adjoint(self, sic):
         f, g = sic
         ch = builtin_channel("half_swap")
         s = channel_to_qpr(ch, f, g)
         reference = channel_to_qpr(ch.adjoint, f, g)
-        np.testing.assert_allclose(adjoint_qpr(s, "sp", None), reference,
-                                   atol=1e-12)
+        # the paper's closed form S^T + K, and the Gram rule the library takes
+        np.testing.assert_allclose(s.T + k_matrix(s), reference, atol=1e-12)
+        np.testing.assert_allclose(adjoint_qpr(s, structure_coeffs(f, g).gram_roots),
+                                   reference, atol=1e-12)
         # the transpose alone is not the adjoint here
         assert max_abs(s.T - reference) > 0.1
 
@@ -407,7 +407,7 @@ class TestAdjoint:
                                        random_density(rng, 2))
             s = channel_to_qpr(ch, f, g)
             reference = channel_to_qpr(ch.adjoint, f, g)
-            adjoint = adjoint_qpr(s, "custom", structure_coeffs(f, g).gram_roots)
+            adjoint = adjoint_qpr(s, structure_coeffs(f, g).gram_roots)
             assert max_abs(adjoint - reference) < 1e-12, seed
             # the transpose is not the adjoint on this frame
             assert max_abs(s.T - reference) > 1e-3, seed
@@ -424,16 +424,16 @@ class TestAdjoint:
         sic_roots = structure_coeffs(*sic).gram_roots
         for ch in channels:
             s = channel_to_qpr(ch, *dw)
-            np.testing.assert_allclose(adjoint_qpr(s, "custom", dw_roots), s.T,
-                                       atol=1e-13)
+            np.testing.assert_allclose(adjoint_qpr(s, dw_roots), s.T, atol=1e-13)
             s = channel_to_qpr(ch, *sic)
-            np.testing.assert_allclose(adjoint_qpr(s, "custom", sic_roots),
-                                       adjoint_qpr(s, "sp", None), atol=1e-13)
+            np.testing.assert_allclose(adjoint_qpr(s, sic_roots), s.T + k_matrix(s),
+                                       atol=1e-13)
 
     def test_unital_sic_adjoint_is_plain_transpose(self, sic):
         f, g = sic
         s = channel_to_qpr(builtin_channel("hadamard"), f, g)
-        np.testing.assert_allclose(adjoint_qpr(s, "sp", None), s.T, atol=1e-12)
+        np.testing.assert_allclose(adjoint_qpr(s, structure_coeffs(f, g).gram_roots),
+                                   s.T, atol=1e-12)
 
     def test_k_rows_identical_and_tied_to_row_sums(self, dw):
         f, g = dw
@@ -542,8 +542,7 @@ class TestPetzQpr:
         ops = 0.7 * dw[0].ops + 0.3 * sic[0].ops
         gram = np.einsum("jab,kba->jk", ops, ops).real
         dual_ops = np.einsum("jk,kab->jab", np.linalg.inv(gram), ops)
-        f = Frame(name="blend", d=2, labels=tuple(range(4)), ops=ops,
-                  kind="custom")
+        f = Frame(name="blend", d=2, labels=tuple(range(4)), ops=ops)
         g = DualFrame(name="blend", ops=dual_ops)
         assert validate_frame(f, g).passed
         xi = structure_coeffs(f, g)
@@ -558,7 +557,7 @@ class TestPetzQpr:
             assert max_abs(lhs - rhs) < 1e-9
             # neither closed-form adjoint matches for this non-unital blend
             if channel.kraus[0].shape == (2, 2) and len(channel.kraus) > 1:
-                assert max_abs(adjoint_qpr(s, "custom", xi.gram_roots)
+                assert max_abs(adjoint_qpr(s, xi.gram_roots)
                                - s.T) > 1e-3
 
     @pytest.mark.parametrize("frame", ["sic", "custom"])

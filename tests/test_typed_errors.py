@@ -50,6 +50,8 @@ CASES = {
                                  errors.ParseError, "missing field 'F'"),
     "frame-document-unknown-kind": (lambda: load_frame(_frame_document(kind="wigner")),
                                     errors.ParseError, "unknown kind"),
+    "frame-document-false-kind": (lambda: load_frame(_frame_document(kind="sp")),
+                                  errors.ValidationFailed, "failed: kind"),
     "graph-label-count": (lambda: forward_graph(np.eye(4), labels=("a", "b")),
                           errors.RepMismatch, "2 labels for 4 nodes"),
     "density-of-a-stack": (lambda: assert_density(np.eye(2)[None] / 2),

@@ -30,6 +30,7 @@ INVENTORY = {
         ("m-unit-trace-sp", 1e-10),
         ("k-vanishes-unital", 1e-12),
         ("k-half-swap-row", 1e-12),
+        ("adjoint-rule-sp", 1e-12),
     ],
     "powers": [
         ("power-identity-dw-r=2", 1e-08),
