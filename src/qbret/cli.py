@@ -27,10 +27,7 @@ from . import hilbert as hb
 from . import qprcore as qp
 from . import verify as vf
 from .errors import OracleMismatch, ParseError, QbretError, TooLarge
-from .matcore import DEFAULT_TOL, ORACLE_TOL, max_abs, mixing_weight
-
-# --eps when it is absent
-DEFAULT_EPS = 1e-8
+from .matcore import DEFAULT_EPS, DEFAULT_TOL, ORACLE_TOL, max_abs, mixing_weight
 
 _NAMED_KETS = {
     "0": hb.KET0, "ket0": hb.KET0,

@@ -6,13 +6,15 @@ sum-trace reconstruction property.  With d^2 operators that dual is
 unique, and `Frame.dual` derives it from F and the frame's kind, the one
 home of that rule.  The kind is read from the Gram Q[i,j] = Tr[F_i F_j],
 never given: a frame claims nothing, and a document's kind is a claim
-checked against it.  A frame is fixed once built: its operators and
-the coefficients cached from them are read-only.  Built-in constructors
-cover the discrete-Wigner qubit frame and the canonical SIC-POVM
-tetrahedron, both Pauli orbits of one fiducial, and the tensor powers of
-each, every one under the name `builtin_frame` takes (the one table of
-built-in names, BUILTIN_FRAMES); anything else enters through
-`load_frame`.
+checked against it.  The Gram is decided once, on the frame: its kind,
+its dual and its roots (`Frame.gram_roots`) are cached there, and the
+structure coefficients come from the frame and its own dual alone.  A
+frame is fixed once built: its operators and the roots and coefficients
+cached from them are read-only.  Built-in constructors cover the
+discrete-Wigner qubit frame and the canonical SIC-POVM tetrahedron, both
+Pauli orbits of one fiducial, and the tensor powers of each, every one
+under the name `builtin_frame` takes (the one table of built-in names,
+BUILTIN_FRAMES); anything else enters through `load_frame`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial, reduce
 
@@ -79,11 +80,11 @@ class Frame:
     stay its own.  Tuple labels are kept for display; all matrix indexing
     uses their flattened order 0..d^2-1.  `parts` holds the single frames
     that `tensor_frames` composed this frame from, so that
-    `structure_coeffs` keeps one factor per part and `kind` reads the
-    parts' kinds, without checking them against `ops`; it is empty for
-    every other frame.  A frame whose parts disagree with its operators
-    can only be made on purpose, with `Frame(..., parts=...)` or
-    `replace(frame, ops=...)`.
+    `structure_coeffs` keeps one factor per part, `kind` reads the parts'
+    kinds and `gram_roots` the parts' Grams, without checking them against
+    `ops`; it is empty for every other frame.  A frame whose parts disagree
+    with its operators can only be made on purpose, with
+    `Frame(..., parts=...)` or `replace(frame, ops=...)`.
     """
 
     name: str
@@ -91,9 +92,8 @@ class Frame:
     labels: tuple
     ops: np.ndarray
     parts: tuple = ()
-    # structure coefficients per dual frame and tol, filled by structure_coeffs
-    _coeffs: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
+    # structure coefficients per tol, filled by structure_coeffs
+    _coeffs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ops = np.ascontiguousarray(self.ops, dtype=complex)
@@ -107,7 +107,7 @@ class Frame:
     @cached_property
     def gram(self) -> np.ndarray:
         """The symmetric real Gram Q[i,j] = Tr[F_i F_j], read-only, formed
-        once for `kind`, `dual` and the Gram roots of `structure_coeffs`."""
+        once for `kind`, `dual` and `gram_roots`."""
         q = np.einsum("iab,jba->ij", self.ops, self.ops, optimize=True).real
         return read_only((q + q.T) / 2)
 
@@ -122,8 +122,27 @@ class Frame:
         product of SICs is no SIC."""
         if self.parts:
             return KIND_NQ if all(p.kind == KIND_NQ for p in self.parts) else KIND_CUSTOM
-        return next((k for k in (KIND_NQ, KIND_SP) if _has_form(self.gram, k, DEFAULT_TOL)),
-                    KIND_CUSTOM)
+        q = self.gram
+        return next((k for k in (KIND_NQ, KIND_SP)
+                     if max_abs(q - _gram_form(q, k)) <= DEFAULT_TOL * max_abs(q)), KIND_CUSTOM)
+
+    @cached_property
+    def gram_roots(self) -> tuple | None:
+        """(Q^{1/2}, Q^{-1/2}) of the Gram Q, read-only, or None exactly
+        where `kind` is nq: Q is then a multiple of 1, the similarity a
+        scaling, and the adjoint the transpose.  A frame with `parts` takes
+        Q as the Kronecker product of the parts' Grams.  Decided here once,
+        at DEFAULT_TOL as `kind` is, whatever tol a caller runs at.  Raises
+        IllConditioned past GRAM_COND_MAX, a rank-deficient Q included."""
+        if self.kind == KIND_NQ:
+            return None
+        # the Kronecker product of symmetric Grams is the frame's symmetric Gram
+        spec = eigh_spectrum(reduce(np.kron, [p.gram for p in self.parts] or [self.gram]))
+        w = spec.values
+        if w[-1] > GRAM_COND_MAX * w[0]:
+            raise IllConditioned(f"frame Gram eigenvalues span [{w[0]:.3e}, {w[-1]:.3e}]: "
+                                 f"condition number over GRAM_COND_MAX = {GRAM_COND_MAX:.0e}")
+        return tuple(read_only(spec.power(r)[0]) for r in (0.5, -0.5))
 
     @cached_property
     def dual(self) -> DualFrame:
@@ -277,20 +296,19 @@ BUILTIN_FRAMES = {
 
 def _builtin(name: str) -> tuple:
     """(builder, d, arguments) of the BUILTIN_FRAMES entry `name` names,
-    with any ":N" written as a count (dw-qubits:2), whose arguments are the
-    count and the stem; ParseError for any other name."""
+    with any ":N" written as a count in ASCII digits (dw-qubits:2), whose
+    arguments are the count and the stem; ParseError for any other name."""
     stem, colon, count = name.partition(":")
     entry = BUILTIN_FRAMES.get(f"{stem}:N" if colon else name)
     if entry is None:
         raise ParseError(f"unknown frame kind {name!r}; expected one of "
                          + ", ".join(BUILTIN_FRAMES))
-    try:
-        args = (int(count), stem) if colon else ()
-    except ValueError:
-        args = (0,)
-    if args and args[0] < 1:
+    # int() reads, and str() writes, at most 4300 digits (CPython's default
+    # limit); the TooLarge of `_qubits_dimension` writes N + 1
+    if colon and not (count.isascii() and count.isdigit() and len(count) < 4300
+                      and int(count) >= 1):
         raise ParseError(f"frame kind {name!r} needs a count N >= 1")
-    return (*entry, args)
+    return (*entry, (int(count), stem) if colon else ())
 
 
 def builtin_frame(name: str) -> tuple[Frame, DualFrame]:
@@ -477,23 +495,24 @@ def load_frame(document, tol: float = DEFAULT_TOL) -> tuple[Frame, DualFrame]:
 
 @dataclass(frozen=True, eq=False)
 class StructureCoefficients:
-    """Structure coefficients eta[x,i,j] = Tr[F_i G_x G_j] of a frame pair,
-    held as complex (n_k, n_k, n_k) factor tensors whose Kronecker product
-    is eta, the vector e[i] = Tr F_i of the identity, and the derived kind
-    of the frame, against which `qprcore.petz_qpr` checks a claimed one.
+    """Structure coefficients eta[x,i,j] = Tr[F_i G_x G_j] of a frame and
+    its own dual, held as complex (n_k, n_k, n_k) factor tensors whose
+    Kronecker product is eta, the vector e[i] = Tr F_i of the identity, and
+    the derived kind of the frame, against which `qprcore.petz_qpr` checks
+    a claimed one.
     `e_sym` is the vector the state powers start from, e in the
     coordinates of the symmetric state matrix: e itself, or Q^{-1/2} e
     through the Gram roots, formed once here.
 
-    A frame built by `tensor_frames` has one factor per part, because the
-    trace of a Kronecker product is the product of the traces; every other
-    frame is its own single factor.  For alpha = sum_x v_x G_x,
-    L = `left(v)` is the matrix of rho -> alpha rho and conj(L) that of
-    rho -> rho alpha.
+    A frame built by `tensor_frames` has one factor per part, from the part
+    and its dual, because the trace of a Kronecker product is the product
+    of the traces; every other frame is its own single factor.  For
+    alpha = sum_x v_x G_x, L = `left(v)` is the matrix of rho -> alpha rho
+    and conj(L) that of rho -> rho alpha.
 
-    `gram_roots` holds (Q^{1/2}, Q^{-1/2}) for the frame Gram
-    Q[i,j] = Tr[F_i F_j], or None where Q is a multiple of the identity
-    (every nq frame and product of them, the classical delta tensor).
+    `gram_roots` is the frame's `Frame.gram_roots`, (Q^{1/2}, Q^{-1/2}) for
+    the frame Gram Q[i,j] = Tr[F_i F_j], or None where the frame is nq (Q a
+    multiple of the identity) and for the classical delta tensor.
     With the dual G = Q^{-1} F of a minimal frame, Re L = P Q^{-1} with
     P[i,k] = Re Tr[F_i alpha F_k] symmetric, so Q^{-1/2} (Re L) Q^{1/2} is
     symmetric, and its powers come from one `eigh` or Lanczos run
@@ -563,66 +582,42 @@ def _gram_form(q: np.ndarray, kind: str) -> np.ndarray:
     return q[0, 0] * np.eye(n) if kind == KIND_NQ else (d * np.eye(n) + 1) / (n * (d + 1))
 
 
-def _has_form(q: np.ndarray, kind: str, tol: float) -> bool:
-    """Whether the Gram q is `_gram_form(q, kind)` to tol max|Q|; the one
-    test of a Gram's form, for `Frame.kind` and `_gram_roots`."""
-    return max_abs(q - _gram_form(q, kind)) <= tol * max_abs(q)
-
-
-def _gram_roots(grams: list[np.ndarray], tol: float) -> tuple | None:
-    """(Q^{1/2}, Q^{-1/2}) of the Gram Q, the Kronecker product of the
-    factors' `grams`; None only where every factor's Gram is a multiple of
-    the identity (`_has_form` nq: the similarity would be a scaling, and
-    the adjoint is the transpose).  Raises IllConditioned past
-    GRAM_COND_MAX, a rank-deficient Q included."""
-    if all(_has_form(q, KIND_NQ, tol) for q in grams):
-        return None
-    # the Kronecker product of symmetric grams is the frame's symmetric Gram
-    spec = eigh_spectrum(reduce(np.kron, grams), tol)
-    w = spec.values
-    if w[-1] > GRAM_COND_MAX * w[0]:
-        raise IllConditioned(f"frame Gram eigenvalues span [{w[0]:.3e}, "
-                             f"{w[-1]:.3e}]: condition number over "
-                             f"GRAM_COND_MAX = {GRAM_COND_MAX:.0e}")
-    return tuple(read_only(spec.power(r, tol)[0]) for r in (0.5, -0.5))
-
-
 def structure_coeffs(frame: Frame, dual: DualFrame,
                      tol: float = DEFAULT_TOL) -> StructureCoefficients:
-    """Compute (and cache per frame/dual pair and tol) the structure
-    coefficients.
+    """Compute (and cache per frame and tol) the structure coefficients.
 
-    A frame from `tensor_frames`, given its own dual `frame.dual`, gets one
-    factor per recorded part, each from the part and its dual, so memory
-    and work grow with the number of parts, not with n^3; any other pair,
-    a foreign dual included, is a single factor.  The cached arrays are
-    read-only, as the frame's are.  The roots of the frame Gram are
-    computed here too, once per pair and tol (see `StructureCoefficients`).
-    Raises IllConditioned if cond(Q) exceeds GRAM_COND_MAX, TooLarge,
+    They come from the frame alone: a frame from `tensor_frames` gets one
+    factor per recorded part, each from the part and its own dual, so
+    memory and work grow with the number of parts, not with n^3; any other
+    frame is its own single factor.  `dual` is a claim: `frame.dual`
+    passes, and so does a dual within tol of it (`validate_frame`'s
+    `dual_relation`); any other raises RepMismatch.  The cached arrays are
+    read-only, as the frame's are, and carry `frame.gram_roots`.  Raises
+    IllConditioned, first, if cond(Q) exceeds GRAM_COND_MAX, TooLarge,
     before allocating, if a factor would exceed MAX_TENSOR_BYTES, and
     ComplexResidue if a factor breaks conj(eta[x,i,j]) = eta[j,i,x] by
     more than tol.
     """
+    roots = frame.gram_roots
+    if dual is not frame.dual and not (
+            dual.ops.shape == frame.ops.shape and max_abs(dual.ops - frame.dual.ops) <= tol):
+        raise RepMismatch(f"{dual.name!r} is not the dual of frame {frame.name!r} to {tol:.1e}")
     # an entry serves only calls at the tol its factors were checked at
-    cached = frame._coeffs.get(dual, {}).get(tol)
+    cached = frame._coeffs.get(tol)
     if cached is not None:
         return cached
-    # a product frame with its own dual is factored by its recorded parts
-    parts = frame.parts if frame.parts and dual is frame.dual else ()
-    pairs = [(p.ops, p.dual.ops) for p in parts] or [(frame.ops, dual.ops)]
-    for f, _ in pairs:
-        if 16 * len(f) ** 3 > MAX_TENSOR_BYTES:  # complex128
-            raise TooLarge(f"a structure-coefficient factor of {len(f)} operators "
+    parts = frame.parts or (frame,)
+    for p in parts:
+        if 16 * len(p.ops) ** 3 > MAX_TENSOR_BYTES:  # complex128
+            raise TooLarge(f"a structure-coefficient factor of {len(p.ops)} operators "
                            f"exceeds {MAX_TENSOR_BYTES} bytes")
-    # an ill-conditioned Gram raises before the factors are built
-    roots = _gram_roots([p.gram for p in parts] or [frame.gram], tol)
     e = read_only(np.einsum("jaa->j", frame.ops).real)
     coeffs = StructureCoefficients(
         gram_roots=roots,
-        factors=tuple(read_only(_factor_tensor(f, g, tol)) for f, g in pairs),
+        factors=tuple(read_only(_factor_tensor(p.ops, p.dual.ops, tol)) for p in parts),
         frame_name=frame.name, e=e,
         e_sym=e if roots is None else read_only(roots[1] @ e), kind=frame.kind)
-    frame._coeffs.setdefault(dual, {})[tol] = coeffs
+    frame._coeffs[tol] = coeffs
     return coeffs
 
 

@@ -29,6 +29,7 @@ from .errors import (
     SingularPosterior,
 )
 from .matcore import (
+    DEFAULT_EPS,
     DEFAULT_TOL,
     EYE2,
     PAULI_X,
@@ -241,7 +242,7 @@ class PetzMap(KrausChannel):
 
 
 def petz_hilbert(channel: KrausChannel, prior: np.ndarray,
-                 eps: float = 1e-8, tol: float = DEFAULT_TOL) -> PetzMap:
+                 eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL) -> PetzMap:
     """Build the recovery map for `channel` with respect to `prior`.
 
     A rank-deficient posterior is escaped by mixing the prior with the
@@ -342,9 +343,10 @@ def builtin_channel(name: str, ancilla: np.ndarray | None = None,
     Single-qubit gates become unitary channels and take no ancilla
     (BadAncilla if one is given); the two-qubit gates are dilations and
     take an ancilla (default |1><1| for the swaps, |0><0| for u_eg, whose
-    action is ancilla-independent).
+    action is ancilla-independent).  KeyError for a name that is no
+    catalog entry, a name that is not a string included.
     """
-    if name not in _GATES:
+    if not isinstance(name, str) or name not in _GATES:
         raise KeyError(f"unknown builtin channel {name!r}; "
                        f"expected one of {BUILTIN_NAMES}")
     u = _GATES[name]

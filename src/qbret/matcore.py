@@ -49,6 +49,9 @@ from .errors import (
 DEFAULT_TOL = 1e-10
 ORACLE_TOL = 1e-8
 RANK_RTOL = 1e-12
+# The default regularization weight of every recovery and of classical
+# Bayes, and of the command line's --eps when it is absent.
+DEFAULT_EPS = 1e-8
 
 # The exponents of a stacked (prior, posterior) spectrum, one per row: the
 # root of the prior and the inverse root of the posterior.

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DimensionMismatch, RepMismatch, SingularPosterior
 from .frames import DualFrame, Frame, StructureCoefficients, structure_coeffs
 from .matcore import (
+    DEFAULT_EPS,
     DEFAULT_TOL,
     ROOT_AND_INVERSE,
     eigh_spectrum,
@@ -382,7 +383,7 @@ class PetzQprResult:
 
 
 def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
-             kind: str | None = None, eps: float = 1e-8, *,
+             kind: str | None = None, eps: float = DEFAULT_EPS, *,
              tol: float = DEFAULT_TOL) -> PetzQprResult:
     """Recovery matrix M_prior^{1/2} S_adj M_post^{-1/2} from
     quasiprobability data alone, X(v^{1/2}) S_adj X((S v)^{-1/2}).
@@ -430,7 +431,7 @@ def petz_qpr(s: np.ndarray, v_prior: np.ndarray, coeffs: StructureCoefficients,
 
 
 def classical_bayes(s: np.ndarray, v_prior: np.ndarray,
-                    eps: float = 1e-8) -> np.ndarray:
+                    eps: float = DEFAULT_EPS) -> np.ndarray:
     """Classical Bayes inversion D_prior S^T D_post^{-1}.
 
     Accepts quasi-stochastic matrices and sign-indefinite "posteriors"

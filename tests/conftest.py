@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbret.frames import DualFrame, Frame
+from qbret.frames import DualFrame, Frame, build_dw_qubit
 from qbret.matcore import PAULI_X, PAULI_Y, PAULI_Z
 
 pytest_plugins = ["pytester"]
@@ -29,3 +29,12 @@ def custom_tetra_pair(rng: np.random.Generator,
 def custom_tetra():
     """Builder of random minimal custom frame pairs, `custom_tetra_pair`."""
     return custom_tetra_pair
+
+
+@pytest.fixture(scope="session")
+def near_dw():
+    """dw-qubit with its operators moved by 1e-7 (X, -X, Y, -Y): still a
+    frame, of kind custom, its Gram 4.0e-7 (relative) off a multiple of 1."""
+    f = build_dw_qubit()[0]
+    return Frame(name="near-dw", d=2, labels=f.labels,
+                 ops=f.ops + 1e-7 * np.array([PAULI_X, -PAULI_X, PAULI_Y, -PAULI_Y]))

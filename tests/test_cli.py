@@ -749,6 +749,20 @@ class TestOracleGate:
         assert main(["petz", *self.SIC_HALF_SWAP, "--out", str(out)]) == 0
         assert read_json(out)["meta"]["root_routes"] == ["eigh", "eigh"]
 
+    def test_loose_tol_keeps_the_frames_gram_roots(self, near_dw, tmp_path):
+        # near-dw is custom, 4.0e-7 off the nq form: a caller's --tol 1e-6
+        # took its Gram for a multiple of 1, and the transpose adjoint
+        # missed the oracle by 3.5e-7 (exit 1)
+        frame = tmp_path / "near.json"
+        frame.write_text(json.dumps(frame_to_dict(near_dw)))
+        argv = ["petz", "--frame", str(frame), "--builtin", "half_swap",
+                "--ancilla", "1", "--angles", "0.4,1.1,0.3", "--out"]
+        loose, default = tmp_path / "loose.json", tmp_path / "default.json"
+        assert main(["--tol", "1e-6", *argv, str(loose)]) == 0
+        assert main([*argv, str(default)]) == 0
+        assert read_json(loose)["meta"]["oracle_deviation"] <= 1e-12
+        assert loose.read_bytes() == default.read_bytes()
+
     GATED = [["petz"], ["compare"], ["graph", "--direction", "retro"]]
     GATED_IDS = ["petz", "compare", "graph-retro"]
     SIC_HALF_SWAP = ["--builtin", "half_swap", "--ancilla", "1", "--kind",
@@ -1448,6 +1462,12 @@ class TestTypedErrors:
                                {"kind": "ket", "ket": [1, 0]}, errors.ParseError, 2),
         "channel-unknown-kind": (["repr", "--kind", "dw-qubit", "--channel", "{doc}"],
                                  {"kind": "teleport"}, errors.ParseError, 2),
+        "channel-builtin-list-name": (["repr", "--kind", "dw-qubit", "--channel", "{doc}"],
+                                      {"kind": "builtin", "name": ["hadamard"]},
+                                      errors.ParseError, 2),
+        "channel-builtin-dict-name": (["repr", "--kind", "dw-qubit", "--channel", "{doc}"],
+                                      {"kind": "builtin", "name": {"hadamard": 1}},
+                                      errors.ParseError, 2),
         "no-frame": (["repr", "--builtin", "hadamard"], None, errors.ParseError, 2),
         "no-channel": (["petz", "--kind", "dw-qubit", "--angles", ANGLES],
                        None, errors.ParseError, 2),

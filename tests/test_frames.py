@@ -123,7 +123,7 @@ def test_builtin_frames_validate(builder):
     ("dw-qubit", build_dw_qubit), ("sic-qubit", build_sic_qubit),
     ("dw-qubits:1", lambda: build_dw_qubits(1)),
     ("dw-qubits:2", lambda: build_dw_qubits(2)),
-    ("dw-qubits: 3", lambda: build_dw_qubits(3))])
+    ("dw-qubits:3", lambda: build_dw_qubits(3))])
 def test_builtin_frame_is_its_builder(name, builder):
     f, g = builtin_frame(name)
     f0, g0 = builder()
@@ -136,10 +136,21 @@ def test_builtin_frame_is_its_builder(name, builder):
     ("sic-qubit:1", "unknown"), ("", "unknown"), ("dw-qubits:", "N >= 1"),
     ("dw-qubits:0", "N >= 1"), ("dw-qubits:-2", "N >= 1"),
     ("dw-qubits:2.0", "N >= 1"), ("dw-qubits:2:3", "N >= 1"),
-    ("sic-qubits", "unknown"), ("sic-qubits:0", "N >= 1")])
+    ("sic-qubits", "unknown"), ("sic-qubits:0", "N >= 1"),
+    ("dw-qubits:2_0", "N >= 1"), ("dw-qubits:+2", "N >= 1"),
+    ("dw-qubits: 2", "N >= 1"), ("dw-qubits:\u0663", "N >= 1")])
 def test_builtin_frame_refuses_other_names(name, message):
     with pytest.raises(errors.ParseError, match=message):
         builtin_frame(name)
+
+
+def test_builtin_frame_refuses_a_count_past_the_int_digit_limit():
+    # int() and str() raise ValueError past 4300 digits, which would escape
+    # the command line; the TooLarge message writes N + 1
+    with pytest.raises(errors.ParseError, match="N >= 1"):
+        builtin_frame("dw-qubits:" + "9" * 4300)
+    with pytest.raises(errors.TooLarge, match="dw-qubits:9{4299} "):
+        builtin_frame("dw-qubits:" + "9" * 4299)
 
 
 def test_builtin_frame_size_bound_is_the_builders():
@@ -701,15 +712,15 @@ class TestStructureCoeffs:
         assert structure_coeffs(f, g) is structure_coeffs(f, g)
 
     def test_cached_per_dual(self):
-        # (dw frame, sic dual) is not a dual pair, so its xi is not derived
-        # from eta: the stored eta is compared with the traces instead
+        # the coefficients are the frame's alone: a dual within tol of its
+        # own is served the same entry, and the sic dual is refused
         f, dw_g = build_dw_qubit()
         _, sic_g = build_sic_qubit()
         dw_xi = structure_coeffs(f, dw_g)
-        sic_xi = structure_coeffs(f, sic_g)
-        assert sic_xi is not dw_xi
-        np.testing.assert_allclose(sic_xi.factors[0], direct_eta(f.ops, sic_g.ops),
-                                   atol=1e-14)
+        near_g = DualFrame(name="near", ops=dw_g.ops + 1e-12)
+        assert structure_coeffs(f, near_g) is dw_xi
+        with pytest.raises(errors.RepMismatch, match="not the dual"):
+            structure_coeffs(f, sic_g)
         assert structure_coeffs(f, dw_g) is dw_xi
 
     def test_cached_per_tol(self):
@@ -718,10 +729,15 @@ class TestStructureCoeffs:
         f, g = build_dw_qubit()
         skewed = Frame(name="skewed", d=2, labels=f.labels,
                        ops=f.ops + 1e-6j * PAULI_X)
-        loose = structure_coeffs(skewed, g, tol=1e-3)
+        loose = structure_coeffs(skewed, skewed.dual, tol=1e-3)
         with pytest.raises(errors.ComplexResidue):
-            structure_coeffs(skewed, g)
+            structure_coeffs(skewed, skewed.dual)
+        assert structure_coeffs(skewed, skewed.dual, tol=1e-3) is loose
+        # the dw dual is 2e-6 off the skewed frame's: a claim the loose tol
+        # accepts and the default refuses
         assert structure_coeffs(skewed, g, tol=1e-3) is loose
+        with pytest.raises(errors.RepMismatch):
+            structure_coeffs(skewed, g)
 
     @pytest.mark.parametrize("builder", [build_dw_qubit, build_sic_qubit,
                                          lambda: build_dw_qubits(2)])
@@ -742,18 +758,40 @@ class TestStructureCoeffs:
         assert max(np.abs(t.imag).max() for t in coeffs.factors) == pytest.approx(0.5)
         np.testing.assert_allclose(coeffs.e, np.full(64, 1 / 8), atol=1e-15)
 
-    def test_foreign_dual_is_one_factor(self):
-        # the dual of another product frame is not the product of this
-        # frame's recorded parts, so the pair is taken as a whole
-        f, _ = build_dw_qubits(2)
-        _, sic_g = build_sic_qubit()
-        sic2_g = DualFrame(name="sic*sic",
-                           ops=np.einsum("iab,jcd->ijacbd", sic_g.ops,
-                                         sic_g.ops).reshape(16, 4, 4))
-        coeffs = structure_coeffs(f, sic2_g)
-        assert len(coeffs.factors) == 1
-        np.testing.assert_allclose(coeffs.factors[0],
-                                   direct_eta(f.ops, sic2_g.ops), atol=1e-14)
+    def test_foreign_dual_is_refused(self):
+        # the coefficients come from the frame's own parts and duals, so the
+        # dual of another product frame is a false claim, cached entry or not
+        f, g = build_dw_qubits(2)
+        _, sic2_g = builtin_frame("sic-qubits:2")
+        with pytest.raises(errors.RepMismatch, match="not the dual"):
+            structure_coeffs(f, sic2_g)
+        structure_coeffs(f, g)
+        with pytest.raises(errors.RepMismatch, match="not the dual"):
+            structure_coeffs(f, sic2_g)
+        with pytest.raises(errors.RepMismatch, match="not the dual"):
+            structure_coeffs(f, build_dw_qubit()[1])
+
+    def test_gram_roots_are_decided_once(self, near_dw):
+        # dw-qubit nudged by 1e-7 (X, -X, Y, -Y): 4.0e-7 (relative) off a
+        # multiple of 1, so custom, with Gram roots at every tol; deciding
+        # them again at the caller's 1e-6 took them for a multiple of 1 and
+        # gave the transpose adjoint, 3.5e-7 off the oracle
+        f = near_dw
+        assert f.kind == "custom"
+        assert validate_frame(f, f.dual, tol=1e-10).passed
+        q = f.gram
+        assert max_abs(q - q[0, 0] * np.eye(4)) / max_abs(q) == pytest.approx(4e-7, rel=0.01)
+        loose = structure_coeffs(f, f.dual, 1e-6)
+        assert loose.gram_roots is not None
+        assert loose.gram_roots is structure_coeffs(f, f.dual).gram_roots is f.gram_roots
+        channel = channel_from_dilation(random_unitary(np.random.default_rng(5), 4),
+                                        random_density(np.random.default_rng(6), 2))
+        prior = random_density(np.random.default_rng(7), 2, min_eig=0.05)
+        result = petz_qpr(channel_to_qpr(channel, f, f.dual), state_to_qpr(prior, f),
+                          loose, tol=1e-6)
+        assert result.eps_used == 0.0
+        oracle = channel_to_qpr(petz_hilbert(channel, prior, tol=1e-6), f, f.dual)
+        assert max_abs(result.matrix - oracle) < 1e-12
 
     def test_gram_roots(self):
         f, g = build_sic_qubit()
@@ -775,11 +813,11 @@ class TestStructureCoeffs:
                 structure_coeffs(repeated, dw_g)
 
     def test_complex_residue_on_invalid_operators(self):
-        f, g = build_dw_qubit()
+        f, _ = build_dw_qubit()
         broken = Frame(name="broken", d=2, labels=f.labels,
                        ops=f.ops + 0.1j * np.eye(2))
         with pytest.raises(errors.ComplexResidue):
-            structure_coeffs(broken, g)
+            structure_coeffs(broken, broken.dual)
 
     def test_complex_residue_on_invalid_tensor_factor(self):
         f, _ = build_dw_qubit()

@@ -69,6 +69,10 @@ CASES = {
         errors.DimensionMismatch, "does not match dimension 2"),
     "classical-bayes-shapes": (lambda: classical_bayes(np.eye(4), np.ones(3) / 3),
                                errors.RepMismatch, "prior length 3"),
+    "builtin-channel-of-a-list-name": (lambda: builtin_channel(["hadamard"]), KeyError,
+                                       "unknown builtin channel"),
+    "builtin-channel-of-a-dict-name": (lambda: builtin_channel({"hadamard": 1}), KeyError,
+                                       "unknown builtin channel"),
     "unknown-suite": (lambda: run_suites(["nope"]), ValueError, "unknown suite"),
 }
 
