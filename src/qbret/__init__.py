@@ -36,12 +36,7 @@ from .hilbert import (
     petz_hilbert,
     qubit_state,
 )
-from .matcore import (
-    hermitian_eig,
-    partial_trace_b,
-    principal_power,
-    psd_sqrt,
-)
+from .matcore import hermitian_eig, partial_trace_b
 from .qprcore import (
     PetzQprResult,
     adjoint_qpr,
@@ -71,7 +66,7 @@ __all__ = [
     "forward_graph", "retro_graph",
     "KrausChannel", "PetzMap", "builtin_channel", "builtin_gates",
     "channel_from_dilation", "petz_hilbert", "qubit_state",
-    "hermitian_eig", "partial_trace_b", "principal_power", "psd_sqrt",
+    "hermitian_eig", "partial_trace_b",
     "PetzQprResult", "adjoint_qpr", "born", "channel_from_qpr", "channel_to_qpr",
     "classical_bayes", "k_matrix", "m_power_check", "petz_qpr",
     "povm_to_qpr", "reconstruct_state", "state_to_qpr", "uniform_vector",

@@ -8,7 +8,8 @@ rebuilt from its Choi matrix), verify (seeded identity sweeps), compare
 (DOT/SVG transition graphs).
 
 Exit codes: 0 success, 1 validation or verification failure, 2 usage or
-parse errors.  `--tol` sets the numerical tolerance (default 1e-10).
+parse errors, a path that cannot be read or written (any OSError) among
+them.  `--tol` sets the numerical tolerance (default 1e-10).
 """
 
 from __future__ import annotations
@@ -89,11 +90,8 @@ def seed(text: str) -> int:
 
 
 def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = fr.read_json(fh, f"{path}: ")
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
     return doc
@@ -535,7 +533,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, DEFAULT_TOL if args.tol is None else args.tol)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QbretError as exc:

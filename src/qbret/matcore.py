@@ -213,7 +213,8 @@ def psd_sqrt(h: np.ndarray, tol: float = DEFAULT_TOL, *,
     """(h^{1/2} or h^{-1/2} on the support, deficient) of a PSD matrix, or
     of each of a stack, by one `hermitian_eig`, under the rank policy of
     `power_values`: a pure state's root and inverse root are both its
-    projector."""
+    projector.  Nothing in the package calls it, and the package root does
+    not export it; it stays while perfbench's tracer wraps it by name."""
     return hermitian_eig(h, tol).power(-0.5 if inverse else 0.5, tol)
 
 
@@ -234,7 +235,9 @@ def principal_power(m: np.ndarray, r: float,
                     tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
     """(m^r on the support, deficient) of a real symmetric matrix with
     nonnegative spectrum: `Spectrum.power` of `eigh_spectrum(symmetrized(m))`,
-    whose errors it shares.  Nothing in the package calls it."""
+    whose errors it shares.  Nothing in the package calls it, and the
+    package root does not export it; it stays while perfbench's tracer
+    wraps it by name."""
     return eigh_spectrum(symmetrized(m, tol), tol).power(r, tol)
 
 

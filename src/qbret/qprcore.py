@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RepMismatch, SingularPosterior
-from .frames import DualFrame, Frame, StructureCoefficients, structure_coeffs
+from .frames import DualFrame, Frame, StructureCoefficients, check_dual, structure_coeffs
 from .matcore import (
     DEFAULT_EPS,
     DEFAULT_TOL,
@@ -126,7 +126,10 @@ def channel_to_qpr(channel, frame: Frame, dual: DualFrame) -> np.ndarray:
     return the (n, d, d) stack of their images; any other shape raises
     DimensionMismatch, as the `apply` of a Kraus channel or recovery map
     of another dimension does.  Every trace is then one matrix product.
+    `dual` is a claim, checked at DEFAULT_TOL (`frames.check_dual`).
     """
+    if dual is not frame.dual:
+        check_dual(frame, dual, DEFAULT_TOL)
     apply = channel.apply if hasattr(channel, "apply") else channel
     images = np.asarray(apply(dual.ops))
     if images.shape != dual.ops.shape:
@@ -152,8 +155,11 @@ def channel_from_qpr(s: np.ndarray, frame: Frame, dual: DualFrame,
     completely positive, is refused.  The Kraus operators are C's
     eigenvectors, reshaped and weighted by the roots of their eigenvalues,
     as in `hilbert.channel_from_dilation`; those of eigenvalues under the
-    rank cut are zero.
+    rank cut are zero.  `dual` is a claim, checked at tol
+    (`frames.check_dual`).
     """
+    if dual is not frame.dual:
+        check_dual(frame, dual, tol)
     s = np.asarray(s, dtype=float)
     n, d = frame.n, frame.d
     sums = s.sum(axis=0)
@@ -475,7 +481,6 @@ class MPowerReport:
 
 
 def m_power_check(v: np.ndarray, r: float, frame: Frame, dual: DualFrame,
-                  coeffs: StructureCoefficients | None = None,
                   tol: float = DEFAULT_TOL) -> MPowerReport:
     """Check that powering the state commutes with powering its matrix.
 
@@ -484,10 +489,10 @@ def m_power_check(v: np.ndarray, r: float, frame: Frame, dual: DualFrame,
     quasiprobability-side matrix to the r-th power.  Both sides follow the
     rank policy of `power_values`, so they agree on deficient states at every r.
     A (k, n) stack of vectors is checked at once, one eigh and one
-    `state_powers` call for all of them, and gives (k, n, n) sides.
+    `state_powers` call for all of them, and gives (k, n, n) sides.  The
+    right side's coefficients are the frame's, `structure_coeffs` at tol.
     """
-    if coeffs is None:
-        coeffs = structure_coeffs(frame, dual, tol)
+    coeffs = structure_coeffs(frame, dual, tol)
     alpha_r, _ = hermitian_eig(reconstruct_state(v, dual), tol).power(r, tol)
     lhs = np.einsum("iab,...bc,jcd,...da->...ij", frame.ops, alpha_r, dual.ops,
                     alpha_r, optimize=True).real

@@ -143,7 +143,7 @@ def suite_powers(seed: int = 0) -> list[CheckResult]:
                            for _ in range(50)])
         vectors = qp.state_to_qpr(states, f)
         for r in (2.0, 0.5, -0.5, -1.0):
-            worst = qp.m_power_check(vectors, r, f, g, xi).max_dev
+            worst = qp.m_power_check(vectors, r, f, g).max_dev
             out.append(CheckResult(f"power-identity-{name}-r={r:g}", worst, 1e-8))
         # rho -> a rho a has trace (Tr a)^2, so Tr[M^(1/2)] = (Tr alpha^(1/2))^2
         roots = qp.state_powers(vectors, (0.5,) * len(vectors), xi)[0]

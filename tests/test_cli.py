@@ -968,6 +968,28 @@ class TestExitCodes:
     def test_bad_angles(self):
         assert main(["repr", "--angles", "1,2", "--kind", "dw-qubit"]) == 2
 
+    # a path that cannot be read or written, or a file that json cannot
+    # read, escaped as a traceback (IsADirectoryError, UnicodeDecodeError,
+    # RecursionError) with exit 1
+    @pytest.mark.parametrize("argv", [
+        ["frame", "--kind", "dw-qubit", "--out", "{dir}"],
+        ["frame", "--frame", "{dir}", "--out", "{out}"],
+        ["petz", "--channel", "{dir}", "--kind", "dw-qubit", "--angles", "0,0,0",
+         "--out", "{out}"],
+        ["frame", "--frame", "{utf16}", "--out", "{out}"],
+        ["frame", "--frame", "{nested}", "--out", "{out}"],
+    ], ids=["out-directory", "frame-directory", "channel-directory",
+            "frame-not-utf8", "frame-nested-past-recursion-limit"])
+    def test_unreadable_input_exits_2(self, argv, tmp_path, capsys):
+        paths = {name: tmp_path / f"{name}.json" for name in ("dir", "utf16", "nested", "out")}
+        paths["dir"].mkdir()
+        paths["utf16"].write_bytes(b"\xff\xfe{\x00}\x00")
+        paths["nested"].write_text("[" * 200_000)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("angles", ["nan,0,0", "0,inf,0", "0,0,-inf"])
     def test_non_finite_angles_repr(self, angles, capsys):
         assert main(["repr", "--kind", "dw-qubit", "--angles", angles]) == 2

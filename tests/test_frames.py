@@ -522,6 +522,13 @@ class TestLoadFrame:
         with pytest.raises(errors.ParseError):
             load_frame("{not json")
 
+    @pytest.mark.parametrize("text", ["[" * 200_000, b'{"d": "\xff"}'],
+                             ids=["nested-past-recursion-limit", "not-utf8"])
+    def test_unreadable_text(self, text):
+        # json's RecursionError and UnicodeDecodeError escaped untyped
+        with pytest.raises(errors.ParseError, match="invalid JSON"):
+            load_frame(text)
+
     def test_missing_field(self):
         with pytest.raises(errors.ParseError):
             load_frame({"d": 2, "F": []})
@@ -738,6 +745,29 @@ class TestStructureCoeffs:
         assert structure_coeffs(skewed, g, tol=1e-3) is loose
         with pytest.raises(errors.RepMismatch):
             structure_coeffs(skewed, g)
+
+    def test_one_factor_per_single_frame(self, monkeypatch):
+        # each part built its own factor, once per tol: dw-qubits:3 built
+        # three, and three more at a second tol
+        import qbret.frames
+        calls = []
+        build = qbret.frames._factor_tensor
+        monkeypatch.setattr(qbret.frames, "_factor_tensor",
+                            lambda *args: calls.append(1) or build(*args))
+        f, g = build_dw_qubits(3)
+        coeffs = structure_coeffs(f, g)
+        assert len(calls) == 1
+        assert coeffs.factors[0] is coeffs.factors[2]
+        assert structure_coeffs(f, g, tol=1e-3) is coeffs
+        assert structure_coeffs(f, g) is coeffs
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("builder", [build_dw_qubit, build_sic_qubit,
+                                         lambda: build_dw_qubits(2)],
+                             ids=["dw-qubit", "sic-qubit", "dw-qubits:2"])
+    def test_one_object_at_every_tol(self, builder):
+        f, g = builder()
+        assert structure_coeffs(f, g, tol=1e-3) is structure_coeffs(f, g)
 
     @pytest.mark.parametrize("builder", [build_dw_qubit, build_sic_qubit,
                                          lambda: build_dw_qubits(2)])

@@ -332,6 +332,32 @@ class TestChannelFromQpr:
             channel_from_qpr(s, *dw)
 
 
+class TestDualClaim:
+    """`channel_to_qpr` and `channel_from_qpr` check the dual they are
+    given, as `structure_coeffs` does: another frame's dual made a channel
+    matrix with unit column sums and no error."""
+
+    def test_foreign_dual_is_refused(self, dw, sic):
+        f, g = dw
+        channel = builtin_channel("half_swap")
+        s = channel_to_qpr(channel, f, g)
+        with pytest.raises(errors.RepMismatch, match="not the dual"):
+            channel_to_qpr(channel, f, sic[1])
+        with pytest.raises(errors.RepMismatch, match="not the dual"):
+            channel_from_qpr(s, f, sic[1])
+
+    def test_dual_within_tol_passes(self, dw):
+        f, g = dw
+        near = DualFrame(name="near", ops=g.ops + 1e-12)
+        channel = builtin_channel("half_swap")
+        s = channel_to_qpr(channel, f, near)
+        assert max_abs(s - channel_to_qpr(channel, f, g)) < 1e-11
+        assert channel_from_qpr(s, f, near).shape == (4, 2, 2)
+        # channel_from_qpr checks at its own tol
+        with pytest.raises(errors.RepMismatch, match="not the dual"):
+            channel_from_qpr(s, f, near, tol=1e-13)
+
+
 class TestBorn:
     def test_certain_outcome(self, dw):
         f, g = dw
@@ -1289,7 +1315,7 @@ def test_result_types_compare_by_identity():
     s = channel_to_qpr(channel, f, g)
     objects = [channel, petz_hilbert(channel, projector(KET_PLUS)),
                hermitian_eig(np.eye(2)), coeffs, petz_qpr(s, v, coeffs),
-               m_power_check(v, 0.5, f, g, coeffs),
+               m_power_check(v, 0.5, f, g),
                _lanczos_run(v, coeffs)]
     assert isinstance(objects[4], PetzQprResult)
     assert isinstance(objects[5], MPowerReport)
@@ -1368,7 +1394,7 @@ class TestMPowerCheck:
         rho = random_density(rng, 2)
         v = state_to_qpr(rho, f)
         m = x_matrix(v, xi)
-        report = m_power_check(v, 2.0, f, g, xi)
+        report = m_power_check(v, 2.0, f, g)
         np.testing.assert_allclose(report.rhs, m @ m, atol=1e-12)
         assert report.max_dev < 1e-10
 
