@@ -44,8 +44,6 @@ from .qprcore import (
     channel_from_qpr,
     channel_to_qpr,
     classical_bayes,
-    k_matrix,
-    m_power_check,
     petz_qpr,
     povm_to_qpr,
     reconstruct_state,
@@ -68,7 +66,6 @@ __all__ = [
     "channel_from_dilation", "petz_hilbert", "qubit_state",
     "hermitian_eig", "partial_trace_b",
     "PetzQprResult", "adjoint_qpr", "born", "channel_from_qpr", "channel_to_qpr",
-    "classical_bayes", "k_matrix", "m_power_check", "petz_qpr",
-    "povm_to_qpr", "reconstruct_state", "state_to_qpr", "uniform_vector",
-    "x_matrix",
+    "classical_bayes", "petz_qpr", "povm_to_qpr", "reconstruct_state",
+    "state_to_qpr", "uniform_vector", "x_matrix",
 ]

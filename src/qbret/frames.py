@@ -465,13 +465,17 @@ def frame_to_dict(frame: Frame) -> dict:
 
 
 def read_json(source, where: str = ""):
-    """The JSON value of `source`, text (str or bytes) or a text file open
-    for reading: the one JSON reader of documents.  ParseError, its message
-    led by `where`, for all that json cannot read: malformed JSON and
-    undecodable bytes (ValueErrors both), and nesting past the recursion
-    limit."""
+    """The JSON value of `source`, text (str or UTF-8 bytes) or a text file
+    open for reading: the one JSON reader of documents.  Bytes are UTF-8,
+    as the CLI reads files and RFC 8259 requires between systems; json
+    would guess UTF-16 or UTF-32 from them.  ParseError, its message led
+    by `where`, for all that json cannot read: malformed JSON, a byte-order
+    mark and bytes that are not UTF-8 (ValueErrors all), and nesting past
+    the recursion limit."""
     try:
-        return json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+        return json.loads(source) if isinstance(source, str) else json.load(source)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{where}invalid JSON: {exc}") from exc
 

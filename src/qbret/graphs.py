@@ -145,6 +145,13 @@ _LEGEND_STEPS = 32
 
 _Node = namedtuple("_Node", "name label fill x y")
 
+# a label escaped inside a DOT double-quoted string, and as SVG text
+# content, where its quotes stay: no label goes into an SVG attribute.
+# xml.sax.saxutils.escape is the SVG table, but its import pulls
+# urllib.request and http.client into every CLI process
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})
+_SVG_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 
 def _layout(g: TransitionGraph, bounds: float | None) -> tuple:
     """(columns, edges, w_max): the one drawing both writers format.  The
@@ -183,7 +190,7 @@ def emit_dot(g: TransitionGraph, bounds: float | None = None) -> str:
     for column in columns:
         lines.append("    { rank=same; "
                      + " ".join(node.name + ";" for node in column) + " }")
-        lines.extend(f"    {node.name} [label=\"{node.label}\","
+        lines.extend(f"    {node.name} [label=\"{node.label.translate(_DOT_ESCAPES)}\","
                      f" fillcolor=\"{node.fill}\"];" for node in column)
     for src, dst, w, color in edges:
         style = "solid" if w >= 0 else "dashed"
@@ -229,7 +236,7 @@ def emit_svg(g: TransitionGraph, bounds: float | None = None) -> str:
             out.append(f'  <text x="{node.x + shift * (_R_NODE + 6):.1f}"'
                        f' y="{node.y + 4:.1f}" font-size="12"'
                        f' font-family="Helvetica" text-anchor="{anchor}">'
-                       f'{node.label}</text>')
+                       f'{node.label.translate(_SVG_ESCAPES)}</text>')
     # color legend strip, symmetric about zero
     ly = height - 38
     lx0, lx1 = _X_IN, _X_OUT

@@ -5,7 +5,9 @@ for states and channels, the prior/posterior matrices built from
 structure coefficients, the adjoint rule Q S^T Q^{-1} (the transpose
 where Q is a multiple of 1), the recovery map assembled purely from
 quasiprobability data (no Hilbert-space channel), and the classical
-Bayes inverse it is contrasted with.
+Bayes inverse it is contrasted with.  No check lives here: the paper's
+identities, among them the power identity and the K correction of the
+SIC adjoint, are computed in `verify`.
 
 Every trace Tr[F_i X] against the Hermitian frame is taken as one real
 product (`_traces`).  A state power, the vector of alpha^r, comes from
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RepMismatch, SingularPosterior
-from .frames import DualFrame, Frame, StructureCoefficients, check_dual, structure_coeffs
+from .frames import DualFrame, Frame, StructureCoefficients, check_dual
 from .matcore import (
     DEFAULT_EPS,
     DEFAULT_TOL,
@@ -338,18 +340,6 @@ def state_powers(v: np.ndarray, r: tuple | np.ndarray,
     return np.array(rows), list(deficient), routes
 
 
-def k_matrix(s: np.ndarray) -> np.ndarray:
-    """Rank-one correction K[i, j] = (sum_a S[j, a] - 1) / sqrt(n), n
-    identical rows: the paper's SIC adjoint is S^T + K, which `verify`
-    holds to the morphed Hilbert adjoint (`adjoint-rule-sp`).
-
-    Vanishes exactly when S is quasi-bistochastic (unital channel).
-    """
-    s = np.asarray(s, dtype=float)
-    row = (s.sum(axis=1) - 1.0) / math.isqrt(s.shape[0])
-    return row[None, :].repeat(s.shape[0], axis=0)
-
-
 def adjoint_qpr(s: np.ndarray, gram_roots: tuple | None) -> np.ndarray:
     """Representation S_adj[i, j] = Tr[F_i E^dag[G_j]] of the adjoint map,
     from the channel matrix alone.
@@ -468,35 +458,3 @@ def classical_bayes(s: np.ndarray, v_prior: np.ndarray,
             raise SingularPosterior(
                 "posterior entries remain at zero after regularization")
     return (np.diag(v) @ s.T) / post[None, :]
-
-
-@dataclass(frozen=True, eq=False)
-class MPowerReport:
-    """Two-sided evaluation of the prior-matrix power identity."""
-
-    r: float
-    lhs: np.ndarray  # matrix of the state power, entries Tr[F_i a^r G_j a^r]
-    rhs: np.ndarray  # matrix power of the state matrix
-    max_dev: float  # over every matrix of a stack
-
-
-def m_power_check(v: np.ndarray, r: float, frame: Frame, dual: DualFrame,
-                  tol: float = DEFAULT_TOL) -> MPowerReport:
-    """Check that powering the state commutes with powering its matrix.
-
-    The left side builds alpha^r in Hilbert space from the reconstructed
-    state and takes traces directly; the right side raises the
-    quasiprobability-side matrix to the r-th power.  Both sides follow the
-    rank policy of `power_values`, so they agree on deficient states at every r.
-    A (k, n) stack of vectors is checked at once, one eigh and one
-    `state_powers` call for all of them, and gives (k, n, n) sides.  The
-    right side's coefficients are the frame's, `structure_coeffs` at tol.
-    """
-    coeffs = structure_coeffs(frame, dual, tol)
-    alpha_r, _ = hermitian_eig(reconstruct_state(v, dual), tol).power(r, tol)
-    lhs = np.einsum("iab,...bc,jcd,...da->...ij", frame.ops, alpha_r, dual.ops,
-                    alpha_r, optimize=True).real
-    stack = np.asarray(v, dtype=float).reshape(-1, coeffs.n)
-    rows = state_powers(stack, (r,) * len(stack), coeffs, tol)[0]
-    rhs = x_matrix(rows, coeffs).reshape(lhs.shape)
-    return MPowerReport(r=r, lhs=lhs, rhs=rhs, max_dev=max_abs(lhs - rhs))

@@ -3,12 +3,15 @@
 Each suite returns a list of check results with the worst deviation seen
 and the tolerance it was held to.  Tolerances are fixed here, not
 user-tunable: they are the acceptance thresholds of the build.  Each of
-the paper's checks is computed here and nowhere else; the acceptance
-tests run these suites.
+the paper's checks is computed here and nowhere else, with the helpers
+only they use: `k_matrix`, the K of the paper's SIC adjoint S^T + K, and
+`power_sides`, the two sides of the power identity M(alpha^r) =
+M(alpha)^r.  The acceptance tests run these suites.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +19,7 @@ import numpy as np
 from . import frames as fr
 from . import hilbert as hb
 from . import qprcore as qp
-from .matcore import max_abs
+from .matcore import hermitian_eig, max_abs
 
 _SQ2 = np.sqrt(2.0)
 _SQ3 = np.sqrt(3.0)
@@ -86,6 +89,18 @@ def suite_frames(seed: int = 0) -> list[CheckResult]:
 
 # --- suite: mmatrix ----------------------------------------------------------
 
+def k_matrix(s: np.ndarray) -> np.ndarray:
+    """Rank-one correction K[i, j] = (sum_a S[j, a] - 1) / sqrt(n), n
+    identical rows: the paper's SIC adjoint is S^T + K, held below to the
+    morphed Hilbert adjoint (`adjoint-rule-sp`).
+
+    Vanishes exactly when S is quasi-bistochastic (unital channel).
+    """
+    s = np.asarray(s, dtype=float)
+    row = (s.sum(axis=1) - 1.0) / math.isqrt(s.shape[0])
+    return row[None, :].repeat(s.shape[0], axis=0)
+
+
 def suite_mmatrix(seed: int = 0) -> list[CheckResult]:
     out = []
     for name, f, g in _pairs(_QUBITS):
@@ -109,14 +124,14 @@ def suite_mmatrix(seed: int = 0) -> list[CheckResult]:
     sp_f, sp_g = fr.builtin_frame("sic-qubit")
     unital = [hb.builtin_channel(gate) for gate in
               ("identity", "pauli_x", "pauli_y", "pauli_z", "hadamard", "u_eg")]
-    worst_k = max(max_abs(qp.k_matrix(qp.channel_to_qpr(ch, sp_f, sp_g)))
+    worst_k = max(max_abs(k_matrix(qp.channel_to_qpr(ch, sp_f, sp_g)))
                   for ch in unital)
     out.append(CheckResult("k-vanishes-unital", worst_k, 1e-12))
     half_swap = hb.builtin_channel("half_swap")
     s_hs = qp.channel_to_qpr(half_swap, sp_f, sp_g)
     expected_row = np.array([-1, 1, -1, 1]) / (4 * _SQ3)
     out.append(CheckResult(
-        "k-half-swap-row", max_abs(qp.k_matrix(s_hs) - expected_row[None, :]),
+        "k-half-swap-row", max_abs(k_matrix(s_hs) - expected_row[None, :]),
         1e-12))
     # the paper's SIC adjoint S^T + K, a closed form the library does not
     # take (`adjoint_qpr` is the Gram rule there), against the morphism of
@@ -127,12 +142,32 @@ def suite_mmatrix(seed: int = 0) -> list[CheckResult]:
     for ch in unital + [half_swap] + [_random_channel(rng, 2) for _ in range(20)]:
         s = qp.channel_to_qpr(ch, sp_f, sp_g)
         worst_adj = max(worst_adj, max_abs(
-            s.T + qp.k_matrix(s) - qp.channel_to_qpr(ch.adjoint, sp_f, sp_g)))
+            s.T + k_matrix(s) - qp.channel_to_qpr(ch.adjoint, sp_f, sp_g)))
     out.append(CheckResult("adjoint-rule-sp", worst_adj, 1e-12))
     return out
 
 
 # --- suite: powers -----------------------------------------------------------
+
+def power_sides(v: np.ndarray, r: float, frame: fr.Frame, dual: fr.DualFrame) -> tuple:
+    """(lhs, rhs) of the power identity M(alpha^r) = M(alpha)^r: powering
+    the state commutes with powering its matrix.
+
+    The left side builds alpha^r in Hilbert space from the reconstructed
+    state and takes traces directly; the right side raises the
+    quasiprobability-side matrix to the r-th power.  Both sides follow the
+    rank policy of `power_values`, so they agree on deficient states at
+    every r.  A (k, n) stack of vectors is taken at once, one eigh and one
+    `state_powers` call for all of them, and gives (k, n, n) sides.
+    """
+    coeffs = fr.structure_coeffs(frame, dual)
+    alpha_r, _ = hermitian_eig(qp.reconstruct_state(v, dual)).power(r)
+    lhs = np.einsum("iab,...bc,jcd,...da->...ij", frame.ops, alpha_r, dual.ops,
+                    alpha_r, optimize=True).real
+    stack = np.asarray(v, dtype=float).reshape(-1, coeffs.n)
+    rows = qp.state_powers(stack, (r,) * len(stack), coeffs)[0]
+    return lhs, qp.x_matrix(rows, coeffs).reshape(lhs.shape)
+
 
 def suite_powers(seed: int = 0) -> list[CheckResult]:
     out = []
@@ -143,7 +178,7 @@ def suite_powers(seed: int = 0) -> list[CheckResult]:
                            for _ in range(50)])
         vectors = qp.state_to_qpr(states, f)
         for r in (2.0, 0.5, -0.5, -1.0):
-            worst = qp.m_power_check(vectors, r, f, g).max_dev
+            worst = max_abs(np.subtract(*power_sides(vectors, r, f, g)))
             out.append(CheckResult(f"power-identity-{name}-r={r:g}", worst, 1e-8))
         # rho -> a rho a has trace (Tr a)^2, so Tr[M^(1/2)] = (Tr alpha^(1/2))^2
         roots = qp.state_powers(vectors, (0.5,) * len(vectors), xi)[0]

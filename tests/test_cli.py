@@ -100,6 +100,20 @@ class TestFrameCommand:
             assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+    def test_documents_are_utf8(self, encoding, tmp_path, capsys):
+        # one encoding rule: the library refuses the bytes that json would
+        # decode by guessing, as the CLI, which reads files as UTF-8, does
+        text = json.dumps(frame_to_dict(build_dw_qubit()[0]))
+        assert qbret.load_frame(text.encode("utf-8"))[0].name == "dw-qubit"
+        with pytest.raises(errors.ParseError):
+            qbret.load_frame(text.encode(encoding))
+        path, out = tmp_path / "frame.json", tmp_path / "out.json"
+        path.write_bytes(text.encode(encoding))
+        assert main(["frame", "--frame", str(path), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sic_tetrahedron(self, tmp_path):
         out = tmp_path / "frame.json"
         assert main(["frame", "--kind", "sic-qubit", "--out", str(out)]) == 0

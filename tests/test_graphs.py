@@ -1,3 +1,4 @@
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,26 @@ def test_writers_match_their_reference_bytes(name, emit, suffix):
     build, bounds = GOLDEN_CASES[name]
     text = emit(build(), bounds)
     assert text.encode("utf-8") == (GOLDEN / f"{name}.{suffix}").read_bytes()
+
+
+# labels a frame document may hold, with characters that end a DOT string or
+# an SVG text node
+SPECIAL_LABELS = ("a<b", 'q"x', "c&d", "r\\s")
+
+
+class TestLabelEscaping:
+    def test_svg_parses_and_reads_back_the_labels(self):
+        text = emit_svg(forward_graph(HADAMARD, labels=SPECIAL_LABELS))
+        nodes = ET.fromstring(text).iter("{http://www.w3.org/2000/svg}text")
+        # each column's labels, then the legend's three values
+        assert [node.text for node in nodes][:8] == list(SPECIAL_LABELS) * 2
+
+    def test_dot_labels_escape_backslashes_then_quotes(self):
+        text = emit_dot(forward_graph(HADAMARD, labels=SPECIAL_LABELS))
+        for side in ("in", "out"):
+            assert f'{side}1 [label="q\\"x",' in text
+            assert f'{side}3 [label="r\\\\s",' in text
+            assert f'{side}0 [label="a<b",' in text and f'{side}2 [label="c&d",' in text
 
 
 class TestColors:

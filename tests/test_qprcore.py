@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbret
 from qbret import errors
 from qbret.frames import (
     DualFrame,
@@ -40,16 +41,13 @@ from qbret.qprcore import (
     LANCZOS_MIN_N,
     LANCZOS_RTOL,
     QPR_EPS_FLOOR,
-    MPowerReport,
     PetzQprResult,
     adjoint_qpr,
     born,
     channel_from_qpr,
     channel_to_qpr,
     classical_bayes,
-    k_matrix,
     lanczos,
-    m_power_check,
     petz_qpr,
     povm_to_qpr,
     reconstruct_state,
@@ -59,6 +57,7 @@ from qbret.qprcore import (
     uniform_vector,
     x_matrix,
 )
+from qbret.verify import k_matrix, power_sides
 
 SQ2 = np.sqrt(2.0)
 
@@ -1315,14 +1314,33 @@ def test_result_types_compare_by_identity():
     s = channel_to_qpr(channel, f, g)
     objects = [channel, petz_hilbert(channel, projector(KET_PLUS)),
                hermitian_eig(np.eye(2)), coeffs, petz_qpr(s, v, coeffs),
-               m_power_check(v, 0.5, f, g),
                _lanczos_run(v, coeffs)]
     assert isinstance(objects[4], PetzQprResult)
-    assert isinstance(objects[5], MPowerReport)
     for obj in objects:
         assert obj == obj and hash(obj) == hash(obj)
         assert len({obj, obj}) == 1
     assert builtin_channel("half_swap") != builtin_channel("half_swap")
+
+
+def test_package_exports():
+    # the quasiprobability side exports the morphisms, the recovery and
+    # classical Bayes; the checks and their helpers stay in `qbret.verify`
+    assert qbret.__all__ == [
+        "QbretError",
+        "Frame", "DualFrame", "StructureCoefficients",
+        "build_dw_qubit", "build_dw_qubits", "build_sic_qubit",
+        "classical_structure_coeffs", "load_frame", "structure_coeffs",
+        "tensor_frames", "validate_frame",
+        "TransitionGraph", "emit_dot", "emit_svg",
+        "forward_graph", "retro_graph",
+        "KrausChannel", "PetzMap", "builtin_channel", "builtin_gates",
+        "channel_from_dilation", "petz_hilbert", "qubit_state",
+        "hermitian_eig", "partial_trace_b",
+        "PetzQprResult", "adjoint_qpr", "born", "channel_from_qpr", "channel_to_qpr",
+        "classical_bayes", "petz_qpr", "povm_to_qpr", "reconstruct_state",
+        "state_to_qpr", "uniform_vector", "x_matrix",
+    ]
+    assert [name for name in qbret.__all__ if not hasattr(qbret, name)] == []
 
 
 class TestClassicalBayes:
@@ -1374,9 +1392,9 @@ class TestClassicalBayes:
 class TestMPowerCheck:
     def test_mixed_state_inverse(self, dw):
         f, g = dw
-        report = m_power_check(uniform_vector(4), -1.0, f, g)
-        np.testing.assert_allclose(report.lhs, 4 * np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(report.rhs, 4 * np.eye(4), atol=1e-12)
+        lhs, rhs = power_sides(uniform_vector(4), -1.0, f, g)
+        np.testing.assert_allclose(lhs, 4 * np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(rhs, 4 * np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize("r", [2.0, 0.5, -0.5, -1.0])
     def test_random_full_rank_states(self, r, dw, sic):
@@ -1384,8 +1402,8 @@ class TestMPowerCheck:
         for f, g in (dw, sic):
             for _ in range(10):
                 rho = random_density(rng, 2, min_eig=0.05)
-                report = m_power_check(state_to_qpr(rho, f), r, f, g)
-                assert report.max_dev < 1e-8
+                lhs, rhs = power_sides(state_to_qpr(rho, f), r, f, g)
+                assert max_abs(lhs - rhs) < 1e-8
 
     def test_square_matches_matrix_product(self, sic):
         f, g = sic
@@ -1394,9 +1412,9 @@ class TestMPowerCheck:
         rho = random_density(rng, 2)
         v = state_to_qpr(rho, f)
         m = x_matrix(v, xi)
-        report = m_power_check(v, 2.0, f, g)
-        np.testing.assert_allclose(report.rhs, m @ m, atol=1e-12)
-        assert report.max_dev < 1e-10
+        lhs, rhs = power_sides(v, 2.0, f, g)
+        np.testing.assert_allclose(rhs, m @ m, atol=1e-12)
+        assert max_abs(lhs - rhs) < 1e-10
 
     def test_singular_state_negative_power(self, dw, sic):
         # both sides take the inverse powers of a pure state on its support
@@ -1404,30 +1422,31 @@ class TestMPowerCheck:
             for ket in (KET0, KET_PLUS):
                 v = state_to_qpr(projector(ket), f)
                 for r in (-0.5, -1.0):
-                    assert m_power_check(v, r, f, g).max_dev < 1e-10
+                    assert max_abs(np.subtract(*power_sides(v, r, f, g))) < 1e-10
 
     def test_pure_state_half_power(self, dw, sic):
         # the power identity holds on rank-deficient states too for r >= 0
         for f, g in (dw, sic):
             v = state_to_qpr(projector(KET_PLUS), f)
-            assert m_power_check(v, 0.5, f, g).max_dev < 1e-10
+            assert max_abs(np.subtract(*power_sides(v, 0.5, f, g))) < 1e-10
 
     def test_near_pure_state_half_power(self, dw, sic):
         # an eigenvalue of 1e-14 is below the rank threshold: both sides
         # give it root zero, rather than one side keeping its root 1e-7
         rho = qubit_state(np.arcsin(1e-7), 0.7, 0.3)
         for f, g in (dw, sic):
-            assert m_power_check(state_to_qpr(rho, f), 0.5, f, g).max_dev < 1e-12
+            lhs, rhs = power_sides(state_to_qpr(rho, f), 0.5, f, g)
+            assert max_abs(lhs - rhs) < 1e-12
 
     def test_invalid_vector_rejected(self, dw):
         f, g = dw
         bad = np.array([0.9, 0.9, -0.4, -0.4])  # normalized but not a state
         with pytest.raises(errors.NotPSD):
-            m_power_check(bad, 0.5, f, g)
+            power_sides(bad, 0.5, f, g)
 
     def test_stack_checks_each_row(self, dw, sic):
         # a (k, n) stack, a pure state among full-rank ones, gives (k, n, n)
-        # sides, each the report of its row alone
+        # sides, each the sides of its row alone
         rng = np.random.default_rng(10)
         states = np.array([random_density(rng, 2, min_eig=0.05) for _ in range(5)]
                           + [projector(KET_PLUS)])
@@ -1438,14 +1457,13 @@ class TestMPowerCheck:
             with pytest.raises(errors.RepMismatch):
                 reconstruct_state(vectors[None], g)
             for r in (0.5, -1.0):
-                report = m_power_check(vectors, r, f, g)
-                rows = [m_power_check(v, r, f, g) for v in vectors]
-                assert report.lhs.shape == report.rhs.shape == (6, 4, 4)
-                for side in ("lhs", "rhs"):
-                    np.testing.assert_allclose(
-                        getattr(report, side),
-                        [getattr(row, side) for row in rows], atol=1e-12)
-                assert report.max_dev < 1e-10
+                sides = power_sides(vectors, r, f, g)
+                rows = [power_sides(v, r, f, g) for v in vectors]
+                assert sides[0].shape == sides[1].shape == (6, 4, 4)
+                for k, side in enumerate(sides):
+                    np.testing.assert_allclose(side, [row[k] for row in rows],
+                                               atol=1e-12)
+                assert max_abs(sides[0] - sides[1]) < 1e-10
 
     @given(st.floats(min_value=0.1, max_value=1.5),
            st.floats(min_value=-1.0, max_value=1.0))

@@ -44,6 +44,8 @@ CASES = {
     "validate-shape": (_short_dual, errors.ValidationFailed, "shape"),
     "frame-document-not-an-object": (lambda: load_frame("[1, 2]"), errors.ParseError,
                                      "JSON object"),
+    "frame-document-not-utf8": (lambda: load_frame('{"d": 2}'.encode("utf-16")),
+                                errors.ParseError, "'utf-8' codec"),
     "frame-document-without-d": (lambda: load_frame(_frame_document(d=None)),
                                  errors.ParseError, "missing field 'd'"),
     "frame-document-without-F": (lambda: load_frame(_frame_document(F=None)),
